@@ -5,10 +5,10 @@ from .grid import GridField, TestFunction, diag_step, load_csv, sample, save_csv
 from .kernels import Kernel, KernelKind, OMEGA, kernel_for_grid, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
 from .patch import (FactorizationError, PatchInterpolant, PatchMatrix,
-                    build_patch_matrix, interpolate_patch, patch_offsets)
+                    interpolate_patch, patch_offsets)
 from .stationary import (Classification, RawStationaryPoint, SearchDomain,
                          SolverConfig, StationaryPoint, find_patch_stationary,
-                         patch_domain, reduce_points, sweep, sweep_full)
+                         patch_domain, reduce_points, sweep_full)
 from .cli import run_pipeline
 
 __all__ = [
@@ -17,10 +17,10 @@ __all__ = [
     "Kernel", "KernelKind", "OMEGA", "kernel_for_grid", "shape_parameter",
     "GroundTruth", "ParametricCurve", "ground_truth",
     "FactorizationError", "PatchInterpolant", "PatchMatrix",
-    "build_patch_matrix", "interpolate_patch", "patch_offsets",
+    "interpolate_patch", "patch_offsets",
     "Classification", "RawStationaryPoint", "SearchDomain", "SolverConfig",
     "StationaryPoint", "find_patch_stationary", "patch_domain", "reduce_points",
-    "sweep", "sweep_full", "run_pipeline",
+    "sweep_full", "run_pipeline",
 ]
 
 __version__ = "0.1.0"

@@ -110,6 +110,8 @@ def cmd_find(args) -> int:
     g, source = _load_field(args)
     kind = _KERNELS[args.kernel]
     cfg = SolverConfig(seeds_per_axis=args.seeds, max_iterations=args.max_iter)
+    if args.threads < 0:
+        raise InputError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     report = run_pipeline(g, kind, alpha=args.alpha, cfg=cfg, threads=threads,
                           input_desc=_input_desc(g, source),

@@ -120,13 +120,25 @@ class PatchMatrix:
         x = lu_solve_pp(self._lu, self._piv, rhs)
         return x[:16].T, x[16]
 
-    def solve_weights(self, h) -> np.ndarray:
-        """The RBF weights c of ``solve(h)``, shaped like h."""
-        return self.solve(h)[0]
 
+def _grad_jac(x, centers, weights, kernel):
+    """Gradient and symmetric Jacobian of the gradient field of RBF sums.
 
-def build_patch_matrix(kernel: Kernel, dx: float, dy: float) -> PatchMatrix:
-    return PatchMatrix(kernel, dx, dy)
+    x (..., 2), centers (..., 16, 2), weights (..., 16); returns the arrays
+    gx, gy, jxx, jxy, jyy of shape (...).  Uses only elementwise ops and
+    fixed-order row sums, so results do not depend on batch size.
+    """
+    diff = x[..., None, :] - centers
+    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    cpsi = weights * kernel.psi(r)
+    ceta = weights * kernel.eta(r)
+    gx = (cpsi * diff[..., 0]).sum(axis=-1)
+    gy = (cpsi * diff[..., 1]).sum(axis=-1)
+    tr = cpsi.sum(axis=-1)
+    jxx = (ceta * diff[..., 0] ** 2).sum(axis=-1) + tr
+    jxy = (ceta * diff[..., 0] * diff[..., 1]).sum(axis=-1)
+    jyy = (ceta * diff[..., 1] ** 2).sum(axis=-1) + tr
+    return gx, gy, jxx, jxy, jyy
 
 
 @dataclass(frozen=True)
@@ -138,37 +150,32 @@ class PatchInterpolant:
     kernel: Kernel
     constant: float = 0.0
 
-    def _radii(self, x):
-        x = np.asarray(x, dtype=float)
-        diff = x[..., None, :] - np.asarray(self.centers, dtype=float)
-        return diff, np.linalg.norm(diff, axis=-1)
-
     def __call__(self, x):
         """Interpolant value; x is (2,) or (..., 2)."""
-        _, r = self._radii(x)
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x[..., None, :] - np.asarray(self.centers, dtype=float), axis=-1)
         out = self.kernel.phi(r) @ np.asarray(self.weights) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
+    def _derivatives(self, x):
+        return _grad_jac(np.asarray(x, dtype=float),
+                         np.asarray(self.centers, dtype=float),
+                         np.asarray(self.weights, dtype=float), self.kernel)
+
     def gradient(self, x) -> np.ndarray:
         """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
-        diff, r = self._radii(x)
-        w = np.asarray(self.weights, dtype=float)
-        return np.einsum("...m,...mk->...k", w * self.kernel.psi(r), diff)
+        gx, gy, *_ = self._derivatives(x)
+        return np.stack([gx, gy], axis=-1)
 
     def gradient_jacobian(self, x) -> np.ndarray:
         """Jacobian of the gradient field (the interpolant's Hessian).
 
-        J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric.
+        J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric,
+        shape (..., 2, 2).
         """
-        diff, r = self._radii(x)
-        w = np.asarray(self.weights, dtype=float)
-        outer = np.einsum("...mi,...mj->...mij", diff, diff)
-        ce = w * self.kernel.eta(r)
-        jac = np.einsum("...m,...mij->...ij", ce, outer)
-        trace = (w * self.kernel.psi(r)).sum(axis=-1)
-        jac[..., 0, 0] += trace
-        jac[..., 1, 1] += trace
-        return jac
+        _, _, jxx, jxy, jyy = self._derivatives(x)
+        return np.stack([np.stack([jxx, jxy], axis=-1),
+                         np.stack([jxy, jyy], axis=-1)], axis=-2)
 
 
 def interpolate_patch(m: PatchMatrix, centers: np.ndarray, h) -> PatchInterpolant:

@@ -5,10 +5,14 @@ Newton's method with the analytic Jacobian is multistarted inside the
 window's search domain, and the accepted roots are merged across windows by
 anchored centroid reduction (merge radius = the grid diagonal d).
 
-The Newton engine is vectorized over seeds; ``sweep`` batches the seeds of
-all patches through it at once, ``find_patch_stationary`` feeds it a single
-patch, and both produce identical floating-point results because the engine
-only uses elementwise operations and fixed-order row sums.
+One engine, ``_search``, does the per-patch work for any number of patches
+at once: it lays the seed lattice in each search domain, runs Newton
+clamped to the patch's bounding box, accepts converged roots inside the
+domain with a small gradient, and drops duplicates within a patch.  It has
+two callers: ``sweep_full`` hands it every active patch of the grid (one
+slice per thread), and ``find_patch_stationary`` hands it a single patch.
+Both give identical floating-point results because the engine only uses
+elementwise operations and fixed-order row sums.
 """
 
 from __future__ import annotations
@@ -22,31 +26,30 @@ import numpy as np
 
 from .grid import GridField, diag_step
 from .kernels import Kernel
-from .patch import PatchInterpolant, PatchMatrix, patch_offsets
+from .patch import PatchInterpolant, PatchMatrix, _grad_jac, patch_offsets
 
 log = logging.getLogger(__name__)
 
+# d is the grid's diagonal step (the patch's own for a lone patch)
 _SINGULAR_DET = 1e-14  # |det J| threshold, relative to ||J||_F^2
+_STEP_TOL = 1e-10      # Newton has converged once a pre-clamp step is <= this * d
+_GRAD_TOL_REL = 1e-8   # accepted roots have |grad| <= this * field range / d
+_DEDUP_RADIUS = 1e-3   # roots of one patch within this * d are one root
+_FLAT_PATCH = 1e-13    # patches with sample range <= this * field range are skipped
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the per-patch Newton search (lengths in units of d)."""
+    """Knobs of the per-patch Newton search."""
 
     seeds_per_axis: int = 3
     max_iterations: int = 30
-    step_tolerance: float = 1e-10
-    gradient_tolerance_rel: float = 1e-8
-    dedup_radius: float = 1e-3
-    flat_patch_threshold: float = 1e-13
 
     def __post_init__(self):
         if self.seeds_per_axis < 2:
             raise ValueError("seeds_per_axis must be at least 2")
-        for name in ("max_iterations", "step_tolerance", "gradient_tolerance_rel",
-                     "dedup_radius", "flat_patch_threshold"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.max_iterations > 0:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,55 +92,44 @@ class StationaryPoint:
     members_merged: int
 
 
+def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo, hi of shape (..., 2) of the search domains of patches
+    (i, j), 1-based integers or integer arrays.  Each domain is the central
+    cell widened by half a spacing per side, with the widening replaced by
+    extension to the grid boundary on sides where the patch touches it."""
+    x0, y0 = g.origin
+    lo_x = np.where(j == 1, x0, x0 + j * g.dx - g.dx / 2)
+    hi_x = np.where(j == g.nx - 3, x0 + (g.nx - 1) * g.dx,
+                    x0 + (j + 1) * g.dx + g.dx / 2)
+    lo_y = np.where(i == 1, y0, y0 + i * g.dy - g.dy / 2)
+    hi_y = np.where(i == g.ny - 3, y0 + (g.ny - 1) * g.dy,
+                    y0 + (i + 1) * g.dy + g.dy / 2)
+    return np.stack([lo_x, lo_y], axis=-1), np.stack([hi_x, hi_y], axis=-1)
+
+
 def patch_domain(g: GridField, i: int, j: int) -> SearchDomain:
-    """Search domain of patch (i, j): the central cell widened by half a
-    spacing per side, with the widening replaced by extension to the grid
-    boundary on sides where the patch touches it."""
+    """Search domain of patch (i, j), 1-based."""
     if not (1 <= i <= g.ny - 3 and 1 <= j <= g.nx - 3):
         raise IndexError(f"patch ({i},{j}) outside valid range")
-    x0, y0 = g.origin
-    lo_x = x0 if j == 1 else x0 + j * g.dx - g.dx / 2
-    hi_x = x0 + (g.nx - 1) * g.dx if j == g.nx - 3 else x0 + (j + 1) * g.dx + g.dx / 2
-    lo_y = y0 if i == 1 else y0 + i * g.dy - g.dy / 2
-    hi_y = y0 + (g.ny - 1) * g.dy if i == g.ny - 3 else y0 + (i + 1) * g.dy + g.dy / 2
-    return SearchDomain(lo=np.array([lo_x, lo_y]), hi=np.array([hi_x, hi_y]))
+    return SearchDomain(*_domain_bounds(g, i, j))
 
 
 # ---------------------------------------------------------------------------
-# Newton engine (vectorized over seeds)
+# Newton engine (vectorized over seeds and patches)
 # ---------------------------------------------------------------------------
-
-def _grad_jac(x, centers, weights, kernel):
-    """Gradient and symmetric Jacobian of the gradient field, per seed.
-
-    x (S,2), centers (S,16,2), weights (S,16).  Uses only elementwise ops
-    and fixed-order row sums so results do not depend on batch size.
-    """
-    diff = x[:, None, :] - centers
-    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    cpsi = weights * kernel.psi(r)
-    ceta = weights * kernel.eta(r)
-    gx = (cpsi * diff[..., 0]).sum(axis=1)
-    gy = (cpsi * diff[..., 1]).sum(axis=1)
-    tr = cpsi.sum(axis=1)
-    jxx = (ceta * diff[..., 0] ** 2).sum(axis=1) + tr
-    jxy = (ceta * diff[..., 0] * diff[..., 1]).sum(axis=1)
-    jyy = (ceta * diff[..., 1] ** 2).sum(axis=1) + tr
-    return gx, gy, jxx, jxy, jyy
-
 
 def _newton_seeds(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
     """Run Newton from every seed; returns (positions, converged mask).
 
     Iterates are clamped to the patch bounding box [bbox_lo, bbox_hi];
-    convergence is a pre-clamp Newton step of norm <= step_tolerance * d.
+    convergence is a pre-clamp Newton step of norm <= _STEP_TOL * d.
     Seeds hitting a singular Jacobian or the iteration cap are dropped.
     """
     x = np.array(seeds, dtype=float)
     n = x.shape[0]
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
-    step_tol = cfg.step_tolerance * d
+    step_tol = _STEP_TOL * d
     for _ in range(cfg.max_iterations):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
@@ -161,34 +153,50 @@ def _newton_seeds(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
     return x, converged
 
 
-def _seed_lattice(dom: SearchDomain, n: int) -> np.ndarray:
-    """n x n lattice strictly inside the domain, row-major (y outer)."""
-    t = np.arange(1, n + 1) / (n + 1)
-    fx = dom.lo[0] + (dom.hi[0] - dom.lo[0]) * t
-    fy = dom.lo[1] + (dom.hi[1] - dom.lo[1]) * t
-    gx, gy = np.meshgrid(fx, fy)
-    return np.column_stack([gx.ravel(), gy.ravel()])
+def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
+    """Stationary points of P patch interpolants, ordered by (patch, seed).
 
+    lo, hi (P,2) are the search domains, centers (P,16,2) and weights
+    (P,16) the interpolants, patches (P,2) their 1-based (i, j).  Seeds form
+    an n x n lattice strictly inside each domain, row-major (y outer);
+    Newton iterates are clamped to the patch's bounding box.
+    """
+    ns = cfg.seeds_per_axis
+    nseed = ns * ns
+    t = np.arange(1, ns + 1) / (ns + 1)
+    fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (P, ns)
+    fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
+    seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
 
-def _accept_and_dedup(pos, converged, dom, interp_kernel, centers, weights,
-                      cfg, d, tol_g):
-    """Filter converged roots to the domain and gradient tolerance, then
-    dedup in seed order.  Returns list of (seed_index, position)."""
-    keep = []
-    s = np.flatnonzero(converged)
-    if s.size == 0:
-        return keep
-    gx, gy, *_ = _grad_jac(pos[s], centers[s], weights[s], interp_kernel)
-    gnorm = np.sqrt(gx * gx + gy * gy)
-    inside = dom.contains(pos[s])
-    min_sep = cfg.dedup_radius * d
-    for k, seed_idx in enumerate(s):
-        if not (inside[k] and gnorm[k] <= tol_g):
-            continue
-        p = pos[seed_idx]
-        if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for _, q in keep):
-            keep.append((int(seed_idx), p))
-    return keep
+    pos, conv = _newton_seeds(seeds.reshape(-1, 2),
+                              np.repeat(centers, nseed, axis=0),
+                              np.repeat(weights, nseed, axis=0), kernel,
+                              np.repeat(centers.min(axis=1), nseed, axis=0),
+                              np.repeat(centers.max(axis=1), nseed, axis=0), cfg, d)
+
+    # accept converged roots inside their domain with a small gradient
+    s = np.flatnonzero(conv)
+    owner = s // nseed
+    gx, gy, *_ = _grad_jac(pos[s], centers[owner], weights[owner], kernel)
+    inside = np.all((pos[s] >= lo[owner]) & (pos[s] <= hi[owner]), axis=-1)
+    acc = s[inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)]
+
+    # drop duplicates within each patch, keeping the earliest seed
+    min_sep = _DEDUP_RADIUS * d
+    out: list[RawStationaryPoint] = []
+    keep: list[np.ndarray] = []
+    prev = -1
+    for seed in acc:
+        k, si = divmod(int(seed), nseed)
+        if k != prev:
+            keep, prev = [], k
+        p = pos[seed]
+        if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for q in keep):
+            keep.append(p)
+            out.append(RawStationaryPoint(
+                position=p, patch=(int(patches[k, 0]), int(patches[k, 1])),
+                seed_index=si))
+    return out
 
 
 def find_patch_stationary(p: PatchInterpolant, dom: SearchDomain,
@@ -199,7 +207,7 @@ def find_patch_stationary(p: PatchInterpolant, dom: SearchDomain,
     """Stationary points of one patch interpolant inside its search domain.
 
     ``field_range`` and ``d`` default to the patch's own sample range and
-    center-diagonal step; ``sweep`` passes the global values instead.
+    center-diagonal step; ``sweep_full`` uses the global values instead.
     """
     centers = np.asarray(p.centers, float)
     if d is None:
@@ -210,25 +218,13 @@ def find_patch_stationary(p: PatchInterpolant, dom: SearchDomain,
     patch_range = float(h.max() - h.min())
     if field_range is None:
         field_range = patch_range
-    if field_range <= 0 or patch_range <= cfg.flat_patch_threshold * field_range:
+    if field_range <= 0 or patch_range <= _FLAT_PATCH * field_range:
         log.debug("flat patch skipped (sample range %.3g of field range %.3g)",
                   patch_range, field_range)
         return []
-    tol_g = cfg.gradient_tolerance_rel * field_range / d
-
-    seeds = _seed_lattice(dom, cfg.seeds_per_axis)
-    n = seeds.shape[0]
-    w = np.asarray(p.weights, float)
-    centers_b = np.broadcast_to(centers, (n, 16, 2))
-    weights_b = np.broadcast_to(w, (n, 16))
-    bbox_lo = np.broadcast_to(centers.min(axis=0), (n, 2))
-    bbox_hi = np.broadcast_to(centers.max(axis=0), (n, 2))
-    pos, conv = _newton_seeds(seeds, centers_b, weights_b, p.kernel,
-                              bbox_lo, bbox_hi, cfg, d)
-    kept = _accept_and_dedup(pos, conv, dom, p.kernel, centers_b, weights_b,
-                             cfg, d, tol_g)
-    return [RawStationaryPoint(position=q, patch=patch, seed_index=si)
-            for si, q in kept]
+    return _search(dom.lo[None], dom.hi[None], centers[None],
+                   np.asarray(p.weights, float)[None], np.array([patch]),
+                   p.kernel, cfg, d, _GRAD_TOL_REL * field_range / d)
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +251,15 @@ class SweepResult:
                                 constant=float(self.constants[pidx]))
 
 
-def sweep(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
-          threads: int = 1) -> list[RawStationaryPoint]:
-    """All raw stationary points of the grid, ordered by (i, j, seed)."""
-    return sweep_full(g, kernel, cfg, threads).raw
-
-
 def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
                threads: int = 1) -> SweepResult:
+    """All raw stationary points of the grid, ordered by (i, j, seed), with
+    the per-patch interpolation data."""
     npi, npj = g.ny - 3, g.nx - 3
     npatch = npi * npj
     d = diag_step(g)
     field_range = g.field_range
-    tol_g = cfg.gradient_tolerance_rel * field_range / d
+    tol_g = _GRAD_TOL_REL * field_range / d
 
     matrix = PatchMatrix(kernel, g.dx, g.dy)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
@@ -276,56 +268,22 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
     origins = np.column_stack([g.origin[0] + jj * g.dx, g.origin[1] + ii * g.dy])
-
-    # per-patch search domains, same arithmetic as patch_domain
-    doms = [patch_domain(g, int(i) + 1, int(j) + 1) for i, j in zip(ii, jj)]
-    lo = np.array([dm.lo for dm in doms])
-    hi = np.array([dm.hi for dm in doms])
+    patches = np.column_stack([ii + 1, jj + 1])
+    lo, hi = _domain_bounds(g, patches[:, 0], patches[:, 1])
 
     patch_range = h.max(axis=1) - h.min(axis=1)
-    active = patch_range > cfg.flat_patch_threshold * field_range
-    if field_range <= 0:
-        active[:] = False
-    flat = [(int(i) + 1, int(j) + 1)
-            for i, j in zip(ii[~active], jj[~active])]
+    active = (field_range > 0) & (patch_range > _FLAT_PATCH * field_range)
+    flat = [(int(i), int(j)) for i, j in patches[~active]]
     if flat:
         log.debug("%d flat patches skipped", len(flat))
 
-    ns = cfg.seeds_per_axis
-    nseed = ns * ns
     act = np.flatnonzero(active)
-    # seed lattice per active patch, row-major in (y, x) like _seed_lattice
-    t = np.arange(1, ns + 1) / (ns + 1)
-    fx = lo[act, 0, None] + (hi[act, 0] - lo[act, 0])[:, None] * t  # (P, ns)
-    fy = lo[act, 1, None] + (hi[act, 1] - lo[act, 1])[:, None] * t
-    seeds = np.empty((act.size, nseed, 2))
-    seeds[:, :, 0] = np.repeat(fx[:, None, :], ns, axis=1).reshape(act.size, nseed)
-    seeds[:, :, 1] = np.repeat(fy[:, :, None], ns, axis=2).reshape(act.size, nseed)
-
-    offs = patch_offsets(g.dx, g.dy)
-    centers_all = origins[act][:, None, :] + offs[None, :, :]  # (P,16,2)
-    bbox_lo = origins[act]
-    bbox_hi = origins[act] + offs[15]
+    centers = origins[act][:, None, :] + patch_offsets(g.dx, g.dy)[None, :, :]
 
     def run(sl: slice):
         pat = act[sl]
-        npat = pat.size
-        s = seeds[sl].reshape(npat * nseed, 2)
-        cb = np.repeat(centers_all[sl], nseed, axis=0)
-        wb = np.repeat(weights[pat], nseed, axis=0)
-        bl = np.repeat(bbox_lo[sl], nseed, axis=0)
-        bh = np.repeat(bbox_hi[sl], nseed, axis=0)
-        pos, conv = _newton_seeds(s, cb, wb, kernel, bl, bh, cfg, d)
-        out = []
-        for k in range(npat):
-            rows = slice(k * nseed, (k + 1) * nseed)
-            dom = SearchDomain(lo=lo[pat[k]], hi=hi[pat[k]])
-            kept = _accept_and_dedup(pos[rows], conv[rows], dom,
-                                     kernel, cb[rows], wb[rows], cfg, d, tol_g)
-            i, j = int(ii[pat[k]]) + 1, int(jj[pat[k]]) + 1
-            out.extend(RawStationaryPoint(position=q, patch=(i, j), seed_index=si)
-                       for si, q in kept)
-        return out
+        return _search(lo[pat], hi[pat], centers[sl], weights[pat], patches[pat],
+                       kernel, cfg, d, tol_g)
 
     nthreads = max(1, int(threads))
     if nthreads == 1 or act.size == 0:
@@ -380,11 +338,11 @@ def reduce_points(raw: list[RawStationaryPoint], d: float,
         if interpolant_for is not None:
             interp = interpolant_for(*anchor.patch)
             value = float(interp(centroid))
+            jac = interp.gradient_jacobian(centroid)
             scale = hessian_scale
             if scale is None:
-                jac0 = interp.gradient_jacobian(centroid)
-                scale = max(float(np.abs(np.linalg.eigvalsh(jac0)).max()), 1.0)
-            cls = classify(interp.gradient_jacobian(centroid), scale)
+                scale = max(float(np.abs(np.linalg.eigvalsh(jac)).max()), 1.0)
+            cls = classify(jac, scale)
         else:
             value = float("nan")
             cls = Classification.DEGENERATE

@@ -23,8 +23,8 @@ import math
 import numpy as np
 import pytest
 
-from gridstat import (Kernel, KernelKind, RawStationaryPoint,
-                      TestFunction, build_patch_matrix, delta_max, diag_step,
+from gridstat import (Kernel, KernelKind, PatchMatrix, RawStationaryPoint,
+                      TestFunction, delta_max, diag_step,
                       ground_truth, interpolate_patch, kernel_for_grid,
                       patch_offsets, reduce_points, sample, sweep_full)
 from gridstat.bindings import cluster as cluster_points
@@ -172,7 +172,7 @@ def random_interp(rng, grids, matrices):
 def test_c8_gradient_and_jacobian_match_finite_differences():
     rng = np.random.default_rng(81)
     grids = [sample(tf, 120, 120) for tf in (TestFunction.F1, TestFunction.F2)]
-    matrices = {(gi, kind): build_patch_matrix(
+    matrices = {(gi, kind): PatchMatrix(
                     kernel_for_grid(kind, diag_step(g)), g.dx, g.dy)
                 for gi, g in enumerate(grids) for kind in ALL_KINDS}
     for _ in range(100):
@@ -197,7 +197,7 @@ def test_c8_gradient_and_jacobian_match_finite_differences():
 
 def test_c9_interpolation_property_random_patches():
     rng = np.random.default_rng(91)
-    matrices = {kind: build_patch_matrix(kernel_for_grid(kind, math.sqrt(2)), 1, 1)
+    matrices = {kind: PatchMatrix(kernel_for_grid(kind, math.sqrt(2)), 1, 1)
                 for kind in ALL_KINDS}
     centers = patch_offsets(1, 1)
     for _ in range(1000):
@@ -221,8 +221,8 @@ def test_c10_single_factorization_equals_per_patch():
     scale = max(1.0, float(np.max(np.abs(sr.weights))))
     worst = 0.0
     for i in range(len(h_all)):
-        fresh = build_patch_matrix(kernel, g.dx, g.dy)
-        w = np.asarray(fresh.solve_weights(h_all[i]), float)
+        fresh = PatchMatrix(kernel, g.dx, g.dy)
+        w = np.asarray(fresh.solve(h_all[i])[0], float)
         worst = max(worst, float(np.max(np.abs(w - sr.weights[i]))))
     assert worst <= 1e-12 * scale
 

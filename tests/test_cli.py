@@ -101,6 +101,14 @@ def test_find_missing_input_exits_2(tmp_path, capsys):
     assert run(["find", "--in", bad]) == 2
 
 
+def test_find_negative_threads_exits_2(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",
+                "--threads", "-3", "--json", rep]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_find_factorization_failure_exits_3(capsys):
     # alpha tiny enough that the interpolation matrix rounds to all-ones
     assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gridstat import (FactorizationError, Kernel, KernelKind, PatchInterpolant,
-                      PatchMatrix, build_patch_matrix, interpolate_patch,
-                      kernel_for_grid, patch_offsets)
+                      PatchMatrix, interpolate_patch, kernel_for_grid,
+                      patch_offsets)
 from gridstat.patch import lu_factor_pp, lu_solve_pp
 
 ALL_KINDS = list(KernelKind)
@@ -66,7 +66,7 @@ def test_patch_offsets_layout():
 def test_matrix_entries(kind):
     dx, dy = 0.4, 0.3
     k = default_kernel(kind, dx, dy)
-    m = build_patch_matrix(k, dx, dy)
+    m = PatchMatrix(k, dx, dy)
     a = m.entries
     np.testing.assert_allclose(np.diag(a), 1.0)
     np.testing.assert_array_equal(a, a.T)
@@ -90,15 +90,15 @@ def test_factorization_failure_names_kernel():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_solve_zero_rhs(kind):
-    m = build_patch_matrix(default_kernel(kind), 1.0, 1.0)
-    np.testing.assert_array_equal(m.solve_weights(np.zeros(16)), np.zeros(16))
+    m = PatchMatrix(default_kernel(kind), 1.0, 1.0)
+    np.testing.assert_array_equal(m.solve(np.zeros(16))[0], np.zeros(16))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_solve_residual_bound(kind):
     # the contract, on both block rows of [A 1; 1^T 0] [c; b] = [h; 0]:
     # ||A c + b - h||_inf and |sum(c)| are <= 1e-8 * max(1, ||h||_inf)
-    m = build_patch_matrix(default_kernel(kind), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(kind), 1.0, 1.0)
     a = m.entries.astype(np.longdouble)
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -110,26 +110,26 @@ def test_solve_residual_bound(kind):
 
 
 def test_solve_rejects_nonfinite():
-    m = build_patch_matrix(default_kernel(KernelKind.GAUSSIAN), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN), 1.0, 1.0)
     h = np.zeros(16)
     h[5] = np.inf
     with pytest.raises(ValueError):
-        m.solve_weights(h)
+        m.solve(h)[0]
 
 
 def test_solve_batched_equals_single():
-    m = build_patch_matrix(default_kernel(KernelKind.GAUSSIAN), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN), 1.0, 1.0)
     rng = np.random.default_rng(14)
     h = rng.normal(size=(5, 16))
-    batched = m.solve_weights(h)
+    batched = m.solve(h)[0]
     for k in range(5):
-        np.testing.assert_array_equal(batched[k], m.solve_weights(h[k]))
+        np.testing.assert_array_equal(batched[k], m.solve(h[k])[0])
 
 
 # --- interpolant -------------------------------------------------------------
 
 def make_interp(kind, h, dx=1.0, dy=1.0, origin=(0.0, 0.0)):
-    m = build_patch_matrix(default_kernel(kind, dx, dy), dx, dy)
+    m = PatchMatrix(default_kernel(kind, dx, dy), dx, dy)
     centers = np.asarray(origin) + patch_offsets(dx, dy)
     return interpolate_patch(m, centers, h)
 
@@ -213,7 +213,7 @@ def test_symmetric_bump_gradient_vanishes_at_center():
     # field sampled from exp(-|x|^2) on a patch centered at the origin
     dx = dy = 1.0
     centers = patch_offsets(dx, dy) - np.array([1.5, 1.5])
-    m = build_patch_matrix(default_kernel(KernelKind.GAUSSIAN), dx, dy)
+    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN), dx, dy)
     h = np.exp(-np.sum(centers ** 2, axis=1))
     p = interpolate_patch(m, centers, h)
     assert np.linalg.norm(p.gradient(np.zeros(2))) <= 1e-8 * np.max(np.abs(h))
@@ -222,11 +222,11 @@ def test_symmetric_bump_gradient_vanishes_at_center():
 def test_matrix_reuse_equals_per_patch_factorization():
     # a shared factorization gives the same weights as factorizing per patch
     kind = KernelKind.GAUSSIAN
-    shared = build_patch_matrix(default_kernel(kind), 1.0, 1.0)
+    shared = PatchMatrix(default_kernel(kind), 1.0, 1.0)
     rng = np.random.default_rng(19)
     for _ in range(10):
         h = rng.normal(size=16)
-        fresh = build_patch_matrix(default_kernel(kind), 1.0, 1.0)
-        w1 = np.asarray(shared.solve_weights(h), float)
-        w2 = np.asarray(fresh.solve_weights(h), float)
+        fresh = PatchMatrix(default_kernel(kind), 1.0, 1.0)
+        w1 = np.asarray(shared.solve(h)[0], float)
+        w2 = np.asarray(fresh.solve(h)[0], float)
         np.testing.assert_allclose(w1, w2, atol=1e-12 * max(1.0, np.max(np.abs(w1))))

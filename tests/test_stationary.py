@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gridstat import (Classification, GridField, KernelKind, RawStationaryPoint,
-                      SearchDomain, SolverConfig, TestFunction, diag_step,
-                      find_patch_stationary, interpolate_patch, kernel_for_grid,
-                      build_patch_matrix, patch_domain, patch_offsets,
-                      reduce_points, sample, sweep, sweep_full)
+from gridstat import (Classification, GridField, KernelKind, PatchMatrix,
+                      RawStationaryPoint, SearchDomain, SolverConfig,
+                      TestFunction, diag_step, find_patch_stationary,
+                      interpolate_patch, kernel_for_grid, patch_domain,
+                      patch_offsets, reduce_points, sample, sweep_full)
+from gridstat.stationary import _GRAD_TOL_REL
 
 
 def unit_grid(nx=6, ny=6):
@@ -19,7 +20,7 @@ def unit_grid(nx=6, ny=6):
 
 def interp_from(kind, h, origin=(0.0, 0.0), dx=1.0, dy=1.0):
     k = kernel_for_grid(kind, math.hypot(dx, dy))
-    m = build_patch_matrix(k, dx, dy)
+    m = PatchMatrix(k, dx, dy)
     centers = np.asarray(origin, float) + patch_offsets(dx, dy)
     return interpolate_patch(m, centers, h)
 
@@ -31,8 +32,6 @@ def test_solver_config_validation():
         SolverConfig(seeds_per_axis=1)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_tolerance=-1e-10)
 
 
 def test_search_domain_validation():
@@ -94,7 +93,7 @@ def test_find_bump_maximum():
     centers = patch_offsets(1, 1) - np.array([1.5, 1.5])
     h = np.exp(-np.sum(centers ** 2, axis=1))
     k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    p = interpolate_patch(build_patch_matrix(k, 1, 1), centers, h)
+    p = interpolate_patch(PatchMatrix(k, 1, 1), centers, h)
     dom = SearchDomain(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]))
     roots = find_patch_stationary(p, dom)
     assert len(roots) == 1
@@ -120,7 +119,7 @@ def test_roots_respect_gradient_tolerance_and_domain():
     d = diag_step(g)
     cfg = SolverConfig()
     sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, d), cfg)
-    tol_g = cfg.gradient_tolerance_rel * g.field_range / d
+    tol_g = _GRAD_TOL_REL * g.field_range / d
     assert sr.raw, "expected stationary points on the F2 sample"
     for r in sr.raw:
         dom = patch_domain(g, *r.patch)
@@ -140,12 +139,27 @@ def test_sweep_patch_counts():
     assert sr.weights.shape == (17 * 17, 16)
 
 
-def test_sweep_equals_per_patch_search():
-    g = sample(TestFunction.F2, 12, 12)
+def skewed_grid():
+    """f2's formula on a 13x10 grid with dx != dy and an off-center origin."""
+    nx, ny, dx, dy, origin = 13, 10, 0.31, 0.43, (-1.7, -2.1)
+    x = origin[0] + dx * np.arange(nx)
+    y = origin[1] + dy * np.arange(ny)
+    xx, yy = np.meshgrid(x, y)
+    return GridField(nx=nx, ny=ny, dx=dx, dy=dy, origin=origin,
+                     values=TestFunction.F2(xx, yy).ravel())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seeds", [3, 2, 4])
+@pytest.mark.parametrize("grid", ["f2-12x12", "skewed"])
+def test_sweep_equals_per_patch_search(grid, seeds, threads):
+    # the engine gives bit-identical raw points for one patch and for a slice
+    g = sample(TestFunction.F2, 12, 12) if grid == "f2-12x12" else skewed_grid()
     d = diag_step(g)
     k = kernel_for_grid(KernelKind.GAUSSIAN, d)
-    cfg = SolverConfig()
-    sr = sweep_full(g, k, cfg)
+    cfg = SolverConfig(seeds_per_axis=seeds)
+    sr = sweep_full(g, k, cfg, threads=threads)
+    assert sr.raw
     expected = []
     for i in range(1, g.ny - 2):
         for j in range(1, g.nx - 2):
@@ -162,8 +176,8 @@ def test_sweep_equals_per_patch_search():
 def test_sweep_ordered_and_thread_invariant():
     g = sample(TestFunction.F2, 20, 20)
     k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
-    raw1 = sweep(g, k, threads=1)
-    raw4 = sweep(g, k, threads=4)
+    raw1 = sweep_full(g, k, threads=1).raw
+    raw4 = sweep_full(g, k, threads=4).raw
     keys = [(r.patch, r.seed_index) for r in raw1]
     assert keys == sorted(keys)
     assert len(raw1) == len(raw4)
@@ -177,7 +191,7 @@ def test_sweep_matches_dense_multistart_oracle():
     tf = TestFunction.F2
     g = sample(tf, 20, 20)
     d = diag_step(g)
-    reduced = reduce_points(sweep(g, kernel_for_grid(KernelKind.GAUSSIAN, d)), d)
+    reduced = reduce_points(sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, d)).raw, d)
     got = np.array([p.position for p in reduced])
 
     rng = np.random.default_rng(22)
@@ -258,7 +272,7 @@ def test_reduce_evaluates_on_first_members_patch():
     centers = patch_offsets(1, 1) - np.array([1.5, 1.5])
     h = 1.0 - 0.1 * np.sum(centers ** 2, axis=1)
     k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    p = interpolate_patch(build_patch_matrix(k, 1, 1), centers, h)
+    p = interpolate_patch(PatchMatrix(k, 1, 1), centers, h)
     pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
     out = reduce_points(pts, d=1.0, interpolant_for=lambda i, j: p,
                         hessian_scale=1.0)
@@ -276,7 +290,7 @@ def test_classification_kinds():
     # quadratic-like fields through the patch center
     centers = patch_offsets(1, 1) - np.array([1.5, 1.5])
     k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    m = build_patch_matrix(k, 1, 1)
+    m = PatchMatrix(k, 1, 1)
     cases = {
         Classification.MINIMUM: np.sum(centers ** 2, axis=1),
         Classification.MAXIMUM: -np.sum(centers ** 2, axis=1),
