@@ -1,0 +1,91 @@
+"""SHA-256 digests of `gridstat find --no-timings` reports.
+
+Runs `find` on every built-in function with every kernel at 120x120, with
+--threads 1 and --threads 2, and on f13 at 240x240 with --threads 2 (37
+reports), and prints one line per report: the digest of its bytes and the
+case.  A change that must leave the reports byte-identical is checked by
+writing the digests before it and comparing after it.
+
+Usage (from the root of a checkout):
+  python3 scripts/report_digests.py > digests.txt
+  python3 scripts/report_digests.py --compare digests.txt
+  python3 scripts/report_digests.py --src ../other-checkout/src > other.txt
+
+With --compare FILE the script exits 1 if any digest differs from FILE or
+any case is missing from either side.  Uses the standard library and numpy
+only; the 37 reports take a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FUNCTIONS = ("f1", "f2", "f11", "f12", "f13", "f14")
+KERNELS = ("gaussian", "iq", "wendland")
+
+
+def cases() -> list[tuple[str, str, int, int]]:
+    """(function, kernel, grid side, threads) of every report."""
+    out = [(fn, k, 120, t) for fn in FUNCTIONS for k in KERNELS for t in (1, 2)]
+    out.append(("f13", "gaussian", 240, 2))
+    return out
+
+
+def case_name(fn: str, kernel: str, n: int, threads: int) -> str:
+    return f"{fn}-{kernel}-{n}-t{threads}"
+
+
+def digests(src: str) -> dict[str, str]:
+    """case name -> sha256 of its report, from the package under `src`."""
+    sys.path.insert(0, src)
+    from gridstat import cli
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        for fn, kernel, n, threads in cases():
+            rc = cli.main(["find", "--fn", fn, "--kernel", kernel, "--nx", str(n),
+                           "--ny", str(n), "--threads", str(threads),
+                           "--no-timings", "--json", path])
+            if rc != 0:
+                raise SystemExit(f"find exited {rc} on {case_name(fn, kernel, n, threads)}")
+            with open(path, "rb") as fh:
+                out[case_name(fn, kernel, n, threads)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def read_digests(path: str) -> dict[str, str]:
+    with open(path, encoding="utf-8") as fh:
+        return {name: digest for digest, name in (line.split() for line in fh if line.strip())}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
+                    help="directory holding the gridstat package (default: this checkout's src)")
+    ap.add_argument("--compare", metavar="FILE",
+                    help="compare with digests written earlier; exit 1 on any mismatch")
+    args = ap.parse_args(argv)
+
+    got = digests(os.path.abspath(args.src))
+    if not args.compare:
+        sys.stdout.write("".join(f"{digest}  {name}\n" for name, digest in got.items()))
+        return 0
+
+    want = read_digests(args.compare)
+    bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    for name in bad:
+        print(f"MISMATCH {name}: expected {want.get(name, 'no entry')}, "
+              f"got {got.get(name, 'no entry')}", file=sys.stderr)
+    print(f"{len(got) - len(bad)} of {len(want.keys() | got.keys())} reports match",
+          file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

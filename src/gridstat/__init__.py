@@ -9,7 +9,6 @@ from .patch import (FactorizationError, PatchInterpolant, PatchMatrix,
 from .stationary import (Classification, RawStationaryPoint, SearchDomain,
                          SolverConfig, StationaryPoint, find_patch_stationary,
                          patch_domain, reduce_points, sweep_full)
-from .cli import run_pipeline
 
 __all__ = [
     "Binding", "BindingKind", "NeighborIndex", "cluster", "delta_max", "summarize",
@@ -24,3 +23,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_pipeline lives in the CLI module; importing it lazily keeps
+    # `python -m gridstat.cli` from finding the module already imported
+    if name == "run_pipeline":
+        from .cli import run_pipeline
+        return run_pipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

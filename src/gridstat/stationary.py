@@ -13,13 +13,19 @@ two callers: ``sweep_full`` hands it every active patch of the grid (one
 slice per thread), and ``find_patch_stationary`` hands it a single patch.
 Both give identical floating-point results because the engine only uses
 elementwise operations and fixed-order row sums.
+
+Newton (``_newton_seeds``) keeps its live seeds compact: positions,
+centers, weights and box bounds are arrays that shrink only when seeds
+leave, so each iteration works on the live seeds alone.  Seeds leave when
+they converge, hit a singular Jacobian, get stuck at an exact fixed point
+of the clamped map (which can never converge), or reach the iteration cap.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,6 +56,21 @@ class SolverConfig:
             raise ValueError("seeds_per_axis must be at least 2")
         if not self.max_iterations > 0:
             raise ValueError("max_iterations must be positive")
+
+
+@dataclass(frozen=True)
+class SeedCounts:
+    """How the Newton seeds of a search ended (see ``_newton_seeds``);
+    converged + singular + stuck + capped == launched."""
+
+    launched: int = 0
+    converged: int = 0
+    singular: int = 0
+    stuck: int = 0
+    capped: int = 0
+
+    def __add__(self, other: SeedCounts) -> SeedCounts:
+        return SeedCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)
@@ -119,42 +140,65 @@ def patch_domain(g: GridField, i: int, j: int) -> SearchDomain:
 # ---------------------------------------------------------------------------
 
 def _newton_seeds(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
-    """Run Newton from every seed; returns (positions, converged mask).
+    """Run Newton from every seed; returns (positions, converged mask, counts).
 
-    Iterates are clamped to the patch bounding box [bbox_lo, bbox_hi];
-    convergence is a pre-clamp Newton step of norm <= _STEP_TOL * d.
-    Seeds hitting a singular Jacobian or the iteration cap are dropped.
+    Iterates are clamped to the patch bounding box [bbox_lo, bbox_hi].  A
+    seed leaves the live set in one of four ways, counted in ``SeedCounts``:
+
+    - converged: a pre-clamp Newton step of norm <= _STEP_TOL * d;
+    - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position;
+    - stuck: its clamped update gave back its position bit for bit without
+      converging.  ``_grad_jac`` is batch-invariant and the clamped map is
+      deterministic, so the seed would repeat that step up to the cap;
+      retiring it at once changes no output;
+    - capped: still live after cfg.max_iterations.
+
+    Only converged seeds are used downstream.  A seed's returned position is
+    where it left the live set.  The live seeds' positions, centers, weights
+    and box bounds are compact arrays that shrink only when seeds leave.
     """
     x = np.array(seeds, dtype=float)
     n = x.shape[0]
-    alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    xl, cl, wl, lol, hil = x.copy(), centers, weights, bbox_lo, bbox_hi
     step_tol = _STEP_TOL * d
+    singular = stuck = 0
     for _ in range(cfg.max_iterations):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if live.size == 0:
             break
-        gx, gy, jxx, jxy, jyy = _grad_jac(x[idx], centers[idx], weights[idx], kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(xl, cl, wl, kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         ok = np.abs(det) >= _SINGULAR_DET * frob2
-        alive[idx[~ok]] = False
-        idx = idx[ok]
-        if idx.size == 0:
-            break
-        det = det[ok]
-        sx = (jyy[ok] * gx[ok] - jxy[ok] * gy[ok]) / det
-        sy = (jxx[ok] * gy[ok] - jxy[ok] * gx[ok]) / det
-        x[idx, 0] = np.minimum(np.maximum(x[idx, 0] - sx, bbox_lo[idx, 0]), bbox_hi[idx, 0])
-        x[idx, 1] = np.minimum(np.maximum(x[idx, 1] - sy, bbox_lo[idx, 1]), bbox_hi[idx, 1])
+        if not ok.all():
+            singular += live.size - int(np.count_nonzero(ok))
+            x[live[~ok]] = xl[~ok]
+            live, xl, cl, wl, lol, hil = (a[ok] for a in (live, xl, cl, wl, lol, hil))
+            gx, gy, jxx, jxy, jyy, det = (a[ok] for a in (gx, gy, jxx, jxy, jyy, det))
+        sx = (jyy * gx - jxy * gy) / det
+        sy = (jxx * gy - jxy * gx) / det
+        nx = np.minimum(np.maximum(xl[:, 0] - sx, lol[:, 0]), hil[:, 0])
+        ny = np.minimum(np.maximum(xl[:, 1] - sy, lol[:, 1]), hil[:, 1])
         done = np.sqrt(sx * sx + sy * sy) <= step_tol
-        converged[idx[done]] = True
-        alive[idx[done]] = False
-    return x, converged
+        still = ~done & (nx == xl[:, 0]) & (ny == xl[:, 1])
+        xl = np.stack([nx, ny], axis=-1)
+        leave = done | still
+        if leave.any():
+            stuck += int(np.count_nonzero(still))
+            x[live[leave]] = xl[leave]
+            converged[live[done]] = True
+            stay = ~leave
+            live, xl, cl, wl, lol, hil = (a[stay] for a in (live, xl, cl, wl, lol, hil))
+    x[live] = xl
+    counts = SeedCounts(launched=n, converged=int(np.count_nonzero(converged)),
+                        singular=singular, stuck=stuck, capped=live.size)
+    return x, converged, counts
 
 
 def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
-    """Stationary points of P patch interpolants, ordered by (patch, seed).
+    """Stationary points of P patch interpolants, ordered by (patch, seed),
+    and the ``SeedCounts`` of their Newton runs.
 
     lo, hi (P,2) are the search domains, centers (P,16,2) and weights
     (P,16) the interpolants, patches (P,2) their 1-based (i, j).  Seeds form
@@ -168,11 +212,11 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
     fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
     seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
 
-    pos, conv = _newton_seeds(seeds.reshape(-1, 2),
-                              np.repeat(centers, nseed, axis=0),
-                              np.repeat(weights, nseed, axis=0), kernel,
-                              np.repeat(centers.min(axis=1), nseed, axis=0),
-                              np.repeat(centers.max(axis=1), nseed, axis=0), cfg, d)
+    pos, conv, counts = _newton_seeds(
+        seeds.reshape(-1, 2), np.repeat(centers, nseed, axis=0),
+        np.repeat(weights, nseed, axis=0), kernel,
+        np.repeat(centers.min(axis=1), nseed, axis=0),
+        np.repeat(centers.max(axis=1), nseed, axis=0), cfg, d)
 
     # accept converged roots inside their domain with a small gradient
     s = np.flatnonzero(conv)
@@ -196,7 +240,7 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
             out.append(RawStationaryPoint(
                 position=p, patch=(int(patches[k, 0]), int(patches[k, 1])),
                 seed_index=si))
-    return out
+    return out, counts
 
 
 def find_patch_stationary(p: PatchInterpolant, dom: SearchDomain,
@@ -224,7 +268,7 @@ def find_patch_stationary(p: PatchInterpolant, dom: SearchDomain,
         return []
     return _search(dom.lo[None], dom.hi[None], centers[None],
                    np.asarray(p.weights, float)[None], np.array([patch]),
-                   p.kernel, cfg, d, _GRAD_TOL_REL * field_range / d)
+                   p.kernel, cfg, d, _GRAD_TOL_REL * field_range / d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +286,7 @@ class SweepResult:
     patch_origins: np.ndarray  # (npatch, 2)
     grid: GridField
     flat_patches: list[tuple[int, int]]
+    seed_counts: SeedCounts    # summed over the thread slices
 
     def interpolant(self, i: int, j: int) -> PatchInterpolant:
         pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
@@ -287,18 +332,22 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
 
     nthreads = max(1, int(threads))
     if nthreads == 1 or act.size == 0:
-        raw = run(slice(0, act.size))
+        parts = [run(slice(0, act.size))]
     else:
         chunk = -(-act.size // nthreads)
         slices = [slice(s0, min(s0 + chunk, act.size))
                   for s0 in range(0, act.size, chunk)]
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             parts = list(pool.map(run, slices))
-        raw = [p for part in parts for p in part]
+    raw = [p for part, _ in parts for p in part]
+    counts = sum((c for _, c in parts), SeedCounts())
+    log.debug("Newton seeds: %d launched, %d converged, %d singular, %d stuck, "
+              "%d capped", counts.launched, counts.converged, counts.singular,
+              counts.stuck, counts.capped)
 
     return SweepResult(raw=raw, matrix=matrix, weights=weights,
                        constants=constants, patch_origins=origins, grid=g,
-                       flat_patches=flat)
+                       flat_patches=flat, seed_counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +375,17 @@ def reduce_points(raw: list[RawStationaryPoint], d: float,
     the centroid.  Value and classification come from the patch interpolant
     of the cluster's first member when ``interpolant_for(i, j)`` is given.
     """
-    remaining = list(raw)
+    pos = np.array([np.asarray(r.position, float) for r in raw]).reshape(-1, 2)
+    remaining = np.arange(len(raw))
     out = []
-    while remaining:
-        anchor = remaining[0]
-        ap = np.asarray(anchor.position, float)
-        cluster = [r for r in remaining
-                   if np.hypot(*(np.asarray(r.position, float) - ap)) <= d]
-        remaining = [r for r in remaining if r not in cluster]
-        centroid = np.mean([np.asarray(r.position, float) for r in cluster], axis=0)
+    while remaining.size:
+        anchor = raw[remaining[0]]
+        diff = pos[remaining] - pos[remaining[0]]
+        near = np.hypot(diff[:, 0], diff[:, 1]) <= d
+        near[0] = True  # the anchor always leaves, even at a non-finite position
+        cluster = remaining[near]
+        remaining = remaining[~near]
+        centroid = pos[cluster].mean(axis=0)
         if interpolant_for is not None:
             interp = interpolant_for(*anchor.patch)
             value = float(interp(centroid))
@@ -347,5 +398,5 @@ def reduce_points(raw: list[RawStationaryPoint], d: float,
             value = float("nan")
             cls = Classification.DEGENERATE
         out.append(StationaryPoint(position=centroid, value=value,
-                                   classification=cls, members_merged=len(cluster)))
+                                   classification=cls, members_merged=cluster.size))
     return out

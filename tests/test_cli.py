@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +12,9 @@ import pytest
 
 from gridstat import TestFunction, load_csv
 from gridstat.cli import main
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -141,3 +147,15 @@ def test_truth_export(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["isolated"]) == 24
     assert out["curves"] == []
+
+
+@pytest.mark.parametrize("module", ["gridstat.cli", "gridstat"])
+def test_run_as_module_without_warnings(module, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "truth", "--fn", "f1"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["function"] == "f1"

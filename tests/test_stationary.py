@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, KernelKind, PatchMatrix,
                       RawStationaryPoint, SearchDomain, SolverConfig,
                       TestFunction, diag_step, find_patch_stationary,
                       interpolate_patch, kernel_for_grid, patch_domain,
                       patch_offsets, reduce_points, sample, sweep_full)
-from gridstat.stationary import _GRAD_TOL_REL
+from gridstat import stationary
+from gridstat.patch import _grad_jac
+from gridstat.stationary import _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts
 
 
 def unit_grid(nx=6, ny=6):
@@ -224,6 +228,100 @@ def test_sweep_matches_dense_multistart_oracle():
     assert dist.min(axis=1).max() <= d
 
 
+# --- Newton seed retirement -----------------------------------------------------
+
+def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
+    """The Newton loop without retirement of stuck seeds: every seed that
+    neither converges nor hits a singular Jacobian runs to the cap."""
+    x = np.array(seeds, dtype=float)
+    n = x.shape[0]
+    alive = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    step_tol = _STEP_TOL * d
+    for _ in range(cfg.max_iterations):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        gx, gy, jxx, jxy, jyy = _grad_jac(x[idx], centers[idx], weights[idx], kernel)
+        det = jxx * jyy - jxy * jxy
+        frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
+        ok = np.abs(det) >= _SINGULAR_DET * frob2
+        alive[idx[~ok]] = False
+        idx = idx[ok]
+        if idx.size == 0:
+            break
+        det = det[ok]
+        sx = (jyy[ok] * gx[ok] - jxy[ok] * gy[ok]) / det
+        sy = (jxx[ok] * gy[ok] - jxy[ok] * gx[ok]) / det
+        x[idx, 0] = np.minimum(np.maximum(x[idx, 0] - sx, bbox_lo[idx, 0]), bbox_hi[idx, 0])
+        x[idx, 1] = np.minimum(np.maximum(x[idx, 1] - sy, bbox_lo[idx, 1]), bbox_hi[idx, 1])
+        done = np.sqrt(sx * sx + sy * sy) <= step_tol
+        converged[idx[done]] = True
+        alive[idx[done]] = False
+    return x, converged
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("fn", [TestFunction.F2, TestFunction.F14])
+def test_retiring_stuck_seeds_changes_nothing(fn, kind, monkeypatch):
+    # capture the engine's real inputs during a sweep, then rerun them
+    calls = []
+    engine = stationary._newton_seeds
+
+    def capture(*args):
+        out = engine(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(stationary, "_newton_seeds", capture)
+    g = sample(fn, 20, 20)
+    sweep_full(g, kernel_for_grid(kind, diag_step(g)))
+    assert len(calls) == 1
+    args, (pos, conv, counts) = calls[0]
+    ref_pos, ref_conv = newton_full_cap(*args)
+    assert counts.stuck > 0
+    np.testing.assert_array_equal(pos, ref_pos)
+    np.testing.assert_array_equal(conv, ref_conv)
+
+
+def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
+    # a bowl centered far beyond the patch: Newton from the patch's far
+    # corner steps outward in both coordinates and is clamped back onto it
+    centers = patch_offsets(1.0, 1.0)
+    h = (centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2
+    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
+    p = interpolate_patch(PatchMatrix(k, 1.0, 1.0), centers, h)
+    args = (np.array([[3.0, 3.0]]), centers[None], np.asarray(p.weights, float)[None],
+            k, centers.min(axis=0)[None], centers.max(axis=0)[None])
+    evaluations = []
+
+    def counting(*a):
+        evaluations.append(a[0].shape[0])
+        return _grad_jac(*a)
+
+    monkeypatch.setattr(stationary, "_grad_jac", counting)
+    pos, conv, counts = stationary._newton_seeds(*args, SolverConfig(), math.sqrt(2))
+    assert evaluations == [1]
+    assert counts == SeedCounts(launched=1, stuck=1)
+    np.testing.assert_array_equal(pos, [[3.0, 3.0]])
+    assert not conv[0]
+    ref_pos, ref_conv = newton_full_cap(*args, SolverConfig(), math.sqrt(2))
+    np.testing.assert_array_equal(pos, ref_pos)
+    np.testing.assert_array_equal(conv, ref_conv)
+
+
+def test_seed_counts_add_up_and_do_not_depend_on_threads():
+    g = sample(TestFunction.F2, 30, 30)
+    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    one = sweep_full(g, k, threads=1).seed_counts
+    two = sweep_full(g, k, threads=2).seed_counts
+    assert one == two
+    assert one.launched == (g.nx - 3) * (g.ny - 3) * 9
+    assert one.converged + one.singular + one.stuck + one.capped == one.launched
+    assert one.stuck > 0
+    assert one.converged > 0
+
+
 # --- reduction ----------------------------------------------------------------
 
 def raw(*positions):
@@ -280,6 +378,13 @@ def test_reduce_evaluates_on_first_members_patch():
     assert out[0].classification is Classification.MAXIMUM
 
 
+def test_reduce_terminates_on_non_finite_position():
+    # a NaN anchor is within d of nothing, itself included; it still leaves
+    out = reduce_points(raw((math.nan, 0.0), (0.0, 0.0)), d=1.0)
+    assert [p.members_merged for p in out] == [1, 1]
+    np.testing.assert_array_equal(out[1].position, [0.0, 0.0])
+
+
 def test_reduce_without_interpolant_marks_degenerate():
     out = reduce_points(raw((0, 0)), d=1.0)
     assert math.isnan(out[0].value)
@@ -302,3 +407,33 @@ def test_classification_kinds():
         out = reduce_points(pts, d=0.5, interpolant_for=lambda i, j: p,
                             hessian_scale=1.0)
         assert out[0].classification is expected
+
+
+def reduce_reference(raw_points, d):
+    """The list-based anchored reduction: (centroid, members) per cluster."""
+    remaining = list(raw_points)
+    out = []
+    while remaining:
+        ap = np.asarray(remaining[0].position, float)
+        cluster = [r for r in remaining
+                   if np.hypot(*(np.asarray(r.position, float) - ap)) <= d]
+        remaining = [r for r in remaining if r not in cluster]
+        out.append((np.mean([np.asarray(r.position, float) for r in cluster], axis=0),
+                    len(cluster)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+                       min_size=0, max_size=60),
+       d=st.floats(0.01, 4.0))
+# a pair at exactly distance d: hypot(3, 4) == 5
+@example(coords=[(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)], d=5.0)
+def test_reduce_matches_list_reference(coords, d):
+    pts = raw(*coords)
+    got = reduce_points(pts, d)
+    want = reduce_reference(pts, d)
+    assert len(got) == len(want)
+    for p, (centroid, members) in zip(got, want):
+        np.testing.assert_array_equal(p.position, centroid)
+        assert p.members_merged == members
