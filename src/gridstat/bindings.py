@@ -3,8 +3,9 @@
 Two reduced stationary points on the same underlying curve can end up at
 most 4d apart (d = grid diagonal), so bindings are the connected components
 of the "within 4d" relation.  Neighbor lookup uses a uniform grid hash with
-cell size equal to the query radius; every candidate from the 5x5 cell
-block around the query point is distance-checked exactly.
+cell size equal to the query radius; the candidates from the 5x5 cell
+block around the query point are distance-checked exactly, with one array
+``np.hypot``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,13 @@ class NeighborIndex:
         query cell is 5x5 rather than 3x3.
         """
         cx, cy = self._cell(x, y)
-        out = []
-        for gx in range(cx - 2, cx + 3):
-            for gy in range(cy - 2, cy + 3):
-                for idx in self._cells.get((gx, gy), ()):
-                    px, py = self.positions[idx]
-                    if np.hypot(px - x, py - y) <= self.radius:
-                        out.append(idx)
-        return sorted(out)
+        cand = [idx for gx in range(cx - 2, cx + 3) for gy in range(cy - 2, cy + 3)
+                for idx in self._cells.get((gx, gy), ())]
+        if not cand:
+            return []
+        cand = np.array(cand)
+        p = self.positions[cand]
+        return sorted(cand[np.hypot(p[:, 0] - x, p[:, 1] - y) <= self.radius].tolist())
 
 
 def cluster(points: list[StationaryPoint], dmax: float) -> list[Binding]:

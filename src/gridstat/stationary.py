@@ -9,23 +9,28 @@ One engine, ``_search``, does the per-patch work for any number of patches
 at once: it lays the seed lattice in each search domain, runs Newton
 clamped to the patch's bounding box, accepts converged roots inside the
 domain with a small gradient, and drops duplicates within a patch.  It has
-two callers: ``sweep_full`` hands it every active patch of the grid (one
-slice per thread), and ``find_patch_stationary`` hands it a single patch.
-Both give identical floating-point results because the engine only uses
-elementwise operations and fixed-order row sums.
+two callers: ``sweep_full`` hands it the active patches of the grid in
+fixed blocks of ``_BLOCK_PATCHES``, in order on one thread or through a
+thread pool on several, and ``find_patch_stationary`` hands it a single
+patch.  All give identical floating-point results because the engine only
+uses elementwise operations and fixed-order row sums; the blocks bound the
+working set at threads x one block and do not depend on the thread count.
 
-Newton (``_newton_seeds``) keeps its live seeds compact: positions,
-centers, weights and box bounds are arrays that shrink only when seeds
-leave, so each iteration works on the live seeds alone.  Seeds leave when
-they converge, hit a singular Jacobian, get stuck at an exact fixed point
-of the clamped map (which can never converge), or reach the iteration cap.
+Newton (``_newton_seeds``) keeps its live seeds compact: positions, a ring
+of each seed's last ``_CYCLE`` positions, centers, weights and box bounds
+are arrays that shrink only when seeds leave, so each iteration works on
+the live seeds alone.  Seeds leave when they converge, hit a singular
+Jacobian, get stuck on an exact orbit of the clamped map of period at most
+``_CYCLE`` (which can never converge), or reach the iteration cap.  A stuck
+seed returns the orbit point it would hold at the cap, so the result is the
+same as running every seed to the cap.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,6 +47,8 @@ _STEP_TOL = 1e-10      # Newton has converged once a pre-clamp step is <= this *
 _GRAD_TOL_REL = 1e-8   # accepted roots have |grad| <= this * field range / d
 _DEDUP_RADIUS = 1e-3   # roots of one patch within this * d are one root
 _FLAT_PATCH = 1e-13    # patches with sample range <= this * field range are skipped
+_CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
+_BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,16 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SeedCounts:
     """How the Newton seeds of a search ended (see ``_newton_seeds``);
-    converged + singular + stuck + capped == launched."""
+    converged + singular + stuck + capped == launched.  ``iterations``
+    counts seed evaluations, the Newton work; it is not an outcome and is
+    left out of ``==``."""
 
     launched: int = 0
     converged: int = 0
     singular: int = 0
     stuck: int = 0
     capped: int = 0
+    iterations: int = field(default=0, compare=False)
 
     def __add__(self, other: SeedCounts) -> SeedCounts:
         return SeedCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -147,26 +157,38 @@ def _newton_seeds(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
 
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * d;
     - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position;
-    - stuck: its clamped update gave back its position bit for bit without
-      converging.  ``_grad_jac`` is batch-invariant and the clamped map is
-      deterministic, so the seed would repeat that step up to the cap;
-      retiring it at once changes no output;
+    - stuck: its clamped update gave back, bit for bit and without
+      converging, one of its last _CYCLE positions, so it is on an exact
+      orbit of period 1 to _CYCLE (period 1 is a fixed point, typically a
+      seed pushed against a box edge or corner).  ``_grad_jac`` is
+      batch-invariant and the clamped map is deterministic, so the seed
+      would repeat that orbit up to the cap;
     - capped: still live after cfg.max_iterations.
 
     Only converged seeds are used downstream.  A seed's returned position is
-    where it left the live set.  The live seeds' positions, centers, weights
-    and box bounds are compact arrays that shrink only when seeds leave.
+    where it left the live set, except that a stuck seed returns the orbit
+    point it would hold after cfg.max_iterations, read from its ring of
+    recent positions.  So the result equals that of running every seed that
+    neither converges nor turns singular to the cap.  The live seeds'
+    positions, rings, centers, weights and box bounds are compact arrays
+    that shrink only when seeds leave; ``counts.iterations`` is the number
+    of seed evaluations.
     """
     x = np.array(seeds, dtype=float)
     n = x.shape[0]
+    cap = cfg.max_iterations
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
+    # ring[:, k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
+    ring = np.full((n, _CYCLE, 2), np.nan)
+    ring[:, 0] = x
     xl, cl, wl, lol, hil = x.copy(), centers, weights, bbox_lo, bbox_hi
     step_tol = _STEP_TOL * d
-    singular = stuck = 0
-    for _ in range(cfg.max_iterations):
+    singular = stuck = iterations = 0
+    for it in range(cap):
         if live.size == 0:
             break
+        iterations += live.size
         gx, gy, jxx, jxy, jyy = _grad_jac(xl, cl, wl, kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
@@ -174,25 +196,37 @@ def _newton_seeds(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
             x[live[~ok]] = xl[~ok]
-            live, xl, cl, wl, lol, hil = (a[ok] for a in (live, xl, cl, wl, lol, hil))
+            live, xl, ring, cl, wl, lol, hil = (
+                a[ok] for a in (live, xl, ring, cl, wl, lol, hil))
             gx, gy, jxx, jxy, jyy, det = (a[ok] for a in (gx, gy, jxx, jxy, jyy, det))
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
         nx = np.minimum(np.maximum(xl[:, 0] - sx, lol[:, 0]), hil[:, 0])
         ny = np.minimum(np.maximum(xl[:, 1] - sy, lol[:, 1]), hil[:, 1])
         done = np.sqrt(sx * sx + sy * sy) <= step_tol
-        still = ~done & (nx == xl[:, 0]) & (ny == xl[:, 1])
+        seen = (ring[:, :, 0] == nx[:, None]) & (ring[:, :, 1] == ny[:, None])
+        cyc = ~done & seen.any(axis=1)
         xl = np.stack([nx, ny], axis=-1)
-        leave = done | still
+        leave = done | cyc
         if leave.any():
-            stuck += int(np.count_nonzero(still))
-            x[live[leave]] = xl[leave]
+            if cyc.any():
+                # iterate it+1 repeats iterate j in slot s, period p = it+1-j;
+                # the orbit is at iterate j + (cap-j) mod p after the cap
+                s = np.argmax(seen[cyc], axis=1)
+                p = (it - s) % _CYCLE + 1
+                j = it + 1 - p
+                stuck += s.size
+                x[live[cyc]] = ring[np.flatnonzero(cyc), (j + (cap - j) % p) % _CYCLE]
+            x[live[done]] = xl[done]
             converged[live[done]] = True
             stay = ~leave
-            live, xl, cl, wl, lol, hil = (a[stay] for a in (live, xl, cl, wl, lol, hil))
+            live, xl, ring, cl, wl, lol, hil = (
+                a[stay] for a in (live, xl, ring, cl, wl, lol, hil))
+        ring[:, (it + 1) % _CYCLE] = xl
     x[live] = xl
     counts = SeedCounts(launched=n, converged=int(np.count_nonzero(converged)),
-                        singular=singular, stuck=stuck, capped=live.size)
+                        singular=singular, stuck=stuck, capped=live.size,
+                        iterations=iterations)
     return x, converged, counts
 
 
@@ -286,7 +320,7 @@ class SweepResult:
     patch_origins: np.ndarray  # (npatch, 2)
     grid: GridField
     flat_patches: list[tuple[int, int]]
-    seed_counts: SeedCounts    # summed over the thread slices
+    seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i: int, j: int) -> PatchInterpolant:
         pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
@@ -323,27 +357,27 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
         log.debug("%d flat patches skipped", len(flat))
 
     act = np.flatnonzero(active)
-    centers = origins[act][:, None, :] + patch_offsets(g.dx, g.dy)[None, :, :]
+    offsets = patch_offsets(g.dx, g.dy)
 
-    def run(sl: slice):
-        pat = act[sl]
-        return _search(lo[pat], hi[pat], centers[sl], weights[pat], patches[pat],
+    def run(block: np.ndarray):
+        centers = origins[block][:, None, :] + offsets[None, :, :]
+        return _search(lo[block], hi[block], centers, weights[block], patches[block],
                        kernel, cfg, d, tol_g)
 
+    # fixed-size blocks bound the engine's working set and do not depend on
+    # the thread count; pool.map keeps them in order
+    blocks = [act[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, act.size, _BLOCK_PATCHES)]
     nthreads = max(1, int(threads))
-    if nthreads == 1 or act.size == 0:
-        parts = [run(slice(0, act.size))]
+    if nthreads == 1:
+        parts = [run(b) for b in blocks]
     else:
-        chunk = -(-act.size // nthreads)
-        slices = [slice(s0, min(s0 + chunk, act.size))
-                  for s0 in range(0, act.size, chunk)]
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(run, slices))
+            parts = list(pool.map(run, blocks))
     raw = [p for part, _ in parts for p in part]
     counts = sum((c for _, c in parts), SeedCounts())
     log.debug("Newton seeds: %d launched, %d converged, %d singular, %d stuck, "
-              "%d capped", counts.launched, counts.converged, counts.singular,
-              counts.stuck, counts.capped)
+              "%d capped; %d seed evaluations", counts.launched, counts.converged,
+              counts.singular, counts.stuck, counts.capped, counts.iterations)
 
     return SweepResult(raw=raw, matrix=matrix, weights=weights,
                        constants=constants, patch_origins=origins, grid=g,

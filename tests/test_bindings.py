@@ -126,6 +126,33 @@ def test_cluster_matches_brute_force_property(coords, dmax):
     assert got == brute_components(pos, dmax)
 
 
+def query_scalar_reference(index, x, y):
+    """NeighborIndex.query as a per-candidate loop with scalar np.hypot."""
+    cx, cy = index._cell(x, y)
+    out = []
+    for gx in range(cx - 2, cx + 3):
+        for gy in range(cy - 2, cy + 3):
+            for i in index._cells.get((gx, gy), ()):
+                px, py = index.positions[i]
+                if np.hypot(px - x, py - y) <= index.radius:
+                    out.append(i)
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(
+    st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=1, max_size=40),
+    radius=st.floats(0.01, 4.0),
+    query=st.tuples(st.floats(-6, 6), st.floats(-6, 6)))
+# a pair at exactly the radius: hypot(3, 4) == 5
+@example(coords=[(0.0, 0.0), (3.0, 4.0), (-3.0, -4.0)], radius=5.0, query=(0.0, 0.0))
+def test_query_matches_scalar_loop(coords, radius, query):
+    pos = np.array(coords, float)
+    index = NeighborIndex(pos, radius)
+    for x, y in [query, *pos]:
+        assert index.query(x, y) == query_scalar_reference(index, x, y)
+
+
 def test_summarize():
     pts = points((0, 0), (1, 0), (2, 0), (9, 9))
     out = summarize(cluster(pts, 1.5), pts)

@@ -322,6 +322,74 @@ def test_seed_counts_add_up_and_do_not_depend_on_threads():
     assert one.converged > 0
 
 
+def captured_engine_runs(monkeypatch, g, kind):
+    """Sweep g once, returning the inputs and outputs of every engine call."""
+    calls = []
+    engine = stationary._newton_seeds
+
+    def capture(*args):
+        out = engine(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(stationary, "_newton_seeds", capture)
+    sweep_full(g, kernel_for_grid(kind, diag_step(g)))
+    monkeypatch.setattr(stationary, "_newton_seeds", engine)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("fn", [TestFunction.F2, TestFunction.F14])
+def test_retiring_seeds_on_short_cycles_changes_nothing(fn, kind, monkeypatch):
+    # a ring of one position retires fixed points only; the default ring
+    # also retires orbits of period up to _CYCLE, and both equal the full cap
+    g = sample(fn, 20, 20)
+    stuck = {}
+    for cycle in (1, stationary._CYCLE):
+        monkeypatch.setattr(stationary, "_CYCLE", cycle)
+        [(args, (pos, conv, counts))] = captured_engine_runs(monkeypatch, g, kind)
+        ref_pos, ref_conv = newton_full_cap(*args)
+        np.testing.assert_array_equal(pos, ref_pos)
+        np.testing.assert_array_equal(conv, ref_conv)
+        stuck[cycle] = counts.stuck
+    assert stuck[stationary._CYCLE] > stuck[1]
+
+
+@pytest.mark.parametrize("cap", range(23, 33))
+def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
+    # caps of every residue mod _CYCLE: a seed retired on an orbit of period
+    # p must return the point the full-cap loop ends on, which depends on
+    # cap mod p
+    g = sample(TestFunction.F2, 20, 20)
+    [(args, _)] = captured_engine_runs(monkeypatch, g, KernelKind.INVERSE_QUADRIC)
+    *inputs, d = args
+    cfg = SolverConfig(max_iterations=cap)
+    pos, conv, counts = stationary._newton_seeds(*inputs[:-1], cfg, d)
+    ref_pos, ref_conv = newton_full_cap(*inputs[:-1], cfg, d)
+    np.testing.assert_array_equal(pos, ref_pos)
+    np.testing.assert_array_equal(conv, ref_conv)
+    assert counts.stuck > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+@pytest.mark.parametrize("grid", ["f2-20x20", "skewed"])
+def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
+    g = sample(TestFunction.F2, 20, 20) if grid == "f2-20x20" else skewed_grid()
+    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
+    ref = sweep_full(g, k, threads=1)
+    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
+    got = sweep_full(g, k, threads=threads)
+    assert ref.raw
+    assert len(got.raw) == len(ref.raw)
+    for a, b in zip(got.raw, ref.raw):
+        np.testing.assert_array_equal(a.position, b.position)
+        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
+    assert got.seed_counts == ref.seed_counts
+    assert got.seed_counts.iterations == ref.seed_counts.iterations > 0
+
+
 # --- reduction ----------------------------------------------------------------
 
 def raw(*positions):
