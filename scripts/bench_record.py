@@ -14,8 +14,9 @@ Usage (from the root of a checkout):
   python3 scripts/bench_record.py --parent ../parent --change . \\
       --workload points-120 --pairs 3 --out /tmp/bench.json
 
-A metric is better lower unless the change's BENCHMARK.json says otherwise.
-A pair is won when the change's value is strictly better than the parent's.
+Each run lasts the change's BENCHMARK.json `run_seconds`, untraced, and a
+metric is better lower unless that file says otherwise.  A pair is won when
+the change's value is strictly better than the parent's.
 Uses the standard library and numpy only (numpy only to record its version).
 """
 
@@ -29,9 +30,6 @@ import statistics
 import subprocess
 import sys
 import time
-
-WORKLOADS = ("points-120", "curves-120", "large-240")
-
 
 def quartiles(values: list[float]) -> dict[str, float]:
     """Median and first and third quartiles (inclusive method, the one that
@@ -82,7 +80,7 @@ def revision(checkout: str) -> dict:
         r = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True)
         return r.stdout.strip() if r.returncode == 0 else None
 
-    return {"dir": os.path.abspath(checkout), "commit": git("rev-parse", "HEAD"),
+    return {"commit": git("rev-parse", "HEAD"),
             "src_tree": git("rev-parse", "HEAD:src"),
             "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
 
@@ -118,31 +116,30 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="workload to run (repeatable; default all)")
+    ap.add_argument("--workload", action="append",
+                    help="workload to run (repeatable; default all in BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = str(bench["run_seconds"])
     sides = {"parent": args.parent, "change": args.change}
     record = {"parent": revision(args.parent), "change": revision(args.change),
               "environment": environment(), "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "command": ["perfbench/run.py", "--workload", "W", "--seed", "S",
-                          "--seconds", str(args.seconds), "--trace", str(args.trace)],
+                          "--seconds", seconds, "--trace", "0"],
               "workloads": {}}
     failed = 0
-    for w in args.workload or WORKLOADS:
+    for w in args.workload or [w["name"] for w in bench["workloads"]]:
         pairs = []
         for k in range(args.pairs):
             seed = args.seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             cmd = ["perfbench/run.py", "--workload", w, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", str(args.trace)]
+                   "--seconds", seconds, "--trace", "0"]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(sides[side], cmd)

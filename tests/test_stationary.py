@@ -362,10 +362,10 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
     # cap mod p
     g = sample(TestFunction.F2, 20, 20)
     [(args, _)] = captured_engine_runs(monkeypatch, g, KernelKind.INVERSE_QUADRIC)
-    *inputs, d = args
+    *inputs, _, d = args  # the sweep's own cfg is replaced
     cfg = SolverConfig(max_iterations=cap)
-    pos, conv, counts = stationary._newton_seeds(*inputs[:-1], cfg, d)
-    ref_pos, ref_conv = newton_full_cap(*inputs[:-1], cfg, d)
+    pos, conv, counts = stationary._newton_seeds(*inputs, cfg, d)
+    ref_pos, ref_conv = newton_full_cap(*inputs, cfg, d)
     np.testing.assert_array_equal(pos, ref_pos)
     np.testing.assert_array_equal(conv, ref_conv)
     assert counts.stuck > 0
