@@ -1,10 +1,12 @@
-"""SHA-256 digests of `gridstat find --no-timings` reports.
+"""SHA-256 digests of `gridstat find --no-timings` reports and their plots.
 
 Runs `find` on every built-in function with every kernel at 120x120, with
 --threads 1 and --threads 2, and on f13 at 240x240 with --threads 2 (37
-reports), and prints one line per report: the digest of its bytes and the
-case.  A change that must leave the reports byte-identical is checked by
-writing the digests before it and comparing after it.
+reports), renders each report with `plot`, and prints one line per report
+and one per SVG: the digest of its bytes and the case (`<case>` for the
+report, `<case>.svg` for its plot).  A change that must leave the reports
+and plots byte-identical is checked by writing the digests before it and
+comparing after it.
 
 Usage (from the root of a checkout):
   python3 scripts/report_digests.py > digests.txt
@@ -13,7 +15,7 @@ Usage (from the root of a checkout):
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
 any case is missing from either side.  Uses the standard library and numpy
-only; the 37 reports take a few minutes on two cores.
+only; the 37 reports and plots take a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -40,22 +42,32 @@ def case_name(fn: str, kernel: str, n: int, threads: int) -> str:
     return f"{fn}-{kernel}-{n}-t{threads}"
 
 
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def digests(src: str) -> dict[str, str]:
-    """case name -> sha256 of its report, from the package under `src`."""
+    """case name -> sha256 of its report and case name + ".svg" -> sha256
+    of its plot, from the package under `src`."""
     sys.path.insert(0, src)
     from gridstat import cli
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
+        svg = os.path.join(tmp, "plot.svg")
         for fn, kernel, n, threads in cases():
-            rc = cli.main(["find", "--fn", fn, "--kernel", kernel, "--nx", str(n),
-                           "--ny", str(n), "--threads", str(threads),
-                           "--no-timings", "--json", path])
-            if rc != 0:
-                raise SystemExit(f"find exited {rc} on {case_name(fn, kernel, n, threads)}")
-            with open(path, "rb") as fh:
-                out[case_name(fn, kernel, n, threads)] = hashlib.sha256(fh.read()).hexdigest()
+            name = case_name(fn, kernel, n, threads)
+            for cmd, argv in (
+                    ("find", ["--fn", fn, "--kernel", kernel, "--nx", str(n), "--ny", str(n),
+                              "--threads", str(threads), "--no-timings", "--json", path]),
+                    ("plot", ["--report", path, "-o", svg])):
+                rc = cli.main([cmd, *argv])
+                if rc != 0:
+                    raise SystemExit(f"{cmd} exited {rc} on {name}")
+            out[name] = sha256(path)
+            out[name + ".svg"] = sha256(svg)
     return out
 
 
@@ -82,7 +94,7 @@ def main(argv=None) -> int:
     for name in bad:
         print(f"MISMATCH {name}: expected {want.get(name, 'no entry')}, "
               f"got {got.get(name, 'no entry')}", file=sys.stderr)
-    print(f"{len(got) - len(bad)} of {len(want.keys() | got.keys())} reports match",
+    print(f"{len(got) - len(bad)} of {len(want.keys() | got.keys())} digests match",
           file=sys.stderr)
     return 1 if bad else 0
 

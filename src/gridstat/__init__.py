@@ -6,9 +6,8 @@ from .kernels import Kernel, KernelKind, OMEGA, kernel_for_grid, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
 from .patch import (FactorizationError, PatchInterpolant, PatchMatrix,
                     interpolate_patch, patch_offsets)
-from .stationary import (Classification, RawStationaryPoint, SearchDomain,
-                         SolverConfig, StationaryPoint, find_patch_stationary,
-                         patch_domain, reduce_points, sweep_full)
+from .stationary import (Classification, RawStationaryPoint, SolverConfig,
+                         StationaryPoint, reduce_points, sweep_full)
 
 __all__ = [
     "Binding", "BindingKind", "NeighborIndex", "cluster", "delta_max", "summarize",
@@ -17,9 +16,8 @@ __all__ = [
     "GroundTruth", "ParametricCurve", "ground_truth",
     "FactorizationError", "PatchInterpolant", "PatchMatrix",
     "interpolate_patch", "patch_offsets",
-    "Classification", "RawStationaryPoint", "SearchDomain", "SolverConfig",
-    "StationaryPoint", "find_patch_stationary", "patch_domain", "reduce_points",
-    "sweep_full", "run_pipeline",
+    "Classification", "RawStationaryPoint", "SolverConfig", "StationaryPoint",
+    "reduce_points", "sweep_full", "run_pipeline",
 ]
 
 __version__ = "0.1.0"

@@ -126,6 +126,8 @@ def cmd_find(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.levels < 1:
+        raise InputError(f"--levels must be positive, got {args.levels}")
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     g = load_csv(args.infile) if args.infile else None

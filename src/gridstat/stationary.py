@@ -8,22 +8,21 @@ anchored centroid reduction (merge radius = the grid diagonal d).
 One engine, ``_search``, does the per-patch work for any number of patches
 at once: it lays the seed lattice in each search domain, runs Newton
 clamped to the patch's bounding box, accepts converged roots inside the
-domain with a small gradient, and drops duplicates within a patch.  It has
-two callers: ``sweep_full`` hands it the active patches of the grid in
-fixed blocks of ``_BLOCK_PATCHES``, in order on one thread or through a
-thread pool on several, and ``find_patch_stationary`` hands it a single
-patch.  All give identical floating-point results because the engine only
-uses elementwise operations and fixed-order row sums; the blocks bound the
-working set at threads x one block and do not depend on the thread count.
+domain with a small gradient, and drops duplicates within a patch.  Its one
+caller, ``sweep_full``, hands it the active patches of the grid in fixed
+blocks of ``_BLOCK_PATCHES``, in order on one thread or through a thread
+pool on several.  Every block size and thread count gives identical
+floating-point results because the engine only uses elementwise operations
+and fixed-order row sums; the blocks bound the working set at threads x one
+block.
 
-Newton (``_newton_seeds``) keeps its live seeds compact: positions, a ring
-of each seed's last ``_CYCLE`` positions, centers, weights and box bounds
-are arrays that shrink only when seeds leave, so each iteration works on
-the live seeds alone.  Seeds leave when they converge, hit a singular
+Newton (``_newton_seeds``) keeps its live seeds compact: their indices,
+positions and a ring of each one's last ``_CYCLE`` positions are arrays
+that shrink only when seeds leave, and each iteration gathers the live
+seeds' patch data by owner.  Seeds leave when they converge, hit a singular
 Jacobian, get stuck on an exact orbit of the clamped map of period at most
-``_CYCLE`` (which can never converge), or reach the iteration cap.  A stuck
-seed returns the orbit point it would hold at the cap, so the result is the
-same as running every seed to the cap.
+``_CYCLE`` (which can never converge), or reach the iteration cap; only the
+converged ones are returned.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .patch import PatchInterpolant, PatchMatrix, _grad_jac, patch_offsets
 
 log = logging.getLogger(__name__)
 
-# d is the grid's diagonal step (the patch's own for a lone patch)
+# d is the grid's diagonal step
 _SINGULAR_DET = 1e-14  # |det J| threshold, relative to ||J||_F^2
 _STEP_TOL = 1e-10      # Newton has converged once a pre-clamp step is <= this * d
 _GRAD_TOL_REL = 1e-8   # accepted roots have |grad| <= this * field range / d
@@ -83,24 +82,6 @@ class SeedCounts:
         return SeedCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
-@dataclass(frozen=True)
-class SearchDomain:
-    """Axis-aligned box in which roots of one patch are accepted."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, float))
-        if not np.all(self.lo < self.hi):
-            raise ValueError("search domain must have lo < hi componentwise")
-
-    def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class RawStationaryPoint:
     position: np.ndarray  # (2,)
@@ -138,96 +119,75 @@ def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([lo_x, lo_y], axis=-1), np.stack([hi_x, hi_y], axis=-1)
 
 
-def patch_domain(g: GridField, i: int, j: int) -> SearchDomain:
-    """Search domain of patch (i, j), 1-based."""
-    if not (1 <= i <= g.ny - 3 and 1 <= j <= g.nx - 3):
-        raise IndexError(f"patch ({i},{j}) outside valid range")
-    return SearchDomain(*_domain_bounds(g, i, j))
-
-
 # ---------------------------------------------------------------------------
 # Newton engine (vectorized over seeds and patches)
 # ---------------------------------------------------------------------------
 
-def _newton_seeds(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
-    """Run Newton from every seed; returns (positions, converged mask, counts).
+def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
+    """Run Newton from every seed; returns the indices of the converged
+    seeds (ascending), their positions and the ``SeedCounts``.
 
-    Iterates are clamped to the patch bounding box [bbox_lo, bbox_hi].  A
-    seed leaves the live set in one of four ways, counted in ``SeedCounts``:
+    Seed s starts at seeds[s] in patch owner[s] of centers (P,16,2) and
+    weights (P,16); its iterates are clamped to that patch's bounding box.
+    It leaves the live set in one of four ways, counted in ``SeedCounts``:
 
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * d;
     - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position;
     - stuck: its clamped update gave back, bit for bit and without
-      converging, one of its last _CYCLE positions, so it is on an exact
-      orbit of period 1 to _CYCLE (period 1 is a fixed point, typically a
-      seed pushed against a box edge or corner).  ``_grad_jac`` is
-      batch-invariant and the clamped map is deterministic, so the seed
-      would repeat that orbit up to the cap;
+      converging, one of its last _CYCLE positions: an exact orbit of
+      period 1 to _CYCLE (period 1 is a fixed point, typically a seed
+      pushed against a box edge or corner).  ``_grad_jac`` is
+      batch-invariant and the clamped map deterministic, so the seed would
+      repeat that orbit up to the cap and never converge;
     - capped: still live after cfg.max_iterations.
 
-    Only converged seeds are used downstream.  A seed's returned position is
-    where it left the live set, except that a stuck seed returns the orbit
-    point it would hold after cfg.max_iterations, read from its ring of
-    recent positions.  So the result equals that of running every seed that
-    neither converges nor turns singular to the cap.  The live seeds'
-    positions, rings, centers, weights and box bounds are compact arrays
-    that shrink only when seeds leave; ``counts.iterations`` is the number
-    of seed evaluations.
+    The live seeds' indices, positions and rings are compact arrays that
+    shrink only when seeds leave; ``counts.iterations`` is the number of
+    seed evaluations.
     """
-    x = np.array(seeds, dtype=float)
-    n = x.shape[0]
-    cap = cfg.max_iterations
+    xl = np.array(seeds, dtype=float)
+    n = xl.shape[0]
+    x = np.empty_like(xl)  # x[s] is seed s's root once it has converged
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
     # ring[:, k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
     ring = np.full((n, _CYCLE, 2), np.nan)
-    ring[:, 0] = x
-    xl, cl, wl, lol, hil = x.copy(), centers, weights, bbox_lo, bbox_hi
-    step_tol = _STEP_TOL * d
+    ring[:, 0] = xl
+    box_lo, box_hi = centers.min(axis=1), centers.max(axis=1)
     singular = stuck = iterations = 0
-    for it in range(cap):
+    for it in range(cfg.max_iterations):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(xl, cl, wl, kernel)
+        ol = owner[live]
+        gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers[ol], weights[ol], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         ok = np.abs(det) >= _SINGULAR_DET * frob2
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
-            x[live[~ok]] = xl[~ok]
-            live, xl, ring, cl, wl, lol, hil = (
-                a[ok] for a in (live, xl, ring, cl, wl, lol, hil))
+            live, ol, xl, ring = (a[ok] for a in (live, ol, xl, ring))
             gx, gy, jxx, jxy, jyy, det = (a[ok] for a in (gx, gy, jxx, jxy, jyy, det))
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
-        nx = np.minimum(np.maximum(xl[:, 0] - sx, lol[:, 0]), hil[:, 0])
-        ny = np.minimum(np.maximum(xl[:, 1] - sy, lol[:, 1]), hil[:, 1])
-        done = np.sqrt(sx * sx + sy * sy) <= step_tol
+        lo, hi = box_lo[ol], box_hi[ol]
+        nx = np.minimum(np.maximum(xl[:, 0] - sx, lo[:, 0]), hi[:, 0])
+        ny = np.minimum(np.maximum(xl[:, 1] - sy, lo[:, 1]), hi[:, 1])
+        done = np.sqrt(sx * sx + sy * sy) <= _STEP_TOL * d
         seen = (ring[:, :, 0] == nx[:, None]) & (ring[:, :, 1] == ny[:, None])
         cyc = ~done & seen.any(axis=1)
         xl = np.stack([nx, ny], axis=-1)
         leave = done | cyc
         if leave.any():
-            if cyc.any():
-                # iterate it+1 repeats iterate j in slot s, period p = it+1-j;
-                # the orbit is at iterate j + (cap-j) mod p after the cap
-                s = np.argmax(seen[cyc], axis=1)
-                p = (it - s) % _CYCLE + 1
-                j = it + 1 - p
-                stuck += s.size
-                x[live[cyc]] = ring[np.flatnonzero(cyc), (j + (cap - j) % p) % _CYCLE]
+            stuck += int(np.count_nonzero(cyc))
             x[live[done]] = xl[done]
             converged[live[done]] = True
-            stay = ~leave
-            live, xl, ring, cl, wl, lol, hil = (
-                a[stay] for a in (live, xl, ring, cl, wl, lol, hil))
+            live, xl, ring = (a[~leave] for a in (live, xl, ring))
         ring[:, (it + 1) % _CYCLE] = xl
-    x[live] = xl
-    counts = SeedCounts(launched=n, converged=int(np.count_nonzero(converged)),
-                        singular=singular, stuck=stuck, capped=live.size,
-                        iterations=iterations)
-    return x, converged, counts
+    idx = np.flatnonzero(converged)
+    counts = SeedCounts(launched=n, converged=idx.size, singular=singular,
+                        stuck=stuck, capped=live.size, iterations=iterations)
+    return idx, x[idx], counts
 
 
 def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
@@ -236,8 +196,7 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
 
     lo, hi (P,2) are the search domains, centers (P,16,2) and weights
     (P,16) the interpolants, patches (P,2) their 1-based (i, j).  Seeds form
-    an n x n lattice strictly inside each domain, row-major (y outer);
-    Newton iterates are clamped to the patch's bounding box.
+    an n x n lattice strictly inside each domain, row-major (y outer).
     """
     ns = cfg.seeds_per_axis
     nseed = ns * ns
@@ -245,64 +204,32 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (P, ns)
     fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
     seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
+    owner = np.repeat(np.arange(len(patches)), nseed)
 
-    pos, conv, counts = _newton_seeds(
-        seeds.reshape(-1, 2), np.repeat(centers, nseed, axis=0),
-        np.repeat(weights, nseed, axis=0), kernel,
-        np.repeat(centers.min(axis=1), nseed, axis=0),
-        np.repeat(centers.max(axis=1), nseed, axis=0), cfg, d)
+    idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
+                                     kernel, cfg, d)
 
     # accept converged roots inside their domain with a small gradient
-    s = np.flatnonzero(conv)
-    owner = s // nseed
-    gx, gy, *_ = _grad_jac(pos[s], centers[owner], weights[owner], kernel)
-    inside = np.all((pos[s] >= lo[owner]) & (pos[s] <= hi[owner]), axis=-1)
-    acc = s[inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)]
+    k = owner[idx]
+    gx, gy, *_ = _grad_jac(pos, centers[k], weights[k], kernel)
+    inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
+    acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
 
     # drop duplicates within each patch, keeping the earliest seed
     min_sep = _DEDUP_RADIUS * d
     out: list[RawStationaryPoint] = []
     keep: list[np.ndarray] = []
     prev = -1
-    for seed in acc:
-        k, si = divmod(int(seed), nseed)
-        if k != prev:
-            keep, prev = [], k
-        p = pos[seed]
+    for seed, p in zip(idx[acc], pos[acc]):
+        pk, si = divmod(int(seed), nseed)
+        if pk != prev:
+            keep, prev = [], pk
         if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for q in keep):
             keep.append(p)
             out.append(RawStationaryPoint(
-                position=p, patch=(int(patches[k, 0]), int(patches[k, 1])),
+                position=p, patch=(int(patches[pk, 0]), int(patches[pk, 1])),
                 seed_index=si))
     return out, counts
-
-
-def find_patch_stationary(p: PatchInterpolant, dom: SearchDomain,
-                          cfg: SolverConfig = SolverConfig(),
-                          field_range: float | None = None,
-                          d: float | None = None,
-                          patch: tuple[int, int] = (1, 1)) -> list[RawStationaryPoint]:
-    """Stationary points of one patch interpolant inside its search domain.
-
-    ``field_range`` and ``d`` default to the patch's own sample range and
-    center-diagonal step; ``sweep_full`` uses the global values instead.
-    """
-    centers = np.asarray(p.centers, float)
-    if d is None:
-        dx = (centers[:, 0].max() - centers[:, 0].min()) / 3.0
-        dy = (centers[:, 1].max() - centers[:, 1].min()) / 3.0
-        d = float(np.hypot(dx, dy))
-    h = np.asarray(p(centers), float)
-    patch_range = float(h.max() - h.min())
-    if field_range is None:
-        field_range = patch_range
-    if field_range <= 0 or patch_range <= _FLAT_PATCH * field_range:
-        log.debug("flat patch skipped (sample range %.3g of field range %.3g)",
-                  patch_range, field_range)
-        return []
-    return _search(dom.lo[None], dom.hi[None], centers[None],
-                   np.asarray(p.weights, float)[None], np.array([patch]),
-                   p.kernel, cfg, d, _GRAD_TOL_REL * field_range / d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +250,8 @@ class SweepResult:
     seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i: int, j: int) -> PatchInterpolant:
+        if not (1 <= i <= self.grid.ny - 3 and 1 <= j <= self.grid.nx - 3):
+            raise IndexError(f"patch ({i},{j}) outside valid range")
         pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
         centers = self.patch_origins[pidx] + patch_offsets(self.grid.dx, self.grid.dy)
         return PatchInterpolant(centers=centers, weights=self.weights[pidx],

@@ -142,6 +142,17 @@ def test_plot_dimension_mismatch_exits_2(tmp_path):
     assert run(["plot", "--report", rep, "--in", csv, "-o", tmp_path / "x.svg"]) == 2
 
 
+@pytest.mark.parametrize("levels", [0, -1, -2, -5])
+def test_plot_non_positive_levels_exits_2(levels, tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    svg = tmp_path / "out.svg"
+    assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",
+                "--threads", "1", "--json", rep]) == 0
+    assert run(["plot", "--report", rep, "-o", svg, "--levels", levels]) == 2
+    assert capsys.readouterr().err == f"error: --levels must be positive, got {levels}\n"
+    assert not svg.exists()
+
+
 def test_truth_export(tmp_path, capsys):
     assert run(["truth", "--fn", "f2"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, KernelKind, PatchMatrix,
-                      RawStationaryPoint, SearchDomain, SolverConfig,
-                      TestFunction, diag_step, find_patch_stationary,
-                      interpolate_patch, kernel_for_grid, patch_domain,
-                      patch_offsets, reduce_points, sample, sweep_full)
+                      RawStationaryPoint, SolverConfig, TestFunction, diag_step,
+                      interpolate_patch, kernel_for_grid, patch_offsets,
+                      reduce_points, sample, sweep_full)
 from gridstat import stationary
 from gridstat.patch import _grad_jac
-from gridstat.stationary import _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts
+from gridstat.stationary import (_GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts,
+                                 _domain_bounds)
 
 
 def unit_grid(nx=6, ny=6):
@@ -22,11 +22,18 @@ def unit_grid(nx=6, ny=6):
                      values=np.arange(nx * ny, dtype=float))
 
 
-def interp_from(kind, h, origin=(0.0, 0.0), dx=1.0, dy=1.0):
-    k = kernel_for_grid(kind, math.hypot(dx, dy))
-    m = PatchMatrix(k, dx, dy)
-    centers = np.asarray(origin, float) + patch_offsets(dx, dy)
-    return interpolate_patch(m, centers, h)
+def grid4(f, origin=(0.0, 0.0)):
+    """A 4x4 unit-spaced grid of f(x, y): exactly one patch."""
+    x = origin[0] + np.arange(4.0)
+    y = origin[1] + np.arange(4.0)
+    xx, yy = np.meshgrid(x, y)
+    return GridField(nx=4, ny=4, dx=1.0, dy=1.0, origin=origin,
+                     values=np.broadcast_to(f(xx, yy), xx.shape).ravel())
+
+
+def sweep_each_kernel(g):
+    """sweep_full of g with each kernel at its default shape parameter."""
+    return {kind: sweep_full(g, kernel_for_grid(kind, diag_step(g))) for kind in KernelKind}
 
 
 # --- configuration and domains ----------------------------------------------
@@ -38,84 +45,65 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
 
 
-def test_search_domain_validation():
-    with pytest.raises(ValueError):
-        SearchDomain(lo=np.array([1.0, 0.0]), hi=np.array([0.0, 1.0]))
-    dom = SearchDomain(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 2.0]))
-    assert dom.contains([0.5, 1.0])
-    assert not dom.contains([1.5, 1.0])
-
-
 def test_patch_domain_interior():
-    dom = patch_domain(unit_grid(), 2, 2)
-    np.testing.assert_allclose(dom.lo, [1.5, 1.5])
-    np.testing.assert_allclose(dom.hi, [3.5, 3.5])
+    lo, hi = _domain_bounds(unit_grid(), 2, 2)
+    np.testing.assert_allclose(lo, [1.5, 1.5])
+    np.testing.assert_allclose(hi, [3.5, 3.5])
 
 
 def test_patch_domain_corner():
-    dom = patch_domain(unit_grid(), 1, 1)
-    np.testing.assert_allclose(dom.lo, [0.0, 0.0])
-    np.testing.assert_allclose(dom.hi, [2.5, 2.5])
+    lo, hi = _domain_bounds(unit_grid(), 1, 1)
+    np.testing.assert_allclose(lo, [0.0, 0.0])
+    np.testing.assert_allclose(hi, [2.5, 2.5])
 
 
 def test_patch_domain_far_corner():
-    dom = patch_domain(unit_grid(), 3, 3)
-    np.testing.assert_allclose(dom.lo, [2.5, 2.5])
-    np.testing.assert_allclose(dom.hi, [5.0, 5.0])
+    lo, hi = _domain_bounds(unit_grid(), 3, 3)
+    np.testing.assert_allclose(lo, [2.5, 2.5])
+    np.testing.assert_allclose(hi, [5.0, 5.0])
 
 
 def test_adjacent_domains_overlap_by_dx():
     g = unit_grid(nx=8, ny=8)
-    a = patch_domain(g, 3, 2)
-    b = patch_domain(g, 3, 3)
-    assert a.hi[0] - b.lo[0] == pytest.approx(g.dx)
-
-
-def test_patch_domain_range_check():
-    g = unit_grid()
-    with pytest.raises(IndexError):
-        patch_domain(g, 0, 1)
-    with pytest.raises(IndexError):
-        patch_domain(g, 1, 4)  # nx-3 = 3 is the last valid column
+    _, a_hi = _domain_bounds(g, 3, 2)
+    b_lo, _ = _domain_bounds(g, 3, 3)
+    assert a_hi[0] - b_lo[0] == pytest.approx(g.dx)
 
 
 def test_domains_cover_grid_rectangle():
     g = unit_grid(nx=7, ny=6)
-    doms = [patch_domain(g, i, j)
-            for i in range(1, g.ny - 2) for j in range(1, g.nx - 2)]
+    i, j = np.mgrid[1:g.ny - 2, 1:g.nx - 2]
+    lo, hi = _domain_bounds(g, i.ravel(), j.ravel())  # (patches, 2)
     rng = np.random.default_rng(21)
     pts = rng.uniform([0, 0], [g.nx - 1, g.ny - 1], size=(2000, 2))
     corners = np.array([[0, 0], [g.nx - 1, 0], [0, g.ny - 1],
                         [g.nx - 1, g.ny - 1]], float)
-    for p in np.vstack([pts, corners]):
-        assert any(d.contains(p) for d in doms)
+    p = np.vstack([pts, corners])[:, None, :]
+    assert np.all((p >= lo) & (p <= hi), axis=-1).any(axis=1).all()
 
 
-# --- per-patch search ---------------------------------------------------------
+# --- single-patch search (a 4x4 grid has one patch) --------------------------
 
 def test_find_bump_maximum():
-    centers = patch_offsets(1, 1) - np.array([1.5, 1.5])
-    h = np.exp(-np.sum(centers ** 2, axis=1))
-    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    p = interpolate_patch(PatchMatrix(k, 1, 1), centers, h)
-    dom = SearchDomain(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]))
-    roots = find_patch_stationary(p, dom)
-    assert len(roots) == 1
-    assert np.linalg.norm(roots[0].position) <= 1e-6 * math.sqrt(2)
+    g = grid4(lambda x, y: np.exp(-(x * x + y * y)), origin=(-1.5, -1.5))
+    for kind, sr in sweep_each_kernel(g).items():
+        assert len(sr.raw) == 1, kind
+        assert np.linalg.norm(sr.raw[0].position) <= 1e-6 * math.sqrt(2), kind
 
 
 def test_monotone_field_has_no_roots():
-    centers = patch_offsets(1, 1)
-    h = centers[:, 0].copy()
-    p = interp_from(KernelKind.GAUSSIAN, h)
-    dom = SearchDomain(lo=np.array([1.0, 1.0]), hi=np.array([2.0, 2.0]))
-    assert find_patch_stationary(p, dom) == []
+    g = grid4(lambda x, y: x)
+    for kind, sr in sweep_each_kernel(g).items():
+        assert sr.raw == [], kind
+        assert sr.seed_counts.launched == 9, kind
 
 
 def test_flat_patch_skipped():
-    p = interp_from(KernelKind.GAUSSIAN, np.full(16, 3.0))
-    dom = SearchDomain(lo=np.array([1.0, 1.0]), hi=np.array([2.0, 2.0]))
-    assert find_patch_stationary(p, dom) == []
+    g = grid4(lambda x, y: 3.0)
+    for kind, sr in sweep_each_kernel(g).items():
+        assert sr.raw == [], kind
+        assert sr.flat_patches == [(1, 1)], kind
+        assert sr.seed_counts == SeedCounts(), kind
 
 
 def test_roots_respect_gradient_tolerance_and_domain():
@@ -126,10 +114,19 @@ def test_roots_respect_gradient_tolerance_and_domain():
     tol_g = _GRAD_TOL_REL * g.field_range / d
     assert sr.raw, "expected stationary points on the F2 sample"
     for r in sr.raw:
-        dom = patch_domain(g, *r.patch)
-        assert dom.contains(r.position)
+        lo, hi = _domain_bounds(g, *r.patch)
+        assert np.all((lo <= r.position) & (r.position <= hi))
         interp = sr.interpolant(*r.patch)
         assert np.linalg.norm(interp.gradient(r.position)) <= tol_g
+
+
+def test_interpolant_range_check():
+    g = sample(TestFunction.F2, 12, 12)
+    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    for i, j in [(0, 1), (1, 0), (g.ny - 2, 1), (1, g.nx - 2)]:
+        with pytest.raises(IndexError, match=rf"^patch \({i},{j}\) outside valid range$"):
+            sr.interpolant(i, j)
+    sr.interpolant(g.ny - 3, g.nx - 3)  # the last valid patch
 
 
 # --- sweep --------------------------------------------------------------------
@@ -153,28 +150,30 @@ def skewed_grid():
                      values=TestFunction.F2(xx, yy).ravel())
 
 
+def check_block_invariance(g, cfg, block, threads, monkeypatch):
+    """sweep_full in blocks of `block` patches on `threads` threads gives the
+    raw points, bit for bit, and the seed counts of one block on one thread."""
+    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
+    ref = sweep_full(g, k, cfg, threads=1)
+    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
+    got = sweep_full(g, k, cfg, threads=threads)
+    assert ref.raw
+    assert len(got.raw) == len(ref.raw)
+    for a, b in zip(got.raw, ref.raw):
+        np.testing.assert_array_equal(a.position, b.position)
+        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
+    assert got.seed_counts == ref.seed_counts
+    assert got.seed_counts.iterations == ref.seed_counts.iterations > 0
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("seeds", [3, 2, 4])
 @pytest.mark.parametrize("grid", ["f2-12x12", "skewed"])
-def test_sweep_equals_per_patch_search(grid, seeds, threads):
-    # the engine gives bit-identical raw points for one patch and for a slice
+def test_sweep_equals_per_patch_search(grid, seeds, threads, monkeypatch):
+    # blocks of one patch are the per-patch search
     g = sample(TestFunction.F2, 12, 12) if grid == "f2-12x12" else skewed_grid()
-    d = diag_step(g)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, d)
-    cfg = SolverConfig(seeds_per_axis=seeds)
-    sr = sweep_full(g, k, cfg, threads=threads)
-    assert sr.raw
-    expected = []
-    for i in range(1, g.ny - 2):
-        for j in range(1, g.nx - 2):
-            p = sr.interpolant(i, j)
-            expected.extend(find_patch_stationary(
-                p, patch_domain(g, i, j), cfg,
-                field_range=g.field_range, d=d, patch=(i, j)))
-    assert len(sr.raw) == len(expected)
-    for a, b in zip(sr.raw, expected):
-        np.testing.assert_array_equal(a.position, b.position)
-        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
+    check_block_invariance(g, SolverConfig(seeds_per_axis=seeds), 1, threads, monkeypatch)
 
 
 def test_sweep_ordered_and_thread_invariant():
@@ -261,65 +260,20 @@ def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
     return x, converged
 
 
-@pytest.mark.parametrize("kind", list(KernelKind))
-@pytest.mark.parametrize("fn", [TestFunction.F2, TestFunction.F14])
-def test_retiring_stuck_seeds_changes_nothing(fn, kind, monkeypatch):
-    # capture the engine's real inputs during a sweep, then rerun them
-    calls = []
-    engine = stationary._newton_seeds
+def full_cap_roots(seeds, owner, centers, weights, kernel, cfg, d):
+    """``newton_full_cap`` on the per-seed arrays gathered from the engine's
+    inputs: the converged seed indices and their positions."""
+    x, converged = newton_full_cap(seeds, centers[owner], weights[owner], kernel,
+                                   centers.min(axis=1)[owner],
+                                   centers.max(axis=1)[owner], cfg, d)
+    idx = np.flatnonzero(converged)
+    return idx, x[idx]
 
-    def capture(*args):
-        out = engine(*args)
-        calls.append((args, out))
-        return out
 
-    monkeypatch.setattr(stationary, "_newton_seeds", capture)
-    g = sample(fn, 20, 20)
-    sweep_full(g, kernel_for_grid(kind, diag_step(g)))
-    assert len(calls) == 1
-    args, (pos, conv, counts) = calls[0]
-    ref_pos, ref_conv = newton_full_cap(*args)
-    assert counts.stuck > 0
+def assert_same_roots(got, want):
+    (idx, pos), (ref_idx, ref_pos) = got, want
+    np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(pos, ref_pos)
-    np.testing.assert_array_equal(conv, ref_conv)
-
-
-def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
-    # a bowl centered far beyond the patch: Newton from the patch's far
-    # corner steps outward in both coordinates and is clamped back onto it
-    centers = patch_offsets(1.0, 1.0)
-    h = (centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2
-    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    p = interpolate_patch(PatchMatrix(k, 1.0, 1.0), centers, h)
-    args = (np.array([[3.0, 3.0]]), centers[None], np.asarray(p.weights, float)[None],
-            k, centers.min(axis=0)[None], centers.max(axis=0)[None])
-    evaluations = []
-
-    def counting(*a):
-        evaluations.append(a[0].shape[0])
-        return _grad_jac(*a)
-
-    monkeypatch.setattr(stationary, "_grad_jac", counting)
-    pos, conv, counts = stationary._newton_seeds(*args, SolverConfig(), math.sqrt(2))
-    assert evaluations == [1]
-    assert counts == SeedCounts(launched=1, stuck=1)
-    np.testing.assert_array_equal(pos, [[3.0, 3.0]])
-    assert not conv[0]
-    ref_pos, ref_conv = newton_full_cap(*args, SolverConfig(), math.sqrt(2))
-    np.testing.assert_array_equal(pos, ref_pos)
-    np.testing.assert_array_equal(conv, ref_conv)
-
-
-def test_seed_counts_add_up_and_do_not_depend_on_threads():
-    g = sample(TestFunction.F2, 30, 30)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
-    one = sweep_full(g, k, threads=1).seed_counts
-    two = sweep_full(g, k, threads=2).seed_counts
-    assert one == two
-    assert one.launched == (g.nx - 3) * (g.ny - 3) * 9
-    assert one.converged + one.singular + one.stuck + one.capped == one.launched
-    assert one.stuck > 0
-    assert one.converged > 0
 
 
 def captured_engine_runs(monkeypatch, g, kind):
@@ -340,6 +294,51 @@ def captured_engine_runs(monkeypatch, g, kind):
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 @pytest.mark.parametrize("fn", [TestFunction.F2, TestFunction.F14])
+def test_retiring_stuck_seeds_changes_nothing(fn, kind, monkeypatch):
+    # rerun the engine's real inputs during a sweep without retirement
+    [(args, (idx, pos, counts))] = captured_engine_runs(monkeypatch, sample(fn, 20, 20), kind)
+    assert counts.stuck > 0
+    assert counts.converged == idx.size > 0
+    assert_same_roots((idx, pos), full_cap_roots(*args))
+
+
+def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
+    # a bowl centered far beyond the patch: Newton from the patch's far
+    # corner steps outward in both coordinates and is clamped back onto it
+    centers = patch_offsets(1.0, 1.0)
+    h = (centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2
+    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
+    p = interpolate_patch(PatchMatrix(k, 1.0, 1.0), centers, h)
+    args = (np.array([[3.0, 3.0]]), np.array([0]), centers[None],
+            np.asarray(p.weights, float)[None], k, SolverConfig(), math.sqrt(2))
+    evaluations = []
+
+    def counting(*a):
+        evaluations.append(a[0].shape[0])
+        return _grad_jac(*a)
+
+    monkeypatch.setattr(stationary, "_grad_jac", counting)
+    idx, pos, counts = stationary._newton_seeds(*args)
+    assert evaluations == [1]
+    assert counts == SeedCounts(launched=1, stuck=1)
+    assert idx.size == 0 and pos.shape == (0, 2)
+    assert_same_roots((idx, pos), full_cap_roots(*args))
+
+
+def test_seed_counts_add_up_and_do_not_depend_on_threads():
+    g = sample(TestFunction.F2, 30, 30)
+    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    one = sweep_full(g, k, threads=1).seed_counts
+    two = sweep_full(g, k, threads=2).seed_counts
+    assert one == two
+    assert one.launched == (g.nx - 3) * (g.ny - 3) * 9
+    assert one.converged + one.singular + one.stuck + one.capped == one.launched
+    assert one.stuck > 0
+    assert one.converged > 0
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("fn", [TestFunction.F2, TestFunction.F14])
 def test_retiring_seeds_on_short_cycles_changes_nothing(fn, kind, monkeypatch):
     # a ring of one position retires fixed points only; the default ring
     # also retires orbits of period up to _CYCLE, and both equal the full cap
@@ -347,27 +346,23 @@ def test_retiring_seeds_on_short_cycles_changes_nothing(fn, kind, monkeypatch):
     stuck = {}
     for cycle in (1, stationary._CYCLE):
         monkeypatch.setattr(stationary, "_CYCLE", cycle)
-        [(args, (pos, conv, counts))] = captured_engine_runs(monkeypatch, g, kind)
-        ref_pos, ref_conv = newton_full_cap(*args)
-        np.testing.assert_array_equal(pos, ref_pos)
-        np.testing.assert_array_equal(conv, ref_conv)
+        [(args, (idx, pos, counts))] = captured_engine_runs(monkeypatch, g, kind)
+        assert_same_roots((idx, pos), full_cap_roots(*args))
         stuck[cycle] = counts.stuck
     assert stuck[stationary._CYCLE] > stuck[1]
 
 
 @pytest.mark.parametrize("cap", range(23, 33))
 def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
-    # caps of every residue mod _CYCLE: a seed retired on an orbit of period
-    # p must return the point the full-cap loop ends on, which depends on
-    # cap mod p
+    # caps of every residue mod _CYCLE: whatever phase of its orbit a stuck
+    # seed would be in at the cap, retiring it leaves the converged seeds
+    # and their positions those of the full-cap loop
     g = sample(TestFunction.F2, 20, 20)
     [(args, _)] = captured_engine_runs(monkeypatch, g, KernelKind.INVERSE_QUADRIC)
     *inputs, _, d = args  # the sweep's own cfg is replaced
     cfg = SolverConfig(max_iterations=cap)
-    pos, conv, counts = stationary._newton_seeds(*inputs, cfg, d)
-    ref_pos, ref_conv = newton_full_cap(*inputs, cfg, d)
-    np.testing.assert_array_equal(pos, ref_pos)
-    np.testing.assert_array_equal(conv, ref_conv)
+    idx, pos, counts = stationary._newton_seeds(*inputs, cfg, d)
+    assert_same_roots((idx, pos), full_cap_roots(*inputs, cfg, d))
     assert counts.stuck > 0
 
 
@@ -376,18 +371,7 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
 @pytest.mark.parametrize("grid", ["f2-20x20", "skewed"])
 def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
     g = sample(TestFunction.F2, 20, 20) if grid == "f2-20x20" else skewed_grid()
-    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
-    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
-    ref = sweep_full(g, k, threads=1)
-    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
-    got = sweep_full(g, k, threads=threads)
-    assert ref.raw
-    assert len(got.raw) == len(ref.raw)
-    for a, b in zip(got.raw, ref.raw):
-        np.testing.assert_array_equal(a.position, b.position)
-        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
-    assert got.seed_counts == ref.seed_counts
-    assert got.seed_counts.iterations == ref.seed_counts.iterations > 0
+    check_block_invariance(g, SolverConfig(), block, threads, monkeypatch)
 
 
 # --- reduction ----------------------------------------------------------------
