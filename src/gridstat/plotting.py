@@ -1,14 +1,17 @@
 """Contour rendering of a grid field with stationary-point overlays.
 
-Isolines come from a small marching-squares pass (linear interpolation
-along cell edges, saddle cells disambiguated by the cell-center average).
-Output is standalone SVG with one group per layer: contours, detected
-points/curves, and optionally the analytic ground truth in a dashed style.
+Isolines come from marching squares (linear interpolation along cell
+edges, saddle cells disambiguated by the cell-center average), computed
+with numpy over the whole grid at once for each level.  The array code does
+the same IEEE operations, in the same order, as a cell-by-cell loop, so its
+segments, their order and the SVG bytes are those of the loop; the tests
+keep the loop as the reference.  Output is standalone SVG with one group
+per layer: contours, detected points/curves, and optionally the analytic
+ground truth in a dashed style.
 """
 
 from __future__ import annotations
 
-import math
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
@@ -16,67 +19,67 @@ import numpy as np
 from .grid import GridField
 
 
-def _interp(p0, p1, v0, v1, level):
-    t = 0.5 if v1 == v0 else (level - v0) / (v1 - v0)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+def marching_squares(g: GridField, level: float) -> list[list[list[float]]]:
+    """Line segments [[x0, y0], [x1, y1]] of the isoline at ``level``.
 
-
-def marching_squares(g: GridField, level: float) -> list[tuple]:
-    """Line segments ((x0,y0),(x1,y1)) of the isoline at ``level``."""
+    Cells come in row-major order.  Within a cell, a segment joins the
+    crossings of two crossed edges, ascending by edge (edge k runs from
+    corner k to corner k+1, corners counterclockwise from bottom-left).  A
+    saddle cell, with all four edges crossed, gives two segments, split by
+    whether the average of its corners is on corner 0's side of the level.
+    """
     v = g.grid2d()
     x0, y0 = g.origin
-    segs = []
-    for i in range(g.ny - 1):
-        for j in range(g.nx - 1):
-            # corners counterclockwise from bottom-left
-            corners = [(x0 + j * g.dx, y0 + i * g.dy),
-                       (x0 + (j + 1) * g.dx, y0 + i * g.dy),
-                       (x0 + (j + 1) * g.dx, y0 + (i + 1) * g.dy),
-                       (x0 + j * g.dx, y0 + (i + 1) * g.dy)]
-            vals = [v[i, j], v[i, j + 1], v[i + 1, j + 1], v[i + 1, j]]
-            case = sum(1 << k for k in range(4) if vals[k] > level)
-            if case in (0, 15):
-                continue
-            crossings = {}
-            for k in range(4):
-                k2 = (k + 1) % 4
-                if (vals[k] > level) != (vals[k2] > level):
-                    crossings[k] = _interp(corners[k], corners[k2],
-                                           vals[k], vals[k2], level)
-            edges = sorted(crossings)
-            if len(edges) == 2:
-                segs.append((crossings[edges[0]], crossings[edges[1]]))
-            elif len(edges) == 4:
-                # saddle cell: split by the center average
-                center_above = (sum(vals) / 4.0) > level
-                corner0_above = vals[0] > level
-                if center_above == corner0_above:
-                    segs.append((crossings[0], crossings[3]))
-                    segs.append((crossings[1], crossings[2]))
-                else:
-                    segs.append((crossings[0], crossings[1]))
-                    segs.append((crossings[2], crossings[3]))
-    return segs
+    above = [c > level for c in (v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1])]
+    crossed = np.stack([above[k] != above[(k + 1) % 4] for k in range(4)], axis=-1)
+    i, j = np.nonzero(crossed.any(axis=-1))
+    crossed = crossed[i, j]
+    vals = np.stack([v[i, j], v[i, j + 1], v[i + 1, j + 1], v[i + 1, j]], axis=-1)
+    xl, xr = x0 + j * g.dx, x0 + (j + 1) * g.dx
+    yb, yt = y0 + i * g.dy, y0 + (i + 1) * g.dy
+    cx = np.stack([xl, xr, xr, xl], axis=-1)
+    cy = np.stack([yb, yb, yt, yt], axis=-1)
+
+    # the edges a cell's segments join: its first and last crossed edge, or
+    # in a saddle (0, 3) and (1, 2) when the average is on corner 0's side
+    # of the level, else (0, 1) and (2, 3)
+    saddle = crossed.all(axis=-1)
+    center = (((vals[:, 0] + vals[:, 1]) + vals[:, 2]) + vals[:, 3]) / 4.0 > level
+    same = center == (vals[:, 0] > level)
+    first = np.argmax(crossed, axis=-1)
+    last = 3 - np.argmax(crossed[:, ::-1], axis=-1)
+    edge_a = np.stack([first, np.where(same, 1, 2)], axis=-1)
+    edge_b = np.stack([np.where(saddle & ~same, 1, last), np.where(same, 2, 3)], axis=-1)
+    # (cell, segment) pairs in row-major order: a saddle's second segment
+    # follows its first
+    cell, seg = np.nonzero(np.stack([np.ones_like(saddle), saddle], axis=-1))
+
+    def crossing(k):
+        k2 = (k + 1) % 4
+        vk, xk, yk = vals[cell, k], cx[cell, k], cy[cell, k]
+        t = (level - vk) / (vals[cell, k2] - vk)
+        return np.stack([xk + t * (cx[cell, k2] - xk), yk + t * (cy[cell, k2] - yk)], axis=-1)
+
+    return np.stack([crossing(edge_a[cell, seg]), crossing(edge_b[cell, seg])],
+                    axis=1).tolist()
 
 
 def chain_polyline(points: np.ndarray) -> list[int]:
     """Order curve members into a polyline by greedy nearest-neighbor
     chaining, starting from the point most distant from the centroid
-    (an endpoint for open curves)."""
+    (an endpoint for open curves).  Of equally near points the one with
+    the lowest index comes next."""
     pts = np.asarray(points, float)
     n = len(pts)
     if n <= 2:
         return list(range(n))
     start = int(np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
     order = [start]
-    used = {start}
-    while len(order) < n:
-        last = pts[order[-1]]
-        dist = np.linalg.norm(pts - last, axis=1)
-        dist[list(used)] = np.inf
-        nxt = int(np.argmin(dist))
-        order.append(nxt)
-        used.add(nxt)
+    rest = np.delete(np.arange(n), start)  # ascending, so argmin breaks ties by index
+    while rest.size:
+        k = int(np.argmin(np.linalg.norm(pts[rest] - pts[order[-1]], axis=1)))
+        order.append(int(rest[k]))
+        rest = np.delete(rest, k)
     return order
 
 
@@ -138,9 +141,12 @@ def render_svg(g: GridField, report: dict | None = None,
     svg.open_group("contours")
     vmin, vmax = float(g.values.min()), float(g.values.max())
     if vmax > vmin:
-        for lv in np.linspace(vmin, vmax, levels + 2)[1:-1]:
-            for p0, p1 in marching_squares(g, lv):
-                svg.polyline([to_px(*p0), to_px(*p1)], stroke="#9ab", width=0.8)
+        segs = np.array([s for lv in np.linspace(vmin, vmax, levels + 2)[1:-1]
+                         for s in marching_squares(g, lv)]).reshape(-1, 4)
+        ends = np.column_stack([*to_px(segs[:, 0], segs[:, 1]),
+                                *to_px(segs[:, 2], segs[:, 3])])
+        for xa, ya, xb, yb in ends.tolist():
+            svg.polyline([(xa, ya), (xb, yb)], stroke="#9ab", width=0.8)
     svg.close_group()
 
     svg.open_group("detected")

@@ -132,7 +132,8 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     It leaves the live set in one of four ways, counted in ``SeedCounts``:
 
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * d;
-    - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position;
+    - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position, or
+      J is zero or its determinant is not finite;
     - stuck: its clamped update gave back, bit for bit and without
       converging, one of its last _CYCLE positions: an exact orbit of
       period 1 to _CYCLE (period 1 is a fixed point, typically a seed
@@ -163,7 +164,8 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
         gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers[ol], weights[ol], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
-        ok = np.abs(det) >= _SINGULAR_DET * frob2
+        # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
+        ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
             live, ol, xl, ring = (a[ok] for a in (live, ol, xl, ring))

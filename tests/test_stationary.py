@@ -1,13 +1,14 @@
 """Per-patch Newton search, the full sweep, and duplicate reduction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import (Classification, GridField, KernelKind, PatchMatrix,
+from gridstat import (Classification, GridField, Kernel, KernelKind, PatchMatrix,
                       RawStationaryPoint, SolverConfig, TestFunction, diag_step,
                       interpolate_patch, kernel_for_grid, patch_offsets,
                       reduce_points, sample, sweep_full)
@@ -244,7 +245,7 @@ def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
         gx, gy, jxx, jxy, jyy = _grad_jac(x[idx], centers[idx], weights[idx], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
-        ok = np.abs(det) >= _SINGULAR_DET * frob2
+        ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
         alive[idx[~ok]] = False
         idx = idx[ok]
         if idx.size == 0:
@@ -323,6 +324,45 @@ def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
     assert counts == SeedCounts(launched=1, stuck=1)
     assert idx.size == 0 and pos.shape == (0, 2)
     assert_same_roots((idx, pos), full_cap_roots(*args))
+
+
+def test_singular_seeds_leave_at_their_first_evaluation():
+    # four patches with interleaved seeds: 0 has zero weights, so a zero
+    # Jacobian everywhere; 1 has one unit weight at center (0, 1), and its
+    # seed sits at the Gaussian's inflection radius along x, where the
+    # Jacobian is rank-deficient; 2 is a bump whose seeds converge; 3 is a
+    # bowl centered far beyond the patch, whose corner seed is stuck at once.
+    # Patch p lies 4p to the right, so each has its own bounding box.
+    k = Kernel(KernelKind.GAUSSIAN, alpha=1 / (2 * math.sqrt(2)))
+    centers = patch_offsets(1.0, 1.0)
+    m = PatchMatrix(k, 1.0, 1.0)
+    unit = np.zeros(16)
+    unit[4] = 1.0
+    bump = interpolate_patch(m, centers, -(centers[:, 0] - 1.5) ** 2 - (centers[:, 1] - 1.2) ** 2)
+    bowl = interpolate_patch(m, centers, (centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2)
+    weights = np.stack([np.zeros(16), unit, np.asarray(bump.weights, float),
+                        np.asarray(bowl.weights, float)])
+    lattice = [[x, y] for y in (0.6, 1.4, 2.2) for x in (0.7, 1.6, 2.4)]
+    inflection = centers[4] + [1 / (k.alpha * math.sqrt(2)), 0.0]
+    local = np.array([lattice[0], [1.0, 1.0], lattice[1], inflection, *lattice[2:5],
+                      [2.5, 0.5], [3.0, 3.0], *lattice[5:], [0.2, 2.9]])
+    owner = np.array([2, 0, 2, 1, 2, 2, 2, 0, 3, 2, 2, 2, 2, 0])
+    shift = np.array([[4.0 * p, 0.0] for p in range(4)])
+    seeds = local + shift[owner]
+    args = (seeds, owner, centers + shift[:, None], weights, k, SolverConfig(), math.sqrt(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, pos, counts = stationary._newton_seeds(*args)
+    assert counts == SeedCounts(launched=14, converged=9, singular=4, stuck=1)
+    assert set(owner[idx]) == {2}
+    assert_same_roots((idx, pos), full_cap_roots(*args))
+    # without the singular seeds the others run exactly as before: the
+    # compaction kept each live seed's index, patch, position and ring
+    keep = np.flatnonzero(owner >= 2)
+    rest_idx, rest_pos, rest = stationary._newton_seeds(seeds[keep], owner[keep], *args[2:])
+    assert_same_roots((keep[rest_idx], rest_pos), (idx, pos))
+    assert rest == SeedCounts(launched=10, converged=9, stuck=1)
+    assert counts.iterations - rest.iterations == 4
 
 
 def test_seed_counts_add_up_and_do_not_depend_on_threads():

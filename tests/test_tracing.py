@@ -1,4 +1,4 @@
-"""The benchmark's tracer still finds every layer of a `find` run.
+"""The benchmark's tracer still finds every layer of a `find` and a `plot` run.
 
 `perfbench/spans.py` wraps functions and methods at the names their callers
 look them up by; renaming or bypassing one of them silently drops its spans.
@@ -21,6 +21,7 @@ tracer = spans.Tracer()
 spans.install(tracer)
 rc = cli.main(["find", "--fn", "f2", "--nx", "12", "--ny", "12", "--threads", "1",
                "--no-timings", "--json", {report!r}])
+rc = rc or cli.main(["plot", "--report", {report!r}, "-o", {svg!r}])
 print(json.dumps({{"rc": rc, "spans": sorted({{s[1] for s in tracer.spans}})}}))
 """
 
@@ -28,7 +29,7 @@ print(json.dumps({{"rc": rc, "spans": sorted({{s[1] for s in tracer.spans}})}}))
 def test_tracer_records_every_layer(tmp_path):
     script = SCRIPT.format(src=os.path.join(ROOT, "src"),
                            perfbench=os.path.join(ROOT, "perfbench"),
-                           report=str(tmp_path / "r.json"))
+                           report=str(tmp_path / "r.json"), svg=str(tmp_path / "r.svg"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -36,5 +37,5 @@ def test_tracer_records_every_layer(tmp_path):
     assert out["rc"] == 0
     expected = {"stationary.sweep", "stationary.reduce", "kernels.psi",
                 "kernels.eta", "patch.solve", "patch.interp.gradient_jacobian",
-                "bindings.cluster"}
+                "bindings.cluster", "plotting.render", "plotting.contour"}
     assert expected <= set(out["spans"])
