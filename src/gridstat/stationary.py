@@ -274,7 +274,15 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     matrix = PatchMatrix(kernel, g.dx, g.dy)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
-    weights, constants = (np.asarray(x, dtype=float) for x in matrix.solve(h))
+    # solved in blocks, like the search: at 240² the whole-grid solve made
+    # 15 MB extended-precision temporaries, and after the allocator kept
+    # them a second call in the same process peaked 30 MB higher.  The
+    # weights stay column-major, the layout of the whole-grid solve's
+    # transposed result, which the interpolants' sums depend on.
+    weights, constants = np.empty((npatch, 16), order="F"), np.empty(npatch)
+    for b0 in range(0, npatch, _BLOCK_PATCHES):
+        blk = slice(b0, b0 + _BLOCK_PATCHES)
+        weights[blk], constants[blk] = matrix.solve(h[blk])
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
     origins = np.column_stack([g.origin[0] + jj * g.dx, g.origin[1] + ii * g.dy])

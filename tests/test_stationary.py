@@ -141,6 +141,19 @@ def test_sweep_patch_counts():
     assert sr.weights.shape == (17 * 17, 16)
 
 
+def test_weights_solved_in_blocks_equal_the_whole_grid_solve(monkeypatch):
+    # blocks of 7 patches split 17x17 = 289 patches unevenly; the layout is
+    # compared too, because the interpolants' values depend on it
+    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 7)
+    g = sample(TestFunction.F2, 20, 20)
+    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
+    weights, constants = (np.asarray(x, dtype=float) for x in sr.matrix.solve(h))
+    np.testing.assert_array_equal(sr.weights, weights)
+    np.testing.assert_array_equal(sr.constants, constants)
+    assert sr.weights.strides == weights.strides
+
+
 def skewed_grid():
     """f2's formula on a 13x10 grid with dx != dy and an off-center origin."""
     nx, ny, dx, dy, origin = 13, 10, 0.31, 0.43, (-1.7, -2.1)
