@@ -1,12 +1,13 @@
 """SHA-256 digests of `gridstat find --no-timings` reports and their plots.
 
 Runs `find` on every built-in function with every kernel at 120x120, with
---threads 1 and --threads 2, and on f13 at 240x240 with --threads 2 (37
-reports), renders each report with `plot`, and prints one line per report
-and one per SVG: the digest of its bytes and the case (`<case>` for the
-report, `<case>.svg` for its plot).  A change that must leave the reports
-and plots byte-identical is checked by writing the digests before it and
-comparing after it.
+--threads 1 and --threads 2, on f13 at 240x240 with --threads 2, on f2 on a
+stretched 200x40 grid, and on f1 with the Wendland kernel at four times its
+default shape parameter (39 reports), renders each report with `plot`, and
+prints one line per report and one per SVG: the digest of its bytes and the
+case (`<case>` for the report, `<case>.svg` for its plot).  A change that
+must leave the reports and plots byte-identical is checked by writing the
+digests before it and comparing after it.
 
 Usage (from the root of a checkout):
   python3 scripts/report_digests.py > digests.txt
@@ -15,7 +16,7 @@ Usage (from the root of a checkout):
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
 any case is missing from either side.  Uses the standard library and numpy
-only; the 37 reports and plots take a few minutes on two cores.
+only; the 39 reports and plots take a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -31,15 +32,22 @@ FUNCTIONS = ("f1", "f2", "f11", "f12", "f13", "f14")
 KERNELS = ("gaussian", "iq", "wendland")
 
 
-def cases() -> list[tuple[str, str, int, int]]:
-    """(function, kernel, grid side, threads) of every report."""
-    out = [(fn, k, 120, t) for fn in FUNCTIONS for k in KERNELS for t in (1, 2)]
-    out.append(("f13", "gaussian", 240, 2))
+def cases() -> list[tuple[str, list[str]]]:
+    """(name, `find` arguments) of every report."""
+    def case(fn, kernel, nx, ny, threads, alpha=None):
+        size = str(nx) if nx == ny else f"{nx}x{ny}"
+        name = f"{fn}-{kernel}-{size}" + (f"-alpha{alpha}" if alpha else "") + f"-t{threads}"
+        argv = ["--fn", fn, "--kernel", kernel, "--nx", str(nx), "--ny", str(ny),
+                "--threads", str(threads)] + (["--alpha", alpha] if alpha else [])
+        return name, argv
+
+    out = [case(fn, k, 120, 120, t) for fn in FUNCTIONS for k in KERNELS for t in (1, 2)]
+    out.append(case("f13", "gaussian", 240, 240, 2))
+    # a stretched grid, dy about 5 dx
+    out.append(case("f2", "gaussian", 200, 40, 1))
+    # four times the default alpha of Wendland at 120x120 (7.0121)
+    out.append(case("f1", "wendland", 120, 120, 1, alpha="28.05"))
     return out
-
-
-def case_name(fn: str, kernel: str, n: int, threads: int) -> str:
-    return f"{fn}-{kernel}-{n}-t{threads}"
 
 
 def sha256(path: str) -> str:
@@ -57,12 +65,9 @@ def digests(src: str) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         svg = os.path.join(tmp, "plot.svg")
-        for fn, kernel, n, threads in cases():
-            name = case_name(fn, kernel, n, threads)
-            for cmd, argv in (
-                    ("find", ["--fn", fn, "--kernel", kernel, "--nx", str(n), "--ny", str(n),
-                              "--threads", str(threads), "--no-timings", "--json", path]),
-                    ("plot", ["--report", path, "-o", svg])):
+        for name, find_argv in cases():
+            for cmd, argv in (("find", [*find_argv, "--no-timings", "--json", path]),
+                              ("plot", ["--report", path, "-o", svg])):
                 rc = cli.main([cmd, *argv])
                 if rc != 0:
                     raise SystemExit(f"{cmd} exited {rc} on {name}")

@@ -70,8 +70,9 @@ class Kernel:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # an infinite alpha makes alpha * r = inf * 0 = nan at every center
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def omega(self) -> float:

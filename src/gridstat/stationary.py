@@ -9,12 +9,14 @@ One engine, ``_search``, does the per-patch work for any number of patches
 at once: it lays the seed lattice in each search domain, runs Newton
 clamped to the patch's bounding box, accepts converged roots inside the
 domain with a small gradient, and drops duplicates within a patch.  Its one
-caller, ``sweep_full``, hands it the active patches of the grid in fixed
-blocks of ``_BLOCK_PATCHES``, in order on one thread or through a thread
-pool on several.  Every block size and thread count gives identical
-floating-point results because the engine only uses elementwise operations
-and fixed-order row sums; the blocks bound the working set at threads x one
-block.
+caller, ``sweep_full``, first hands the active patches of the grid in fixed
+blocks of ``_BLOCK_PATCHES`` to ``_certify``, which proves most of them
+root-free with a native-space bound on the gradient (no seed in them could
+be accepted), and then hands the engine the rest, again in fixed blocks, in
+order on one thread or through a thread pool on several.  Every block size
+and thread count gives identical floating-point results because both only
+use elementwise operations and fixed-order row sums; the blocks bound the
+working set at threads x one block.
 
 Newton (``_newton_seeds``) keeps its live seeds compact: their indices,
 positions and a ring of each one's last ``_CYCLE`` positions are arrays
@@ -28,6 +30,7 @@ converged ones are returned.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 from enum import Enum
@@ -35,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import GridField, diag_step
-from .kernels import Kernel
+from .kernels import Kernel, KernelKind
 from .patch import PatchInterpolant, PatchMatrix, _grad_jac, patch_offsets
 
 log = logging.getLogger(__name__)
@@ -48,6 +51,13 @@ _DEDUP_RADIUS = 1e-3   # roots of one patch within this * d are one root
 _FLAT_PATCH = 1e-13    # patches with sample range <= this * field range are skipped
 _CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
+_CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
+_MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (see _certify)
+# alpha * r*: the gradient modulus G of each kernel rises up to r* and has
+# its global maximum there (see _gradient_modulus)
+_MODULUS_PEAK = {KernelKind.GAUSSIAN: math.sqrt(2.0),
+                 KernelKind.INVERSE_QUADRIC: math.sqrt(2.0),
+                 KernelKind.WENDLAND31: 0.6}
 
 
 @dataclass(frozen=True)
@@ -67,15 +77,17 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SeedCounts:
     """How the Newton seeds of a search ended (see ``_newton_seeds``);
-    converged + singular + stuck + capped == launched.  ``iterations``
-    counts seed evaluations, the Newton work; it is not an outcome and is
-    left out of ``==``."""
+    converged + singular + stuck + capped == launched.  ``excluded`` counts
+    the patches certified root-free (see ``_certify``), which launch no
+    seeds.  ``iterations`` counts seed evaluations, the Newton work; it is
+    not an outcome and is left out of ``==``."""
 
     launched: int = 0
     converged: int = 0
     singular: int = 0
     stuck: int = 0
     capped: int = 0
+    excluded: int = 0
     iterations: int = field(default=0, compare=False)
 
     def __add__(self, other: SeedCounts) -> SeedCounts:
@@ -235,6 +247,141 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
 
 
 # ---------------------------------------------------------------------------
+# Certified exclusion of root-free patches
+# ---------------------------------------------------------------------------
+
+def _gradient_modulus(kernel: Kernel, r):
+    """A bound G^(r) >= G(rho) for every 0 <= rho <= r, where G is the
+    kernel's native-space modulus of the gradient: for every s in the
+    native space, |grad s(x) - grad s(y)| <= ||s||_N G(|x - y|), with
+
+        G(rho)^2 = 2 (Lap Phi(rho) - Lap Phi(0)),  Lap Phi = 2 psi + eta rho^2.
+
+    The derivative of s along an axis at x is the native-space inner
+    product of s with a derivative of the kernel, and the squared norms of
+    the differences of those functions at x and y, summed over both axes,
+    make G^2 (Wendland, *Scattered Data Approximation*, 2005, chs. 10 and
+    16).  G rises up to r* = _MODULUS_PEAK / alpha and has its global
+    maximum there, so G^(r) = G(min(r, r*)), with margins for the rounding
+    of psi, eta and the square root.
+    """
+    rho = np.minimum(r, _MODULUS_PEAK[kernel.kind] / kernel.alpha)
+    lap0 = 2.0 * kernel.psi(0.0)
+    g2 = 2.0 * (2.0 * kernel.psi(rho) + kernel.eta(rho) * rho * rho - lap0)
+    return np.sqrt(np.maximum(g2, 0.0) + _MARGIN * abs(lap0)) * (1.0 + _MARGIN)
+
+
+def _bbox_diameter(centers):
+    """Diagonal of each patch's bounding box, shape (P,): nodes 0 and 15 of
+    the canonical layout are its corners."""
+    span = centers[:, -1] - centers[:, 0]
+    return np.hypot(span[:, 0], span[:, 1])
+
+
+def _native_norm(centers, weights, entries, alpha):
+    """Upper bounds N >= ||s||_N of P patch interpolants, shape (P,).
+
+    s is the RBF sum the engine evaluates: the float64 weights (P,16) at the
+    float64 centers (P,16,2), whose kernel matrix A differs from
+    ``entries``, the float64 matrix of the canonical patch offsets, by the
+    rounding of the kernel values and of the center distances.
+    ||s||_N^2 = w^T A w is summed in extended precision with ``entries``;
+    the margin (sum |w|)^2 (_MARGIN + 3 alpha delta) bounds the rest, where
+    3 alpha bounds |phi'| for every kernel and delta bounds the error of a
+    center distance: the rounding of the centers (under 1.5 ulps of the
+    patch's largest |coordinate|) and of the canonical distances (under 1.5
+    ulps of its diameter), charged as 2 ulps of each.  A relative _MARGIN
+    covers the square root and the casts.
+    """
+    # no BLAS serves extended precision, so each row's product is summed in
+    # one fixed order whatever the number of rows
+    w = np.asarray(weights, dtype=np.longdouble)
+    q = (w * (w @ np.asarray(entries, dtype=np.longdouble))).sum(axis=-1)
+    delta = 2.0 ** -51 * (np.abs(centers[:, [0, -1]]).max(axis=(1, 2)) + _bbox_diameter(centers))
+    l1 = np.abs(weights).sum(axis=-1)
+    margin = l1 * l1 * (_MARGIN + 3.0 * alpha * delta)
+    return np.sqrt(np.maximum(q, 0) + margin).astype(float) * (1.0 + _MARGIN)
+
+
+def _gradient_rounding(centers, weights, kernel):
+    """eps (P,): a bound on the rounding of a gradient and of its norm
+    computed by ``_grad_jac`` anywhere in a patch's bounding box.
+
+    The gradient is sum_m c_m psi(r_m) (x - x_m), and each term is at most
+    |c_m| |psi(0)| times the box diameter: |psi| peaks at 0 for every
+    kernel.  psi's absolute error is a few ulps of |psi(0)| even where its
+    argument's relative error is amplified (|t exp(-t)| <= 1/e), and the
+    products and the 16-term sums add a few ulps of the terms' sum, so
+    _MARGIN (2^13 ulps) times that sum bounds the error.
+    """
+    return (_MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0))
+            * _bbox_diameter(centers))
+
+
+_QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+
+
+def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
+    """Which of P patches are certified root-free, shape (P,) bool.
+
+    A certified patch has a computed |grad s| > tol_g everywhere in its
+    search domain [lo, hi], so ``_search`` could accept no root in it.  The
+    domain is cut into 2x2 sub-boxes, and a sub-box with center x0 and
+    half-diagonal r is certified when
+
+        |g(x0)| - eps > N G^(r) + tol_g + eps,
+
+    with g the computed gradient, N >= ||s||_N (``_native_norm``), G^ the
+    gradient modulus (``_gradient_modulus``) and eps the rounding bound of
+    ``_gradient_rounding``: then every x in the sub-box has an exact
+    |grad s(x)| > tol_g + eps and a computed one > tol_g.  A sub-box that
+    fails is cut into 2x2 again, down to _CERTIFY_DEPTH halvings; a patch
+    is certified when all its sub-boxes are.  A sub-box whose center fails
+    the test even with the finest level's half-diagonal ends its patch's
+    certification at once: its finest sub-boxes around that center would
+    almost surely fail too, and refining costs up to 4^depth evaluations.
+    The pending sub-boxes are evaluated in chunks of 9 * _BLOCK_PATCHES,
+    the size of a block's seed lattice.  Every decision depends on its own
+    patch only.
+    """
+    npatch = len(lo)
+    norm = _native_norm(centers, weights, entries, kernel.alpha)
+    eps = _gradient_rounding(centers, weights, kernel)
+    failed = np.zeros(npatch, dtype=bool)
+    # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
+    k = np.repeat(np.arange(npatch), 4)
+    cells = np.tile(_QUARTERS, (npatch, 1))
+    chunk = 9 * _BLOCK_PATCHES
+    for level in range(1, _CERTIFY_DEPTH + 1):
+        keep = ~failed[k]
+        k, cells = k[keep], cells[keep]
+        if k.size == 0:
+            break
+        side = float(2 ** level)
+        finest = 2.0 ** (level - _CERTIFY_DEPTH)  # finest half-diagonal / this level's
+        split = []
+        for c0 in range(0, k.size, chunk):
+            kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
+            blo, bhi = lo[kc], hi[kc]
+            # an edge is the same float at every level; t = 1 is hi itself
+            a = blo + (bhi - blo) * (cc / side)
+            t = (cc + 1) / side
+            b = np.where(t == 1.0, bhi, blo + (bhi - blo) * t)
+            x0 = (a + b) * 0.5
+            half = np.maximum(x0 - a, b - x0)
+            r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
+            gx, gy, *_ = _grad_jac(x0, centers[kc], weights[kc], kernel)
+            slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
+            split.append(np.flatnonzero(slack <= norm[kc] * _gradient_modulus(kernel, r)) + c0)
+            failed[kc[slack <= norm[kc] * _gradient_modulus(kernel, r * finest)]] = True
+        # at the finest level every failed sub-box has failed its patch
+        split = np.concatenate(split)
+        k = np.repeat(k[split], 4)
+        cells = (2 * cells[split, None, :] + _QUARTERS).reshape(-1, 2)
+    return ~failed
+
+
+# ---------------------------------------------------------------------------
 # Full sweep
 # ---------------------------------------------------------------------------
 
@@ -298,25 +445,33 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     act = np.flatnonzero(active)
     offsets = patch_offsets(g.dx, g.dy)
 
-    def run(block: np.ndarray):
+    def patch_data(block: np.ndarray):
         centers = origins[block][:, None, :] + offsets[None, :, :]
-        return _search(lo[block], hi[block], centers, weights[block], patches[block],
-                       kernel, cfg, d, tol_g)
+        return lo[block], hi[block], centers, weights[block]
 
-    # fixed-size blocks bound the engine's working set and do not depend on
-    # the thread count; pool.map keeps them in order
-    blocks = [act[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, act.size, _BLOCK_PATCHES)]
+    def certify(block: np.ndarray):
+        return _certify(*patch_data(block), matrix.entries, kernel, tol_g)
+
+    def search(block: np.ndarray):
+        return _search(*patch_data(block), patches[block], kernel, cfg, d, tol_g)
+
+    def blocks(idx: np.ndarray):
+        return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
+
+    # fixed-size blocks bound the working set and do not depend on the
+    # thread count; map keeps them in order.  The patches certified
+    # root-free are dropped and the rest cut into blocks again.
     nthreads = max(1, int(threads))
-    if nthreads == 1:
-        parts = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(run, blocks))
+    with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        each = map if nthreads == 1 else pool.map
+        root_free = np.concatenate([np.zeros(0, dtype=bool), *each(certify, blocks(act))])
+        parts = list(each(search, blocks(act[~root_free])))
     raw = [p for part, _ in parts for p in part]
-    counts = sum((c for _, c in parts), SeedCounts())
-    log.debug("Newton seeds: %d launched, %d converged, %d singular, %d stuck, "
-              "%d capped; %d seed evaluations", counts.launched, counts.converged,
-              counts.singular, counts.stuck, counts.capped, counts.iterations)
+    counts = sum((c for _, c in parts), SeedCounts(excluded=int(np.count_nonzero(root_free))))
+    log.debug("%d patches certified root-free; Newton seeds: %d launched, %d converged, "
+              "%d singular, %d stuck, %d capped; %d seed evaluations", counts.excluded,
+              counts.launched, counts.converged, counts.singular, counts.stuck,
+              counts.capped, counts.iterations)
 
     return SweepResult(raw=raw, matrix=matrix, weights=weights,
                        constants=constants, patch_origins=origins, grid=g,

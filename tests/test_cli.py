@@ -115,6 +115,14 @@ def test_find_negative_threads_exits_2(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_find_infinite_alpha_exits_2(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    assert run(["find", "--fn", "f2", "--nx", "20", "--ny", "20",
+                "--alpha", "inf", "--json", rep]) == 2
+    assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+    assert not rep.exists()
+
+
 def test_find_factorization_failure_exits_3(capsys):
     # alpha tiny enough that the interpolation matrix rounds to all-ones
     assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",

@@ -37,6 +37,13 @@ def test_alpha_must_be_positive():
         Kernel(KernelKind.GAUSSIAN, -1.0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_alpha_must_be_finite(kind, alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        Kernel(kind, alpha)
+
+
 def test_phi_prime_values():
     for kind in ALL_KINDS:
         assert Kernel(kind, 1.7).phi_prime(0.0) == 0.0

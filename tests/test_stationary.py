@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchMatrix,
                       RawStationaryPoint, SolverConfig, TestFunction, diag_step,
                       interpolate_patch, kernel_for_grid, patch_offsets,
-                      reduce_points, sample, sweep_full)
+                      reduce_points, sample, shape_parameter, sweep_full)
 from gridstat import stationary
 from gridstat.patch import _grad_jac
 from gridstat.stationary import (_GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts,
@@ -93,10 +93,12 @@ def test_find_bump_maximum():
 
 
 def test_monotone_field_has_no_roots():
+    # the gradient is near (1, 0) everywhere: the patch is certified root-free
     g = grid4(lambda x, y: x)
     for kind, sr in sweep_each_kernel(g).items():
         assert sr.raw == [], kind
-        assert sr.seed_counts.launched == 9, kind
+        assert sr.seed_counts.excluded == 1, kind
+        assert sr.seed_counts.launched == 0, kind
 
 
 def test_flat_patch_skipped():
@@ -379,12 +381,15 @@ def test_singular_seeds_leave_at_their_first_evaluation():
 
 
 def test_seed_counts_add_up_and_do_not_depend_on_threads():
-    g = sample(TestFunction.F2, 30, 30)
+    # f14, not f2: every seed launched on f2 at 30x30 converges
+    g = sample(TestFunction.F14, 30, 30)
     k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
-    one = sweep_full(g, k, threads=1).seed_counts
+    sr = sweep_full(g, k, threads=1)
+    one = sr.seed_counts
     two = sweep_full(g, k, threads=2).seed_counts
     assert one == two
-    assert one.launched == (g.nx - 3) * (g.ny - 3) * 9
+    assert 0 < one.excluded < (g.nx - 3) * (g.ny - 3)
+    assert one.launched == ((g.nx - 3) * (g.ny - 3) - len(sr.flat_patches) - one.excluded) * 9
     assert one.converged + one.singular + one.stuck + one.capped == one.launched
     assert one.stuck > 0
     assert one.converged > 0
@@ -425,6 +430,184 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
 def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
     g = sample(TestFunction.F2, 20, 20) if grid == "f2-20x20" else skewed_grid()
     check_block_invariance(g, SolverConfig(), block, threads, monkeypatch)
+
+
+# --- certified exclusion of root-free patches ---------------------------------
+
+def certifier_inputs(g, kernel):
+    """The inputs ``sweep_full`` gives ``_certify`` for every patch of g,
+    and tol_g."""
+    sr = sweep_full(g, kernel)
+    ii, jj = np.divmod(np.arange(sr.weights.shape[0]), g.nx - 3)
+    lo, hi = _domain_bounds(g, ii + 1, jj + 1)
+    centers = sr.patch_origins[:, None, :] + patch_offsets(g.dx, g.dy)
+    tol_g = _GRAD_TOL_REL * g.field_range / diag_step(g)
+    return (lo, hi, centers, np.asarray(sr.weights), sr.matrix.entries, kernel, tol_g), sr
+
+
+def random_patch(kind, dx, dy, scale, seed, origin=(0.0, 0.0)):
+    """Kernel at `scale` times its default alpha, centers and float64
+    weights of a patch interpolating uniform random values."""
+    k = Kernel(kind, scale * shape_parameter(kind, math.hypot(dx, dy)))
+    h = np.random.default_rng(seed).uniform(-1, 1, 16)
+    weights = np.asarray(PatchMatrix(k, dx, dy).solve(h)[0], float)
+    return k, np.asarray(origin) + patch_offsets(dx, dy), weights
+
+
+def gradient_extended(x, centers, weights, kind, alpha):
+    """The gradient of the RBF sum at points x (n,2), evaluated in extended
+    precision from the same float64 centers and weights."""
+    ld = np.longdouble
+    diff = np.asarray(x, ld)[:, None, :] - np.asarray(centers, ld)
+    u = ld(alpha) * np.sqrt((diff * diff).sum(axis=-1))
+    a2 = ld(alpha) * ld(alpha)
+    if kind is KernelKind.GAUSSIAN:
+        psi = -2 * a2 * np.exp(-(u * u))
+    elif kind is KernelKind.INVERSE_QUADRIC:
+        psi = -2 * a2 / (1 + u * u) ** 2
+    else:
+        psi = -20 * a2 * np.maximum(1 - u, 0) ** 3
+    return ((np.asarray(weights, ld) * psi)[..., None] * diff).sum(axis=1)
+
+
+def kernel_matrix_extended(centers, kind, alpha):
+    """The kernel matrix of the float64 centers in extended precision."""
+    ld = np.longdouble
+    c = np.asarray(centers, ld)
+    diff = c[:, None, :] - c[None, :, :]
+    u = ld(alpha) * np.sqrt((diff * diff).sum(axis=-1))
+    if kind is KernelKind.GAUSSIAN:
+        return np.exp(-(u * u))
+    if kind is KernelKind.INVERSE_QUADRIC:
+        return 1 / (1 + u * u)
+    return np.maximum(1 - u, 0) ** 4 * (4 * u + 1)
+
+
+spacing = st.floats(0.05, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(KernelKind)), dx=spacing, dy=spacing,
+       scale=st.floats(1.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_gradient_modulus_bounds_gradient_differences(kind, dx, dy, scale, seed):
+    # |grad s(x) - grad s(y)| <= N G^(|x - y|) for computed gradients, up to
+    # their rounding eps at each end, on pairs from 1e-9 d apart to across the box
+    k, centers, weights = random_patch(kind, dx, dy, scale, seed)
+    norm = stationary._native_norm(centers[None], weights[None], PatchMatrix(k, dx, dy).entries,
+                                   k.alpha)[0]
+    eps = stationary._gradient_rounding(centers[None], weights[None], k)[0]
+    rng = np.random.default_rng(seed)
+    box = np.array([3 * dx, 3 * dy])
+    x = rng.uniform(0, 1, (200, 2)) * box
+    step = math.hypot(dx, dy) * 10.0 ** rng.uniform(-9, 0.5, 200)
+    angle = rng.uniform(0, 2 * math.pi, 200)
+    y = np.clip(x + step[:, None] * np.stack([np.cos(angle), np.sin(angle)], -1), 0, box)
+    gx, gy, *_ = _grad_jac(np.vstack([x, y]), centers, weights, k)
+    diff = np.hypot(gx[:200] - gx[200:], gy[:200] - gy[200:])
+    rho = np.hypot(*(x - y).T)
+    assert np.all(diff <= norm * stationary._gradient_modulus(k, rho) + 2 * eps)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_gradient_modulus_is_the_running_maximum_of_the_modulus(kind):
+    # G^(r) bounds G(rho) for every rho <= r, beyond the peak r* too, and is
+    # not much larger; the peak of G lies where _MODULUS_PEAK puts it
+    k = Kernel(kind, 2.0)
+    rho = np.linspace(0.0, 3.0 / k.alpha, 30001)
+    g2 = 2.0 * (2.0 * k.psi(rho) + k.eta(rho) * rho * rho - 2.0 * k.psi(0.0))
+    running = np.sqrt(np.maximum.accumulate(np.maximum(g2, 0.0)))
+    bound = stationary._gradient_modulus(k, rho)
+    assert np.all(bound >= running)
+    np.testing.assert_allclose(bound, running, rtol=1e-9, atol=1e-5 * k.alpha)
+    peak = stationary._MODULUS_PEAK[kind] / k.alpha
+    assert abs(rho[np.argmax(g2)] - peak) <= rho[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(KernelKind)), dx=spacing, dy=spacing,
+       scale=st.floats(1.0, 8.0), seed=st.integers(0, 2**32 - 1),
+       origin=st.sampled_from([(0.0, 0.0), (-3.7, 2.2), (1e3, -1e3)]))
+def test_certificate_margins_cover_the_rounding(kind, dx, dy, scale, seed, origin):
+    # eps bounds the rounding of computed gradients and their norms
+    # anywhere in the patch's box, and N bounds the native-space norm of the
+    # RBF sum at the float64 centers, summed in extended precision
+    k, centers, weights = random_patch(kind, dx, dy, scale, seed, origin)
+    eps = stationary._gradient_rounding(centers[None], weights[None], k)[0]
+    x = origin + np.random.default_rng(seed).uniform(0, 1, (300, 2)) * [3 * dx, 3 * dy]
+    gx, gy, *_ = _grad_jac(x, centers, weights, k)
+    ref = gradient_extended(x, centers, weights, kind, k.alpha)
+    assert np.all(np.abs(gx - ref[:, 0]) <= eps)
+    assert np.all(np.abs(gy - ref[:, 1]) <= eps)
+    assert np.all(np.abs(np.sqrt(gx * gx + gy * gy) - np.hypot(*ref.T)) <= eps)
+    norm = stationary._native_norm(centers[None], weights[None], PatchMatrix(k, dx, dy).entries,
+                                   k.alpha)[0]
+    w = np.asarray(weights, np.longdouble)
+    assert norm ** 2 >= w @ kernel_matrix_extended(centers, kind, k.alpha) @ w
+
+
+def test_certificate_charges_its_rounding_margin(monkeypatch):
+    # an unbounded gradient rounding certifies nothing
+    g = sample(TestFunction.F2, 20, 20)
+    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    assert sweep_full(g, k).seed_counts.excluded > 0
+    monkeypatch.setattr(stationary, "_gradient_rounding",
+                        lambda centers, weights, kernel: np.full(len(weights), np.inf))
+    assert sweep_full(g, k).seed_counts.excluded == 0
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("fn, scale", [(TestFunction.F2, 1.0), (TestFunction.F13, 1.0),
+                                       (TestFunction.F14, 1.0), (TestFunction.F1, 2.0)])
+def test_certified_patches_have_no_small_gradient(fn, scale, kind):
+    # in every excluded patch the computed |grad s| exceeds tol_g on a 33x33
+    # lattice of its domain and where a dense multistart ends in it
+    g = sample(fn, 24, 24)
+    k = Kernel(kind, scale * shape_parameter(kind, diag_step(g)))
+    args, sr = certifier_inputs(g, k)
+    lo, hi, centers, weights, _, _, tol_g = args
+    root_free = np.flatnonzero(stationary._certify(*args))
+    assert root_free.size == sr.seed_counts.excluded > 0
+    t = np.linspace(0.0, 1.0, 33)
+    lattice = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
+    t = np.arange(1, 11) / 11
+    starts = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
+    for p in np.array_split(root_free, -(-root_free.size // 64)):
+        x = lo[p, None] + (hi[p] - lo[p])[:, None] * lattice
+        gx, gy, *_ = _grad_jac(x, centers[p, None], weights[p, None], k)
+        assert np.all(np.sqrt(gx * gx + gy * gy) > tol_g)
+        seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
+        owner = np.repeat(np.arange(p.size), len(starts))
+        idx, pos, _ = stationary._newton_seeds(seeds, owner, centers[p], weights[p], k,
+                                               SolverConfig(), diag_step(g))
+        q = p[owner[idx]]
+        gx, gy, *_ = _grad_jac(pos, centers[q], weights[q], k)
+        inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
+        assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
+
+
+def assert_same_raw(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.position, b.position)
+        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
+
+
+@pytest.mark.parametrize("grid", [*(f.name for f in TestFunction), "skewed"])
+def test_certification_leaves_the_raw_points_unchanged(grid, monkeypatch):
+    # searching every patch, as when nothing is certified, gives the same
+    # raw points bit for bit
+    g = skewed_grid() if grid == "skewed" else sample(TestFunction[grid], 30, 30)
+    kinds = [KernelKind.GAUSSIAN] if grid == "skewed" else list(KernelKind)
+    for kind in kinds:
+        k = kernel_for_grid(kind, diag_step(g))
+        sr = sweep_full(g, k)
+        # on the small skewed grid every patch holds a root
+        assert (sr.seed_counts.excluded > 0) == (grid != "skewed")
+        with monkeypatch.context() as m:
+            m.setattr(stationary, "_certify", lambda lo, *rest: np.zeros(len(lo), dtype=bool))
+            every = sweep_full(g, k)
+        assert every.seed_counts.excluded == 0
+        assert_same_raw(sr.raw, every.raw)
 
 
 # --- reduction ----------------------------------------------------------------
