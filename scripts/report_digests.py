@@ -15,8 +15,10 @@ Usage (from the root of a checkout):
   python3 scripts/report_digests.py --src ../other-checkout/src > other.txt
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
-any case is missing from either side.  Uses the standard library and numpy
-only; the 39 reports and plots take a few minutes on two cores.
+any case is missing from either side.  With or without it, the script
+exits 1 if a case's `-t1` and `-t2` reports (or plots) differ: the thread
+count must not change a byte.  Uses the standard library and numpy only;
+the 39 reports and plots take a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -76,6 +78,17 @@ def digests(src: str) -> dict[str, str]:
     return out
 
 
+def thread_mismatches(got: dict[str, str]) -> list[str]:
+    """The `-t1` names (reports and plots) whose `-t2` twin has other
+    bytes; a case run at one thread count only is not compared."""
+    bad = []
+    for name, digest in got.items():
+        stem, svg, _ = name.partition(".svg")
+        if stem.endswith("-t1") and got.get(stem[:-2] + "t2" + svg, digest) != digest:
+            bad.append(name)
+    return sorted(bad)
+
+
 def read_digests(path: str) -> dict[str, str]:
     with open(path, encoding="utf-8") as fh:
         return {name: digest for digest, name in (line.split() for line in fh if line.strip())}
@@ -90,9 +103,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     got = digests(os.path.abspath(args.src))
+    threads = thread_mismatches(got)
+    for name in threads:
+        print(f"THREADS {name}: -t1 and -t2 differ", file=sys.stderr)
     if not args.compare:
         sys.stdout.write("".join(f"{digest}  {name}\n" for name, digest in got.items()))
-        return 0
+        return 1 if threads else 0
 
     want = read_digests(args.compare)
     bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
@@ -101,7 +117,7 @@ def main(argv=None) -> int:
               f"got {got.get(name, 'no entry')}", file=sys.stderr)
     print(f"{len(got) - len(bad)} of {len(want.keys() | got.keys())} digests match",
           file=sys.stderr)
-    return 1 if bad else 0
+    return 1 if bad or threads else 0
 
 
 if __name__ == "__main__":

@@ -29,8 +29,12 @@ class GridField:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError(f"grid spacing must be positive, got dx={self.dx}, dy={self.dy}")
+        for name, v in (("dx", self.dx), ("dy", self.dy)):
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"grid spacing {name} must be positive and finite, got {v}")
+        for name, v in zip(("x", "y"), self.origin):
+            if not math.isfinite(v):
+                raise ValueError(f"grid origin {name} must be finite, got {v}")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.nx * self.ny,):
             raise ValueError(f"expected {self.nx * self.ny} values, got {v.size}")

@@ -151,10 +151,11 @@ class PatchInterpolant:
     constant: float = 0.0
 
     def __call__(self, x):
-        """Interpolant value; x is (2,) or (..., 2)."""
+        """Interpolant value; x is (2,) or (..., 2).  Summed like
+        ``_grad_jac``, so the value does not depend on the weights' layout."""
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x[..., None, :] - np.asarray(self.centers, dtype=float), axis=-1)
-        out = self.kernel.phi(r) @ np.asarray(self.weights) + self.constant
+        out = (np.asarray(self.weights) * self.kernel.phi(r)).sum(axis=-1) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
     def _derivatives(self, x):

@@ -8,20 +8,26 @@ anchored centroid reduction (merge radius = the grid diagonal d).
 One engine, ``_search``, does the per-patch work for any number of patches
 at once: it lays the seed lattice in each search domain, runs Newton
 clamped to the patch's bounding box, accepts converged roots inside the
-domain with a small gradient, and drops duplicates within a patch.  Its one
-caller, ``sweep_full``, first hands the active patches of the grid in fixed
-blocks of ``_BLOCK_PATCHES`` to ``_certify``, which proves most of them
-root-free with a native-space bound on the gradient (no seed in them could
-be accepted), and then hands the engine the rest, again in fixed blocks, in
-order on one thread or through a thread pool on several.  Every block size
-and thread count gives identical floating-point results because both only
-use elementwise operations and fixed-order row sums; the blocks bound the
-working set at threads x one block.
+domain with a small gradient, drops duplicates within a patch, and moves
+the roots it keeps onto the grid.  Its one caller, ``sweep_full``, first
+hands the active patches of the grid in fixed blocks of ``_BLOCK_PATCHES``
+to ``_certify``, which proves most of them root-free with a native-space
+bound on the gradient (no seed in them could be accepted), and then hands
+the engine the rest, again in fixed blocks, in order on one thread or
+through a thread pool on several.  Every block size and thread count gives
+identical floating-point results because both only use elementwise
+operations and fixed-order row sums; the blocks bound the working set at
+threads x one block.
+
+Both work in the patch frame: positions relative to the patch's first
+node, so all patches share the nodes ``patch_offsets(dx, dy)`` and the box
+[0, 3 dx] x [0, 3 dy], and values in units of the field range.  Where the
+grid lies and how its values are scaled then change only rounding.
 
 Newton (``_newton_seeds``) keeps its live seeds compact: their indices,
 positions and a ring of each one's last ``_CYCLE`` positions are arrays
 that shrink only when seeds leave, and each iteration gathers the live
-seeds' patch data by owner.  Seeds leave when they converge, hit a singular
+seeds' weights by owner.  Seeds leave when they converge, hit a singular
 Jacobian, get stuck on an exact orbit of the clamped map of period at most
 ``_CYCLE`` (which can never converge), or reach the iteration cap; only the
 converged ones are returned.
@@ -118,16 +124,14 @@ class StationaryPoint:
 
 def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo, hi of shape (..., 2) of the search domains of patches
-    (i, j), 1-based integers or integer arrays.  Each domain is the central
-    cell widened by half a spacing per side, with the widening replaced by
-    extension to the grid boundary on sides where the patch touches it."""
-    x0, y0 = g.origin
-    lo_x = np.where(j == 1, x0, x0 + j * g.dx - g.dx / 2)
-    hi_x = np.where(j == g.nx - 3, x0 + (g.nx - 1) * g.dx,
-                    x0 + (j + 1) * g.dx + g.dx / 2)
-    lo_y = np.where(i == 1, y0, y0 + i * g.dy - g.dy / 2)
-    hi_y = np.where(i == g.ny - 3, y0 + (g.ny - 1) * g.dy,
-                    y0 + (i + 1) * g.dy + g.dy / 2)
+    (i, j), 1-based integers or integer arrays, in the patch frame.  Each
+    domain is the central cell [dx, 2 dx] x [dy, 2 dy] widened by half a
+    spacing per side, with the widening replaced by extension to the grid
+    boundary on sides where the patch touches it."""
+    lo_x = np.where(j == 1, 0.0, 0.5 * g.dx)
+    hi_x = np.where(j == g.nx - 3, 3.0 * g.dx, 2.5 * g.dx)
+    lo_y = np.where(i == 1, 0.0, 0.5 * g.dy)
+    hi_y = np.where(i == g.ny - 3, 3.0 * g.dy, 2.5 * g.dy)
     return np.stack([lo_x, lo_y], axis=-1), np.stack([hi_x, hi_y], axis=-1)
 
 
@@ -139,8 +143,9 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     """Run Newton from every seed; returns the indices of the converged
     seeds (ascending), their positions and the ``SeedCounts``.
 
-    Seed s starts at seeds[s] in patch owner[s] of centers (P,16,2) and
-    weights (P,16); its iterates are clamped to that patch's bounding box.
+    Seed s starts at seeds[s] in the patch frame, in patch owner[s] of
+    weights (P,16); centers (16,2) are the nodes every patch shares, and
+    the iterates are clamped to their bounding box.
     It leaves the live set in one of four ways, counted in ``SeedCounts``:
 
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * d;
@@ -166,27 +171,25 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     # ring[:, k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
     ring = np.full((n, _CYCLE, 2), np.nan)
     ring[:, 0] = xl
-    box_lo, box_hi = centers.min(axis=1), centers.max(axis=1)
+    box_lo, box_hi = centers.min(axis=0), centers.max(axis=0)
     singular = stuck = iterations = 0
     for it in range(cfg.max_iterations):
         if live.size == 0:
             break
         iterations += live.size
-        ol = owner[live]
-        gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers[ol], weights[ol], kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers, weights[owner[live]], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
-            live, ol, xl, ring = (a[ok] for a in (live, ol, xl, ring))
+            live, xl, ring = (a[ok] for a in (live, xl, ring))
             gx, gy, jxx, jxy, jyy, det = (a[ok] for a in (gx, gy, jxx, jxy, jyy, det))
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
-        lo, hi = box_lo[ol], box_hi[ol]
-        nx = np.minimum(np.maximum(xl[:, 0] - sx, lo[:, 0]), hi[:, 0])
-        ny = np.minimum(np.maximum(xl[:, 1] - sy, lo[:, 1]), hi[:, 1])
+        nx = np.minimum(np.maximum(xl[:, 0] - sx, box_lo[0]), box_hi[0])
+        ny = np.minimum(np.maximum(xl[:, 1] - sy, box_lo[1]), box_hi[1])
         done = np.sqrt(sx * sx + sy * sy) <= _STEP_TOL * d
         seen = (ring[:, :, 0] == nx[:, None]) & (ring[:, :, 1] == ny[:, None])
         cyc = ~done & seen.any(axis=1)
@@ -204,13 +207,15 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     return idx, x[idx], counts
 
 
-def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
+def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
     """Stationary points of P patch interpolants, ordered by (patch, seed),
     and the ``SeedCounts`` of their Newton runs.
 
-    lo, hi (P,2) are the search domains, centers (P,16,2) and weights
-    (P,16) the interpolants, patches (P,2) their 1-based (i, j).  Seeds form
-    an n x n lattice strictly inside each domain, row-major (y outer).
+    lo, hi (P,2) are the search domains in the patch frame, centers (16,2)
+    the shared nodes and weights (P,16) the interpolants, origins (P,2) the
+    patches' first nodes on the grid and patches (P,2) their 1-based
+    (i, j).  Seeds form an n x n lattice strictly inside each domain,
+    row-major (y outer).  The roots are returned on the grid.
     """
     ns = cfg.seeds_per_axis
     nseed = ns * ns
@@ -225,7 +230,7 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
 
     # accept converged roots inside their domain with a small gradient
     k = owner[idx]
-    gx, gy, *_ = _grad_jac(pos, centers[k], weights[k], kernel)
+    gx, gy, *_ = _grad_jac(pos, centers, weights[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
 
@@ -240,9 +245,8 @@ def _search(lo, hi, centers, weights, patches, kernel, cfg, d, tol_g):
             keep, prev = [], pk
         if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for q in keep):
             keep.append(p)
-            out.append(RawStationaryPoint(
-                position=p, patch=(int(patches[pk, 0]), int(patches[pk, 1])),
-                seed_index=si))
+            out.append(RawStationaryPoint(position=origins[pk] + p, seed_index=si,
+                                          patch=(int(patches[pk, 0]), int(patches[pk, 1]))))
     return out, counts
 
 
@@ -271,33 +275,24 @@ def _gradient_modulus(kernel: Kernel, r):
     return np.sqrt(np.maximum(g2, 0.0) + _MARGIN * abs(lap0)) * (1.0 + _MARGIN)
 
 
-def _bbox_diameter(centers):
-    """Diagonal of each patch's bounding box, shape (P,): nodes 0 and 15 of
-    the canonical layout are its corners."""
-    span = centers[:, -1] - centers[:, 0]
-    return np.hypot(span[:, 0], span[:, 1])
-
-
 def _native_norm(centers, weights, entries, alpha):
     """Upper bounds N >= ||s||_N of P patch interpolants, shape (P,).
 
     s is the RBF sum the engine evaluates: the float64 weights (P,16) at the
-    float64 centers (P,16,2), whose kernel matrix A differs from
-    ``entries``, the float64 matrix of the canonical patch offsets, by the
-    rounding of the kernel values and of the center distances.
+    shared nodes centers (16,2), the patch offsets ``entries`` is built
+    from, so its kernel matrix A differs from ``entries`` only by the
+    rounding of the kernel values and of the distances between the nodes.
     ||s||_N^2 = w^T A w is summed in extended precision with ``entries``;
     the margin (sum |w|)^2 (_MARGIN + 3 alpha delta) bounds the rest, where
-    3 alpha bounds |phi'| for every kernel and delta bounds the error of a
-    center distance: the rounding of the centers (under 1.5 ulps of the
-    patch's largest |coordinate|) and of the canonical distances (under 1.5
-    ulps of its diameter), charged as 2 ulps of each.  A relative _MARGIN
-    covers the square root and the casts.
+    3 alpha bounds |phi'| for every kernel and delta, 2 ulps of the patch's
+    diameter, bounds the rounding of a distance (under 1.5 ulps).  A
+    relative _MARGIN covers the square root and the casts.
     """
     # no BLAS serves extended precision, so each row's product is summed in
     # one fixed order whatever the number of rows
     w = np.asarray(weights, dtype=np.longdouble)
     q = (w * (w @ np.asarray(entries, dtype=np.longdouble))).sum(axis=-1)
-    delta = 2.0 ** -51 * (np.abs(centers[:, [0, -1]]).max(axis=(1, 2)) + _bbox_diameter(centers))
+    delta = 2.0 ** -51 * math.hypot(*np.ptp(centers, axis=0))
     l1 = np.abs(weights).sum(axis=-1)
     margin = l1 * l1 * (_MARGIN + 3.0 * alpha * delta)
     return np.sqrt(np.maximum(q, 0) + margin).astype(float) * (1.0 + _MARGIN)
@@ -305,7 +300,8 @@ def _native_norm(centers, weights, entries, alpha):
 
 def _gradient_rounding(centers, weights, kernel):
     """eps (P,): a bound on the rounding of a gradient and of its norm
-    computed by ``_grad_jac`` anywhere in a patch's bounding box.
+    computed by ``_grad_jac`` anywhere in the bounding box of the nodes
+    centers (16,2).
 
     The gradient is sum_m c_m psi(r_m) (x - x_m), and each term is at most
     |c_m| |psi(0)| times the box diameter: |psi| peaks at 0 for every
@@ -315,7 +311,7 @@ def _gradient_rounding(centers, weights, kernel):
     _MARGIN (2^13 ulps) times that sum bounds the error.
     """
     return (_MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0))
-            * _bbox_diameter(centers))
+            * math.hypot(*np.ptp(centers, axis=0)))
 
 
 _QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
@@ -325,7 +321,8 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
     """Which of P patches are certified root-free, shape (P,) bool.
 
     A certified patch has a computed |grad s| > tol_g everywhere in its
-    search domain [lo, hi], so ``_search`` could accept no root in it.  The
+    search domain [lo, hi], so ``_search`` could accept no root in it; the
+    arguments are those ``_search`` gets, in the patch frame.  The
     domain is cut into 2x2 sub-boxes, and a sub-box with center x0 and
     half-diagonal r is certified when
 
@@ -370,7 +367,7 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-            gx, gy, *_ = _grad_jac(x0, centers[kc], weights[kc], kernel)
+            gx, gy, *_ = _grad_jac(x0, centers, weights[kc], kernel)
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
             split.append(np.flatnonzero(slack <= norm[kc] * _gradient_modulus(kernel, r)) + c0)
             failed[kc[slack <= norm[kc] * _gradient_modulus(kernel, r * finest)]] = True
@@ -391,9 +388,9 @@ class SweepResult:
 
     raw: list[RawStationaryPoint]
     matrix: PatchMatrix
-    weights: np.ndarray        # (npatch, 16) float64
+    weights: np.ndarray        # (npatch, 16) float64, in the field's units
     constants: np.ndarray      # (npatch,) float64, the interpolants' constant terms
-    patch_origins: np.ndarray  # (npatch, 2)
+    patch_origins: np.ndarray  # (npatch, 2), each patch's first node
     grid: GridField
     flat_patches: list[tuple[int, int]]
     seed_counts: SeedCounts    # summed over the patch blocks
@@ -416,17 +413,15 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     npatch = npi * npj
     d = diag_step(g)
     field_range = g.field_range
-    tol_g = _GRAD_TOL_REL * field_range / d
+    tol_g = _GRAD_TOL_REL / d  # in the patch frame: values in units of the field range
 
     matrix = PatchMatrix(kernel, g.dx, g.dy)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
     # solved in blocks, like the search: at 240² the whole-grid solve made
     # 15 MB extended-precision temporaries, and after the allocator kept
-    # them a second call in the same process peaked 30 MB higher.  The
-    # weights stay column-major, the layout of the whole-grid solve's
-    # transposed result, which the interpolants' sums depend on.
-    weights, constants = np.empty((npatch, 16), order="F"), np.empty(npatch)
+    # them a second call in the same process peaked 30 MB higher
+    weights, constants = np.empty((npatch, 16)), np.empty(npatch)
     for b0 in range(0, npatch, _BLOCK_PATCHES):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
         weights[blk], constants[blk] = matrix.solve(h[blk])
@@ -445,15 +440,13 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     act = np.flatnonzero(active)
     offsets = patch_offsets(g.dx, g.dy)
 
-    def patch_data(block: np.ndarray):
-        centers = origins[block][:, None, :] + offsets[None, :, :]
-        return lo[block], hi[block], centers, weights[block]
-
     def certify(block: np.ndarray):
-        return _certify(*patch_data(block), matrix.entries, kernel, tol_g)
+        return _certify(lo[block], hi[block], offsets, weights[block] / field_range,
+                        matrix.entries, kernel, tol_g)
 
     def search(block: np.ndarray):
-        return _search(*patch_data(block), patches[block], kernel, cfg, d, tol_g)
+        return _search(lo[block], hi[block], offsets, weights[block] / field_range,
+                       origins[block], patches[block], kernel, cfg, d, tol_g)
 
     def blocks(idx: np.ndarray):
         return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]

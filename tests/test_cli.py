@@ -123,6 +123,17 @@ def test_find_infinite_alpha_exits_2(tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("header", ["6,6,0.1,0.1,inf,0.0", "6,6,0.1,0.1,1e400,0.0",
+                                    "6,6,inf,0.1,0.0,0.0"])
+def test_find_non_finite_geometry_exits_2(header, tmp_path, capsys):
+    csv = tmp_path / "g.csv"
+    csv.write_text(header + "\n" + "\n".join([",".join(["1.0"] * 6)] * 6) + "\n")
+    rep = tmp_path / "r.json"
+    assert run(["find", "--in", csv, "--json", rep]) == 2
+    assert capsys.readouterr().err.startswith("error: grid ")
+    assert not rep.exists()
+
+
 def test_find_factorization_failure_exits_3(capsys):
     # alpha tiny enough that the interpolation matrix rounds to all-ones
     assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",

@@ -31,6 +31,15 @@ def test_gridfield_validation():
                   values=np.full(16, np.nan))
 
 
+@pytest.mark.parametrize("field, change", [("dx", {"dx": math.inf}), ("dy", {"dy": math.nan}),
+                                           ("origin x", {"origin": (-math.inf, 0.0)}),
+                                           ("origin y", {"origin": (0.0, math.nan)})])
+def test_gridfield_rejects_non_finite_geometry(field, change):
+    args = dict(nx=4, ny=4, dx=1.0, dy=1.0, origin=(0.0, 0.0), values=np.zeros(16))
+    with pytest.raises(ValueError, match=f"{field} must be "):
+        GridField(**{**args, **change})
+
+
 def test_values_are_immutable():
     g = unit_grid()
     with pytest.raises(ValueError):
@@ -155,6 +164,17 @@ def test_load_csv_errors(tmp_path):
         load_csv(p)
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("header, field", [("6,6,inf,0.1,0.0,0.0", "dx"),
+                                           ("6,6,0.1,1e400,0.0,0.0", "dy"),
+                                           ("6,6,0.1,0.1,inf,0.0", "origin x"),
+                                           ("6,6,0.1,0.1,0.0,1e400", "origin y")])
+def test_load_csv_rejects_non_finite_geometry(header, field, tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text(header + "\n" + "\n".join([",".join(["1.0"] * 6)] * 6) + "\n")
+    with pytest.raises(ValueError, match=f"{field} must be "):
+        load_csv(p)
 
 
 @pytest.mark.parametrize("tf", list(TestFunction))

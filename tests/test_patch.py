@@ -171,6 +171,24 @@ def test_zero_weights():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_value_does_not_depend_on_the_weights_layout(kind):
+    # a row of a column-major weights array is strided; the value at every
+    # point is the same, bit for bit, as with a contiguous copy of the row
+    rng = np.random.default_rng(20)
+    k = default_kernel(kind)
+    weights = np.asfortranarray(PatchMatrix(k, 1.0, 1.0).solve(rng.normal(size=(5, 16)))[0],
+                                dtype=float)
+    x = rng.uniform(0, 3, (300, 2))
+    for row in weights:
+        strided, contiguous = (PatchInterpolant(centers=patch_offsets(1, 1), weights=w,
+                                                kernel=k, constant=0.25)
+                               for w in (row, np.ascontiguousarray(row)))
+        assert not row.flags.c_contiguous
+        np.testing.assert_array_equal(strided(x), contiguous(x))
+        assert [strided(p) for p in x] == [contiguous(p) for p in x]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(16)
     p = make_interp(kind, smooth_field(rng, patch_offsets(1, 1)))
