@@ -121,6 +121,30 @@ class PatchMatrix:
         return x[:16].T, x[16]
 
 
+def _offsets_psi(x, centers, kernel):
+    """The per-center terms every derivative of an RBF sum is built from.
+
+    x (..., 2), centers (..., 16, 2); returns the offsets x - x_m
+    (..., 16, 2), their lengths r and psi(r), both (..., 16).
+    """
+    diff = x[..., None, :] - centers
+    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    return diff, r, kernel.psi(r)
+
+
+def _gradient_sums(cpsi, ox, oy):
+    """gx, gy = sum_m cpsi_m (x - x_m) from the weighted terms cpsi = c_m
+    psi(r_m) and the offsets' components ox, oy, all (..., 16)."""
+    return (cpsi * ox).sum(axis=-1), (cpsi * oy).sum(axis=-1)
+
+
+def _gradient(x, centers, weights, kernel):
+    """The gradient gx, gy of RBF sums, as ``_grad_jac`` computes it, without
+    the Jacobian."""
+    diff, _, psi = _offsets_psi(x, centers, kernel)
+    return _gradient_sums(weights * psi, diff[..., 0], diff[..., 1])
+
+
 def _grad_jac(x, centers, weights, kernel):
     """Gradient and symmetric Jacobian of the gradient field of RBF sums.
 
@@ -128,12 +152,10 @@ def _grad_jac(x, centers, weights, kernel):
     gx, gy, jxx, jxy, jyy of shape (...).  Uses only elementwise ops and
     fixed-order row sums, so results do not depend on batch size.
     """
-    diff = x[..., None, :] - centers
-    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    cpsi = weights * kernel.psi(r)
+    diff, r, psi = _offsets_psi(x, centers, kernel)
+    cpsi = weights * psi
     ceta = weights * kernel.eta(r)
-    gx = (cpsi * diff[..., 0]).sum(axis=-1)
-    gy = (cpsi * diff[..., 1]).sum(axis=-1)
+    gx, gy = _gradient_sums(cpsi, diff[..., 0], diff[..., 1])
     tr = cpsi.sum(axis=-1)
     jxx = (ceta * diff[..., 0] ** 2).sum(axis=-1) + tr
     jxy = (ceta * diff[..., 0] * diff[..., 1]).sum(axis=-1)
@@ -158,15 +180,13 @@ class PatchInterpolant:
         out = (np.asarray(self.weights) * self.kernel.phi(r)).sum(axis=-1) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
-    def _derivatives(self, x):
-        return _grad_jac(np.asarray(x, dtype=float),
-                         np.asarray(self.centers, dtype=float),
-                         np.asarray(self.weights, dtype=float), self.kernel)
+    def _float_args(self, x):
+        return (np.asarray(x, dtype=float), np.asarray(self.centers, dtype=float),
+                np.asarray(self.weights, dtype=float), self.kernel)
 
     def gradient(self, x) -> np.ndarray:
         """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
-        gx, gy, *_ = self._derivatives(x)
-        return np.stack([gx, gy], axis=-1)
+        return np.stack(_gradient(*self._float_args(x)), axis=-1)
 
     def gradient_jacobian(self, x) -> np.ndarray:
         """Jacobian of the gradient field (the interpolant's Hessian).
@@ -174,7 +194,7 @@ class PatchInterpolant:
         J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric,
         shape (..., 2, 2).
         """
-        _, _, jxx, jxy, jyy = self._derivatives(x)
+        _, _, jxx, jxy, jyy = _grad_jac(*self._float_args(x))
         return np.stack([np.stack([jxx, jxy], axis=-1),
                          np.stack([jxy, jyy], axis=-1)], axis=-2)
 

@@ -45,7 +45,8 @@ import numpy as np
 
 from .grid import GridField, diag_step
 from .kernels import Kernel, KernelKind
-from .patch import PatchInterpolant, PatchMatrix, _grad_jac, patch_offsets
+from .patch import (PatchInterpolant, PatchMatrix, _grad_jac, _gradient, _gradient_sums,
+                    _offsets_psi, patch_offsets)
 
 log = logging.getLogger(__name__)
 
@@ -230,7 +231,7 @@ def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
 
     # accept converged roots inside their domain with a small gradient
     k = owner[idx]
-    gx, gy, *_ = _grad_jac(pos, centers, weights[k], kernel)
+    gx, gy = _gradient(pos, centers, weights[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
 
@@ -278,24 +279,36 @@ def _gradient_modulus(kernel: Kernel, r):
 def _native_norm(centers, weights, entries, alpha):
     """Upper bounds N >= ||s||_N of P patch interpolants, shape (P,).
 
-    s is the RBF sum the engine evaluates: the float64 weights (P,16) at the
-    shared nodes centers (16,2), the patch offsets ``entries`` is built
-    from, so its kernel matrix A differs from ``entries`` only by the
-    rounding of the kernel values and of the distances between the nodes.
-    ||s||_N^2 = w^T A w is summed in extended precision with ``entries``;
-    the margin (sum |w|)^2 (_MARGIN + 3 alpha delta) bounds the rest, where
+    s is the RBF sum the engine evaluates: the float64 weights w (P,16) at
+    the shared nodes centers (16,2), the patch offsets ``entries`` is built
+    from, and ||s||_N^2 = w^T A w with A the kernel matrix of those nodes.
+
+    q = w^T entries w is computed in float64 as sum_i w_i (sum_j entries_ij
+    w_j): two nested 16-term sums of products.  Each of the
+    256 terms w_i entries_ij w_j then carries at most 32 roundings (two
+    products, at most 15 additions in each sum, whatever their order), so
+
+        |q - w^T entries w| <= gamma_32 sum_ij |w_i| |entries_ij| |w_j|
+                            <= gamma_32 (sum |w|)^2,
+
+    because |entries_ij| <= phi(0) = 1 for every kernel; gamma_32 =
+    32u / (1 - 32u), about 3.6e-15 with u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3).  ``entries`` differs
+    from A by the rounding of the kernel values, a few ulps of phi(0), and
+    of the distances between the nodes.  The margin (sum |w|)^2 (_MARGIN +
+    3 alpha delta) bounds all of it: _MARGIN = 2^-40 is about 250 gamma_32,
     3 alpha bounds |phi'| for every kernel and delta, 2 ulps of the patch's
     diameter, bounds the rounding of a distance (under 1.5 ulps).  A
-    relative _MARGIN covers the square root and the casts.
+    relative _MARGIN covers the square root and the rounding of the margin.
     """
-    # no BLAS serves extended precision, so each row's product is summed in
-    # one fixed order whatever the number of rows
-    w = np.asarray(weights, dtype=np.longdouble)
-    q = (w * (w @ np.asarray(entries, dtype=np.longdouble))).sum(axis=-1)
+    # einsum without optimize calls no BLAS: each row's sums run in one
+    # fixed order whatever the number of rows, so a patch's bound does not
+    # depend on its block
+    q = (weights * np.einsum("pj,ij->pi", weights, entries)).sum(axis=-1)
     delta = 2.0 ** -51 * math.hypot(*np.ptp(centers, axis=0))
     l1 = np.abs(weights).sum(axis=-1)
     margin = l1 * l1 * (_MARGIN + 3.0 * alpha * delta)
-    return np.sqrt(np.maximum(q, 0) + margin).astype(float) * (1.0 + _MARGIN)
+    return np.sqrt(np.maximum(q, 0.0) + margin) * (1.0 + _MARGIN)
 
 
 def _gradient_rounding(centers, weights, kernel):
@@ -337,13 +350,28 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
     the test even with the finest level's half-diagonal ends its patch's
     certification at once: its finest sub-boxes around that center would
     almost surely fail too, and refining costs up to 4^depth evaluations.
+    Every decision depends on its own patch only.
+
     The pending sub-boxes are evaluated in chunks of 9 * _BLOCK_PATCHES,
-    the size of a block's seed lattice.  Every decision depends on its own
-    patch only.
+    the size of a block's seed lattice.  A sub-box is fixed by its patch's
+    domain (the patches share their nodes) and its cell at the level, and
+    most patches share one of a few domains, so each chunk evaluates the
+    kernel once per distinct sub-box: a table of the centers' offsets,
+    psi and G^ keyed by (domain, cell), from which each sub-box's gradient
+    is summed with its patch's weights.  The table rows hold what
+    ``_grad_jac`` computes for that sub-box, so every gradient, and every
+    decision, is the one a per-sub-box evaluation gives.
     """
     npatch = len(lo)
     norm = _native_norm(centers, weights, entries, kernel.alpha)
     eps = _gradient_rounding(centers, weights, kernel)
+    # domain ids, equal where lo and hi are: the rows of [lo, hi] in sorted
+    # order, with a new id wherever a row differs from the one before it
+    bounds = np.column_stack([lo, hi])
+    order = np.lexsort(bounds.T)
+    new = np.any(bounds[order[1:]] != bounds[order[:-1]], axis=1)
+    domain = np.empty(npatch, dtype=np.int64)
+    domain[order] = np.concatenate([[0], np.cumsum(new)])
     failed = np.zeros(npatch, dtype=bool)
     # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
     k = np.repeat(np.arange(npatch), 4)
@@ -354,23 +382,28 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
         k, cells = k[keep], cells[keep]
         if k.size == 0:
             break
-        side = float(2 ** level)
+        side = 2 ** level
         finest = 2.0 ** (level - _CERTIFY_DEPTH)  # finest half-diagonal / this level's
         split = []
         for c0 in range(0, k.size, chunk):
             kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
-            blo, bhi = lo[kc], hi[kc]
+            key = (domain[kc] * side + cc[:, 1]) * side + cc[:, 0]
+            _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+            blo, bhi, cf = lo[kc[first]], hi[kc[first]], cells[c0 + first]
             # an edge is the same float at every level; t = 1 is hi itself
-            a = blo + (bhi - blo) * (cc / side)
-            t = (cc + 1) / side
+            a = blo + (bhi - blo) * (cf / side)
+            t = (cf + 1) / side
             b = np.where(t == 1.0, bhi, blo + (bhi - blo) * t)
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-            gx, gy, *_ = _grad_jac(x0, centers, weights[kc], kernel)
+            diff, _, psi = _offsets_psi(x0, centers, kernel)
+            gx, gy = _gradient_sums(weights[kc] * psi[inv], diff[inv, :, 0], diff[inv, :, 1])
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
-            split.append(np.flatnonzero(slack <= norm[kc] * _gradient_modulus(kernel, r)) + c0)
-            failed[kc[slack <= norm[kc] * _gradient_modulus(kernel, r * finest)]] = True
+            bound = norm[kc] * _gradient_modulus(kernel, r)[inv]
+            split.append(np.flatnonzero(slack <= bound) + c0)
+            bound = norm[kc] * _gradient_modulus(kernel, r * finest)[inv]
+            failed[kc[slack <= bound]] = True
         # at the finest level every failed sub-box has failed its patch
         split = np.concatenate(split)
         k = np.repeat(k[split], 4)

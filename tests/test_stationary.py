@@ -168,6 +168,18 @@ def skewed_grid():
                      values=TestFunction.F2(xx, yy).ravel())
 
 
+def narrow_grid(nx, ny):
+    """nx x ny nodes of f2 sampled at 30x30, 4 wide along one axis and
+    starting 5 nodes in along it: one patch spans that axis and touches both
+    of its boundaries."""
+    g = sample(TestFunction.F2, 30, 30)
+    i0, j0 = (0, 5) if nx == 4 else (5, 0)
+    values = g.grid2d()[i0:i0 + ny, j0:j0 + nx]
+    return GridField(nx=nx, ny=ny, dx=g.dx, dy=g.dy,
+                     origin=(g.origin[0] + j0 * g.dx, g.origin[1] + i0 * g.dy),
+                     values=values.ravel())
+
+
 def check_block_invariance(g, cfg, block, threads, monkeypatch):
     """sweep_full in blocks of `block` patches on `threads` threads gives the
     raw points, bit for bit, and the seed counts of one block on one thread."""
@@ -428,9 +440,10 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block", [1, 7, 10**6])
-@pytest.mark.parametrize("grid", ["f2-20x20", "skewed"])
+@pytest.mark.parametrize("grid", ["f2-20x20", "skewed", "f2-4x30"])
 def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
-    g = sample(TestFunction.F2, 20, 20) if grid == "f2-20x20" else skewed_grid()
+    g = {"f2-20x20": lambda: sample(TestFunction.F2, 20, 20), "skewed": skewed_grid,
+         "f2-4x30": lambda: narrow_grid(4, 30)}[grid]()
     check_block_invariance(g, SolverConfig(), block, threads, monkeypatch)
 
 
@@ -546,6 +559,18 @@ def test_certificate_margins_cover_the_rounding(kind, dx, dy, scale, seed):
     assert norm ** 2 >= w @ kernel_matrix_extended(centers, kind, k.alpha) @ w
 
 
+def test_native_norm_does_not_depend_on_the_block():
+    # each patch's bound is the same alone, in blocks of 7 and in the whole grid
+    g = sample(TestFunction.F13, 24, 24)
+    (_, _, centers, weights, entries, k, _), _ = certifier_inputs(
+        g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    whole = stationary._native_norm(centers, weights, entries, k.alpha)
+    for step in (1, 7):
+        parts = [stationary._native_norm(centers, weights[p0:p0 + step], entries, k.alpha)
+                 for p0 in range(0, len(weights), step)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
 def test_certificate_charges_its_rounding_margin(monkeypatch):
     # an unbounded gradient rounding certifies nothing
     g = sample(TestFunction.F2, 20, 20)
@@ -584,6 +609,70 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
         gx, gy, *_ = _grad_jac(pos, centers, weights[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
+
+
+def certify_reference(lo, hi, centers, weights, entries, kernel, tol_g):
+    """``_certify`` as one kernel evaluation (``_grad_jac``) per pending
+    sub-box, the way it was first written."""
+    npatch = len(lo)
+    norm = stationary._native_norm(centers, weights, entries, kernel.alpha)
+    eps = stationary._gradient_rounding(centers, weights, kernel)
+    modulus = stationary._gradient_modulus
+    quarters = stationary._QUARTERS
+    failed = np.zeros(npatch, dtype=bool)
+    k = np.repeat(np.arange(npatch), 4)
+    cells = np.tile(quarters, (npatch, 1))
+    chunk = 9 * stationary._BLOCK_PATCHES
+    for level in range(1, stationary._CERTIFY_DEPTH + 1):
+        keep = ~failed[k]
+        k, cells = k[keep], cells[keep]
+        if k.size == 0:
+            break
+        side = float(2 ** level)
+        finest = 2.0 ** (level - stationary._CERTIFY_DEPTH)
+        split = []
+        for c0 in range(0, k.size, chunk):
+            kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
+            blo, bhi = lo[kc], hi[kc]
+            a = blo + (bhi - blo) * (cc / side)
+            t = (cc + 1) / side
+            b = np.where(t == 1.0, bhi, blo + (bhi - blo) * t)
+            x0 = (a + b) * 0.5
+            half = np.maximum(x0 - a, b - x0)
+            r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
+            gx, gy, *_ = _grad_jac(x0, centers, weights[kc], kernel)
+            slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
+            split.append(np.flatnonzero(slack <= norm[kc] * modulus(kernel, r)) + c0)
+            failed[kc[slack <= norm[kc] * modulus(kernel, r * finest)]] = True
+        split = np.concatenate(split)
+        k = np.repeat(k[split], 4)
+        cells = (2 * cells[split, None, :] + quarters).reshape(-1, 2)
+    return ~failed
+
+
+@pytest.mark.parametrize("grid, kind, scale, block", [
+    *((fn, kind, 1.0, None) for fn in ("F1", "F2", "F13") for kind in KernelKind),
+    *((grid, kind, 1.0, None) for grid in ("skewed", "f2-4x30", "f2-30x4")
+      for kind in KernelKind),
+    # the finest-level exit ends most patches early
+    ("F1", KernelKind.WENDLAND31, 3.0, None),
+    # chunks of 9 sub-boxes split the sub-boxes of one domain and cell
+    ("F2", KernelKind.GAUSSIAN, 1.0, 1),
+])
+def test_certify_matches_the_per_sub_box_reference(grid, kind, scale, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
+    if grid == "skewed":
+        g = skewed_grid()
+    elif grid.startswith("f2-"):
+        g = narrow_grid(*map(int, grid[3:].split("x")))
+    else:
+        g = sample(TestFunction[grid], 24, 24)
+    args, _ = certifier_inputs(g, Kernel(kind, scale * shape_parameter(kind, diag_step(g))))
+    got = stationary._certify(*args)
+    np.testing.assert_array_equal(got, certify_reference(*args))
+    # on the small skewed grid every patch holds a root
+    assert got.any() == (grid != "skewed")
 
 
 def assert_same_raw(got, want):
