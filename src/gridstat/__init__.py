@@ -1,7 +1,8 @@
 """Stationary points of gridded scalar fields via piecewise RBF interpolation."""
 
-from .bindings import Binding, BindingKind, NeighborIndex, cluster, delta_max, summarize
-from .grid import GridField, TestFunction, diag_step, load_csv, sample, save_csv
+from .bindings import Binding, BindingKind, cluster, delta_max, summarize
+from .grid import (GridField, NeighborIndex, TestFunction, diag_step, load_csv, sample,
+                   save_csv)
 from .kernels import Kernel, KernelKind, OMEGA, kernel_for_grid, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
 from .patch import (FactorizationError, PatchInterpolant, PatchMatrix,

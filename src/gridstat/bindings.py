@@ -2,21 +2,19 @@
 
 Two reduced stationary points on the same underlying curve can end up at
 most 4d apart (d = grid diagonal), so bindings are the connected components
-of the "within 4d" relation.  Neighbor lookup uses a uniform grid hash with
-cell size equal to the query radius; the candidates from the 5x5 cell
-block around the query point are distance-checked exactly, with one array
-``np.hypot``.
+of the "within 4d" relation.  Neighbors are looked up in the grid hash
+``grid.NeighborIndex``, as in the duplicate reduction.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .grid import NeighborIndex
 from .stationary import StationaryPoint
 
 
@@ -36,38 +34,6 @@ class BindingKind(Enum):
 class Binding:
     member_indices: tuple[int, ...]
     kind: BindingKind
-
-
-class NeighborIndex:
-    """Fixed-radius neighbor queries over 2-D points via a grid hash."""
-
-    def __init__(self, positions: np.ndarray, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.positions = np.asarray(positions, float).reshape(-1, 2)
-        self.radius = radius
-        self._cells: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for idx, (x, y) in enumerate(self.positions):
-            self._cells[self._cell(x, y)].append(idx)
-
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.radius), math.floor(y / self.radius))
-
-    def query(self, x: float, y: float) -> list[int]:
-        """Indices of all points within ``radius`` of (x, y), ascending.
-
-        A pair whose distance rounds to exactly ``radius`` can hash two cells
-        apart (the cell index rounds too), so the block searched around the
-        query cell is 5x5 rather than 3x3.
-        """
-        cx, cy = self._cell(x, y)
-        cand = [idx for gx in range(cx - 2, cx + 3) for gy in range(cy - 2, cy + 3)
-                for idx in self._cells.get((gx, gy), ())]
-        if not cand:
-            return []
-        cand = np.array(cand)
-        p = self.positions[cand]
-        return sorted(cand[np.hypot(p[:, 0] - x, p[:, 1] - y) <= self.radius].tolist())
 
 
 def cluster(points: list[StationaryPoint], dmax: float) -> list[Binding]:

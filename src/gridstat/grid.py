@@ -1,4 +1,5 @@
-"""Regular-grid scalar fields: representation, CSV I/O, built-in samplers.
+"""Regular-grid scalar fields: representation, CSV I/O, built-in samplers,
+and a fixed-radius grid hash of points.
 
 A :class:`GridField` stores an ``ny x nx`` grid row-major (row index maps to
 y, column index to x; indices are 1-based in the public accessors).  Six
@@ -9,6 +10,7 @@ by the acceptance suite.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,6 +72,48 @@ class GridField:
 def diag_step(g: GridField) -> float:
     """Diagonal step d = sqrt(dx^2 + dy^2) of the grid cell."""
     return math.hypot(g.dx, g.dy)
+
+
+class NeighborIndex:
+    """Fixed-radius neighbor queries over 2-D points via a grid hash with
+    cell size equal to the radius (Bentley, Stanat & Williams, "The
+    complexity of finding fixed-radius near neighbors", IPL 6(6), 1977).
+
+    A point with a non-finite coordinate is within the radius of nothing:
+    it is not hashed, and a query at it finds nothing.
+    """
+
+    def __init__(self, positions: np.ndarray, radius: float):
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        self.positions = np.asarray(positions, float).reshape(-1, 2)
+        self.radius = radius
+        self._cells: dict[tuple[int, int], list[int]] = defaultdict(list)
+        finite = np.isfinite(self.positions).all(axis=1)
+        for idx, (x, y) in zip(np.flatnonzero(finite).tolist(),
+                               self.positions[finite].tolist()):
+            self._cells[self._cell(x, y)].append(idx)
+
+    def _cell(self, x: float, y: float) -> tuple[int, int]:
+        return (math.floor(x / self.radius), math.floor(y / self.radius))
+
+    def query(self, x: float, y: float) -> list[int]:
+        """Indices of all points within ``radius`` of (x, y), ascending.
+
+        A pair whose distance rounds to exactly ``radius`` can hash two cells
+        apart (the cell index rounds too), so the block searched around the
+        query cell is 5x5 rather than 3x3.
+        """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return []
+        cx, cy = self._cell(x, y)
+        cand = [idx for gx in range(cx - 2, cx + 3) for gy in range(cy - 2, cy + 3)
+                for idx in self._cells.get((gx, gy), ())]
+        if not cand:
+            return []
+        cand = np.array(cand)
+        p = self.positions[cand]
+        return sorted(cand[np.hypot(p[:, 0] - x, p[:, 1] - y) <= self.radius].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -166,12 +166,14 @@ def _grad_jac(x, centers, weights, kernel):
 
 @dataclass(frozen=True)
 class PatchInterpolant:
-    """RBF interpolant over one 16-center patch, plus its constant term."""
+    """RBF interpolant over one 16-center patch, plus its constant term, or
+    a stack of them: centers (..., 16, 2), weights (..., 16) and constant
+    (...) broadcast against the points they are evaluated at."""
 
-    centers: np.ndarray  # (16, 2)
-    weights: np.ndarray  # (16,)
+    centers: np.ndarray  # (..., 16, 2)
+    weights: np.ndarray  # (..., 16)
     kernel: Kernel
-    constant: float = 0.0
+    constant: float | np.ndarray = 0.0  # (...)
 
     def __call__(self, x):
         """Interpolant value; x is (2,) or (..., 2).  Summed like

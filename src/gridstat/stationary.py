@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridField, diag_step
+from .grid import GridField, NeighborIndex, diag_step
 from .kernels import Kernel, KernelKind
 from .patch import (PatchInterpolant, PatchMatrix, _grad_jac, _gradient, _gradient_sums,
                     _offsets_psi, patch_offsets)
@@ -208,6 +208,22 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     return idx, x[idx], counts
 
 
+def _first_distinct(ok, xy, min_sep):
+    """Which roots of P patches to keep, shape (P, n) bool.
+
+    Root (p, s) lies at xy[p, s] (P,n,2) and was accepted where ok (P,n).
+    It is kept when it was accepted and lies farther than min_sep from
+    every kept root (p, t) with t < s, so the earliest seed wins.  The
+    greedy test runs slot by slot, for all patches at once.
+    """
+    far = np.hypot(xy[:, :, None, 0] - xy[:, None, :, 0],
+                   xy[:, :, None, 1] - xy[:, None, :, 1]) > min_sep
+    kept = np.zeros_like(ok)
+    for s in range(ok.shape[1]):
+        kept[:, s] = ok[:, s] & (far[:, s, :s] | ~kept[:, :s]).all(axis=1)
+    return kept
+
+
 def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
     """Stationary points of P patch interpolants, ordered by (patch, seed),
     and the ``SeedCounts`` of their Newton runs.
@@ -235,19 +251,19 @@ def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
 
-    # drop duplicates within each patch, keeping the earliest seed
-    min_sep = _DEDUP_RADIUS * d
-    out: list[RawStationaryPoint] = []
-    keep: list[np.ndarray] = []
-    prev = -1
-    for seed, p in zip(idx[acc], pos[acc]):
-        pk, si = divmod(int(seed), nseed)
-        if pk != prev:
-            keep, prev = [], pk
-        if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for q in keep):
-            keep.append(p)
-            out.append(RawStationaryPoint(position=origins[pk] + p, seed_index=si,
-                                          patch=(int(patches[pk, 0]), int(patches[pk, 1]))))
+    # drop duplicates within each patch, laid out as (patch, seed slot) over
+    # the patches with an accepted root
+    ok = np.zeros((len(patches), nseed), dtype=bool)
+    ok.flat[idx[acc]] = True
+    rows = np.flatnonzero(ok.any(axis=1))
+    xy = np.zeros((len(patches) * nseed, 2))
+    xy[idx] = pos
+    xy = xy.reshape(-1, nseed, 2)[rows]
+    kept = _first_distinct(ok[rows], xy, _DEDUP_RADIUS * d)
+    r, si = np.nonzero(kept)
+    pk = rows[r]
+    out = [RawStationaryPoint(position=p, patch=tuple(ij), seed_index=s)
+           for p, ij, s in zip(origins[pk] + xy[r, si], patches[pk].tolist(), si.tolist())]
     return out, counts
 
 
@@ -428,14 +444,20 @@ class SweepResult:
     flat_patches: list[tuple[int, int]]
     seed_counts: SeedCounts    # summed over the patch blocks
 
-    def interpolant(self, i: int, j: int) -> PatchInterpolant:
-        if not (1 <= i <= self.grid.ny - 3 and 1 <= j <= self.grid.nx - 3):
-            raise IndexError(f"patch ({i},{j}) outside valid range")
+    def interpolant(self, i, j) -> PatchInterpolant:
+        """The interpolant of patch (i, j), 1-based.  Given integer arrays i,
+        j of one shape (R,), one stacked interpolant of those R patches:
+        centers (R,16,2), weights (R,16) and constant (R,)."""
+        i, j = np.asarray(i), np.asarray(j)
+        outside = (i < 1) | (i > self.grid.ny - 3) | (j < 1) | (j > self.grid.nx - 3)
+        if outside.any():
+            k = np.argmax(outside)
+            raise IndexError(f"patch ({i.flat[k]},{j.flat[k]}) outside valid range")
         pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
-        centers = self.patch_origins[pidx] + patch_offsets(self.grid.dx, self.grid.dy)
+        centers = self.patch_origins[pidx][..., None, :] + patch_offsets(self.grid.dx,
+                                                                         self.grid.dy)
         return PatchInterpolant(centers=centers, weights=self.weights[pidx],
-                                kernel=self.matrix.kernel,
-                                constant=float(self.constants[pidx]))
+                                kernel=self.matrix.kernel, constant=self.constants[pidx])
 
 
 def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
@@ -451,13 +473,7 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     matrix = PatchMatrix(kernel, g.dx, g.dy)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
-    # solved in blocks, like the search: at 240² the whole-grid solve made
-    # 15 MB extended-precision temporaries, and after the allocator kept
-    # them a second call in the same process peaked 30 MB higher
     weights, constants = np.empty((npatch, 16)), np.empty(npatch)
-    for b0 in range(0, npatch, _BLOCK_PATCHES):
-        blk = slice(b0, b0 + _BLOCK_PATCHES)
-        weights[blk], constants[blk] = matrix.solve(h[blk])
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
     origins = np.column_stack([g.origin[0] + jj * g.dx, g.origin[1] + ii * g.dy])
@@ -473,6 +489,10 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     act = np.flatnonzero(active)
     offsets = patch_offsets(g.dx, g.dy)
 
+    def solve(b0: int):
+        blk = slice(b0, b0 + _BLOCK_PATCHES)
+        weights[blk], constants[blk] = matrix.solve(h[blk])
+
     def certify(block: np.ndarray):
         return _certify(lo[block], hi[block], offsets, weights[block] / field_range,
                         matrix.entries, kernel, tol_g)
@@ -484,12 +504,15 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
     def blocks(idx: np.ndarray):
         return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
 
-    # fixed-size blocks bound the working set and do not depend on the
-    # thread count; map keeps them in order.  The patches certified
-    # root-free are dropped and the rest cut into blocks again.
+    # fixed-size blocks bound the working set (at 240² one whole-grid weight
+    # solve made 15 MB of extended-precision temporaries) and do not depend
+    # on the thread count; map keeps them in order, and the weight blocks
+    # write disjoint rows.  The patches certified root-free are dropped and
+    # the rest cut into blocks again.
     nthreads = max(1, int(threads))
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         each = map if nthreads == 1 else pool.map
+        list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
         root_free = np.concatenate([np.zeros(0, dtype=bool), *each(certify, blocks(act))])
         parts = list(each(search, blocks(act[~root_free])))
     raw = [p for part, _ in parts for p in part]
@@ -508,49 +531,58 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
 # Reduction of duplicates
 # ---------------------------------------------------------------------------
 
-def classify(jac: np.ndarray, scale: float) -> Classification:
-    """Classify by Hessian eigenvalue signs; near-zero eigenvalues (below
-    1e-9 * scale) make the point degenerate."""
-    lam = np.linalg.eigvalsh(np.asarray(jac, float))
-    if np.any(np.abs(lam) < 1e-9 * scale):
-        return Classification.DEGENERATE
-    if np.all(lam > 0):
-        return Classification.MINIMUM
-    if np.all(lam < 0):
-        return Classification.MAXIMUM
-    return Classification.SADDLE
+_BY_CODE = (Classification.SADDLE, Classification.MINIMUM, Classification.MAXIMUM,
+            Classification.DEGENERATE)
+
+
+def classify(lam: np.ndarray, scale) -> list[Classification]:
+    """Classify points by the signs of their Hessian eigenvalues lam (n, 2);
+    a point with an eigenvalue below 1e-9 * scale in magnitude (scale a
+    number or one per point) is degenerate."""
+    lam = np.asarray(lam, float)
+    degenerate = (np.abs(lam) < 1e-9 * np.asarray(scale, float)[..., None]).any(axis=1)
+    code = np.where(degenerate, 3, np.where((lam > 0).all(axis=1), 1,
+                                            np.where((lam < 0).all(axis=1), 2, 0)))
+    return [_BY_CODE[c] for c in code.tolist()]
 
 
 def reduce_points(raw: list[RawStationaryPoint], d: float,
                   interpolant_for=None,
                   hessian_scale: float | None = None) -> list[StationaryPoint]:
     """Anchored centroid reduction: repeatedly take the first remaining
-    point, merge everything within d of *it* (anchor semantics), and emit
-    the centroid.  Value and classification come from the patch interpolant
-    of the cluster's first member when ``interpolant_for(i, j)`` is given.
+    point, merge everything within d > 0 of *it* (anchor semantics), and
+    emit the centroid.  A point with a non-finite coordinate is within d of
+    nothing and leaves alone.
+
+    With ``interpolant_for(i, j)``, value and classification come from the
+    patch interpolant of each cluster's first member.  It is called once,
+    with the anchors' patches as integer arrays, and may return one
+    interpolant stacked over them (``SweepResult.interpolant``) or one that
+    serves them all.  The classification scale is ``hessian_scale``, or per
+    point the largest Hessian eigenvalue magnitude, at least 1.
     """
     pos = np.array([np.asarray(r.position, float) for r in raw]).reshape(-1, 2)
-    remaining = np.arange(len(raw))
-    out = []
-    while remaining.size:
-        anchor = raw[remaining[0]]
-        diff = pos[remaining] - pos[remaining[0]]
-        near = np.hypot(diff[:, 0], diff[:, 1]) <= d
-        near[0] = True  # the anchor always leaves, even at a non-finite position
-        cluster = remaining[near]
-        remaining = remaining[~near]
-        centroid = pos[cluster].mean(axis=0)
-        if interpolant_for is not None:
-            interp = interpolant_for(*anchor.patch)
-            value = float(interp(centroid))
-            jac = interp.gradient_jacobian(centroid)
-            scale = hessian_scale
-            if scale is None:
-                scale = max(float(np.abs(np.linalg.eigvalsh(jac)).max()), 1.0)
-            cls = classify(jac, scale)
-        else:
-            value = float("nan")
-            cls = Classification.DEGENERATE
-        out.append(StationaryPoint(position=centroid, value=value,
-                                   classification=cls, members_merged=cluster.size))
-    return out
+    index = NeighborIndex(pos, d)
+    taken = np.zeros(len(raw), dtype=bool)
+    clusters = []
+    for a in range(len(raw)):
+        if not taken[a]:
+            cluster = [a] + [c for c in index.query(*pos[a]) if c > a and not taken[c]]
+            taken[cluster] = True
+            clusters.append(cluster)
+    centroids = [pos[c].mean(axis=0) for c in clusters]
+    if interpolant_for is None or not clusters:
+        values = [float("nan")] * len(clusters)
+        classes = [Classification.DEGENERATE] * len(clusters)
+    else:
+        anchors = np.array([raw[c[0]].patch for c in clusters])
+        interp = interpolant_for(anchors[:, 0], anchors[:, 1])
+        x = np.array(centroids)
+        values = interp(x).tolist()
+        lam = np.linalg.eigvalsh(interp.gradient_jacobian(x))
+        scale = hessian_scale
+        if scale is None:
+            scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
+        classes = classify(lam, scale)
+    return [StationaryPoint(position=p, value=v, classification=k, members_merged=len(c))
+            for p, v, k, c in zip(centroids, values, classes, clusters)]

@@ -56,6 +56,14 @@ def test_neighbor_index_query():
         NeighborIndex(pos, radius=0.0)
 
 
+def test_neighbor_index_skips_non_finite_points():
+    pos = np.array([[0.0, 0.0], [math.nan, 0.0], [1.0, math.inf], [0.5, 0.0]])
+    idx = NeighborIndex(pos, radius=1.5)
+    assert idx.query(0.0, 0.0) == [0, 3]
+    assert idx.query(math.nan, 0.0) == []
+    assert idx.query(1.0, math.inf) == []
+
+
 def test_neighbor_index_matches_brute_force():
     rng = np.random.default_rng(31)
     for _ in range(100):

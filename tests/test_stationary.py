@@ -1,6 +1,7 @@
 """Per-patch Newton search, the full sweep, and duplicate reduction."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchMatrix,
-                      RawStationaryPoint, SolverConfig, TestFunction, diag_step,
-                      interpolate_patch, kernel_for_grid, patch_offsets,
+                      RawStationaryPoint, SolverConfig, StationaryPoint, TestFunction,
+                      diag_step, interpolate_patch, kernel_for_grid, patch_offsets,
                       reduce_points, sample, shape_parameter, sweep_full)
 from gridstat import stationary
 from gridstat.patch import _grad_jac
 from gridstat.stationary import (_GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts,
-                                 _domain_bounds)
+                                 _domain_bounds, classify)
 
 
 def unit_grid(nx=6, ny=6):
@@ -133,7 +134,24 @@ def test_interpolant_range_check():
     for i, j in [(0, 1), (1, 0), (g.ny - 2, 1), (1, g.nx - 2)]:
         with pytest.raises(IndexError, match=rf"^patch \({i},{j}\) outside valid range$"):
             sr.interpolant(i, j)
+        # in an array, the first patch outside is named
+        with pytest.raises(IndexError, match=rf"^patch \({i},{j}\) outside valid range$"):
+            sr.interpolant(np.array([1, i, 0]), np.array([1, j, 0]))
     sr.interpolant(g.ny - 3, g.nx - 3)  # the last valid patch
+
+
+def test_stacked_interpolant_equals_each_patch():
+    g = skewed_grid()
+    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    i, j = np.array([1, 3, 1, g.ny - 3]), np.array([2, 1, 2, g.nx - 3])
+    stacked = sr.interpolant(i, j)
+    assert stacked.centers.shape == (4, 16, 2) and stacked.constant.shape == (4,)
+    x = np.array([g.node_position(a + 1, b + 1) for a, b in zip(i, j)]) + [0.1, 0.2]
+    values, jac = stacked(x), stacked.gradient_jacobian(x)
+    for r, (a, b) in enumerate(zip(i, j)):
+        one = sr.interpolant(int(a), int(b))
+        assert values[r] == one(x[r])
+        np.testing.assert_array_equal(jac[r], one.gradient_jacobian(x[r]))
 
 
 # --- sweep --------------------------------------------------------------------
@@ -147,11 +165,18 @@ def test_sweep_patch_counts():
     assert sr.weights.shape == (17 * 17, 16)
 
 
-def test_weights_solved_in_blocks_equal_the_whole_grid_solve(monkeypatch):
-    # blocks of 7 patches split 17x17 = 289 patches unevenly
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, monkeypatch):
+    # blocks of 7 patches split 17x17 = 289 patches unevenly; the pool's
+    # threads write their blocks' rows of one array, switching often
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 7)
     g = sample(TestFunction.F2, 20, 20)
-    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)), threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
     h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
     weights, constants = (np.asarray(x, dtype=float) for x in sr.matrix.solve(h))
     np.testing.assert_array_equal(sr.weights, weights)
@@ -445,6 +470,100 @@ def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
     g = {"f2-20x20": lambda: sample(TestFunction.F2, 20, 20), "skewed": skewed_grid,
          "f2-4x30": lambda: narrow_grid(4, 30)}[grid]()
     check_block_invariance(g, SolverConfig(), block, threads, monkeypatch)
+
+
+# --- in-patch duplicates ---------------------------------------------------------
+
+def search_reference(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
+    """``_search`` with its in-patch dedup as the per-root loop it was first
+    written as."""
+    ns = cfg.seeds_per_axis
+    nseed = ns * ns
+    t = np.arange(1, ns + 1) / (ns + 1)
+    fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t
+    fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
+    seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
+    owner = np.repeat(np.arange(len(patches)), nseed)
+    idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
+                                           kernel, cfg, d)
+    k = owner[idx]
+    gx, gy = stationary._gradient(pos, centers, weights[k], kernel)
+    inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
+    acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
+    min_sep = stationary._DEDUP_RADIUS * d
+    out = []
+    keep = []
+    prev = -1
+    for seed, p in zip(idx[acc], pos[acc]):
+        pk, si = divmod(int(seed), nseed)
+        if pk != prev:
+            keep, prev = [], pk
+        if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for q in keep):
+            keep.append(p)
+            out.append(RawStationaryPoint(position=origins[pk] + p, seed_index=si,
+                                          patch=(int(patches[pk, 0]), int(patches[pk, 1]))))
+    return out, int(np.count_nonzero(acc))
+
+
+def captured_searches(monkeypatch, g, kind):
+    """Sweep g once, returning the inputs and raw points of every search."""
+    calls = []
+    search = stationary._search
+
+    def capture(*args):
+        out = search(*args)
+        calls.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(stationary, "_search", capture)
+    sweep_full(g, kernel_for_grid(kind, diag_step(g)))
+    monkeypatch.setattr(stationary, "_search", search)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("grid", ["F11-24", "F13-40", "F14-32", "skewed"])
+def test_search_dedup_matches_the_per_root_loop(grid, kind, monkeypatch):
+    if grid == "skewed":
+        g = skewed_grid()
+    else:
+        fn, n = grid.split("-")
+        g = sample(TestFunction[fn], int(n), int(n))
+    accepted = kept = 0
+    for args, got in captured_searches(monkeypatch, g, kind):
+        want, n_acc = search_reference(*args)
+        assert_same_raw(got, want)
+        accepted, kept = accepted + n_acc, kept + len(got)
+    assert accepted > kept > 0
+
+
+def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
+    # min_sep = 5 * 2^-12 exactly, and every offset below is exact: in patch
+    # 0 slot 1 is min_sep from slot 0 along x and slot 2 along a 3-4-5
+    # diagonal, and both are dropped; slot 4 and slot 5, one ulp of 1 beyond
+    # min_sep, are kept.  In patch 1 slot 0 lies outside the domain, so it
+    # does not hide slot 3, 2^-11 from it; slot 5 is min_sep from slot 3.
+    sep = 5 * 2.0 ** -12
+    monkeypatch.setattr(stationary, "_DEDUP_RADIUS", sep)
+    u = 2.0 ** -12
+    roots = {0: (1.0, 1.0), 1: (1.0 + sep, 1.0), 2: (1.0 + 3 * u, 1.0 + 4 * u),
+             4: (1.0 + 16 * u, 1.0), 5: (1.0 + sep + 2.0 ** -52, 1.0),
+             9: (0.5 - u, 1.0), 12: (0.5 + u, 1.0), 14: (0.5 + u + sep, 1.0)}
+    idx = np.array(list(roots))
+    pos = np.array(list(roots.values()))
+
+    def engine(seeds, owner, *rest):
+        return idx, pos, SeedCounts(launched=len(owner), converged=idx.size)
+
+    monkeypatch.setattr(stationary, "_newton_seeds", engine)
+    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
+    args = (np.full((2, 2), 0.5), np.full((2, 2), 2.5), patch_offsets(1.0, 1.0),
+            np.zeros((2, 16)), np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1, 1], [1, 2]]),
+            k, SolverConfig(), 1.0, 1e-8)
+    got, _ = stationary._search(*args)
+    assert [(p.patch, p.seed_index) for p in got] == [((1, 1), 0), ((1, 1), 4), ((1, 1), 5),
+                                                      ((1, 2), 3)]
+    assert_same_raw(got, search_reference(*args)[0])
 
 
 # --- certified exclusion of root-free patches ---------------------------------
@@ -815,3 +934,72 @@ def test_reduce_matches_list_reference(coords, d):
     for p, (centroid, members) in zip(got, want):
         np.testing.assert_array_equal(p.position, centroid)
         assert p.members_merged == members
+
+
+def reduce_points_reference(raw_points, d, interpolant_for=None, hessian_scale=None):
+    """``reduce_points`` as the per-cluster loop it was first written as: one
+    interpolant, value and Jacobian per cluster, and without hessian_scale
+    one eigvalsh for the scale and one for the classes."""
+    pos = np.array([np.asarray(r.position, float) for r in raw_points]).reshape(-1, 2)
+    remaining = np.arange(len(raw_points))
+    out = []
+    while remaining.size:
+        anchor = raw_points[remaining[0]]
+        diff = pos[remaining] - pos[remaining[0]]
+        near = np.hypot(diff[:, 0], diff[:, 1]) <= d
+        near[0] = True
+        cluster = remaining[near]
+        remaining = remaining[~near]
+        centroid = pos[cluster].mean(axis=0)
+        interp = interpolant_for(*anchor.patch)
+        value = float(interp(centroid))
+        jac = interp.gradient_jacobian(centroid)
+        scale = hessian_scale
+        if scale is None:
+            scale = max(float(np.abs(np.linalg.eigvalsh(jac)).max()), 1.0)
+        lam = np.linalg.eigvalsh(jac)
+        if np.any(np.abs(lam) < 1e-9 * scale):
+            cls = Classification.DEGENERATE
+        elif np.all(lam > 0):
+            cls = Classification.MINIMUM
+        elif np.all(lam < 0):
+            cls = Classification.MAXIMUM
+        else:
+            cls = Classification.SADDLE
+        out.append(StationaryPoint(position=centroid, value=value, classification=cls,
+                                   members_merged=cluster.size))
+    return out
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("grid", ["F11-24", "F13-40", "F14-32", "skewed", "skewed-tiny"])
+def test_reduce_matches_the_per_cluster_loop(grid, kind):
+    # skewed-tiny: values times 2^-40, so Hessian eigenvalues are far below
+    # 1 and the default scale is 1, not the largest eigenvalue magnitude
+    if grid.startswith("skewed"):
+        g = skewed_grid()
+        if grid == "skewed-tiny":
+            g = GridField(nx=g.nx, ny=g.ny, dx=g.dx, dy=g.dy, origin=g.origin,
+                          values=g.values * 2.0 ** -40)
+    else:
+        fn, n = grid.split("-")
+        g = sample(TestFunction[fn], int(n), int(n))
+    d = diag_step(g)
+    sr = sweep_full(g, kernel_for_grid(kind, d))
+    for scale in (g.field_range / (d * d), None):
+        got = reduce_points(sr.raw, d, interpolant_for=sr.interpolant, hessian_scale=scale)
+        want = reduce_points_reference(sr.raw, d, sr.interpolant, scale)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.position, b.position)
+            assert (a.value, a.classification, a.members_merged) == \
+                (b.value, b.classification, b.members_merged)
+        assert max(p.members_merged for p in got) > 1
+
+
+def test_classify_by_eigenvalue_signs():
+    lam = np.array([[1.0, 2.0], [-2.0, -1.0], [-1.0, 1.0], [1e-10, 1.0], [1e-10, 1.0]])
+    got = classify(lam, np.array([1.0, 1.0, 1.0, 1.0, 1e-3]))
+    assert got == [Classification.MINIMUM, Classification.MAXIMUM, Classification.SADDLE,
+                   Classification.DEGENERATE, Classification.MINIMUM]
+    assert classify(lam[:1], 1e10) == [Classification.DEGENERATE]
