@@ -216,11 +216,11 @@ def _first_distinct(ok, xy, min_sep):
     every kept root (p, t) with t < s, so the earliest seed wins.  The
     greedy test runs slot by slot, for all patches at once.
     """
-    far = np.hypot(xy[:, :, None, 0] - xy[:, None, :, 0],
-                   xy[:, :, None, 1] - xy[:, None, :, 1]) > min_sep
     kept = np.zeros_like(ok)
     for s in range(ok.shape[1]):
-        kept[:, s] = ok[:, s] & (far[:, s, :s] | ~kept[:, :s]).all(axis=1)
+        diff = xy[:, s, None, :] - xy[:, :s, :]
+        far = np.hypot(diff[..., 0], diff[..., 1]) > min_sep
+        kept[:, s] = ok[:, s] & (far | ~kept[:, :s]).all(axis=1)
     return kept
 
 
