@@ -45,7 +45,7 @@ def _radial(method):
     numpy evaluates some operations (integer powers, say) by a different
     route on 0-d inputs than on arrays, and the two can differ by an ulp.
     Every input therefore takes the array route; a scalar input is turned
-    back into a float at the end.
+    back into a float (or a tuple of floats) at the end.
     """
     @functools.wraps(method)
     def evaluate(self, r):
@@ -53,7 +53,9 @@ def _radial(method):
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
         out = method(self, np.atleast_1d(r))
-        return out if r.ndim else float(out[0])
+        if r.ndim:
+            return out
+        return tuple(float(o[0]) for o in out) if isinstance(out, tuple) else float(out[0])
     return evaluate
 
 
@@ -112,6 +114,46 @@ class Kernel:
             out = np.where(u < 1.0, out, 0.0)
         return out
 
+    def _shared(self, r):
+        """The factor psi and eta of each kind are both built from:
+          Gaussian         exp(-(ar)^2)
+          inverse quadric  1+(ar)^2
+          Wendland 3,1     (1-ar)_+
+        computed in place in one new array.
+        """
+        u = self.alpha * r
+        if self.kind is KernelKind.GAUSSIAN:
+            u *= u
+            return np.exp(np.negative(u, out=u), out=u)
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            u *= u
+            u += 1.0
+            return u
+        return np.maximum(np.subtract(1.0, u, out=u), 0.0, out=u)
+
+    def _psi_of(self, f):
+        """psi from the shared factor f = ``_shared(r)``; f is left as it is."""
+        a2 = self.alpha * self.alpha
+        if self.kind is KernelKind.GAUSSIAN:
+            return -2.0 * a2 * f
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            q = f ** 2
+            return np.divide(-2.0 * a2, q, out=q)
+        return -20.0 * a2 * f ** 3
+
+    def _eta_of(self, f, r):
+        """eta from the shared factor f = ``_shared(r)`` and r; overwrites f."""
+        a2 = self.alpha * self.alpha
+        a4 = a2 * a2
+        if self.kind is KernelKind.GAUSSIAN:
+            f *= 4.0 * a4
+            return f
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            f **= 3
+            return np.divide(8.0 * a4, f, out=f)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(r > 0, 60.0 * a2 * self.alpha * f * f / np.where(r > 0, r, 1.0), 0.0)
+
     @_radial
     def psi(self, r):
         """phi'(r)/r, continuously extended to r = 0.
@@ -121,39 +163,29 @@ class Kernel:
           inverse quadric  -2 a^2 (1+(ar)^2)^-2
           Wendland 3,1     -20 a^2 (1-ar)_+^3
         """
-        a2 = self.alpha * self.alpha
-        u = self.alpha * r
-        if self.kind is KernelKind.GAUSSIAN:
-            out = -2.0 * a2 * np.exp(-(u * u))
-        elif self.kind is KernelKind.INVERSE_QUADRIC:
-            out = -2.0 * a2 / (1.0 + u * u) ** 2
-        else:
-            out = -20.0 * a2 * np.maximum(1.0 - u, 0.0) ** 3
-        return out
+        return self._psi_of(self._shared(r))
 
     @_radial
     def eta(self, r):
         """(phi''(r) r - phi'(r)) / r^3 = psi'(r)/r, the radial weight of the
         rank-one part of d/dx [psi(|x|) x] = eta(|x|) x x^T + psi(|x|) I.
 
-        Gaussian and inverse quadric have smooth closed forms.  Wendland's
-        eta behaves like 60 a^3 / r near 0; since it only ever multiplies
-        the outer product (x-c)(x-c)^T, which vanishes quadratically there,
-        the r = 0 value is taken as 0 so the Jacobian term stays finite.
+        Gaussian and inverse quadric have smooth closed forms:
+          Gaussian         4 a^4 exp(-(ar)^2)
+          inverse quadric  8 a^4 (1+(ar)^2)^-3
+        Wendland's eta, 60 a^3 (1-ar)_+^2 / r, behaves like 60 a^3 / r near
+        0; since it only ever multiplies the outer product (x-c)(x-c)^T,
+        which vanishes quadratically there, the r = 0 value is taken as 0 so
+        the Jacobian term stays finite.
         """
-        a2 = self.alpha * self.alpha
-        a4 = a2 * a2
-        u = self.alpha * r
-        u2 = u * u
-        if self.kind is KernelKind.GAUSSIAN:
-            out = 4.0 * a4 * np.exp(-u2)
-        elif self.kind is KernelKind.INVERSE_QUADRIC:
-            out = 8.0 * a4 / (1.0 + u2) ** 3
-        else:
-            t = np.maximum(1.0 - u, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out = np.where(r > 0, 60.0 * a2 * self.alpha * t * t / np.where(r > 0, r, 1.0), 0.0)
-        return out
+        return self._eta_of(self._shared(r), r)
+
+    @_radial
+    def psi_eta(self, r):
+        """psi(r) and eta(r) from one evaluation of their shared factor,
+        bit for bit the values of ``psi`` and ``eta``."""
+        f = self._shared(r)
+        return self._psi_of(f), self._eta_of(f, r)
 
 
 def kernel_for_grid(kind: KernelKind, d: float) -> Kernel:

@@ -121,28 +121,40 @@ class PatchMatrix:
         return x[:16].T, x[16]
 
 
-def _offsets_psi(x, centers, kernel):
+def _offsets(x, centers):
     """The per-center terms every derivative of an RBF sum is built from.
 
-    x (..., 2), centers (..., 16, 2); returns the offsets x - x_m
-    (..., 16, 2), their lengths r and psi(r), both (..., 16).
+    x (..., 2), centers (..., 16, 2); returns the components ox, oy of the
+    offsets x - x_m and their lengths r, all (..., 16) and contiguous.
     """
-    diff = x[..., None, :] - centers
-    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    return diff, r, kernel.psi(r)
+    ox = x[..., 0, None] - centers[..., 0]
+    oy = x[..., 1, None] - centers[..., 1]
+    r = ox * ox
+    r += oy * oy
+    return ox, oy, np.sqrt(r, out=r)
+
+
+def _weighted(terms, weights):
+    """terms * weights, written over terms where the product has its shape
+    and dtype."""
+    fits = (np.broadcast_shapes(terms.shape, weights.shape) == terms.shape
+            and np.result_type(terms, weights) == terms.dtype)
+    return np.multiply(terms, weights, out=terms if fits else None)
 
 
 def _gradient_sums(cpsi, ox, oy):
     """gx, gy = sum_m cpsi_m (x - x_m) from the weighted terms cpsi = c_m
     psi(r_m) and the offsets' components ox, oy, all (..., 16)."""
-    return (cpsi * ox).sum(axis=-1), (cpsi * oy).sum(axis=-1)
+    t = cpsi * ox
+    gx = t.sum(axis=-1)
+    return gx, np.multiply(cpsi, oy, out=t).sum(axis=-1)
 
 
 def _gradient(x, centers, weights, kernel):
     """The gradient gx, gy of RBF sums, as ``_grad_jac`` computes it, without
     the Jacobian."""
-    diff, _, psi = _offsets_psi(x, centers, kernel)
-    return _gradient_sums(weights * psi, diff[..., 0], diff[..., 1])
+    ox, oy, r = _offsets(x, centers)
+    return _gradient_sums(_weighted(kernel.psi(r), weights), ox, oy)
 
 
 def _grad_jac(x, centers, weights, kernel):
@@ -150,17 +162,26 @@ def _grad_jac(x, centers, weights, kernel):
 
     x (..., 2), centers (..., 16, 2), weights (..., 16); returns the arrays
     gx, gy, jxx, jxy, jyy of shape (...).  Uses only elementwise ops and
-    fixed-order row sums, so results do not depend on batch size.
+    fixed-order row sums, so results do not depend on batch size.  psi and
+    eta come from one kernel evaluation; the weighted terms overwrite them,
+    and the squared offsets the offsets once the gradient and jxy are
+    summed, so the Hessian sums hold no (..., 16) array they do not need.
     """
-    diff, r, psi = _offsets_psi(x, centers, kernel)
-    cpsi = weights * psi
-    del psi  # not held through the Hessian sums: the Newton engine peaks lower
-    ceta = weights * kernel.eta(r)
-    gx, gy = _gradient_sums(cpsi, diff[..., 0], diff[..., 1])
+    ox, oy, r = _offsets(x, centers)
+    psi, eta = kernel.psi_eta(r)
+    del r
+    cpsi = _weighted(psi, weights)
+    ceta = _weighted(eta, weights)
+    del psi, eta
+    gx, gy = _gradient_sums(cpsi, ox, oy)
     tr = cpsi.sum(axis=-1)
-    jxx = (ceta * diff[..., 0] ** 2).sum(axis=-1) + tr
-    jxy = (ceta * diff[..., 0] * diff[..., 1]).sum(axis=-1)
-    jyy = (ceta * diff[..., 1] ** 2).sum(axis=-1) + tr
+    # cpsi has the shape of ceta: its array takes the products of jxy
+    t = np.multiply(ceta, ox, out=cpsi)
+    jxy = np.multiply(t, oy, out=t).sum(axis=-1)
+    del cpsi, t
+    # ceta (x - x_m)^2 rounds the square first, then the product
+    jxx = _weighted(np.multiply(ox, ox, out=ox), ceta).sum(axis=-1) + tr
+    jyy = _weighted(np.multiply(oy, oy, out=oy), ceta).sum(axis=-1) + tr
     return gx, gy, jxx, jxy, jyy
 
 

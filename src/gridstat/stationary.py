@@ -31,6 +31,14 @@ seeds' weights by owner.  Seeds leave when they converge, hit a singular
 Jacobian, get stuck on an exact orbit of the clamped map of period at most
 ``_CYCLE`` (which can never converge), or reach the iteration cap; only the
 converged ones are returned.
+
+The engine and the certifier gather rows with ``take`` and ``compress``,
+never with fancy or boolean indexing, and repeat indices with a broadcast
+and a copy instead of ``np.repeat``.  At their shapes (thousands of rows
+of 16) ``take`` is about 2.5 times as fast as fancy indexing and
+``compress`` up to 10 times as fast as a boolean mask; fancy indexing and
+``np.repeat`` also do not run in parallel on the pool's threads, where
+``take`` does.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import numpy as np
 from .grid import GridField, NeighborIndex, diag_step
 from .kernels import Kernel, KernelKind
 from .patch import (PatchInterpolant, PatchMatrix, _grad_jac, _gradient, _gradient_sums,
-                    _offsets_psi, patch_offsets)
+                    _offsets, _weighted, patch_offsets)
 
 log = logging.getLogger(__name__)
 
@@ -169,6 +177,7 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     x = np.empty_like(xl)  # x[s] is seed s's root once it has converged
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
+    ol = owner  # the live seeds' owners
     # ring[:, k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
     ring = np.full((n, _CYCLE, 2), np.nan)
     ring[:, 0] = xl
@@ -178,15 +187,15 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers, weights[owner[live]], kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers, weights.take(ol, axis=0), kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
-            live, xl, ring = (a[ok] for a in (live, xl, ring))
-            gx, gy, jxx, jxy, jyy, det = (a[ok] for a in (gx, gy, jxx, jxy, jyy, det))
+            live, ol, xl, ring = (a.compress(ok, axis=0) for a in (live, ol, xl, ring))
+            gx, gy, jxx, jxy, jyy, det = (a.compress(ok) for a in (gx, gy, jxx, jxy, jyy, det))
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
         nx = np.minimum(np.maximum(xl[:, 0] - sx, box_lo[0]), box_hi[0])
@@ -198,14 +207,22 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
         leave = done | cyc
         if leave.any():
             stuck += int(np.count_nonzero(cyc))
-            x[live[done]] = xl[done]
-            converged[live[done]] = True
-            live, xl, ring = (a[~leave] for a in (live, xl, ring))
+            root = live.compress(done)
+            x[root] = xl.compress(done, axis=0)
+            converged[root] = True
+            stay = ~leave
+            live, ol, xl, ring = (a.compress(stay, axis=0) for a in (live, ol, xl, ring))
         ring[:, (it + 1) % _CYCLE] = xl
     idx = np.flatnonzero(converged)
     counts = SeedCounts(launched=n, converged=idx.size, singular=singular,
                         stuck=stuck, capped=live.size, iterations=iterations)
-    return idx, x[idx], counts
+    return idx, x.take(idx, axis=0), counts
+
+
+def _repeat_each(a, n):
+    """Each entry of the 1-d array a n times in a row: np.repeat(a, n) as a
+    broadcast and a copy, which runs in parallel on the pool's threads."""
+    return np.broadcast_to(a[:, None], (a.size, n)).reshape(-1)
 
 
 def _first_distinct(ok, xy, min_sep):
@@ -240,30 +257,31 @@ def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (P, ns)
     fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
     seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
-    owner = np.repeat(np.arange(len(patches)), nseed)
+    owner = _repeat_each(np.arange(len(patches)), nseed)
 
     idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
                                      kernel, cfg, d)
 
     # accept converged roots inside their domain with a small gradient
-    k = owner[idx]
-    gx, gy = _gradient(pos, centers, weights[k], kernel)
-    inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
+    k = owner.take(idx)
+    gx, gy = _gradient(pos, centers, weights.take(k, axis=0), kernel)
+    inside = np.all((pos >= lo.take(k, axis=0)) & (pos <= hi.take(k, axis=0)), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
 
     # drop duplicates within each patch, laid out as (patch, seed slot) over
     # the patches with an accepted root
     ok = np.zeros((len(patches), nseed), dtype=bool)
-    ok.flat[idx[acc]] = True
+    ok.flat[idx.compress(acc)] = True
     rows = np.flatnonzero(ok.any(axis=1))
     xy = np.zeros((len(patches) * nseed, 2))
     xy[idx] = pos
-    xy = xy.reshape(-1, nseed, 2)[rows]
-    kept = _first_distinct(ok[rows], xy, _DEDUP_RADIUS * d)
+    xy = xy.reshape(-1, nseed, 2).take(rows, axis=0)
+    kept = _first_distinct(ok.take(rows, axis=0), xy, _DEDUP_RADIUS * d)
     r, si = np.nonzero(kept)
-    pk = rows[r]
+    pk = rows.take(r)
+    on_grid = origins.take(pk, axis=0) + xy.reshape(-1, 2).take(r * nseed + si, axis=0)
     out = [RawStationaryPoint(position=p, patch=tuple(ij), seed_index=s)
-           for p, ij, s in zip(origins[pk] + xy[r, si], patches[pk].tolist(), si.tolist())]
+           for p, ij, s in zip(on_grid, patches.take(pk, axis=0).tolist(), si.tolist())]
     return out, counts
 
 
@@ -385,17 +403,18 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
     # order, with a new id wherever a row differs from the one before it
     bounds = np.column_stack([lo, hi])
     order = np.lexsort(bounds.T)
-    new = np.any(bounds[order[1:]] != bounds[order[:-1]], axis=1)
+    ordered = bounds.take(order, axis=0)
+    new = np.any(ordered[1:] != ordered[:-1], axis=1)
     domain = np.empty(npatch, dtype=np.int64)
     domain[order] = np.concatenate([[0], np.cumsum(new)])
     failed = np.zeros(npatch, dtype=bool)
     # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
-    k = np.repeat(np.arange(npatch), 4)
+    k = _repeat_each(np.arange(npatch), 4)
     cells = np.tile(_QUARTERS, (npatch, 1))
     chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
-        keep = ~failed[k]
-        k, cells = k[keep], cells[keep]
+        keep = ~failed.take(k)
+        k, cells = k.compress(keep), cells.compress(keep, axis=0)
         if k.size == 0:
             break
         side = 2 ** level
@@ -403,9 +422,10 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
         split = []
         for c0 in range(0, k.size, chunk):
             kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
-            key = (domain[kc] * side + cc[:, 1]) * side + cc[:, 0]
+            key = (domain.take(kc) * side + cc[:, 1]) * side + cc[:, 0]
             _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-            blo, bhi, cf = lo[kc[first]], hi[kc[first]], cells[c0 + first]
+            kf = kc.take(first)
+            blo, bhi, cf = lo.take(kf, axis=0), hi.take(kf, axis=0), cc.take(first, axis=0)
             # an edge is the same float at every level; t = 1 is hi itself
             a = blo + (bhi - blo) * (cf / side)
             t = (cf + 1) / side
@@ -413,17 +433,19 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-            diff, _, psi = _offsets_psi(x0, centers, kernel)
-            gx, gy = _gradient_sums(weights[kc] * psi[inv], diff[inv, :, 0], diff[inv, :, 1])
-            slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
-            bound = norm[kc] * _gradient_modulus(kernel, r)[inv]
+            ox, oy, dist = _offsets(x0, centers)
+            cpsi = _weighted(weights.take(kc, axis=0), kernel.psi(dist).take(inv, axis=0))
+            gx, gy = _gradient_sums(cpsi, ox.take(inv, axis=0), oy.take(inv, axis=0))
+            ekc, nkc = eps.take(kc), norm.take(kc)
+            slack = np.sqrt(gx * gx + gy * gy) - ekc - tol_g - ekc
+            bound = nkc * _gradient_modulus(kernel, r).take(inv)
             split.append(np.flatnonzero(slack <= bound) + c0)
-            bound = norm[kc] * _gradient_modulus(kernel, r * finest)[inv]
-            failed[kc[slack <= bound]] = True
+            bound = nkc * _gradient_modulus(kernel, r * finest).take(inv)
+            failed[kc.compress(slack <= bound)] = True
         # at the finest level every failed sub-box has failed its patch
         split = np.concatenate(split)
-        k = np.repeat(k[split], 4)
-        cells = (2 * cells[split, None, :] + _QUARTERS).reshape(-1, 2)
+        k = _repeat_each(k.take(split), 4)
+        cells = (2 * cells.take(split, axis=0)[:, None, :] + _QUARTERS).reshape(-1, 2)
     return ~failed
 
 

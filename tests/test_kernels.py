@@ -25,7 +25,7 @@ def test_phi_values():
 
 def test_phi_negative_radius_rejected():
     k = Kernel(KernelKind.GAUSSIAN, 1.0)
-    for fn in (k.phi, k.phi_prime, k.phi_second, k.psi, k.eta):
+    for fn in (k.phi, k.phi_prime, k.phi_second, k.psi, k.eta, k.psi_eta):
         with pytest.raises(ValueError):
             fn(-0.1)
 
@@ -163,3 +163,113 @@ def test_array_and_scalar_evaluation_agree(kind, alpha, r):
     arr = np.array(r)
     for fn in (k.phi, k.phi_prime, k.psi, k.eta):
         np.testing.assert_array_equal(fn(arr), np.array([fn(v) for v in r]))
+
+
+# --- psi and eta from one evaluation ------------------------------------------
+
+def psi_reference(k, r):
+    """psi as the closed forms were first written, one formula per kind."""
+    a2 = k.alpha * k.alpha
+    u = k.alpha * np.atleast_1d(np.asarray(r, float))
+    if k.kind is KernelKind.GAUSSIAN:
+        return -2.0 * a2 * np.exp(-(u * u))
+    if k.kind is KernelKind.INVERSE_QUADRIC:
+        return -2.0 * a2 / (1.0 + u * u) ** 2
+    return -20.0 * a2 * np.maximum(1.0 - u, 0.0) ** 3
+
+
+def eta_reference(k, r):
+    """eta as the closed forms were first written, one formula per kind."""
+    r = np.atleast_1d(np.asarray(r, float))
+    a2 = k.alpha * k.alpha
+    a4 = a2 * a2
+    u = k.alpha * r
+    u2 = u * u
+    if k.kind is KernelKind.GAUSSIAN:
+        return 4.0 * a4 * np.exp(-u2)
+    if k.kind is KernelKind.INVERSE_QUADRIC:
+        return 8.0 * a4 / (1.0 + u2) ** 3
+    t = np.maximum(1.0 - u, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(r > 0, 60.0 * a2 * k.alpha * t * t / np.where(r > 0, r, 1.0), 0.0)
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal bytes: -0.0 differs from 0.0."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def radii(k):
+    """0, interior radii, Wendland's support 1/alpha and beyond it, and the
+    radii where the Gaussian's exp(-(alpha r)^2) goes subnormal and then 0."""
+    support = 1.0 / k.alpha
+    interior = np.random.default_rng(11).uniform(0.0, support, 40)
+    edge = np.nextafter(support, [0.0, np.inf])
+    gauss = np.array([26.0, 27.0, 27.3, 27.5, 28.0, 40.0]) / k.alpha
+    return np.concatenate([[0.0, 5e-324, 1e-300], interior, [support], edge,
+                           [1.5 * support, 3.0 * support], gauss])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("alpha", [0.3175132598449121, 1.0, 7.0121])
+def test_psi_eta_equals_psi_and_eta_bit_for_bit(kind, alpha):
+    k = Kernel(kind, alpha)
+    r = radii(k)
+    psi, eta = k.psi_eta(r)
+    assert_same_bits(psi, k.psi(r))
+    assert_same_bits(eta, k.eta(r))
+    # and both keep the closed forms' bits
+    assert_same_bits(psi, psi_reference(k, r))
+    assert_same_bits(eta, eta_reference(k, r))
+    # shapes the engine passes: (S, 16) rows and a stack of them
+    grid = r[:48].reshape(3, 16)
+    for shaped in (grid, grid[None], grid.T):
+        p, e = k.psi_eta(shaped)
+        assert_same_bits(p, k.psi(shaped))
+        assert_same_bits(e, k.eta(shaped))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_psi_eta_on_a_scalar_gives_two_floats(kind):
+    k = Kernel(kind, 1.3)
+    for r in radii(k):
+        psi, eta = k.psi_eta(r)
+        assert type(psi) is float and type(eta) is float
+        assert_same_bits(psi, k.psi(r))
+        assert_same_bits(eta, k.eta(r))
+        assert_same_bits(psi, psi_reference(k, r)[0])
+        assert_same_bits(eta, eta_reference(k, r)[0])
+    psi, eta = k.psi_eta(np.float64(0.25))
+    assert type(psi) is float and type(eta) is float
+
+
+def test_gaussian_underflow_and_wendland_support():
+    g = Kernel(KernelKind.GAUSSIAN, 1.0)
+    psi, eta = g.psi_eta(np.array([27.2, 40.0]))
+    assert 0 < -psi[0] < 1e-300 and 0 < eta[0] < 1e-300  # subnormal
+    assert_same_bits(psi[1:], [-0.0])
+    assert_same_bits(eta[1:], [0.0])
+    w = Kernel(KernelKind.WENDLAND31, 2.0)
+    psi, eta = w.psi_eta(np.array([0.0, 0.5, 0.75]))
+    assert eta[0] == 0.0 and psi[0] == -80.0
+    assert_same_bits(psi[1:], [-0.0, -0.0])
+    assert_same_bits(eta[1:], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_psi_eta_rejects_a_negative_radius(kind):
+    k = Kernel(kind, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        k.psi_eta(np.array([0.5, -1e-300, 0.25]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        k.psi_eta(-0.5)
+
+
+def test_psi_eta_leaves_its_argument_unchanged():
+    for kind in ALL_KINDS:
+        r = np.linspace(0.0, 2.0, 33)
+        before = r.copy()
+        Kernel(kind, 1.1).psi_eta(r)
+        assert_same_bits(r, before)

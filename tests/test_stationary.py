@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import (Classification, GridField, Kernel, KernelKind, PatchMatrix,
-                      RawStationaryPoint, SolverConfig, StationaryPoint, TestFunction,
-                      diag_step, interpolate_patch, kernel_for_grid, patch_offsets,
-                      reduce_points, sample, shape_parameter, sweep_full)
+from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
+                      PatchMatrix, RawStationaryPoint, SolverConfig, StationaryPoint,
+                      TestFunction, diag_step, interpolate_patch, kernel_for_grid,
+                      patch_offsets, reduce_points, sample, shape_parameter, sweep_full)
 from gridstat import stationary
 from gridstat.patch import _grad_jac
 from gridstat.stationary import (_GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts,
@@ -280,6 +280,98 @@ def test_sweep_matches_dense_multistart_oracle():
     assert len(got) == len(truth)
     dist = np.linalg.norm(got[:, None, :] - truth[None, :, :], axis=2)
     assert dist.min(axis=1).max() <= d
+
+
+# --- gradient and Jacobian of RBF sums -------------------------------------------
+
+def gradient_reference(x, centers, weights, kernel):
+    """``_gradient`` as it was first written: offsets as one (..., 16, 2) array."""
+    diff = x[..., None, :] - centers
+    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    cpsi = weights * kernel.psi(r)
+    return (cpsi * diff[..., 0]).sum(axis=-1), (cpsi * diff[..., 1]).sum(axis=-1)
+
+
+def grad_jac_reference(x, centers, weights, kernel):
+    """``_grad_jac`` as it was first written: offsets as one (..., 16, 2)
+    array, and psi and eta from two kernel evaluations."""
+    diff = x[..., None, :] - centers
+    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    cpsi = weights * kernel.psi(r)
+    ceta = weights * kernel.eta(r)
+    gx, gy = (cpsi * diff[..., 0]).sum(axis=-1), (cpsi * diff[..., 1]).sum(axis=-1)
+    tr = cpsi.sum(axis=-1)
+    jxx = (ceta * diff[..., 0] ** 2).sum(axis=-1) + tr
+    jxy = (ceta * diff[..., 0] * diff[..., 1]).sum(axis=-1)
+    jyy = (ceta * diff[..., 1] ** 2).sum(axis=-1) + tr
+    return gx, gy, jxx, jxy, jyy
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def gradient_shapes(kind, seed):
+    """(x, centers, weights) in every layout the engine, the certifier and
+    ``PatchInterpolant`` use, on one random patch with one point on a node."""
+    k, centers, w = random_patch(kind, 0.7, 0.4, 1.0, seed)
+    rng = np.random.default_rng(seed)
+    R = 7
+    x = rng.uniform(0, 1, (R, 2)) * [2.1, 1.2]
+    x[2] = centers[5]  # r = 0: Wendland's eta takes its r = 0 branch
+    stacked = centers + rng.uniform(-2, 2, (R, 1, 2))
+    ws = w * rng.uniform(0.5, 2.0, (R, 1))
+    return k, [
+        (x, centers, ws),                        # the engine: shared nodes, per-seed weights
+        (x, centers, w),                         # one interpolant at many points
+        (x, stacked, ws),                        # a stacked interpolant, one point each
+        (x[3], stacked, ws),                     # one point against a stack
+        (x[3], centers, w),                      # one point, one patch
+        (x[3], centers, ws),                     # weights broader than the offsets
+        (x[:, None, :], stacked[None], ws[None]),  # (R, R) broadcast
+    ]
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grad_jac_and_gradient_keep_the_bits_of_the_reference(kind, seed):
+    k, layouts = gradient_shapes(kind, seed)
+    for x, centers, weights in layouts:
+        assert_same_bits(_grad_jac(x, centers, weights, k),
+                         grad_jac_reference(x, centers, weights, k))
+        assert_same_bits(stationary._gradient(x, centers, weights, k),
+                         gradient_reference(x, centers, weights, k))
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_interpolant_derivatives_keep_the_bits_of_the_reference(kind):
+    k, centers, w = random_patch(kind, 0.5, 0.5, 1.0, 5)
+    rng = np.random.default_rng(5)
+    stacked = centers + rng.uniform(-1, 1, (4, 1, 2))
+    ws = w * rng.uniform(0.5, 2.0, (4, 1))
+    one = PatchInterpolant(centers=centers, weights=w, kernel=k)
+    many = PatchInterpolant(centers=stacked, weights=ws, kernel=k)
+    for interp, x in ((one, rng.uniform(0, 1.5, 2)), (one, rng.uniform(0, 1.5, (9, 2))),
+                      (many, rng.uniform(0, 1.5, 2)), (many, rng.uniform(0, 1.5, (4, 2)))):
+        gx, gy, jxx, jxy, jyy = grad_jac_reference(x, interp.centers, interp.weights, k)
+        assert_same_bits([interp.gradient(x)], [np.stack(
+            gradient_reference(x, interp.centers, interp.weights, k), axis=-1)])
+        assert_same_bits([interp.gradient_jacobian(x)], [np.stack(
+            [np.stack([jxx, jxy], axis=-1), np.stack([jxy, jyy], axis=-1)], axis=-2)])
+
+
+def test_grad_jac_leaves_its_arguments_unchanged():
+    k, layouts = gradient_shapes(KernelKind.GAUSSIAN, 3)
+    for args in layouts:
+        before = [a.copy() for a in args]
+        _grad_jac(*args, k)
+        stationary._gradient(*args, k)
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a, b)
 
 
 # --- Newton seed retirement -----------------------------------------------------
