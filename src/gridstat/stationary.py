@@ -438,9 +438,11 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
             gx, gy = _gradient_sums(cpsi, ox.take(inv, axis=0), oy.take(inv, axis=0))
             ekc, nkc = eps.take(kc), norm.take(kc)
             slack = np.sqrt(gx * gx + gy * gy) - ekc - tol_g - ekc
-            bound = nkc * _gradient_modulus(kernel, r).take(inv)
+            # G^ of each key at this level's half-diagonal and at the finest's
+            modulus = _gradient_modulus(kernel, np.stack([r, r * finest]))
+            bound = nkc * modulus[0].take(inv)
             split.append(np.flatnonzero(slack <= bound) + c0)
-            bound = nkc * _gradient_modulus(kernel, r * finest).take(inv)
+            bound = nkc * modulus[1].take(inv)
             failed[kc.compress(slack <= bound)] = True
         # at the finest level every failed sub-box has failed its patch
         split = np.concatenate(split)
