@@ -434,8 +434,11 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
             ox, oy, dist = _offsets(x0, centers)
-            cpsi = _weighted(weights.take(kc, axis=0), kernel.psi(dist).take(inv, axis=0))
-            gx, gy = _gradient_sums(cpsi, ox.take(inv, axis=0), oy.take(inv, axis=0))
+            # the weighted terms are not named: held into the next chunk,
+            # they would raise the peak by one (chunk, 16) array
+            gx, gy = _gradient_sums(
+                _weighted(weights.take(kc, axis=0), kernel.psi(dist).take(inv, axis=0)),
+                ox.take(inv, axis=0), oy.take(inv, axis=0))
             ekc, nkc = eps.take(kc), norm.take(kc)
             slack = np.sqrt(gx * gx + gy * gy) - ekc - tol_g - ekc
             # G^ of each key at this level's half-diagonal and at the finest's
