@@ -48,7 +48,8 @@ def cases() -> list[tuple[str, list[str]]]:
     out = [case(fn, k, 120, 120, t) for fn in FUNCTIONS for k in KERNELS for t in (1, 2)]
     out.extend(case("f13", k, 240, 240, 2) for k in KERNELS)
     # dx = 2 dy, where the Gaussian count of f13 is wrong (1/10, not 1/7)
-    out.extend(case("f13", "gaussian", 120, 60, t) for t in (1, 2))
+    out.extend(case("f13", k, 120, 60, t) for k in KERNELS for t in (1, 2))
+    out.extend(case("f13", k, 240, 120, t) for k in KERNELS for t in (1, 2))
     # a stretched grid, dy about 5 dx
     out.append(case("f2", "gaussian", 200, 40, 1))
     # four times the default alpha of Wendland at 120x120 (7.0121)

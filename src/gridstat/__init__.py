@@ -7,8 +7,8 @@ from .kernels import Kernel, KernelKind, OMEGA, kernel_for_grid, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
 from .patch import (FactorizationError, PatchInterpolant, PatchMatrix,
                     interpolate_patch, patch_offsets)
-from .stationary import (Classification, RawStationaryPoint, SolverConfig,
-                         StationaryPoint, reduce_points, sweep_full)
+from .stationary import (Classification, RawStationaryPoint, StationaryPoint, reduce_points,
+                         sweep_full)
 
 __all__ = [
     "Binding", "BindingKind", "NeighborIndex", "cluster", "delta_max", "summarize",
@@ -17,7 +17,7 @@ __all__ = [
     "GroundTruth", "ParametricCurve", "ground_truth",
     "FactorizationError", "PatchInterpolant", "PatchMatrix",
     "interpolate_patch", "patch_offsets",
-    "Classification", "RawStationaryPoint", "SolverConfig", "StationaryPoint",
+    "Classification", "RawStationaryPoint", "StationaryPoint",
     "reduce_points", "sweep_full", "run_pipeline",
 ]
 

@@ -24,7 +24,7 @@ from .kernels import Kernel, KernelKind, shape_parameter
 from .oracle import ground_truth_json
 from .patch import FactorizationError
 from .plotting import render_svg
-from .stationary import SolverConfig, reduce_points, sweep_full
+from .stationary import reduce_points, sweep_full
 
 _FN_IDS = [tf.value for tf in TestFunction]
 _KERNELS = {k.value: k for k in KernelKind}
@@ -35,8 +35,8 @@ class InputError(ValueError):
 
 
 def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
-                 cfg: SolverConfig = SolverConfig(), threads: int = 1,
-                 input_desc: dict | None = None, timings: bool = True) -> dict:
+                 threads: int = 1, input_desc: dict | None = None,
+                 timings: bool = True) -> dict:
     """Sweep -> reduce -> cluster -> summarize; returns the JSON report."""
     d = diag_step(g)
     alpha_default = shape_parameter(kind, d)
@@ -44,7 +44,7 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
     dmax = bindings_mod.delta_max(d)
 
     t0 = time.perf_counter()
-    sr = sweep_full(g, kernel, cfg, threads=threads)
+    sr = sweep_full(g, kernel, threads=threads)
     t1 = time.perf_counter()
     scale = g.field_range / (d * d) if g.field_range > 0 else 1.0
     points = reduce_points(sr.raw, d, interpolant_for=sr.interpolant,
@@ -109,11 +109,10 @@ def cmd_sample(args) -> int:
 def cmd_find(args) -> int:
     g, source = _load_field(args)
     kind = _KERNELS[args.kernel]
-    cfg = SolverConfig(seeds_per_axis=args.seeds, max_iterations=args.max_iter)
     if args.threads < 0:
         raise InputError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
-    report = run_pipeline(g, kind, alpha=args.alpha, cfg=cfg, threads=threads,
+    report = run_pipeline(g, kind, alpha=args.alpha, threads=threads,
                           input_desc=_input_desc(g, source),
                           timings=not args.no_timings)
     text = json.dumps(report, indent=2) + "\n"
@@ -187,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--kernel", choices=sorted(_KERNELS), default="gaussian")
     pf.add_argument("--alpha", type=float, default=None,
                     help="override the default shape parameter")
-    pf.add_argument("--seeds", type=int, default=3, help="Newton seeds per axis")
-    pf.add_argument("--max-iter", type=int, default=30)
     pf.add_argument("--threads", type=int, default=0, help="0 = all cores")
     pf.add_argument("--json", default=None, help="report path (default stdout)")
     pf.add_argument("--no-timings", action="store_true",

@@ -100,19 +100,10 @@ class Kernel:
 
     @_radial
     def phi_second(self, r):
-        """d2(phi)/dr2, derived analytically from the phi' column."""
-        a2 = self.alpha * self.alpha
-        u = self.alpha * r
-        u2 = u * u
-        if self.kind is KernelKind.GAUSSIAN:
-            out = (4.0 * a2 * u2 - 2.0 * a2) * np.exp(-u2)
-        elif self.kind is KernelKind.INVERSE_QUADRIC:
-            out = (6.0 * a2 * u2 - 2.0 * a2) / (1.0 + u2) ** 3
-        else:
-            t = np.maximum(1.0 - u, 0.0)
-            out = -20.0 * a2 * t * t * (1.0 - 4.0 * u)
-            out = np.where(u < 1.0, out, 0.0)
-        return out
+        """d2(phi)/dr2 = psi(r) + eta(r) r^2, by the definition of eta; at
+        r = 0 Wendland's eta is taken as 0, and phi''(0) = psi(0)."""
+        psi, eta = self.psi_eta(r)
+        return psi + eta * (r * r)
 
     def _shared(self, r):
         """The factor psi and eta of each kind are both built from:

@@ -92,8 +92,7 @@ class PatchMatrix:
         self.dx = dx
         self.dy = dy
         pts = patch_offsets(dx, dy)
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        self.entries = kernel.phi(dist)
+        self.entries = kernel.phi(_offsets(pts, pts)[2])
         system = np.zeros((17, 17), dtype=np.longdouble)
         system[:16, :16] = self.entries
         system[:16, 16] = 1
@@ -200,7 +199,7 @@ class PatchInterpolant:
         """Interpolant value; x is (2,) or (..., 2).  Summed like
         ``_grad_jac``, so the value does not depend on the weights' layout."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x[..., None, :] - np.asarray(self.centers, dtype=float), axis=-1)
+        _, _, r = _offsets(x, np.asarray(self.centers, dtype=float))
         out = (np.asarray(self.weights) * self.kernel.phi(r)).sum(axis=-1) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 

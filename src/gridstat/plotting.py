@@ -12,8 +12,6 @@ ground truth in a dashed style.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import quoteattr
-
 import numpy as np
 
 from .grid import GridField
@@ -90,7 +88,7 @@ class _Svg:
         self.parts = []
 
     def open_group(self, gid):
-        self.parts.append(f'<g id={quoteattr(gid)}>')
+        self.parts.append(f'<g id="{gid}">')
 
     def close_group(self):
         self.parts.append("</g>")

@@ -64,6 +64,8 @@ _STEP_TOL = 1e-10      # Newton has converged once a pre-clamp step is <= this *
 _GRAD_TOL_REL = 1e-8   # accepted roots have |grad| <= this * field range / d
 _DEDUP_RADIUS = 1e-3   # roots of one patch within this * d are one root
 _FLAT_PATCH = 1e-13    # patches with sample range <= this * field range are skipped
+_SEEDS_PER_AXIS = 3    # _search lays an n x n lattice of Newton seeds in each search domain
+_MAX_ITERATIONS = 30   # Newton's iteration cap
 _CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
@@ -73,20 +75,6 @@ _MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (s
 _MODULUS_PEAK = {KernelKind.GAUSSIAN: math.sqrt(2.0),
                  KernelKind.INVERSE_QUADRIC: math.sqrt(2.0),
                  KernelKind.WENDLAND31: 0.6}
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the per-patch Newton search."""
-
-    seeds_per_axis: int = 3
-    max_iterations: int = 30
-
-    def __post_init__(self):
-        if self.seeds_per_axis < 2:
-            raise ValueError("seeds_per_axis must be at least 2")
-        if not self.max_iterations > 0:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,7 @@ def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
 # Newton engine (vectorized over seeds and patches)
 # ---------------------------------------------------------------------------
 
-def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
+def _newton_seeds(seeds, owner, centers, weights, kernel, d):
     """Run Newton from every seed; returns the indices of the converged
     seeds (ascending), their positions and the ``SeedCounts``.
 
@@ -166,7 +154,7 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
       pushed against a box edge or corner).  ``_grad_jac`` is
       batch-invariant and the clamped map deterministic, so the seed would
       repeat that orbit up to the cap and never converge;
-    - capped: still live after cfg.max_iterations.
+    - capped: still live after _MAX_ITERATIONS.
 
     The live seeds' indices, positions and rings are compact arrays that
     shrink only when seeds leave; ``counts.iterations`` is the number of
@@ -183,7 +171,7 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, cfg, d):
     ring[:, 0] = xl
     box_lo, box_hi = centers.min(axis=0), centers.max(axis=0)
     singular = stuck = iterations = 0
-    for it in range(cfg.max_iterations):
+    for it in range(_MAX_ITERATIONS):
         if live.size == 0:
             break
         iterations += live.size
@@ -241,7 +229,7 @@ def _first_distinct(ok, xy, min_sep):
     return kept
 
 
-def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
+def _search(lo, hi, centers, weights, origins, patches, kernel, d, tol_g):
     """Stationary points of P patch interpolants, ordered by (patch, seed),
     and the ``SeedCounts`` of their Newton runs.
 
@@ -249,9 +237,10 @@ def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
     the shared nodes and weights (P,16) the interpolants, origins (P,2) the
     patches' first nodes on the grid and patches (P,2) their 1-based
     (i, j).  Seeds form an n x n lattice strictly inside each domain,
-    row-major (y outer).  The roots are returned on the grid.
+    n = _SEEDS_PER_AXIS, row-major (y outer).  The roots are returned on the
+    grid.
     """
-    ns = cfg.seeds_per_axis
+    ns = _SEEDS_PER_AXIS
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (P, ns)
@@ -260,7 +249,7 @@ def _search(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
     owner = _repeat_each(np.arange(len(patches)), nseed)
 
     idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
-                                     kernel, cfg, d)
+                                     kernel, d)
 
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
@@ -487,8 +476,7 @@ class SweepResult:
                                 kernel=self.matrix.kernel, constant=self.constants[pidx])
 
 
-def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
-               threads: int = 1) -> SweepResult:
+def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult:
     """All raw stationary points of the grid, ordered by (i, j, seed), with
     the per-patch interpolation data."""
     npi, npj = g.ny - 3, g.nx - 3
@@ -526,7 +514,7 @@ def sweep_full(g: GridField, kernel: Kernel, cfg: SolverConfig = SolverConfig(),
 
     def search(block: np.ndarray):
         return _search(lo[block], hi[block], offsets, weights[block] / field_range,
-                       origins[block], patches[block], kernel, cfg, d, tol_g)
+                       origins[block], patches[block], kernel, d, tol_g)
 
     def blocks(idx: np.ndarray):
         return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
@@ -562,12 +550,12 @@ _BY_CODE = (Classification.SADDLE, Classification.MINIMUM, Classification.MAXIMU
             Classification.DEGENERATE)
 
 
-def classify(lam: np.ndarray, scale) -> list[Classification]:
+def classify(lam: np.ndarray, scale: float) -> list[Classification]:
     """Classify points by the signs of their Hessian eigenvalues lam (n, 2);
-    a point with an eigenvalue below 1e-9 * scale in magnitude (scale a
-    number or one per point) is degenerate."""
+    a point with an eigenvalue below 1e-9 * scale in magnitude is
+    degenerate."""
     lam = np.asarray(lam, float)
-    degenerate = (np.abs(lam) < 1e-9 * np.asarray(scale, float)[..., None]).any(axis=1)
+    degenerate = (np.abs(lam) < 1e-9 * scale).any(axis=1)
     code = np.where(degenerate, 3, np.where((lam > 0).all(axis=1), 1,
                                             np.where((lam < 0).all(axis=1), 2, 0)))
     return [_BY_CODE[c] for c in code.tolist()]
@@ -575,7 +563,7 @@ def classify(lam: np.ndarray, scale) -> list[Classification]:
 
 def reduce_points(raw: list[RawStationaryPoint], d: float,
                   interpolant_for=None,
-                  hessian_scale: float | None = None) -> list[StationaryPoint]:
+                  hessian_scale: float = 1.0) -> list[StationaryPoint]:
     """Anchored centroid reduction: repeatedly take the first remaining
     point, merge everything within d > 0 of *it* (anchor semantics), and
     emit the centroid.  A point with a non-finite coordinate is within d of
@@ -585,8 +573,9 @@ def reduce_points(raw: list[RawStationaryPoint], d: float,
     patch interpolant of each cluster's first member.  It is called once,
     with the anchors' patches as integer arrays, and may return one
     interpolant stacked over them (``SweepResult.interpolant``) or one that
-    serves them all.  The classification scale is ``hessian_scale``, or per
-    point the largest Hessian eigenvalue magnitude, at least 1.
+    serves them all.  A point with a Hessian eigenvalue below 1e-9 *
+    ``hessian_scale`` in magnitude is degenerate; ``run_pipeline`` passes
+    field_range / d^2, the Hessian scale of the field.
     """
     pos = np.array([np.asarray(r.position, float) for r in raw]).reshape(-1, 2)
     index = NeighborIndex(pos, d)
@@ -606,10 +595,6 @@ def reduce_points(raw: list[RawStationaryPoint], d: float,
         interp = interpolant_for(anchors[:, 0], anchors[:, 1])
         x = np.array(centroids)
         values = interp(x).tolist()
-        lam = np.linalg.eigvalsh(interp.gradient_jacobian(x))
-        scale = hessian_scale
-        if scale is None:
-            scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
-        classes = classify(lam, scale)
+        classes = classify(np.linalg.eigvalsh(interp.gradient_jacobian(x)), hessian_scale)
     return [StationaryPoint(position=p, value=v, classification=k, members_merged=len(c))
             for p, v, k, c in zip(centroids, values, classes, clusters)]

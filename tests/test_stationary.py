@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
-                      PatchMatrix, RawStationaryPoint, SolverConfig, StationaryPoint,
+                      PatchMatrix, RawStationaryPoint, StationaryPoint,
                       TestFunction, diag_step, interpolate_patch, kernel_for_grid,
                       patch_offsets, reduce_points, sample, shape_parameter, sweep_full)
 from gridstat import stationary
@@ -38,14 +38,7 @@ def sweep_each_kernel(g):
     return {kind: sweep_full(g, kernel_for_grid(kind, diag_step(g))) for kind in KernelKind}
 
 
-# --- configuration and domains ----------------------------------------------
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(seeds_per_axis=1)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-
+# --- search domains ------------------------------------------------------------
 
 def test_patch_domain_interior():
     # in the patch frame: patch (2, 2) starts at node (1, 1) of the grid
@@ -117,8 +110,7 @@ def test_flat_patch_skipped():
 def test_roots_respect_gradient_tolerance_and_domain():
     g = sample(TestFunction.F2, 20, 20)
     d = diag_step(g)
-    cfg = SolverConfig()
-    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, d), cfg)
+    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, d))
     tol_g = _GRAD_TOL_REL * g.field_range / d
     assert sr.raw, "expected stationary points on the F2 sample"
     for r in sr.raw:
@@ -205,14 +197,14 @@ def narrow_grid(nx, ny):
                      values=values.ravel())
 
 
-def check_block_invariance(g, cfg, block, threads, monkeypatch):
+def check_block_invariance(g, block, threads, monkeypatch):
     """sweep_full in blocks of `block` patches on `threads` threads gives the
     raw points, bit for bit, and the seed counts of one block on one thread."""
     k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
-    ref = sweep_full(g, k, cfg, threads=1)
+    ref = sweep_full(g, k, threads=1)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
-    got = sweep_full(g, k, cfg, threads=threads)
+    got = sweep_full(g, k, threads=threads)
     assert ref.raw
     assert len(got.raw) == len(ref.raw)
     for a, b in zip(got.raw, ref.raw):
@@ -220,6 +212,7 @@ def check_block_invariance(g, cfg, block, threads, monkeypatch):
         assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
     assert got.seed_counts == ref.seed_counts
     assert got.seed_counts.iterations == ref.seed_counts.iterations > 0
+    return ref
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -228,7 +221,10 @@ def check_block_invariance(g, cfg, block, threads, monkeypatch):
 def test_sweep_equals_per_patch_search(grid, seeds, threads, monkeypatch):
     # blocks of one patch are the per-patch search
     g = sample(TestFunction.F2, 12, 12) if grid == "f2-12x12" else skewed_grid()
-    check_block_invariance(g, SolverConfig(seeds_per_axis=seeds), 1, threads, monkeypatch)
+    monkeypatch.setattr(stationary, "_SEEDS_PER_AXIS", seeds)
+    sr = check_block_invariance(g, 1, threads, monkeypatch)
+    searched = (g.nx - 3) * (g.ny - 3) - len(sr.flat_patches) - sr.seed_counts.excluded
+    assert sr.seed_counts.launched == searched * seeds * seeds
 
 
 def test_sweep_ordered_and_thread_invariant():
@@ -376,15 +372,16 @@ def test_grad_jac_leaves_its_arguments_unchanged():
 
 # --- Newton seed retirement -----------------------------------------------------
 
-def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
+def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap, d):
     """The Newton loop without retirement of stuck seeds: every seed that
-    neither converges nor hits a singular Jacobian runs to the cap."""
+    neither converges nor hits a singular Jacobian runs to the cap of `cap`
+    iterations."""
     x = np.array(seeds, dtype=float)
     n = x.shape[0]
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     step_tol = _STEP_TOL * d
-    for _ in range(cfg.max_iterations):
+    for _ in range(cap):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
@@ -407,14 +404,14 @@ def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cfg, d):
     return x, converged
 
 
-def full_cap_roots(seeds, owner, centers, weights, kernel, cfg, d):
+def full_cap_roots(seeds, owner, centers, weights, kernel, d, cap):
     """``newton_full_cap`` on the per-seed arrays made from the engine's
     inputs, whose patches share the nodes centers (16,2): the converged
     seed indices and their positions."""
     n = len(owner)
     x, converged = newton_full_cap(seeds, np.broadcast_to(centers, (n, 16, 2)), weights[owner],
                                    kernel, np.broadcast_to(centers.min(axis=0), (n, 2)),
-                                   np.broadcast_to(centers.max(axis=0), (n, 2)), cfg, d)
+                                   np.broadcast_to(centers.max(axis=0), (n, 2)), cap, d)
     idx = np.flatnonzero(converged)
     return idx, x[idx]
 
@@ -448,7 +445,7 @@ def test_retiring_stuck_seeds_changes_nothing(fn, kind, monkeypatch):
     [(args, (idx, pos, counts))] = captured_engine_runs(monkeypatch, sample(fn, 20, 20), kind)
     assert counts.stuck > 0
     assert counts.converged == idx.size > 0
-    assert_same_roots((idx, pos), full_cap_roots(*args))
+    assert_same_roots((idx, pos), full_cap_roots(*args, stationary._MAX_ITERATIONS))
 
 
 def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
@@ -459,7 +456,7 @@ def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
     k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
     p = interpolate_patch(PatchMatrix(k, 1.0, 1.0), centers, h)
     args = (np.array([[3.0, 3.0]]), np.array([0]), centers,
-            np.asarray(p.weights, float)[None], k, SolverConfig(), math.sqrt(2))
+            np.asarray(p.weights, float)[None], k, math.sqrt(2))
     evaluations = []
 
     def counting(*a):
@@ -471,7 +468,7 @@ def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
     assert evaluations == [1]
     assert counts == SeedCounts(launched=1, stuck=1)
     assert idx.size == 0 and pos.shape == (0, 2)
-    assert_same_roots((idx, pos), full_cap_roots(*args))
+    assert_same_roots((idx, pos), full_cap_roots(*args, stationary._MAX_ITERATIONS))
 
 
 def test_singular_seeds_leave_at_their_first_evaluation():
@@ -494,13 +491,13 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     seeds = np.array([lattice[0], [1.0, 1.0], lattice[1], inflection, *lattice[2:5],
                       [2.5, 0.5], [3.0, 3.0], *lattice[5:], [0.2, 2.9]])
     owner = np.array([2, 0, 2, 1, 2, 2, 2, 0, 3, 2, 2, 2, 2, 0])
-    args = (seeds, owner, centers, weights, k, SolverConfig(), math.sqrt(2))
+    args = (seeds, owner, centers, weights, k, math.sqrt(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         idx, pos, counts = stationary._newton_seeds(*args)
     assert counts == SeedCounts(launched=14, converged=9, singular=4, stuck=1)
     assert set(owner[idx]) == {2}
-    assert_same_roots((idx, pos), full_cap_roots(*args))
+    assert_same_roots((idx, pos), full_cap_roots(*args, stationary._MAX_ITERATIONS))
     # without the singular seeds the others run exactly as before: the
     # compaction kept each live seed's index, patch, position and ring
     keep = np.flatnonzero(owner >= 2)
@@ -536,7 +533,7 @@ def test_retiring_seeds_on_short_cycles_changes_nothing(fn, kind, monkeypatch):
     for cycle in (1, stationary._CYCLE):
         monkeypatch.setattr(stationary, "_CYCLE", cycle)
         [(args, (idx, pos, counts))] = captured_engine_runs(monkeypatch, g, kind)
-        assert_same_roots((idx, pos), full_cap_roots(*args))
+        assert_same_roots((idx, pos), full_cap_roots(*args, stationary._MAX_ITERATIONS))
         stuck[cycle] = counts.stuck
     assert stuck[stationary._CYCLE] > stuck[1]
 
@@ -548,10 +545,9 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
     # and their positions those of the full-cap loop
     g = sample(TestFunction.F2, 20, 20)
     [(args, _)] = captured_engine_runs(monkeypatch, g, KernelKind.INVERSE_QUADRIC)
-    *inputs, _, d = args  # the sweep's own cfg is replaced
-    cfg = SolverConfig(max_iterations=cap)
-    idx, pos, counts = stationary._newton_seeds(*inputs, cfg, d)
-    assert_same_roots((idx, pos), full_cap_roots(*inputs, cfg, d))
+    monkeypatch.setattr(stationary, "_MAX_ITERATIONS", cap)
+    idx, pos, counts = stationary._newton_seeds(*args)
+    assert_same_roots((idx, pos), full_cap_roots(*args, cap))
     assert counts.stuck > 0
 
 
@@ -561,15 +557,14 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
 def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
     g = {"f2-20x20": lambda: sample(TestFunction.F2, 20, 20), "skewed": skewed_grid,
          "f2-4x30": lambda: narrow_grid(4, 30)}[grid]()
-    check_block_invariance(g, SolverConfig(), block, threads, monkeypatch)
+    check_block_invariance(g, block, threads, monkeypatch)
 
 
 # --- in-patch duplicates ---------------------------------------------------------
 
-def search_reference(lo, hi, centers, weights, origins, patches, kernel, cfg, d, tol_g):
+def search_reference(lo, hi, centers, weights, origins, patches, kernel, d, tol_g, ns):
     """``_search`` with its in-patch dedup as the per-root loop it was first
-    written as."""
-    ns = cfg.seeds_per_axis
+    written as, with an ns x ns seed lattice."""
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t
@@ -577,7 +572,7 @@ def search_reference(lo, hi, centers, weights, origins, patches, kernel, cfg, d,
     seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
     owner = np.repeat(np.arange(len(patches)), nseed)
     idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
-                                           kernel, cfg, d)
+                                           kernel, d)
     k = owner[idx]
     gx, gy = stationary._gradient(pos, centers, weights[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
@@ -623,7 +618,7 @@ def test_search_dedup_matches_the_per_root_loop(grid, kind, monkeypatch):
         g = sample(TestFunction[fn], int(n), int(n))
     accepted = kept = 0
     for args, got in captured_searches(monkeypatch, g, kind):
-        want, n_acc = search_reference(*args)
+        want, n_acc = search_reference(*args, stationary._SEEDS_PER_AXIS)
         assert_same_raw(got, want)
         accepted, kept = accepted + n_acc, kept + len(got)
     assert accepted > kept > 0
@@ -651,11 +646,11 @@ def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
     k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
     args = (np.full((2, 2), 0.5), np.full((2, 2), 2.5), patch_offsets(1.0, 1.0),
             np.zeros((2, 16)), np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1, 1], [1, 2]]),
-            k, SolverConfig(), 1.0, 1e-8)
+            k, 1.0, 1e-8)
     got, _ = stationary._search(*args)
     assert [(p.patch, p.seed_index) for p in got] == [((1, 1), 0), ((1, 1), 4), ((1, 1), 5),
                                                       ((1, 2), 3)]
-    assert_same_raw(got, search_reference(*args)[0])
+    assert_same_raw(got, search_reference(*args, stationary._SEEDS_PER_AXIS)[0])
 
 
 # --- certified exclusion of root-free patches ---------------------------------
@@ -815,7 +810,7 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
         seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
         owner = np.repeat(np.arange(p.size), len(starts))
         idx, pos, _ = stationary._newton_seeds(seeds, owner, centers, weights[p], k,
-                                               SolverConfig(), diag_step(g))
+                                               diag_step(g))
         q = p[owner[idx]]
         gx, gy, *_ = _grad_jac(pos, centers, weights[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
@@ -961,8 +956,7 @@ def test_reduce_evaluates_on_first_members_patch():
     k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
     p = interpolate_patch(PatchMatrix(k, 1, 1), centers, h)
     pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
-    out = reduce_points(pts, d=1.0, interpolant_for=lambda i, j: p,
-                        hessian_scale=1.0)
+    out = reduce_points(pts, d=1.0, interpolant_for=lambda i, j: p)
     assert out[0].value == pytest.approx(1.0, abs=0.05)
     assert out[0].classification is Classification.MAXIMUM
 
@@ -993,8 +987,7 @@ def test_classification_kinds():
     for expected, h in cases.items():
         p = interpolate_patch(m, centers, h)
         pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
-        out = reduce_points(pts, d=0.5, interpolant_for=lambda i, j: p,
-                            hessian_scale=1.0)
+        out = reduce_points(pts, d=0.5, interpolant_for=lambda i, j: p)
         assert out[0].classification is expected
 
 
@@ -1028,10 +1021,9 @@ def test_reduce_matches_list_reference(coords, d):
         assert p.members_merged == members
 
 
-def reduce_points_reference(raw_points, d, interpolant_for=None, hessian_scale=None):
+def reduce_points_reference(raw_points, d, interpolant_for, hessian_scale):
     """``reduce_points`` as the per-cluster loop it was first written as: one
-    interpolant, value and Jacobian per cluster, and without hessian_scale
-    one eigvalsh for the scale and one for the classes."""
+    interpolant, value, Jacobian and eigvalsh per cluster."""
     pos = np.array([np.asarray(r.position, float) for r in raw_points]).reshape(-1, 2)
     remaining = np.arange(len(raw_points))
     out = []
@@ -1046,11 +1038,8 @@ def reduce_points_reference(raw_points, d, interpolant_for=None, hessian_scale=N
         interp = interpolant_for(*anchor.patch)
         value = float(interp(centroid))
         jac = interp.gradient_jacobian(centroid)
-        scale = hessian_scale
-        if scale is None:
-            scale = max(float(np.abs(np.linalg.eigvalsh(jac)).max()), 1.0)
         lam = np.linalg.eigvalsh(jac)
-        if np.any(np.abs(lam) < 1e-9 * scale):
+        if np.any(np.abs(lam) < 1e-9 * hessian_scale):
             cls = Classification.DEGENERATE
         elif np.all(lam > 0):
             cls = Classification.MINIMUM
@@ -1066,8 +1055,8 @@ def reduce_points_reference(raw_points, d, interpolant_for=None, hessian_scale=N
 @pytest.mark.parametrize("kind", list(KernelKind))
 @pytest.mark.parametrize("grid", ["F11-24", "F13-40", "F14-32", "skewed", "skewed-tiny"])
 def test_reduce_matches_the_per_cluster_loop(grid, kind):
-    # skewed-tiny: values times 2^-40, so Hessian eigenvalues are far below
-    # 1 and the default scale is 1, not the largest eigenvalue magnitude
+    # skewed-tiny: values times 2^-40, so Hessian eigenvalues and the
+    # scale field_range / d^2 are far below 1
     if grid.startswith("skewed"):
         g = skewed_grid()
         if grid == "skewed-tiny":
@@ -1078,20 +1067,21 @@ def test_reduce_matches_the_per_cluster_loop(grid, kind):
         g = sample(TestFunction[fn], int(n), int(n))
     d = diag_step(g)
     sr = sweep_full(g, kernel_for_grid(kind, d))
-    for scale in (g.field_range / (d * d), None):
-        got = reduce_points(sr.raw, d, interpolant_for=sr.interpolant, hessian_scale=scale)
-        want = reduce_points_reference(sr.raw, d, sr.interpolant, scale)
-        assert len(got) == len(want) > 0
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.position, b.position)
-            assert (a.value, a.classification, a.members_merged) == \
-                (b.value, b.classification, b.members_merged)
-        assert max(p.members_merged for p in got) > 1
+    scale = g.field_range / (d * d)
+    got = reduce_points(sr.raw, d, interpolant_for=sr.interpolant, hessian_scale=scale)
+    want = reduce_points_reference(sr.raw, d, sr.interpolant, scale)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.position, b.position)
+        assert (a.value, a.classification, a.members_merged) == \
+            (b.value, b.classification, b.members_merged)
+    assert max(p.members_merged for p in got) > 1
 
 
 def test_classify_by_eigenvalue_signs():
-    lam = np.array([[1.0, 2.0], [-2.0, -1.0], [-1.0, 1.0], [1e-10, 1.0], [1e-10, 1.0]])
-    got = classify(lam, np.array([1.0, 1.0, 1.0, 1.0, 1e-3]))
+    lam = np.array([[1.0, 2.0], [-2.0, -1.0], [-1.0, 1.0], [1e-10, 1.0]])
+    got = classify(lam, 1.0)
     assert got == [Classification.MINIMUM, Classification.MAXIMUM, Classification.SADDLE,
-                   Classification.DEGENERATE, Classification.MINIMUM]
+                   Classification.DEGENERATE]
+    assert classify(lam[3:], 1e-3) == [Classification.MINIMUM]
     assert classify(lam[:1], 1e10) == [Classification.DEGENERATE]
