@@ -103,7 +103,10 @@ class Kernel:
         """d2(phi)/dr2 = psi(r) + eta(r) r^2, by the definition of eta; at
         r = 0 Wendland's eta is taken as 0, and phi''(0) = psi(0)."""
         psi, eta = self.psi_eta(r)
-        return psi + eta * (r * r)
+        # Wendland's eta overflows where r < 60 a^3 / 1.8e308; eta r^2 <= 60 a^3 r
+        # is far below an ulp of psi there
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(eta), psi, psi + eta * (r * r))
 
     def _shared(self, r):
         """The factor psi and eta of each kind are both built from:

@@ -1,6 +1,7 @@
 """Kernel values, derivatives, and the shape-parameter rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ def test_phi_second_matches_finite_differences(kind):
     for r in rng.uniform(0.05, 0.9 / k.alpha, 20):
         fd = (k.phi_prime(r + h) - k.phi_prime(r - h)) / (2 * h)
         assert fd == pytest.approx(k.phi_second(r), rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_phi_second_at_and_near_zero(kind):
+    # at subnormal radii Wendland's eta overflows; phi'' is still psi(0)
+    k = Kernel(kind, 1.3)
+    r = np.array([0.0, 1e-300, 1e-310, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(k.phi_second(r), np.full(4, k.psi(0.0)))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -374,8 +374,7 @@ def test_grad_jac_leaves_its_arguments_unchanged():
 
 def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap, d):
     """The Newton loop without retirement of stuck seeds: every seed that
-    neither converges nor hits a singular Jacobian runs to the cap of `cap`
-    iterations."""
+    neither converges nor hits a singular Jacobian runs all `cap` iterations."""
     x = np.array(seeds, dtype=float)
     n = x.shape[0]
     alive = np.ones(n, dtype=bool)
