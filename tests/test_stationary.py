@@ -547,7 +547,10 @@ def test_seed_on_a_cycle_returns_its_orbit_point_at_the_cap(cap, monkeypatch):
     monkeypatch.setattr(stationary, "_MAX_ITERATIONS", cap)
     idx, pos, counts = stationary._newton_seeds(*args)
     assert_same_roots((idx, pos), full_cap_roots(*args, cap))
-    assert counts.stuck > 0
+    assert counts.stuck > 0 and counts.capped > 0
+    # one more iteration evaluates exactly the seeds live at the cap
+    monkeypatch.setattr(stationary, "_MAX_ITERATIONS", cap + 1)
+    assert stationary._newton_seeds(*args)[2].iterations == counts.iterations + counts.capped
 
 
 @pytest.mark.parametrize("threads", [1, 2])
