@@ -1,13 +1,14 @@
 """SHA-256 digests of `gridstat find --no-timings` reports and their plots.
 
 Runs `find` on every built-in function with every kernel at 120x120, with
---threads 1 and --threads 2, on f13 at 240x240 with every kernel and
---threads 2, on f13 with the Gaussian kernel on a 120x60 grid with both
-thread counts, on f2 on a stretched 200x40 grid, and on f1 with the
-Wendland kernel at four times its default shape parameter (43 reports),
-renders each report with `plot`, and
-prints one line per report and one per SVG: the digest of its bytes and the
-case (`<case>` for the report, `<case>.svg` for its plot).  A change that
+--threads 1 and --threads 2; on f13 at 240x240 with every kernel and
+--threads 2; on f13 on non-square grids: 120x60 and 240x120 with every
+kernel and 200x40 with the Gaussian and inverse quadric kernels, each with
+both thread counts; on f2 on a stretched 200x40 grid with the Gaussian
+kernel; and on f1 with the Wendland kernel at four times its default shape
+parameter (57 reports).  It renders each report with `plot` and prints one
+line per report and one per SVG: the digest of its bytes and the case
+(`<case>` for the report, `<case>.svg` for its plot).  A change that
 must leave the reports and plots byte-identical is checked by writing the
 digests before it and comparing after it.
 
@@ -20,7 +21,7 @@ With --compare FILE the script exits 1 if any digest differs from FILE or
 any case is missing from either side.  With or without it, the script
 exits 1 if a case's `-t1` and `-t2` reports (or plots) differ: the thread
 count must not change a byte.  Uses the standard library and numpy only;
-the 43 reports and plots take a few minutes on two cores.
+the 57 reports and plots take a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ def cases() -> list[tuple[str, list[str]]]:
 
     out = [case(fn, k, 120, 120, t) for fn in FUNCTIONS for k in KERNELS for t in (1, 2)]
     out.extend(case("f13", k, 240, 240, 2) for k in KERNELS)
-    # dx = 2 dy, where the Gaussian count of f13 is wrong (1/10, not 1/7)
+    # non-square grids, where a kernel isotropic in physical units gave
+    # Gaussian and inverse quadric counts of f13 other than 1/7
     out.extend(case("f13", k, 120, 60, t) for k in KERNELS for t in (1, 2))
     out.extend(case("f13", k, 240, 120, t) for k in KERNELS for t in (1, 2))
+    out.extend(case("f13", k, 200, 40, t) for k in ("gaussian", "iq") for t in (1, 2))
     # a stretched grid, dy about 5 dx
     out.append(case("f2", "gaussian", 200, 40, 1))
     # four times the default alpha of Wendland at 120x120 (7.0121)

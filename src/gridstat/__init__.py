@@ -3,20 +3,18 @@
 from .bindings import Binding, BindingKind, cluster, delta_max, summarize
 from .grid import (GridField, NeighborIndex, TestFunction, diag_step, load_csv, sample,
                    save_csv)
-from .kernels import Kernel, KernelKind, OMEGA, kernel_for_grid, shape_parameter
+from .kernels import Kernel, KernelKind, OMEGA, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
-from .patch import (FactorizationError, PatchInterpolant, PatchMatrix,
-                    interpolate_patch, patch_offsets)
+from .patch import FactorizationError, PatchInterpolant, PatchMatrix
 from .stationary import (Classification, RawStationaryPoint, StationaryPoint, reduce_points,
                          sweep_full)
 
 __all__ = [
     "Binding", "BindingKind", "NeighborIndex", "cluster", "delta_max", "summarize",
     "GridField", "TestFunction", "diag_step", "load_csv", "sample", "save_csv",
-    "Kernel", "KernelKind", "OMEGA", "kernel_for_grid", "shape_parameter",
+    "Kernel", "KernelKind", "OMEGA", "shape_parameter",
     "GroundTruth", "ParametricCurve", "ground_truth",
     "FactorizationError", "PatchInterpolant", "PatchMatrix",
-    "interpolate_patch", "patch_offsets",
     "Classification", "RawStationaryPoint", "StationaryPoint",
     "reduce_points", "sweep_full", "run_pipeline",
 ]

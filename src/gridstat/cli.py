@@ -22,7 +22,7 @@ from . import bindings as bindings_mod
 from .grid import GridField, GridFormatError, TestFunction, diag_step, load_csv, sample, save_csv
 from .kernels import Kernel, KernelKind, shape_parameter
 from .oracle import ground_truth_json
-from .patch import FactorizationError
+from .patch import DIAG, FactorizationError
 from .plotting import render_svg
 from .stationary import reduce_points, sweep_full
 
@@ -37,18 +37,23 @@ class InputError(ValueError):
 def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
                  threads: int = 1, input_desc: dict | None = None,
                  timings: bool = True) -> dict:
-    """Sweep -> reduce -> cluster -> summarize; returns the JSON report."""
+    """Sweep -> reduce -> cluster -> summarize; returns the JSON report.
+
+    alpha is the physical shape parameter (1/length).  The sweep takes it
+    per grid-index unit, in which a cell's diagonal d is DIAG = sqrt(2):
+    alpha d / DIAG, which is alpha dx on a square grid.  By default it gets
+    the default for that diagonal, one value per kernel kind on every grid.
+    """
     d = diag_step(g)
     alpha_default = shape_parameter(kind, d)
-    kernel = Kernel(kind, alpha_default if alpha is None else alpha)
+    index_alpha = shape_parameter(kind, DIAG) if alpha is None else alpha * d / DIAG
+    kernel = Kernel(kind, index_alpha)
     dmax = bindings_mod.delta_max(d)
 
     t0 = time.perf_counter()
     sr = sweep_full(g, kernel, threads=threads)
     t1 = time.perf_counter()
-    scale = g.field_range / (d * d) if g.field_range > 0 else 1.0
-    points = reduce_points(sr.raw, d, interpolant_for=sr.interpolant,
-                           hessian_scale=scale)
+    points = reduce_points(sr.raw, sr)
     t2 = time.perf_counter()
     binds = bindings_mod.cluster(points, dmax)
     summary = bindings_mod.summarize(binds, points)
@@ -57,7 +62,7 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
     report = {
         "input": input_desc or {},
         "kernel": kind.value,
-        "alpha": kernel.alpha,
+        "alpha": alpha_default if alpha is None else alpha,
         "alpha_default": alpha_default,
         "d": d,
         "delta_max": dmax,
@@ -185,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--in", dest="infile", help="input grid CSV")
     pf.add_argument("--kernel", choices=sorted(_KERNELS), default="gaussian")
     pf.add_argument("--alpha", type=float, default=None,
-                    help="override the default shape parameter")
+                    help="shape parameter in 1/length, overriding the default; the "
+                    "patches use alpha*d/sqrt(2) per grid-index unit (d the cell "
+                    "diagonal), which is alpha*dx on a square grid")
     pf.add_argument("--threads", type=int, default=0, help="0 = all cores")
     pf.add_argument("--json", default=None, help="report path (default stdout)")
     pf.add_argument("--no-timings", action="store_true",

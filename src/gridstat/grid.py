@@ -2,7 +2,7 @@
 and a fixed-radius grid hash of points.
 
 A :class:`GridField` stores an ``ny x nx`` grid row-major (row index maps to
-y, column index to x; indices are 1-based in the public accessors).  Six
+y, column index to x).  Six
 built-in test functions cover the isolated-point and curve benchmarks used
 by the acceptance suite.
 """
@@ -46,19 +46,6 @@ class GridField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
-
-    def node_position(self, i: int, j: int) -> np.ndarray:
-        """Position of node at row i, column j (both 1-based)."""
-        if not (1 <= i <= self.ny and 1 <= j <= self.nx):
-            raise IndexError(f"node ({i},{j}) outside {self.ny}x{self.nx} grid")
-        return np.array([self.origin[0] + (j - 1) * self.dx,
-                         self.origin[1] + (i - 1) * self.dy])
-
-    def flat_index(self, i: int, j: int) -> int:
-        """Row-major flat index of node (i, j), 0-based into ``values``."""
-        if not (1 <= i <= self.ny and 1 <= j <= self.nx):
-            raise IndexError(f"node ({i},{j}) outside {self.ny}x{self.nx} grid")
-        return (i - 1) * self.nx + (j - 1)
 
     @property
     def field_range(self) -> float:

@@ -2,7 +2,8 @@
 
 Three kernels are supported: Gaussian, inverse quadric and Wendland's
 compactly supported C2 function.  Each kernel carries a shape parameter
-``alpha`` (units 1/length).  The constant ``omega`` is, for each kernel,
+``alpha`` (units 1/length; the patch interpolants measure length in grid
+index units, see ``patch.py``).  The constant ``omega`` is, for each kernel,
 ``alpha`` times the radius of its non-stationary inflection point; the
 default ``alpha`` for a grid with diagonal step ``d`` places that
 inflection radius at ``3*d``, the farthest in-patch distance.
@@ -75,10 +76,6 @@ class Kernel:
         # an infinite alpha makes alpha * r = inf * 0 = nan at every center
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-
-    @property
-    def omega(self) -> float:
-        return OMEGA[self.kind]
 
     @_radial
     def phi(self, r):
@@ -180,8 +177,3 @@ class Kernel:
         bit for bit the values of ``psi`` and ``eta``."""
         f = self._shared(r)
         return self._psi_of(f), self._eta_of(f, r)
-
-
-def kernel_for_grid(kind: KernelKind, d: float) -> Kernel:
-    """Kernel with the default shape parameter for diagonal step d."""
-    return Kernel(kind, shape_parameter(kind, d))

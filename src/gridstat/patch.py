@@ -12,17 +12,21 @@ undulation has real roots that are not stationary points of the sampled
 function.  The constant has zero gradient and Hessian, so only the weight
 solve and the interpolant's value see it.
 
-The 17x17 saddle-point matrix ``[A 1; 1^T 0]`` depends only on the kernel
-and the grid spacing, never on where the patch sits, so it is built and
-factorized once per run and reused for every patch.  The factorization is
-an in-house LU with partial pivoting carried out in extended precision: at
-the default shape parameters the Gaussian matrix has condition number
-~1e10, and float64 elimination would leave weight errors visible at the
-interpolation-property tolerance.
+A patch is interpolated in grid-index units: its nodes ``_OFFS`` are the
+integer points (col, row) of [0, 3]^2, the same for every patch of every
+grid, and the kernel's shape parameter is per index unit.  The 17x17
+saddle-point matrix ``[A 1; 1^T 0]`` then depends only on the kernel, so it
+is built and factorized once per run and reused for every patch; at a
+kernel kind's default shape parameter it is one matrix per kind.  The
+factorization is an in-house LU with partial pivoting carried out in
+extended precision: at the default shape parameters the Gaussian matrix has
+condition number ~1e10, and float64 elimination would leave weight errors
+visible at the interpolation-property tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,31 +72,23 @@ def lu_solve_pp(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# canonical 4x4 layout: node m = 4*row + col at (col*dx, row*dy)
+# canonical 4x4 layout in index units: node m = 4*row + col at (col, row)
 _OFFS = np.array([(j, i) for i in range(4) for j in range(4)], dtype=float)
-
-
-def patch_offsets(dx: float, dy: float) -> np.ndarray:
-    """Positions of the 16 canonical patch nodes, row-major, shape (16, 2)."""
-    return _OFFS * np.array([dx, dy])
+#: the diagonal of a grid cell in index units
+DIAG = math.sqrt(2.0)
 
 
 class PatchMatrix:
-    """The shared interpolation matrix and the factorization of its
-    constant-augmented saddle-point system.
+    """The shared interpolation matrix of the patch nodes ``_OFFS`` and the
+    factorization of its constant-augmented saddle-point system.
 
     ``entries`` is the 16x16 kernel matrix A; the factorized system is
     ``[A 1; 1^T 0] [c; b] = [h; 0]``.
     """
 
-    def __init__(self, kernel: Kernel, dx: float, dy: float):
-        if not (dx > 0 and dy > 0):
-            raise ValueError("grid spacing must be positive")
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.dx = dx
-        self.dy = dy
-        pts = patch_offsets(dx, dy)
-        self.entries = kernel.phi(_offsets(pts, pts)[2])
+        self.entries = kernel.phi(_offsets(_OFFS, _OFFS)[2])
         system = np.zeros((17, 17), dtype=np.longdouble)
         system[:16, :16] = self.entries
         system[:16, 16] = 1
@@ -102,7 +98,8 @@ class PatchMatrix:
         except FactorizationError as exc:
             raise FactorizationError(
                 f"interpolation matrix is singular for kernel "
-                f"{kernel.kind.value} with alpha={kernel.alpha}: {exc}") from exc
+                f"{kernel.kind.value} with alpha={kernel.alpha} per grid-index unit: "
+                f"{exc}") from exc
 
     def solve(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Weights c and constant b with A c + b = h and sum(c) = 0.
@@ -220,10 +217,3 @@ class PatchInterpolant:
         _, _, jxx, jxy, jyy = _grad_jac(*self._float_args(x))
         return np.stack([np.stack([jxx, jxy], axis=-1),
                          np.stack([jxy, jyy], axis=-1)], axis=-2)
-
-
-def interpolate_patch(m: PatchMatrix, centers: np.ndarray, h) -> PatchInterpolant:
-    """Solve for weights and constant and wrap the result as an interpolant."""
-    weights, constant = m.solve(h)
-    return PatchInterpolant(centers=np.asarray(centers, float), weights=weights,
-                            kernel=m.kernel, constant=float(constant))

@@ -8,21 +8,26 @@ anchored centroid reduction (merge radius = the grid diagonal d).
 One engine, ``_search``, does the per-patch work for any number of patches
 at once: it lays the seed lattice in each search domain, runs Newton
 clamped to the patch's bounding box, accepts converged roots inside the
-domain with a small gradient, drops duplicates within a patch, and moves
-the roots it keeps onto the grid.  Its one caller, ``sweep_full``, first
-hands the active patches of the grid in fixed blocks of ``_BLOCK_PATCHES``
-to ``_certify``, which proves most of them root-free with a native-space
-bound on the gradient (no seed in them could be accepted), and then hands
-the engine the rest, again in fixed blocks, in order on one thread or
-through a thread pool on several.  Every block size and thread count gives
+domain with a small gradient and drops duplicates within a patch.  Its one
+caller, ``sweep_full``, first hands the active patches of the grid in fixed
+blocks of ``_BLOCK_PATCHES`` to ``_certify``, which proves most of them
+root-free with a native-space bound on the gradient (no seed in them could
+be accepted), and then hands the engine the rest, again in fixed blocks, in
+order on one thread or through a thread pool on several.  Every block size and thread count gives
 identical floating-point results because both only use elementwise
 operations and fixed-order row sums; the blocks bound the working set at
 threads x one block.
 
-Both work in the patch frame: positions relative to the patch's first
-node, so all patches share the nodes ``patch_offsets(dx, dy)`` and the box
-[0, 3 dx] x [0, 3 dy], and values in units of the field range.  Where the
-grid lies and how its values are scaled then change only rounding.
+Both work in the patch frame: positions in grid-index units relative to
+the patch's first node, so all patches of every grid share the nodes
+``_OFFS`` and the box [0, 3]^2, lengths are measured against the index
+diagonal ``DIAG`` = sqrt(2), and values are in units of the field range.
+The frame meets physical units at two points only: ``sweep_full`` maps
+each accepted root xi of the patch with first node n to the grid as
+origin + (n + xi) S, S = diag(dx, dy), and ``reduce_points`` maps each
+centroid back to evaluate and classify it.  Where the grid lies, its
+spacing and how its values are scaled then do not change the search at
+all; merging stays in physical units.
 
 Newton (``_newton_seeds``) keeps its live seeds compact: their indices,
 positions and a ring of each one's last ``_CYCLE`` positions are arrays
@@ -53,16 +58,16 @@ import numpy as np
 
 from .grid import GridField, NeighborIndex, diag_step
 from .kernels import Kernel, KernelKind
-from .patch import (PatchInterpolant, PatchMatrix, _grad_jac, _gradient, _gradient_sums,
-                    _offsets, _weighted, patch_offsets)
+from .patch import (_OFFS, DIAG, PatchInterpolant, PatchMatrix, _grad_jac, _gradient,
+                    _gradient_sums, _offsets, _weighted)
 
 log = logging.getLogger(__name__)
 
-# d is the grid's diagonal step
+# lengths in the patch frame are in grid-index units, DIAG = sqrt(2) a cell's diagonal
 _SINGULAR_DET = 1e-14  # |det J| threshold, relative to ||J||_F^2
-_STEP_TOL = 1e-10      # Newton has converged once a pre-clamp step is <= this * d
-_GRAD_TOL_REL = 1e-8   # accepted roots have |grad| <= this * field range / d
-_DEDUP_RADIUS = 1e-3   # roots of one patch within this * d are one root
+_STEP_TOL = 1e-10      # Newton has converged once a pre-clamp step is <= this * DIAG
+_GRAD_TOL_REL = 1e-8   # accepted roots have |grad| <= this * field range / DIAG
+_DEDUP_RADIUS = 1e-3   # roots of one patch within this * DIAG are one root
 _FLAT_PATCH = 1e-13    # patches with sample range <= this * field range are skipped
 _SEEDS_PER_AXIS = 3    # _search lays an n x n lattice of Newton seeds in each search domain
 _MAX_ITERATIONS = 30   # Newton's iteration cap
@@ -70,6 +75,7 @@ _CYCLE = 8             # a seed that returns to one of its last this many positi
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
 _MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (see _certify)
+_BOX_DIAMETER = 3.0 * DIAG  # of the patch box [0, 3]^2
 # alpha * r*: the gradient modulus G of each kernel rises up to r* and has
 # its global maximum there (see _gradient_modulus)
 _MODULUS_PEAK = {KernelKind.GAUSSIAN: math.sqrt(2.0),
@@ -122,13 +128,13 @@ class StationaryPoint:
 def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo, hi of shape (..., 2) of the search domains of patches
     (i, j), 1-based integers or integer arrays, in the patch frame.  Each
-    domain is the central cell [dx, 2 dx] x [dy, 2 dy] widened by half a
-    spacing per side, with the widening replaced by extension to the grid
-    boundary on sides where the patch touches it."""
-    lo_x = np.where(j == 1, 0.0, 0.5 * g.dx)
-    hi_x = np.where(j == g.nx - 3, 3.0 * g.dx, 2.5 * g.dx)
-    lo_y = np.where(i == 1, 0.0, 0.5 * g.dy)
-    hi_y = np.where(i == g.ny - 3, 3.0 * g.dy, 2.5 * g.dy)
+    domain is the central cell [1, 2]^2 widened by half a cell per side,
+    with the widening replaced by extension to the grid boundary on sides
+    where the patch touches it."""
+    lo_x = np.where(j == 1, 0.0, 0.5)
+    hi_x = np.where(j == g.nx - 3, 3.0, 2.5)
+    lo_y = np.where(i == 1, 0.0, 0.5)
+    hi_y = np.where(i == g.ny - 3, 3.0, 2.5)
     return np.stack([lo_x, lo_y], axis=-1), np.stack([hi_x, hi_y], axis=-1)
 
 
@@ -136,16 +142,16 @@ def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
 # Newton engine (vectorized over seeds and patches)
 # ---------------------------------------------------------------------------
 
-def _newton_seeds(seeds, owner, centers, weights, kernel, d):
+def _newton_seeds(seeds, owner, weights, kernel):
     """Run Newton from every seed; returns the indices of the converged
     seeds (ascending), their positions and the ``SeedCounts``.
 
     Seed s starts at seeds[s] in the patch frame, in patch owner[s] of
-    weights (P,16); centers (16,2) are the nodes every patch shares, and
-    the iterates are clamped to their bounding box.
+    weights (P,16) at the shared nodes ``_OFFS``, and the iterates are
+    clamped to the box [0, 3]^2.
     It leaves the live set in one of four ways, counted in ``SeedCounts``:
 
-    - converged: a pre-clamp Newton step of norm <= _STEP_TOL * d;
+    - converged: a pre-clamp Newton step of norm <= _STEP_TOL * DIAG;
     - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position, or
       J is zero or its determinant is not finite;
     - stuck: its clamped update gave back, bit for bit and without
@@ -169,13 +175,13 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, d):
     # ring[:, k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
     ring = np.full((n, _CYCLE, 2), np.nan)
     ring[:, 0] = xl
-    box_lo, box_hi = centers.min(axis=0), centers.max(axis=0)
+    step_tol = _STEP_TOL * DIAG
     singular = stuck = iterations = 0
     for it in range(_MAX_ITERATIONS):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(xl, centers, weights.take(ol, axis=0), kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(xl, _OFFS, weights.take(ol, axis=0), kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
@@ -186,9 +192,9 @@ def _newton_seeds(seeds, owner, centers, weights, kernel, d):
             gx, gy, jxx, jxy, jyy, det = (a.compress(ok) for a in (gx, gy, jxx, jxy, jyy, det))
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
-        nx = np.minimum(np.maximum(xl[:, 0] - sx, box_lo[0]), box_hi[0])
-        ny = np.minimum(np.maximum(xl[:, 1] - sy, box_lo[1]), box_hi[1])
-        done = np.sqrt(sx * sx + sy * sy) <= _STEP_TOL * d
+        nx = np.minimum(np.maximum(xl[:, 0] - sx, 0.0), 3.0)
+        ny = np.minimum(np.maximum(xl[:, 1] - sy, 0.0), 3.0)
+        done = np.sqrt(sx * sx + sy * sy) <= step_tol
         seen = (ring[:, :, 0] == nx[:, None]) & (ring[:, :, 1] == ny[:, None])
         cyc = ~done & seen.any(axis=1)
         xl = np.stack([nx, ny], axis=-1)
@@ -229,16 +235,16 @@ def _first_distinct(ok, xy, min_sep):
     return kept
 
 
-def _search(lo, hi, centers, weights, origins, patches, kernel, d, tol_g):
-    """Stationary points of P patch interpolants, ordered by (patch, seed),
-    and the ``SeedCounts`` of their Newton runs.
+def _search(lo, hi, weights, kernel):
+    """Stationary points of P patch interpolants, and the ``SeedCounts`` of
+    their Newton runs.
 
-    lo, hi (P,2) are the search domains in the patch frame, centers (16,2)
-    the shared nodes and weights (P,16) the interpolants, origins (P,2) the
-    patches' first nodes on the grid and patches (P,2) their 1-based
-    (i, j).  Seeds form an n x n lattice strictly inside each domain,
-    n = _SEEDS_PER_AXIS, row-major (y outer).  The roots are returned on the
-    grid.
+    lo, hi (P,2) are the search domains in the patch frame and weights
+    (P,16) the interpolants at the shared nodes ``_OFFS``, in units of the
+    field range.  Seeds form an n x n lattice strictly inside each domain,
+    n = _SEEDS_PER_AXIS, row-major (y outer).  The kept roots are returned
+    ordered by (patch, seed) as their patches (rows of lo), seed slots and
+    positions xi in the patch frame.
     """
     ns = _SEEDS_PER_AXIS
     nseed = ns * ns
@@ -246,32 +252,28 @@ def _search(lo, hi, centers, weights, origins, patches, kernel, d, tol_g):
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (P, ns)
     fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
     seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
-    owner = _repeat_each(np.arange(len(patches)), nseed)
+    npatch = len(lo)
+    owner = _repeat_each(np.arange(npatch), nseed)
 
-    idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
-                                     kernel, d)
+    idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
 
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
-    gx, gy = _gradient(pos, centers, weights.take(k, axis=0), kernel)
+    gx, gy = _gradient(pos, _OFFS, weights.take(k, axis=0), kernel)
     inside = np.all((pos >= lo.take(k, axis=0)) & (pos <= hi.take(k, axis=0)), axis=-1)
-    acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
+    acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / DIAG)
 
     # drop duplicates within each patch, laid out as (patch, seed slot) over
     # the patches with an accepted root
-    ok = np.zeros((len(patches), nseed), dtype=bool)
+    ok = np.zeros((npatch, nseed), dtype=bool)
     ok.flat[idx.compress(acc)] = True
     rows = np.flatnonzero(ok.any(axis=1))
-    xy = np.zeros((len(patches) * nseed, 2))
+    xy = np.zeros((npatch * nseed, 2))
     xy[idx] = pos
     xy = xy.reshape(-1, nseed, 2).take(rows, axis=0)
-    kept = _first_distinct(ok.take(rows, axis=0), xy, _DEDUP_RADIUS * d)
+    kept = _first_distinct(ok.take(rows, axis=0), xy, _DEDUP_RADIUS * DIAG)
     r, si = np.nonzero(kept)
-    pk = rows.take(r)
-    on_grid = origins.take(pk, axis=0) + xy.reshape(-1, 2).take(r * nseed + si, axis=0)
-    out = [RawStationaryPoint(position=p, patch=tuple(ij), seed_index=s)
-           for p, ij, s in zip(on_grid, patches.take(pk, axis=0).tolist(), si.tolist())]
-    return out, counts
+    return (rows.take(r), si, xy.reshape(-1, 2).take(r * nseed + si, axis=0)), counts
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +301,12 @@ def _gradient_modulus(kernel: Kernel, r):
     return np.sqrt(np.maximum(g2, 0.0) + _MARGIN * abs(lap0)) * (1.0 + _MARGIN)
 
 
-def _native_norm(centers, weights, entries, alpha):
+def _native_norm(weights, entries, alpha):
     """Upper bounds N >= ||s||_N of P patch interpolants, shape (P,).
 
     s is the RBF sum the engine evaluates: the float64 weights w (P,16) at
-    the shared nodes centers (16,2), the patch offsets ``entries`` is built
-    from, and ||s||_N^2 = w^T A w with A the kernel matrix of those nodes.
+    the shared nodes ``_OFFS``, the offsets ``entries`` is built from, and
+    ||s||_N^2 = w^T A w with A the kernel matrix of those nodes.
 
     q = w^T entries w is computed in float64 as sum_i w_i (sum_j entries_ij
     w_j): two nested 16-term sums of products.  Each of the
@@ -328,16 +330,16 @@ def _native_norm(centers, weights, entries, alpha):
     # fixed order whatever the number of rows, so a patch's bound does not
     # depend on its block
     q = (weights * np.einsum("pj,ij->pi", weights, entries)).sum(axis=-1)
-    delta = 2.0 ** -51 * math.hypot(*np.ptp(centers, axis=0))
+    delta = 2.0 ** -51 * _BOX_DIAMETER
     l1 = np.abs(weights).sum(axis=-1)
     margin = l1 * l1 * (_MARGIN + 3.0 * alpha * delta)
     return np.sqrt(np.maximum(q, 0.0) + margin) * (1.0 + _MARGIN)
 
 
-def _gradient_rounding(centers, weights, kernel):
+def _gradient_rounding(weights, kernel):
     """eps (P,): a bound on the rounding of a gradient and of its norm
-    computed by ``_grad_jac`` anywhere in the bounding box of the nodes
-    centers (16,2).
+    computed by ``_grad_jac`` anywhere in the box [0, 3]^2 of the nodes
+    ``_OFFS``.
 
     The gradient is sum_m c_m psi(r_m) (x - x_m), and each term is at most
     |c_m| |psi(0)| times the box diameter: |psi| peaks at 0 for every
@@ -346,19 +348,19 @@ def _gradient_rounding(centers, weights, kernel):
     products and the 16-term sums add a few ulps of the terms' sum, so
     _MARGIN (2^13 ulps) times that sum bounds the error.
     """
-    return (_MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0))
-            * math.hypot(*np.ptp(centers, axis=0)))
+    return _MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
 
 
 _QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
 
 
-def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
+def _certify(lo, hi, weights, entries, kernel):
     """Which of P patches are certified root-free, shape (P,) bool.
 
-    A certified patch has a computed |grad s| > tol_g everywhere in its
-    search domain [lo, hi], so ``_search`` could accept no root in it; the
-    arguments are those ``_search`` gets, in the patch frame.  The
+    A certified patch has a computed |grad s| > tol_g = _GRAD_TOL_REL / DIAG
+    everywhere in its search domain [lo, hi], so ``_search`` could accept
+    no root in it; lo, hi, weights and kernel are those ``_search`` gets,
+    and entries is the kernel matrix of the nodes.  The
     domain is cut into 2x2 sub-boxes, and a sub-box with center x0 and
     half-diagonal r is certified when
 
@@ -386,8 +388,9 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
     decision, is the one a per-sub-box evaluation gives.
     """
     npatch = len(lo)
-    norm = _native_norm(centers, weights, entries, kernel.alpha)
-    eps = _gradient_rounding(centers, weights, kernel)
+    tol_g = _GRAD_TOL_REL / DIAG
+    norm = _native_norm(weights, entries, kernel.alpha)
+    eps = _gradient_rounding(weights, kernel)
     # domain ids, equal where lo and hi are: the rows of [lo, hi] in sorted
     # order, with a new id wherever a row differs from the one before it
     bounds = np.column_stack([lo, hi])
@@ -422,7 +425,7 @@ def _certify(lo, hi, centers, weights, entries, kernel, tol_g):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-            ox, oy, dist = _offsets(x0, centers)
+            ox, oy, dist = _offsets(x0, _OFFS)
             # the weighted terms are not named: held into the next chunk,
             # they would raise the peak by one (chunk, 16) array
             gx, gy = _gradient_sums(
@@ -455,43 +458,40 @@ class SweepResult:
     matrix: PatchMatrix
     weights: np.ndarray        # (npatch, 16) float64, in the field's units
     constants: np.ndarray      # (npatch,) float64, the interpolants' constant terms
-    patch_origins: np.ndarray  # (npatch, 2), each patch's first node
     grid: GridField
     flat_patches: list[tuple[int, int]]
     seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i, j) -> PatchInterpolant:
-        """The interpolant of patch (i, j), 1-based.  Given integer arrays i,
-        j of one shape (R,), one stacked interpolant of those R patches:
-        centers (R,16,2), weights (R,16) and constant (R,)."""
+        """The interpolant of patch (i, j), 1-based, in the patch frame: at
+        the nodes ``_OFFS``, in grid-index units.  Given integer arrays i, j
+        of one shape (R,), one stacked interpolant of those R patches:
+        weights (R,16) and constant (R,)."""
         i, j = np.asarray(i), np.asarray(j)
         outside = (i < 1) | (i > self.grid.ny - 3) | (j < 1) | (j > self.grid.nx - 3)
         if outside.any():
             k = np.argmax(outside)
             raise IndexError(f"patch ({i.flat[k]},{j.flat[k]}) outside valid range")
         pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
-        centers = self.patch_origins[pidx][..., None, :] + patch_offsets(self.grid.dx,
-                                                                         self.grid.dy)
-        return PatchInterpolant(centers=centers, weights=self.weights[pidx],
+        return PatchInterpolant(centers=_OFFS, weights=self.weights[pidx],
                                 kernel=self.matrix.kernel, constant=self.constants[pidx])
 
 
 def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult:
     """All raw stationary points of the grid, ordered by (i, j, seed), with
-    the per-patch interpolation data."""
+    the per-patch interpolation data.  The kernel's shape parameter is per
+    grid-index unit (``run_pipeline`` converts a physical one); the raw
+    points are on the grid, in its physical units."""
     npi, npj = g.ny - 3, g.nx - 3
     npatch = npi * npj
-    d = diag_step(g)
     field_range = g.field_range
-    tol_g = _GRAD_TOL_REL / d  # in the patch frame: values in units of the field range
 
-    matrix = PatchMatrix(kernel, g.dx, g.dy)
+    matrix = PatchMatrix(kernel)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
     weights, constants = np.empty((npatch, 16)), np.empty(npatch)
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
-    origins = np.column_stack([g.origin[0] + jj * g.dx, g.origin[1] + ii * g.dy])
     patches = np.column_stack([ii + 1, jj + 1])
     lo, hi = _domain_bounds(g, patches[:, 0], patches[:, 1])
 
@@ -502,19 +502,24 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         log.debug("%d flat patches skipped", len(flat))
 
     act = np.flatnonzero(active)
-    offsets = patch_offsets(g.dx, g.dy)
+    origin, spacing = np.array(g.origin), np.array([g.dx, g.dy])
 
     def solve(b0: int):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
         weights[blk], constants[blk] = matrix.solve(h[blk])
 
     def certify(block: np.ndarray):
-        return _certify(lo[block], hi[block], offsets, weights[block] / field_range,
-                        matrix.entries, kernel, tol_g)
+        return _certify(lo[block], hi[block], weights[block] / field_range,
+                        matrix.entries, kernel)
 
     def search(block: np.ndarray):
-        return _search(lo[block], hi[block], offsets, weights[block] / field_range,
-                       origins[block], patches[block], kernel, d, tol_g)
+        (k, slot, xi), counts = _search(lo[block], hi[block], weights[block] / field_range,
+                                        kernel)
+        ij = patches.take(block.take(k), axis=0)
+        # the one map from the patch frame to the grid; (j - 1, i - 1) is the first node
+        on_grid = origin + (ij[:, ::-1] - 1 + xi) * spacing
+        return [RawStationaryPoint(position=x, patch=tuple(p), seed_index=s) for x, p, s
+                in zip(on_grid, ij.tolist(), slot.tolist())], counts
 
     def blocks(idx: np.ndarray):
         return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
@@ -537,9 +542,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
               counts.launched, counts.converged, counts.singular, counts.stuck,
               counts.capped, counts.iterations)
 
-    return SweepResult(raw=raw, matrix=matrix, weights=weights,
-                       constants=constants, patch_origins=origins, grid=g,
-                       flat_patches=flat, seed_counts=counts)
+    return SweepResult(raw=raw, matrix=matrix, weights=weights, constants=constants,
+                       grid=g, flat_patches=flat, seed_counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -561,22 +565,23 @@ def classify(lam: np.ndarray, scale: float) -> list[Classification]:
     return [_BY_CODE[c] for c in code.tolist()]
 
 
-def reduce_points(raw: list[RawStationaryPoint], d: float,
-                  interpolant_for=None,
-                  hessian_scale: float = 1.0) -> list[StationaryPoint]:
+def reduce_points(raw: list[RawStationaryPoint], sweep: SweepResult) -> list[StationaryPoint]:
     """Anchored centroid reduction: repeatedly take the first remaining
-    point, merge everything within d > 0 of *it* (anchor semantics), and
-    emit the centroid.  A point with a non-finite coordinate is within d of
-    nothing and leaves alone.
+    point, merge everything within the grid's diagonal step d of *it*
+    (anchor semantics), and emit the centroid.  A point with a non-finite
+    coordinate is within d of nothing and leaves alone.
 
-    With ``interpolant_for(i, j)``, value and classification come from the
-    patch interpolant of each cluster's first member.  It is called once,
-    with the anchors' patches as integer arrays, and may return one
-    interpolant stacked over them (``SweepResult.interpolant``) or one that
-    serves them all.  A point with a Hessian eigenvalue below 1e-9 *
-    ``hessian_scale`` in magnitude is degenerate; ``run_pipeline`` passes
-    field_range / d^2, the Hessian scale of the field.
+    Value and classification come from the interpolant of each cluster's
+    first member's patch, stacked over the anchors' patches, at the
+    centroid's position in that patch's frame, xi = S^-1 (x - origin) - n,
+    S = diag(dx, dy) and n the patch's first node.  The class comes from
+    the eigenvalues of D^-1 H_xi D^-1 with D = S / d: the physical Hessian
+    S^-1 H_xi S^-1 times d^2, which has the same signs (Sylvester's law of
+    inertia) but cannot overflow.  A point with an eigenvalue below 1e-9 *
+    the field range in magnitude is degenerate.
     """
+    g = sweep.grid
+    d = diag_step(g)
     pos = np.array([np.asarray(r.position, float) for r in raw]).reshape(-1, 2)
     index = NeighborIndex(pos, d)
     taken = np.zeros(len(raw), dtype=bool)
@@ -586,15 +591,16 @@ def reduce_points(raw: list[RawStationaryPoint], d: float,
             cluster = [a] + [c for c in index.query(*pos[a]) if c > a and not taken[c]]
             taken[cluster] = True
             clusters.append(cluster)
+    if not clusters:
+        return []
     centroids = [pos[c].mean(axis=0) for c in clusters]
-    if interpolant_for is None or not clusters:
-        values = [float("nan")] * len(clusters)
-        classes = [Classification.DEGENERATE] * len(clusters)
-    else:
-        anchors = np.array([raw[c[0]].patch for c in clusters])
-        interp = interpolant_for(anchors[:, 0], anchors[:, 1])
-        x = np.array(centroids)
-        values = interp(x).tolist()
-        classes = classify(np.linalg.eigvalsh(interp.gradient_jacobian(x)), hessian_scale)
+    anchors = np.array([raw[c[0]].patch for c in clusters])  # (i, j), 1-based
+    spacing = np.array([g.dx, g.dy])
+    xi = (np.array(centroids) - g.origin) / spacing - (anchors[:, ::-1] - 1)
+    interp = sweep.interpolant(anchors[:, 0], anchors[:, 1])
+    values = interp(xi).tolist()
+    dinv = d / spacing
+    lam = np.linalg.eigvalsh(interp.gradient_jacobian(xi) * np.outer(dinv, dinv))
+    classes = classify(lam, g.field_range)
     return [StationaryPoint(position=p, value=v, classification=k, members_merged=len(c))
             for p, v, k, c in zip(centroids, values, classes, clusters)]

@@ -10,7 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from gridstat import KernelKind, TestFunction, run_pipeline, sample
+from gridstat import (GridField, Kernel, KernelKind, PatchInterpolant, TestFunction,
+                      run_pipeline, sample, shape_parameter, sweep_full)
+from gridstat.patch import DIAG, _OFFS
 
 
 # The five stationary points of the F1 surface inside the unit square,
@@ -49,3 +51,28 @@ def report_positions(report: dict) -> np.ndarray:
 
 def binding_members(report: dict, kind: str) -> list[list[int]]:
     return [b["members"] for b in report["bindings"] if b["kind"] == kind]
+
+
+def default_kernel(kind: KernelKind, scale: float = 1.0) -> Kernel:
+    """The kernel `run_pipeline` gives `sweep_full` by default, its shape
+    parameter (per grid-index unit) times `scale`."""
+    return Kernel(kind, scale * shape_parameter(kind, DIAG))
+
+
+def solve_interpolant(matrix, h, shift=(0.0, 0.0)) -> PatchInterpolant:
+    """The interpolant of samples h at the patch nodes moved by `shift`."""
+    weights, constant = matrix.solve(h)
+    return PatchInterpolant(centers=_OFFS + np.asarray(shift, float), weights=weights,
+                            kernel=matrix.kernel, constant=float(constant))
+
+
+def patch_sweep(f=lambda x, y: x * x + y * y, dx=1.0, dy=1.0, origin=(0.0, 0.0),
+                kind=KernelKind.GAUSSIAN):
+    """`sweep_full` of a 4x4 grid of f(x, y), one patch (1, 1), at `kind`'s
+    default shape parameter."""
+    x = origin[0] + dx * np.arange(4.0)
+    y = origin[1] + dy * np.arange(4.0)
+    xx, yy = np.meshgrid(x, y)
+    g = GridField(nx=4, ny=4, dx=dx, dy=dy, origin=origin,
+                  values=np.broadcast_to(f(xx, yy), xx.shape).ravel())
+    return sweep_full(g, default_kernel(kind))

@@ -1,7 +1,7 @@
 """End-to-end acceptance checks for the pipeline.
 
 Criteria 1-6 pin the stationary-point counts and locations on the six
-benchmark surfaces; 7-10 the kernel and interpolation contracts; 11-12 the
+benchmark surfaces, and f13's and f2's also on non-square grids; 7-10 the kernel and interpolation contracts; 11-12 the
 reduction and clustering semantics; 13 byte-level determinism under
 threading.
 
@@ -23,15 +23,16 @@ import math
 import numpy as np
 import pytest
 
-from gridstat import (Kernel, KernelKind, PatchMatrix, RawStationaryPoint,
-                      TestFunction, delta_max, diag_step,
-                      ground_truth, interpolate_patch, kernel_for_grid,
-                      patch_offsets, reduce_points, sample, sweep_full)
+from gridstat import (OMEGA, Kernel, KernelKind, PatchMatrix, RawStationaryPoint,
+                      TestFunction, delta_max, diag_step, ground_truth, reduce_points,
+                      run_pipeline, sample, sweep_full)
 from gridstat.bindings import cluster as cluster_points
 from gridstat.cli import main as cli_main
+from gridstat.patch import _OFFS
 from gridstat.stationary import StationaryPoint, Classification
 
-from conftest import F1_FROZEN, binding_members, report_positions
+from conftest import (F1_FROZEN, binding_members, default_kernel, patch_sweep,
+                      report_positions, solve_interpolant)
 
 ALL_KINDS = list(KernelKind)
 
@@ -138,6 +139,30 @@ def test_c6_f14(pipeline):
     assert nearest_dist(truth[inner], pts).max() <= dmax
 
 
+# --- non-square grids: the sweep works in grid-index units ----------------------
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+@pytest.mark.parametrize("nx, ny", [(120, 60), (240, 120), (200, 40)])
+def test_f13_counts_on_non_square_grids(nx, ny, kind):
+    # with the kernel isotropic in physical units, Gaussian gave 1/10 at
+    # 120x60 and 5/14 at 240x120, IQ 1/13 at 240x120, and both 3/8 at 200x40
+    g = sample(TestFunction.F13, nx, ny)
+    report = run_pipeline(g, kind, timings=False)
+    assert (report["summary"]["isolated"], report["summary"]["curves"]) == (1, 7)
+    iso = [report_positions(report)[m[0]] for m in binding_members(report, "isolated")]
+    assert np.linalg.norm(iso[0]) <= diag_step(g)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_f2_counts_on_a_stretched_grid(kind):
+    # dy is about 5 dx
+    g = sample(TestFunction.F2, 200, 40)
+    report = run_pipeline(g, kind, timings=False)
+    assert (report["summary"]["isolated"], report["summary"]["curves"]) == (24, 0)
+    truth = ground_truth(TestFunction.F2).isolated
+    assert nearest_dist(report_positions(report), truth).max() <= diag_step(g)
+
+
 # --- criterion 7: kernel inflection identity ----------------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
@@ -145,7 +170,7 @@ def test_c7_inflection_radius_by_central_differences(kind):
     rng = np.random.default_rng(71)
     for alpha in rng.uniform(0.5, 1.0, 5):
         k = Kernel(kind, alpha)
-        r = k.omega / alpha
+        r = OMEGA[kind] / alpha
         # fourth-order central stencil: a plain two-point difference bottoms
         # out at the float64 noise floor (~4e-10) for the Wendland kernel
         h = 1e-3
@@ -157,29 +182,23 @@ def test_c7_inflection_radius_by_central_differences(kind):
 # --- criterion 8: gradient / Jacobian vs. finite differences -------------------
 
 def random_interp(rng, grids, matrices):
-    """Random (patch, interpolant) drawn from real sampled fields."""
+    """Random patch interpolant, in the patch frame, drawn from real sampled
+    fields."""
     kind = ALL_KINDS[int(rng.integers(len(ALL_KINDS)))]
-    gi = int(rng.integers(len(grids)))
-    g = grids[gi]
+    g = grids[int(rng.integers(len(grids)))]
     i = int(rng.integers(0, g.ny - 3))
     j = int(rng.integers(0, g.nx - 3))
-    h = g.grid2d()[i:i + 4, j:j + 4].ravel()
-    centers = (np.array([g.origin[0] + j * g.dx, g.origin[1] + i * g.dy])
-               + patch_offsets(g.dx, g.dy))
-    return interpolate_patch(matrices[gi, kind], centers, h), diag_step(g)
+    return solve_interpolant(matrices[kind], g.grid2d()[i:i + 4, j:j + 4].ravel())
 
 
 def test_c8_gradient_and_jacobian_match_finite_differences():
     rng = np.random.default_rng(81)
     grids = [sample(tf, 120, 120) for tf in (TestFunction.F1, TestFunction.F2)]
-    matrices = {(gi, kind): PatchMatrix(
-                    kernel_for_grid(kind, diag_step(g)), g.dx, g.dy)
-                for gi, g in enumerate(grids) for kind in ALL_KINDS}
+    matrices = {kind: PatchMatrix(default_kernel(kind)) for kind in ALL_KINDS}
+    d = math.sqrt(2)  # a cell's diagonal in the patch frame
     for _ in range(100):
-        p, d = random_interp(rng, grids, matrices)
-        lo = p.centers.min(axis=0)
-        x = lo + rng.uniform(0.3, 2.7, 2) * [p.centers[1, 0] - p.centers[0, 0],
-                                             p.centers[4, 1] - p.centers[0, 1]]
+        p = random_interp(rng, grids, matrices)
+        x = rng.uniform(0.3, 2.7, 2)
         h = 1e-6 * d
         fd_g = np.array([(p(x + [h, 0]) - p(x - [h, 0])) / (2 * h),
                          (p(x + [0, h]) - p(x - [0, h])) / (2 * h)])
@@ -197,14 +216,12 @@ def test_c8_gradient_and_jacobian_match_finite_differences():
 
 def test_c9_interpolation_property_random_patches():
     rng = np.random.default_rng(91)
-    matrices = {kind: PatchMatrix(kernel_for_grid(kind, math.sqrt(2)), 1, 1)
-                for kind in ALL_KINDS}
-    centers = patch_offsets(1, 1)
+    matrices = {kind: PatchMatrix(default_kernel(kind)) for kind in ALL_KINDS}
     for _ in range(1000):
         kind = ALL_KINDS[int(rng.integers(len(ALL_KINDS)))]
         h = rng.normal(size=16)
-        p = interpolate_patch(matrices[kind], centers, h)
-        err = np.max(np.abs(p(centers) - h))
+        p = solve_interpolant(matrices[kind], h)
+        err = np.max(np.abs(p(_OFFS) - h))
         assert err <= 1e-8 * np.max(np.abs(h))
 
 
@@ -212,7 +229,7 @@ def test_c9_interpolation_property_random_patches():
 
 def test_c10_single_factorization_equals_per_patch():
     g = sample(TestFunction.F2, 120, 120)
-    kernel = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    kernel = default_kernel(KernelKind.GAUSSIAN)
     sr = sweep_full(g, kernel)
     assert sr.weights.shape == (117 * 117, 16)  # 13,689 patches
 
@@ -221,7 +238,7 @@ def test_c10_single_factorization_equals_per_patch():
     scale = max(1.0, float(np.max(np.abs(sr.weights))))
     worst = 0.0
     for i in range(len(h_all)):
-        fresh = PatchMatrix(kernel, g.dx, g.dy)
+        fresh = PatchMatrix(kernel)
         w = np.asarray(fresh.solve(h_all[i])[0], float)
         worst = max(worst, float(np.max(np.abs(w - sr.weights[i]))))
     assert worst <= 1e-12 * scale
@@ -235,21 +252,25 @@ def as_raw(*positions):
 
 
 def test_c11_reduce_hand_traced_cases():
-    out = reduce_points(as_raw((0, 0), (0.5, 0)), d=math.sqrt(2))
+    # the merge radius is the grid's diagonal step: sqrt(2) on a unit grid,
+    # and 1.5 with dx = 0.9, dy = 1.2
+    unit, d15 = patch_sweep(), patch_sweep(dx=0.9, dy=1.2)
+    assert diag_step(d15.grid) == 1.5
+    out = reduce_points(as_raw((0, 0), (0.5, 0)), unit)
     assert [(tuple(p.position), p.members_merged) for p in out] == [((0.25, 0.0), 2)]
 
-    out = reduce_points(as_raw((0, 0), (10, 0)), d=math.sqrt(2))
+    out = reduce_points(as_raw((0, 0), (10, 0)), unit)
     assert [tuple(p.position) for p in out] == [(0.0, 0.0), (10.0, 0.0)]
 
-    out = reduce_points(as_raw((0, 0), (1, 0), (2, 0)), d=1.5)
+    out = reduce_points(as_raw((0, 0), (1, 0), (2, 0)), d15)
     assert [(tuple(p.position), p.members_merged) for p in out] == [
         ((0.5, 0.0), 2), ((2.0, 0.0), 1)]
 
     # deterministic, and idempotent once pairwise distances exceed d
-    again = reduce_points(as_raw((0, 0), (1, 0), (2, 0)), d=1.5)
+    again = reduce_points(as_raw((0, 0), (1, 0), (2, 0)), d15)
     assert [tuple(p.position) for p in again] == [(0.5, 0.0), (2.0, 0.0)]
-    once = reduce_points(as_raw((0, 0), (1, 0), (2.6, 0)), d=1.5)
-    twice = reduce_points(as_raw(*[tuple(p.position) for p in once]), d=1.5)
+    once = reduce_points(as_raw((0, 0), (1, 0), (2.6, 0)), d15)
+    twice = reduce_points(as_raw(*[tuple(p.position) for p in once]), d15)
     assert ([tuple(p.position) for p in twice]
             == [tuple(p.position) for p in once] == [(0.5, 0.0), (2.6, 0.0)])
 

@@ -46,26 +46,6 @@ def test_values_are_immutable():
         g.values[0] = 99.0
 
 
-def test_node_position():
-    g = unit_grid()
-    np.testing.assert_array_equal(g.node_position(1, 1), [0.0, 0.0])
-    g2 = GridField(nx=6, ny=6, dx=0.5, dy=0.25, origin=(0, 0),
-                   values=np.zeros(36))
-    np.testing.assert_allclose(g2.node_position(2, 3), [1.0, 0.25])
-    with pytest.raises(IndexError):
-        g.node_position(0, 1)
-    with pytest.raises(IndexError):
-        g.node_position(1, 7)
-
-
-def test_flat_index_row_major():
-    g = GridField(nx=120, ny=120, dx=0.1, dy=0.1, origin=(0, 0),
-                  values=np.zeros(120 * 120))
-    assert g.flat_index(1, 1) == 0
-    assert g.flat_index(2, 1) == 120
-    assert g.flat_index(1, 2) == 1
-
-
 def test_diag_step():
     assert diag_step(unit_grid()) == pytest.approx(math.sqrt(2))
     g = GridField(nx=4, ny=4, dx=3, dy=4, origin=(0, 0), values=np.zeros(16))
@@ -80,7 +60,7 @@ def test_sample_spacing_and_endpoints():
     g = sample(TestFunction.F2, 120, 120)
     assert g.dx == pytest.approx(4 / 119)
     assert g.origin == (-2.0, -2.0)
-    np.testing.assert_allclose(g.node_position(120, 120), [2.0, 2.0])
+    np.testing.assert_allclose(np.add(g.origin, 119 * np.array([g.dx, g.dy])), [2.0, 2.0])
     with pytest.raises(ValueError):
         sample(TestFunction.F2, 3, 10)
 
@@ -91,7 +71,7 @@ def test_function_values():
     assert TestFunction.F14(0.0, 0.0) == 1.0
     # odd node counts put a node exactly at the center of symmetric domains
     g = sample(TestFunction.F2, 5, 5)
-    assert g.values[g.flat_index(3, 3)] == 0.0
+    assert g.grid2d()[2, 2] == 0.0
 
 
 def test_f1_formula_rederivation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import Kernel, KernelKind, OMEGA, kernel_for_grid, shape_parameter
+from gridstat import Kernel, KernelKind, OMEGA, shape_parameter
 
 ALL_KINDS = list(KernelKind)
 
@@ -119,7 +119,7 @@ def test_inflection_radius(kind):
     rng = np.random.default_rng(9)
     for alpha in rng.uniform(0.5, 1.0, 5):
         k = Kernel(kind, alpha)
-        assert abs(k.phi_second(k.omega / alpha)) < 1e-12
+        assert abs(k.phi_second(OMEGA[kind] / alpha)) < 1e-12
 
 
 def test_shape_parameter_values():
@@ -134,11 +134,6 @@ def test_omega_constants():
     assert OMEGA[KernelKind.GAUSSIAN] == 1 / math.sqrt(2)
     assert OMEGA[KernelKind.INVERSE_QUADRIC] == 1 / math.sqrt(3)
     assert OMEGA[KernelKind.WENDLAND31] == 0.25
-
-
-def test_kernel_for_grid():
-    k = kernel_for_grid(KernelKind.GAUSSIAN, 2.0)
-    assert k.alpha == pytest.approx((1 / math.sqrt(2)) / 6.0)
 
 
 def test_positivity_and_support():

@@ -5,16 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gridstat import (FactorizationError, Kernel, KernelKind, PatchInterpolant,
-                      PatchMatrix, interpolate_patch, kernel_for_grid,
-                      patch_offsets)
-from gridstat.patch import lu_factor_pp, lu_solve_pp
+from gridstat import FactorizationError, Kernel, KernelKind, PatchInterpolant, PatchMatrix
+from gridstat.patch import _OFFS, lu_factor_pp, lu_solve_pp
+
+from conftest import default_kernel, solve_interpolant
 
 ALL_KINDS = list(KernelKind)
-
-
-def default_kernel(kind, dx=1.0, dy=1.0):
-    return kernel_for_grid(kind, math.hypot(dx, dy))
 
 
 # --- LU solver ---------------------------------------------------------------
@@ -53,44 +49,38 @@ def test_lu_preserves_dtype():
 
 # --- patch matrix ------------------------------------------------------------
 
-def test_patch_offsets_layout():
-    offs = patch_offsets(0.5, 0.25)
-    assert offs.shape == (16, 2)
-    np.testing.assert_allclose(offs[0], [0.0, 0.0])
-    np.testing.assert_allclose(offs[1], [0.5, 0.0])    # next column: +dx
-    np.testing.assert_allclose(offs[4], [0.0, 0.25])   # next row: +dy
-    np.testing.assert_allclose(offs[15], [1.5, 0.75])
+def test_patch_nodes_layout():
+    # grid-index units, row-major: node m = 4 * row + col at (col, row)
+    assert _OFFS.shape == (16, 2)
+    np.testing.assert_array_equal(_OFFS[0], [0.0, 0.0])
+    np.testing.assert_array_equal(_OFFS[1], [1.0, 0.0])    # next column
+    np.testing.assert_array_equal(_OFFS[4], [0.0, 1.0])    # next row
+    np.testing.assert_array_equal(_OFFS[15], [3.0, 3.0])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_matrix_entries(kind):
-    dx, dy = 0.4, 0.3
-    k = default_kernel(kind, dx, dy)
-    m = PatchMatrix(k, dx, dy)
-    a = m.entries
+    k = default_kernel(kind)
+    a = PatchMatrix(k).entries
     np.testing.assert_allclose(np.diag(a), 1.0)
     np.testing.assert_array_equal(a, a.T)
-    assert a[0, 1] == pytest.approx(k.phi(dx))
-    assert a[0, 4] == pytest.approx(k.phi(dy))
-    assert a[0, 15] == pytest.approx(k.phi(3 * math.hypot(dx, dy)))
-
-
-def test_matrix_invalid_spacing():
-    with pytest.raises(ValueError):
-        PatchMatrix(Kernel(KernelKind.GAUSSIAN, 1.0), 0.0, 1.0)
+    assert a[0, 1] == a[0, 4] == pytest.approx(k.phi(1.0))
+    assert a[0, 2] == pytest.approx(k.phi(2.0))
+    assert a[0, 6] == pytest.approx(k.phi(math.sqrt(5.0)))
+    assert a[0, 15] == pytest.approx(k.phi(3 * math.sqrt(2.0)))
 
 
 def test_factorization_failure_names_kernel():
     # alpha so small the Gaussian matrix rounds to all-ones (rank 1)
     with pytest.raises(FactorizationError, match="gaussian"):
-        PatchMatrix(Kernel(KernelKind.GAUSSIAN, 1e-300), 1.0, 1.0)
+        PatchMatrix(Kernel(KernelKind.GAUSSIAN, 1e-300))
 
 
 # --- weight solve ------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_solve_zero_rhs(kind):
-    m = PatchMatrix(default_kernel(kind), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(kind))
     np.testing.assert_array_equal(m.solve(np.zeros(16))[0], np.zeros(16))
 
 
@@ -98,7 +88,7 @@ def test_solve_zero_rhs(kind):
 def test_solve_residual_bound(kind):
     # the contract, on both block rows of [A 1; 1^T 0] [c; b] = [h; 0]:
     # ||A c + b - h||_inf and |sum(c)| are <= 1e-8 * max(1, ||h||_inf)
-    m = PatchMatrix(default_kernel(kind), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(kind))
     a = m.entries.astype(np.longdouble)
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -110,7 +100,7 @@ def test_solve_residual_bound(kind):
 
 
 def test_solve_rejects_nonfinite():
-    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN))
     h = np.zeros(16)
     h[5] = np.inf
     with pytest.raises(ValueError):
@@ -118,7 +108,7 @@ def test_solve_rejects_nonfinite():
 
 
 def test_solve_batched_equals_single():
-    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN), 1.0, 1.0)
+    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN))
     rng = np.random.default_rng(14)
     h = rng.normal(size=(5, 16))
     batched = m.solve(h)[0]
@@ -128,10 +118,8 @@ def test_solve_batched_equals_single():
 
 # --- interpolant -------------------------------------------------------------
 
-def make_interp(kind, h, dx=1.0, dy=1.0, origin=(0.0, 0.0)):
-    m = PatchMatrix(default_kernel(kind, dx, dy), dx, dy)
-    centers = np.asarray(origin) + patch_offsets(dx, dy)
-    return interpolate_patch(m, centers, h)
+def make_interp(kind, h):
+    return solve_interpolant(PatchMatrix(default_kernel(kind)), h)
 
 
 def smooth_field(rng, centers):
@@ -162,7 +150,7 @@ def test_constant_field_reproduction():
 
 
 def test_zero_weights():
-    p = PatchInterpolant(centers=patch_offsets(1, 1), weights=np.zeros(16),
+    p = PatchInterpolant(centers=_OFFS, weights=np.zeros(16),
                          kernel=Kernel(KernelKind.GAUSSIAN, 0.2))
     x = np.array([1.3, 2.1])
     assert p(x) == 0.0
@@ -176,11 +164,11 @@ def test_value_does_not_depend_on_the_weights_layout(kind):
     # point is the same, bit for bit, as with a contiguous copy of the row
     rng = np.random.default_rng(20)
     k = default_kernel(kind)
-    weights = np.asfortranarray(PatchMatrix(k, 1.0, 1.0).solve(rng.normal(size=(5, 16)))[0],
+    weights = np.asfortranarray(PatchMatrix(k).solve(rng.normal(size=(5, 16)))[0],
                                 dtype=float)
     x = rng.uniform(0, 3, (300, 2))
     for row in weights:
-        strided, contiguous = (PatchInterpolant(centers=patch_offsets(1, 1), weights=w,
+        strided, contiguous = (PatchInterpolant(centers=_OFFS, weights=w,
                                                 kernel=k, constant=0.25)
                                for w in (row, np.ascontiguousarray(row)))
         assert not row.flags.c_contiguous
@@ -191,7 +179,7 @@ def test_value_does_not_depend_on_the_weights_layout(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(16)
-    p = make_interp(kind, smooth_field(rng, patch_offsets(1, 1)))
+    p = make_interp(kind, smooth_field(rng, _OFFS))
     d = math.sqrt(2)
     h = 1e-6 * d
     for _ in range(20):
@@ -206,7 +194,7 @@ def test_gradient_matches_finite_differences(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_jacobian_matches_finite_differences(kind):
     rng = np.random.default_rng(17)
-    p = make_interp(kind, smooth_field(rng, patch_offsets(1, 1)))
+    p = make_interp(kind, smooth_field(rng, _OFFS))
     d = math.sqrt(2)
     h = 1e-5 * d
     for _ in range(20):
@@ -229,22 +217,20 @@ def test_jacobian_symmetric():
 
 def test_symmetric_bump_gradient_vanishes_at_center():
     # field sampled from exp(-|x|^2) on a patch centered at the origin
-    dx = dy = 1.0
-    centers = patch_offsets(dx, dy) - np.array([1.5, 1.5])
-    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN), dx, dy)
+    centers = _OFFS - 1.5
     h = np.exp(-np.sum(centers ** 2, axis=1))
-    p = interpolate_patch(m, centers, h)
+    p = solve_interpolant(PatchMatrix(default_kernel(KernelKind.GAUSSIAN)), h, shift=(-1.5, -1.5))
     assert np.linalg.norm(p.gradient(np.zeros(2))) <= 1e-8 * np.max(np.abs(h))
 
 
 def test_matrix_reuse_equals_per_patch_factorization():
     # a shared factorization gives the same weights as factorizing per patch
     kind = KernelKind.GAUSSIAN
-    shared = PatchMatrix(default_kernel(kind), 1.0, 1.0)
+    shared = PatchMatrix(default_kernel(kind))
     rng = np.random.default_rng(19)
     for _ in range(10):
         h = rng.normal(size=16)
-        fresh = PatchMatrix(default_kernel(kind), 1.0, 1.0)
+        fresh = PatchMatrix(default_kernel(kind))
         w1 = np.asarray(shared.solve(h)[0], float)
         w2 = np.asarray(fresh.solve(h)[0], float)
         np.testing.assert_allclose(w1, w2, atol=1e-12 * max(1.0, np.max(np.abs(w1))))

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
                       PatchMatrix, RawStationaryPoint, StationaryPoint,
-                      TestFunction, diag_step, interpolate_patch, kernel_for_grid,
-                      patch_offsets, reduce_points, sample, shape_parameter, sweep_full)
+                      TestFunction, diag_step, reduce_points, sample, sweep_full)
 from gridstat import stationary
-from gridstat.patch import _grad_jac
+from gridstat.patch import _OFFS, DIAG, _grad_jac
 from gridstat.stationary import (_GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts,
                                  _domain_bounds, classify)
+
+from conftest import default_kernel, patch_sweep
 
 
 def unit_grid(nx=6, ny=6):
@@ -24,18 +25,10 @@ def unit_grid(nx=6, ny=6):
                      values=np.arange(nx * ny, dtype=float))
 
 
-def grid4(f, origin=(0.0, 0.0)):
-    """A 4x4 unit-spaced grid of f(x, y): exactly one patch."""
-    x = origin[0] + np.arange(4.0)
-    y = origin[1] + np.arange(4.0)
-    xx, yy = np.meshgrid(x, y)
-    return GridField(nx=4, ny=4, dx=1.0, dy=1.0, origin=origin,
-                     values=np.broadcast_to(f(xx, yy), xx.shape).ravel())
-
-
-def sweep_each_kernel(g):
-    """sweep_full of g with each kernel at its default shape parameter."""
-    return {kind: sweep_full(g, kernel_for_grid(kind, diag_step(g))) for kind in KernelKind}
+def sweep_each_kernel(f, origin=(0.0, 0.0)):
+    """sweep_full of a 4x4 unit-spaced grid of f(x, y), exactly one patch,
+    with each kernel at its default shape parameter."""
+    return {kind: patch_sweep(f, origin=origin, kind=kind) for kind in KernelKind}
 
 
 # --- search domains ------------------------------------------------------------
@@ -59,19 +52,19 @@ def test_patch_domain_far_corner():
     np.testing.assert_allclose(hi, [3.0, 3.0])
 
 
-def test_adjacent_domains_overlap_by_dx():
+def test_adjacent_domains_overlap_by_one_cell():
     g = unit_grid(nx=8, ny=8)
     _, a_hi = _domain_bounds(g, 3, 2)
     b_lo, _ = _domain_bounds(g, 3, 3)
-    # patch (3, 3) starts dx to the right of patch (3, 2)
-    assert a_hi[0] - (b_lo[0] + g.dx) == pytest.approx(g.dx)
+    # patch (3, 3) starts one cell to the right of patch (3, 2)
+    assert a_hi[0] - (b_lo[0] + 1) == 1
 
 
 def test_domains_cover_grid_rectangle():
     g = unit_grid(nx=7, ny=6)
     i, j = np.mgrid[1:g.ny - 2, 1:g.nx - 2]
     lo, hi = _domain_bounds(g, i.ravel(), j.ravel())  # (patches, 2)
-    origins = np.column_stack([(j.ravel() - 1) * g.dx, (i.ravel() - 1) * g.dy])
+    origins = np.column_stack([j.ravel() - 1, i.ravel() - 1])  # first nodes, index units
     lo, hi = lo + origins, hi + origins
     rng = np.random.default_rng(21)
     pts = rng.uniform([0, 0], [g.nx - 1, g.ny - 1], size=(2000, 2))
@@ -84,45 +77,51 @@ def test_domains_cover_grid_rectangle():
 # --- single-patch search (a 4x4 grid has one patch) --------------------------
 
 def test_find_bump_maximum():
-    g = grid4(lambda x, y: np.exp(-(x * x + y * y)), origin=(-1.5, -1.5))
-    for kind, sr in sweep_each_kernel(g).items():
+    for kind, sr in sweep_each_kernel(lambda x, y: np.exp(-(x * x + y * y)),
+                                      origin=(-1.5, -1.5)).items():
         assert len(sr.raw) == 1, kind
         assert np.linalg.norm(sr.raw[0].position) <= 1e-6 * math.sqrt(2), kind
 
 
 def test_monotone_field_has_no_roots():
     # the gradient is near (1, 0) everywhere: the patch is certified root-free
-    g = grid4(lambda x, y: x)
-    for kind, sr in sweep_each_kernel(g).items():
+    for kind, sr in sweep_each_kernel(lambda x, y: x).items():
         assert sr.raw == [], kind
         assert sr.seed_counts.excluded == 1, kind
         assert sr.seed_counts.launched == 0, kind
 
 
 def test_flat_patch_skipped():
-    g = grid4(lambda x, y: 3.0)
-    for kind, sr in sweep_each_kernel(g).items():
+    for kind, sr in sweep_each_kernel(lambda x, y: 3.0).items():
         assert sr.raw == [], kind
         assert sr.flat_patches == [(1, 1)], kind
         assert sr.seed_counts == SeedCounts(), kind
 
 
-def test_roots_respect_gradient_tolerance_and_domain():
-    g = sample(TestFunction.F2, 20, 20)
-    d = diag_step(g)
-    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, d))
-    tol_g = _GRAD_TOL_REL * g.field_range / d
+def to_patch_frame(g, raw_point):
+    """A raw point's position mapped back into its patch's frame."""
+    i, j = raw_point.patch
+    return (raw_point.position - g.origin) / [g.dx, g.dy] - [j - 1, i - 1]
+
+
+@pytest.mark.parametrize("grid", ["f2-20x20", "skewed"])
+def test_roots_respect_gradient_tolerance_and_domain(grid):
+    g = sample(TestFunction.F2, 20, 20) if grid == "f2-20x20" else skewed_grid()
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
+    # in the patch frame, up to the rounding of the map to the grid and back
+    tol_g = _GRAD_TOL_REL * g.field_range / DIAG * (1 + 1e-6)
     assert sr.raw, "expected stationary points on the F2 sample"
     for r in sr.raw:
-        lo, hi = _domain_bounds(g, *r.patch) + g.node_position(*r.patch)
-        assert np.all((lo <= r.position) & (r.position <= hi))
+        lo, hi = _domain_bounds(g, *r.patch)
+        xi = to_patch_frame(g, r)
+        assert np.all((lo - 1e-12 <= xi) & (xi <= hi + 1e-12))
         interp = sr.interpolant(*r.patch)
-        assert np.linalg.norm(interp.gradient(r.position)) <= tol_g
+        assert np.linalg.norm(interp.gradient(xi)) <= tol_g
 
 
 def test_interpolant_range_check():
     g = sample(TestFunction.F2, 12, 12)
-    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
     for i, j in [(0, 1), (1, 0), (g.ny - 2, 1), (1, g.nx - 2)]:
         with pytest.raises(IndexError, match=rf"^patch \({i},{j}\) outside valid range$"):
             sr.interpolant(i, j)
@@ -134,11 +133,12 @@ def test_interpolant_range_check():
 
 def test_stacked_interpolant_equals_each_patch():
     g = skewed_grid()
-    sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
     i, j = np.array([1, 3, 1, g.ny - 3]), np.array([2, 1, 2, g.nx - 3])
     stacked = sr.interpolant(i, j)
-    assert stacked.centers.shape == (4, 16, 2) and stacked.constant.shape == (4,)
-    x = np.array([g.node_position(a + 1, b + 1) for a, b in zip(i, j)]) + [0.1, 0.2]
+    assert stacked.weights.shape == (4, 16) and stacked.constant.shape == (4,)
+    np.testing.assert_array_equal(stacked.centers, _OFFS)
+    x = np.array([[1.1, 1.2], [0.3, 2.9], [2.0, 0.5], [1.5, 1.5]])
     values, jac = stacked(x), stacked.gradient_jacobian(x)
     for r, (a, b) in enumerate(zip(i, j)):
         one = sr.interpolant(int(a), int(b))
@@ -150,10 +150,10 @@ def test_stacked_interpolant_equals_each_patch():
 
 def test_sweep_patch_counts():
     g4 = sample(TestFunction.F2, 4, 4)
-    sr = sweep_full(g4, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g4)))
+    sr = sweep_full(g4, default_kernel(KernelKind.GAUSSIAN))
     assert sr.weights.shape == (1, 16)
     g20 = sample(TestFunction.F2, 20, 20)
-    sr = sweep_full(g20, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g20)))
+    sr = sweep_full(g20, default_kernel(KernelKind.GAUSSIAN))
     assert sr.weights.shape == (17 * 17, 16)
 
 
@@ -166,7 +166,7 @@ def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, monkeypatc
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        sr = sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)), threads=threads)
+        sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN), threads=threads)
     finally:
         sys.setswitchinterval(interval)
     h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
@@ -200,7 +200,7 @@ def narrow_grid(nx, ny):
 def check_block_invariance(g, block, threads, monkeypatch):
     """sweep_full in blocks of `block` patches on `threads` threads gives the
     raw points, bit for bit, and the seed counts of one block on one thread."""
-    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    k = default_kernel(KernelKind.GAUSSIAN)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
     ref = sweep_full(g, k, threads=1)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
@@ -229,7 +229,7 @@ def test_sweep_equals_per_patch_search(grid, seeds, threads, monkeypatch):
 
 def test_sweep_ordered_and_thread_invariant():
     g = sample(TestFunction.F2, 20, 20)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    k = default_kernel(KernelKind.GAUSSIAN)
     raw1 = sweep_full(g, k, threads=1).raw
     raw4 = sweep_full(g, k, threads=4).raw
     keys = [(r.patch, r.seed_index) for r in raw1]
@@ -245,7 +245,8 @@ def test_sweep_matches_dense_multistart_oracle():
     tf = TestFunction.F2
     g = sample(tf, 20, 20)
     d = diag_step(g)
-    reduced = reduce_points(sweep_full(g, kernel_for_grid(KernelKind.GAUSSIAN, d)).raw, d)
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
+    reduced = reduce_points(sr.raw, sr)
     got = np.array([p.position for p in reduced])
 
     rng = np.random.default_rng(22)
@@ -314,7 +315,7 @@ def assert_same_bits(got, want):
 def gradient_shapes(kind, seed):
     """(x, centers, weights) in every layout the engine, the certifier and
     ``PatchInterpolant`` use, on one random patch with one point on a node."""
-    k, centers, w = random_patch(kind, 0.7, 0.4, 1.0, seed)
+    k, centers, w = random_patch(kind, 1.0, seed)
     rng = np.random.default_rng(seed)
     R = 7
     x = rng.uniform(0, 1, (R, 2)) * [2.1, 1.2]
@@ -345,7 +346,7 @@ def test_grad_jac_and_gradient_keep_the_bits_of_the_reference(kind, seed):
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_interpolant_derivatives_keep_the_bits_of_the_reference(kind):
-    k, centers, w = random_patch(kind, 0.5, 0.5, 1.0, 5)
+    k, centers, w = random_patch(kind, 1.0, 5)
     rng = np.random.default_rng(5)
     stacked = centers + rng.uniform(-1, 1, (4, 1, 2))
     ws = w * rng.uniform(0.5, 2.0, (4, 1))
@@ -372,14 +373,14 @@ def test_grad_jac_leaves_its_arguments_unchanged():
 
 # --- Newton seed retirement -----------------------------------------------------
 
-def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap, d):
+def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap):
     """The Newton loop without retirement of stuck seeds: every seed that
     neither converges nor hits a singular Jacobian runs all `cap` iterations."""
     x = np.array(seeds, dtype=float)
     n = x.shape[0]
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
-    step_tol = _STEP_TOL * d
+    step_tol = _STEP_TOL * DIAG
     for _ in range(cap):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
@@ -403,14 +404,13 @@ def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap, d):
     return x, converged
 
 
-def full_cap_roots(seeds, owner, centers, weights, kernel, d, cap):
+def full_cap_roots(seeds, owner, weights, kernel, cap):
     """``newton_full_cap`` on the per-seed arrays made from the engine's
-    inputs, whose patches share the nodes centers (16,2): the converged
-    seed indices and their positions."""
+    inputs, whose patches share the nodes ``_OFFS``: the converged seed
+    indices and their positions."""
     n = len(owner)
-    x, converged = newton_full_cap(seeds, np.broadcast_to(centers, (n, 16, 2)), weights[owner],
-                                   kernel, np.broadcast_to(centers.min(axis=0), (n, 2)),
-                                   np.broadcast_to(centers.max(axis=0), (n, 2)), cap, d)
+    x, converged = newton_full_cap(seeds, np.broadcast_to(_OFFS, (n, 16, 2)), weights[owner],
+                                   kernel, np.zeros((n, 2)), np.full((n, 2), 3.0), cap)
     idx = np.flatnonzero(converged)
     return idx, x[idx]
 
@@ -432,7 +432,7 @@ def captured_engine_runs(monkeypatch, g, kind):
         return out
 
     monkeypatch.setattr(stationary, "_newton_seeds", capture)
-    sweep_full(g, kernel_for_grid(kind, diag_step(g)))
+    sweep_full(g, default_kernel(kind))
     monkeypatch.setattr(stationary, "_newton_seeds", engine)
     return calls
 
@@ -450,12 +450,10 @@ def test_retiring_stuck_seeds_changes_nothing(fn, kind, monkeypatch):
 def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
     # a bowl centered far beyond the patch: Newton from the patch's far
     # corner steps outward in both coordinates and is clamped back onto it
-    centers = patch_offsets(1.0, 1.0)
-    h = (centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2
-    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    p = interpolate_patch(PatchMatrix(k, 1.0, 1.0), centers, h)
-    args = (np.array([[3.0, 3.0]]), np.array([0]), centers,
-            np.asarray(p.weights, float)[None], k, math.sqrt(2))
+    h = (_OFFS[:, 0] - 10.0) ** 2 + (_OFFS[:, 1] - 10.0) ** 2
+    k = default_kernel(KernelKind.GAUSSIAN)
+    weights = np.asarray(PatchMatrix(k).solve(h)[0], float)
+    args = (np.array([[3.0, 3.0]]), np.array([0]), weights[None], k)
     evaluations = []
 
     def counting(*a):
@@ -477,20 +475,19 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     # Jacobian is rank-deficient; 2 is a bump whose seeds converge; 3 is a
     # bowl centered far beyond the patch, whose corner seed is stuck at once.
     k = Kernel(KernelKind.GAUSSIAN, alpha=1 / (2 * math.sqrt(2)))
-    centers = patch_offsets(1.0, 1.0)
-    m = PatchMatrix(k, 1.0, 1.0)
+    centers = _OFFS
+    m = PatchMatrix(k)
     unit = np.zeros(16)
     unit[4] = 1.0
-    bump = interpolate_patch(m, centers, -(centers[:, 0] - 1.5) ** 2 - (centers[:, 1] - 1.2) ** 2)
-    bowl = interpolate_patch(m, centers, (centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2)
-    weights = np.stack([np.zeros(16), unit, np.asarray(bump.weights, float),
-                        np.asarray(bowl.weights, float)])
+    bump = m.solve(-(centers[:, 0] - 1.5) ** 2 - (centers[:, 1] - 1.2) ** 2)[0]
+    bowl = m.solve((centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2)[0]
+    weights = np.stack([np.zeros(16), unit, np.asarray(bump, float), np.asarray(bowl, float)])
     lattice = [[x, y] for y in (0.6, 1.4, 2.2) for x in (0.7, 1.6, 2.4)]
     inflection = centers[4] + [1 / (k.alpha * math.sqrt(2)), 0.0]
     seeds = np.array([lattice[0], [1.0, 1.0], lattice[1], inflection, *lattice[2:5],
                       [2.5, 0.5], [3.0, 3.0], *lattice[5:], [0.2, 2.9]])
     owner = np.array([2, 0, 2, 1, 2, 2, 2, 0, 3, 2, 2, 2, 2, 0])
-    args = (seeds, owner, centers, weights, k, math.sqrt(2))
+    args = (seeds, owner, weights, k)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         idx, pos, counts = stationary._newton_seeds(*args)
@@ -509,7 +506,7 @@ def test_singular_seeds_leave_at_their_first_evaluation():
 def test_seed_counts_add_up_and_do_not_depend_on_threads():
     # f14, not f2: every seed launched on f2 at 30x30 converges
     g = sample(TestFunction.F14, 30, 30)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    k = default_kernel(KernelKind.GAUSSIAN)
     sr = sweep_full(g, k, threads=1)
     one = sr.seed_counts
     two = sweep_full(g, k, threads=2).seed_counts
@@ -564,22 +561,22 @@ def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
 
 # --- in-patch duplicates ---------------------------------------------------------
 
-def search_reference(lo, hi, centers, weights, origins, patches, kernel, d, tol_g, ns):
+def search_reference(lo, hi, weights, kernel, ns):
     """``_search`` with its in-patch dedup as the per-root loop it was first
-    written as, with an ns x ns seed lattice."""
+    written as, with an ns x ns seed lattice: the kept roots as (patch,
+    seed slot, position) and the number of accepted roots."""
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t
     fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
     seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
-    owner = np.repeat(np.arange(len(patches)), nseed)
-    idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, centers, weights,
-                                           kernel, d)
+    owner = np.repeat(np.arange(len(lo)), nseed)
+    idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
     k = owner[idx]
-    gx, gy = stationary._gradient(pos, centers, weights[k], kernel)
+    gx, gy = stationary._gradient(pos, _OFFS, weights[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
-    acc = inside & (np.sqrt(gx * gx + gy * gy) <= tol_g)
-    min_sep = stationary._DEDUP_RADIUS * d
+    acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / stationary.DIAG)
+    min_sep = stationary._DEDUP_RADIUS * stationary.DIAG
     out = []
     keep = []
     prev = -1
@@ -589,13 +586,21 @@ def search_reference(lo, hi, centers, weights, origins, patches, kernel, d, tol_
             keep, prev = [], pk
         if all(np.hypot(p[0] - q[0], p[1] - q[1]) > min_sep for q in keep):
             keep.append(p)
-            out.append(RawStationaryPoint(position=origins[pk] + p, seed_index=si,
-                                          patch=(int(patches[pk, 0]), int(patches[pk, 1]))))
+            out.append((pk, si, p))
     return out, int(np.count_nonzero(acc))
 
 
+def assert_same_search(got, want):
+    """``_search``'s kept roots equal the reference's (patch, slot, position)."""
+    k, slot, xi = got
+    assert len(k) == len(want)
+    for a, b, p, (wk, ws, wp) in zip(k.tolist(), slot.tolist(), xi, want):
+        assert (a, b) == (wk, ws)
+        np.testing.assert_array_equal(p, wp)
+
+
 def captured_searches(monkeypatch, g, kind):
-    """Sweep g once, returning the inputs and raw points of every search."""
+    """Sweep g once, returning the inputs and kept roots of every search."""
     calls = []
     search = stationary._search
 
@@ -605,7 +610,7 @@ def captured_searches(monkeypatch, g, kind):
         return out
 
     monkeypatch.setattr(stationary, "_search", capture)
-    sweep_full(g, kernel_for_grid(kind, diag_step(g)))
+    sweep_full(g, default_kernel(kind))
     monkeypatch.setattr(stationary, "_search", search)
     return calls
 
@@ -621,18 +626,20 @@ def test_search_dedup_matches_the_per_root_loop(grid, kind, monkeypatch):
     accepted = kept = 0
     for args, got in captured_searches(monkeypatch, g, kind):
         want, n_acc = search_reference(*args, stationary._SEEDS_PER_AXIS)
-        assert_same_raw(got, want)
-        accepted, kept = accepted + n_acc, kept + len(got)
+        assert_same_search(got, want)
+        accepted, kept = accepted + n_acc, kept + len(want)
     assert accepted > kept > 0
 
 
 def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
-    # min_sep = 5 * 2^-12 exactly, and every offset below is exact: in patch
+    # with a unit index diagonal min_sep = 5 * 2^-12 exactly, and every
+    # offset below is exact: in patch
     # 0 slot 1 is min_sep from slot 0 along x and slot 2 along a 3-4-5
     # diagonal, and both are dropped; slot 4 and slot 5, one ulp of 1 beyond
     # min_sep, are kept.  In patch 1 slot 0 lies outside the domain, so it
     # does not hide slot 3, 2^-11 from it; slot 5 is min_sep from slot 3.
     sep = 5 * 2.0 ** -12
+    monkeypatch.setattr(stationary, "DIAG", 1.0)
     monkeypatch.setattr(stationary, "_DEDUP_RADIUS", sep)
     u = 2.0 ** -12
     roots = {0: (1.0, 1.0), 1: (1.0 + sep, 1.0), 2: (1.0 + 3 * u, 1.0 + 4 * u),
@@ -645,36 +652,32 @@ def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
         return idx, pos, SeedCounts(launched=len(owner), converged=idx.size)
 
     monkeypatch.setattr(stationary, "_newton_seeds", engine)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    args = (np.full((2, 2), 0.5), np.full((2, 2), 2.5), patch_offsets(1.0, 1.0),
-            np.zeros((2, 16)), np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1, 1], [1, 2]]),
-            k, 1.0, 1e-8)
+    args = (np.full((2, 2), 0.5), np.full((2, 2), 2.5), np.zeros((2, 16)),
+            default_kernel(KernelKind.GAUSSIAN))
     got, _ = stationary._search(*args)
-    assert [(p.patch, p.seed_index) for p in got] == [((1, 1), 0), ((1, 1), 4), ((1, 1), 5),
-                                                      ((1, 2), 3)]
-    assert_same_raw(got, search_reference(*args, stationary._SEEDS_PER_AXIS)[0])
+    assert list(zip(got[0].tolist(), got[1].tolist())) == [(0, 0), (0, 4), (0, 5), (1, 3)]
+    assert_same_search(got, search_reference(*args, stationary._SEEDS_PER_AXIS)[0])
 
 
 # --- certified exclusion of root-free patches ---------------------------------
 
 def certifier_inputs(g, kernel):
     """The inputs ``sweep_full`` gives ``_certify`` for every patch of g, in
-    the patch frame, and tol_g."""
+    the patch frame."""
     sr = sweep_full(g, kernel)
     ii, jj = np.divmod(np.arange(sr.weights.shape[0]), g.nx - 3)
     lo, hi = _domain_bounds(g, ii + 1, jj + 1)
     weights = np.asarray(sr.weights) / g.field_range
-    tol_g = _GRAD_TOL_REL / diag_step(g)
-    return (lo, hi, patch_offsets(g.dx, g.dy), weights, sr.matrix.entries, kernel, tol_g), sr
+    return (lo, hi, weights, sr.matrix.entries, kernel), sr
 
 
-def random_patch(kind, dx, dy, scale, seed, origin=(0.0, 0.0)):
+def random_patch(kind, scale, seed):
     """Kernel at `scale` times its default alpha, centers and float64
     weights of a patch interpolating uniform random values."""
-    k = Kernel(kind, scale * shape_parameter(kind, math.hypot(dx, dy)))
+    k = default_kernel(kind, scale)
     h = np.random.default_rng(seed).uniform(-1, 1, 16)
-    weights = np.asarray(PatchMatrix(k, dx, dy).solve(h)[0], float)
-    return k, np.asarray(origin) + patch_offsets(dx, dy), weights
+    weights = np.asarray(PatchMatrix(k).solve(h)[0], float)
+    return k, _OFFS, weights
 
 
 def gradient_extended(x, centers, weights, kind, alpha):
@@ -706,25 +709,23 @@ def kernel_matrix_extended(centers, kind, alpha):
     return np.maximum(1 - u, 0) ** 4 * (4 * u + 1)
 
 
-spacing = st.floats(0.05, 3.0)
+# shape parameters from a quarter to 8 times the default
+scales = st.floats(0.25, 8.0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(list(KernelKind)), dx=spacing, dy=spacing,
-       scale=st.floats(1.0, 8.0), seed=st.integers(0, 2**32 - 1))
-def test_gradient_modulus_bounds_gradient_differences(kind, dx, dy, scale, seed):
+@given(kind=st.sampled_from(list(KernelKind)), scale=scales, seed=st.integers(0, 2**32 - 1))
+def test_gradient_modulus_bounds_gradient_differences(kind, scale, seed):
     # |grad s(x) - grad s(y)| <= N G^(|x - y|) for computed gradients, up to
     # their rounding eps at each end, on pairs from 1e-9 d apart to across the box
-    k, centers, weights = random_patch(kind, dx, dy, scale, seed)
-    norm = stationary._native_norm(centers, weights[None], PatchMatrix(k, dx, dy).entries,
-                                   k.alpha)[0]
-    eps = stationary._gradient_rounding(centers, weights[None], k)[0]
+    k, centers, weights = random_patch(kind, scale, seed)
+    norm = stationary._native_norm(weights[None], PatchMatrix(k).entries, k.alpha)[0]
+    eps = stationary._gradient_rounding(weights[None], k)[0]
     rng = np.random.default_rng(seed)
-    box = np.array([3 * dx, 3 * dy])
-    x = rng.uniform(0, 1, (200, 2)) * box
-    step = math.hypot(dx, dy) * 10.0 ** rng.uniform(-9, 0.5, 200)
+    x = rng.uniform(0, 3, (200, 2))
+    step = DIAG * 10.0 ** rng.uniform(-9, 0.5, 200)
     angle = rng.uniform(0, 2 * math.pi, 200)
-    y = np.clip(x + step[:, None] * np.stack([np.cos(angle), np.sin(angle)], -1), 0, box)
+    y = np.clip(x + step[:, None] * np.stack([np.cos(angle), np.sin(angle)], -1), 0, 3)
     gx, gy, *_ = _grad_jac(np.vstack([x, y]), centers, weights, k)
     diff = np.hypot(gx[:200] - gx[200:], gy[:200] - gy[200:])
     rho = np.hypot(*(x - y).T)
@@ -747,22 +748,20 @@ def test_gradient_modulus_is_the_running_maximum_of_the_modulus(kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(list(KernelKind)), dx=spacing, dy=spacing,
-       scale=st.floats(1.0, 8.0), seed=st.integers(0, 2**32 - 1))
-def test_certificate_margins_cover_the_rounding(kind, dx, dy, scale, seed):
+@given(kind=st.sampled_from(list(KernelKind)), scale=scales, seed=st.integers(0, 2**32 - 1))
+def test_certificate_margins_cover_the_rounding(kind, scale, seed):
     # eps bounds the rounding of computed gradients and their norms
     # anywhere in the patch's box, and N bounds the native-space norm of the
     # RBF sum at the float64 centers, summed in extended precision
-    k, centers, weights = random_patch(kind, dx, dy, scale, seed)
-    eps = stationary._gradient_rounding(centers, weights[None], k)[0]
-    x = np.random.default_rng(seed).uniform(0, 1, (300, 2)) * [3 * dx, 3 * dy]
+    k, centers, weights = random_patch(kind, scale, seed)
+    eps = stationary._gradient_rounding(weights[None], k)[0]
+    x = np.random.default_rng(seed).uniform(0, 3, (300, 2))
     gx, gy, *_ = _grad_jac(x, centers, weights, k)
     ref = gradient_extended(x, centers, weights, kind, k.alpha)
     assert np.all(np.abs(gx - ref[:, 0]) <= eps)
     assert np.all(np.abs(gy - ref[:, 1]) <= eps)
     assert np.all(np.abs(np.sqrt(gx * gx + gy * gy) - np.hypot(*ref.T)) <= eps)
-    norm = stationary._native_norm(centers, weights[None], PatchMatrix(k, dx, dy).entries,
-                                   k.alpha)[0]
+    norm = stationary._native_norm(weights[None], PatchMatrix(k).entries, k.alpha)[0]
     w = np.asarray(weights, np.longdouble)
     assert norm ** 2 >= w @ kernel_matrix_extended(centers, kind, k.alpha) @ w
 
@@ -770,11 +769,10 @@ def test_certificate_margins_cover_the_rounding(kind, dx, dy, scale, seed):
 def test_native_norm_does_not_depend_on_the_block():
     # each patch's bound is the same alone, in blocks of 7 and in the whole grid
     g = sample(TestFunction.F13, 24, 24)
-    (_, _, centers, weights, entries, k, _), _ = certifier_inputs(
-        g, kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g)))
-    whole = stationary._native_norm(centers, weights, entries, k.alpha)
+    (_, _, weights, entries, k), _ = certifier_inputs(g, default_kernel(KernelKind.GAUSSIAN))
+    whole = stationary._native_norm(weights, entries, k.alpha)
     for step in (1, 7):
-        parts = [stationary._native_norm(centers, weights[p0:p0 + step], entries, k.alpha)
+        parts = [stationary._native_norm(weights[p0:p0 + step], entries, k.alpha)
                  for p0 in range(0, len(weights), step)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
@@ -782,10 +780,10 @@ def test_native_norm_does_not_depend_on_the_block():
 def test_certificate_charges_its_rounding_margin(monkeypatch):
     # an unbounded gradient rounding certifies nothing
     g = sample(TestFunction.F2, 20, 20)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, diag_step(g))
+    k = default_kernel(KernelKind.GAUSSIAN)
     assert sweep_full(g, k).seed_counts.excluded > 0
     monkeypatch.setattr(stationary, "_gradient_rounding",
-                        lambda centers, weights, kernel: np.full(len(weights), np.inf))
+                        lambda weights, kernel: np.full(len(weights), np.inf))
     assert sweep_full(g, k).seed_counts.excluded == 0
 
 
@@ -796,9 +794,10 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     # in every excluded patch the computed |grad s| exceeds tol_g on a 33x33
     # lattice of its domain and where a dense multistart ends in it
     g = sample(fn, 24, 24)
-    k = Kernel(kind, scale * shape_parameter(kind, diag_step(g)))
+    k = default_kernel(kind, scale)
     args, sr = certifier_inputs(g, k)
-    lo, hi, centers, weights, _, _, tol_g = args
+    lo, hi, weights, _, _ = args
+    tol_g = _GRAD_TOL_REL / DIAG
     root_free = np.flatnonzero(stationary._certify(*args))
     assert root_free.size == sr.seed_counts.excluded > 0
     t = np.linspace(0.0, 1.0, 33)
@@ -807,24 +806,24 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     starts = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
     for p in np.array_split(root_free, -(-root_free.size // 64)):
         x = lo[p, None] + (hi[p] - lo[p])[:, None] * lattice
-        gx, gy, *_ = _grad_jac(x, centers, weights[p, None], k)
+        gx, gy, *_ = _grad_jac(x, _OFFS, weights[p, None], k)
         assert np.all(np.sqrt(gx * gx + gy * gy) > tol_g)
         seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
         owner = np.repeat(np.arange(p.size), len(starts))
-        idx, pos, _ = stationary._newton_seeds(seeds, owner, centers, weights[p], k,
-                                               diag_step(g))
+        idx, pos, _ = stationary._newton_seeds(seeds, owner, weights[p], k)
         q = p[owner[idx]]
-        gx, gy, *_ = _grad_jac(pos, centers, weights[q], k)
+        gx, gy, *_ = _grad_jac(pos, _OFFS, weights[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
 
 
-def certify_reference(lo, hi, centers, weights, entries, kernel, tol_g):
+def certify_reference(lo, hi, weights, entries, kernel):
     """``_certify`` as one kernel evaluation (``_grad_jac``) per pending
     sub-box, the way it was first written."""
     npatch = len(lo)
-    norm = stationary._native_norm(centers, weights, entries, kernel.alpha)
-    eps = stationary._gradient_rounding(centers, weights, kernel)
+    tol_g = _GRAD_TOL_REL / DIAG
+    norm = stationary._native_norm(weights, entries, kernel.alpha)
+    eps = stationary._gradient_rounding(weights, kernel)
     modulus = stationary._gradient_modulus
     quarters = stationary._QUARTERS
     failed = np.zeros(npatch, dtype=bool)
@@ -848,7 +847,7 @@ def certify_reference(lo, hi, centers, weights, entries, kernel, tol_g):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
-            gx, gy, *_ = _grad_jac(x0, centers, weights[kc], kernel)
+            gx, gy, *_ = _grad_jac(x0, _OFFS, weights[kc], kernel)
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
             split.append(np.flatnonzero(slack <= norm[kc] * modulus(kernel, r)) + c0)
             failed[kc[slack <= norm[kc] * modulus(kernel, r * finest)]] = True
@@ -876,7 +875,7 @@ def test_certify_matches_the_per_sub_box_reference(grid, kind, scale, block, mon
         g = narrow_grid(*map(int, grid[3:].split("x")))
     else:
         g = sample(TestFunction[grid], 24, 24)
-    args, _ = certifier_inputs(g, Kernel(kind, scale * shape_parameter(kind, diag_step(g))))
+    args, _ = certifier_inputs(g, default_kernel(kind, scale))
     got = stationary._certify(*args)
     np.testing.assert_array_equal(got, certify_reference(*args))
     # on the small skewed grid every patch holds a root
@@ -897,7 +896,7 @@ def test_certification_leaves_the_raw_points_unchanged(grid, monkeypatch):
     g = skewed_grid() if grid == "skewed" else sample(TestFunction[grid], 30, 30)
     kinds = [KernelKind.GAUSSIAN] if grid == "skewed" else list(KernelKind)
     for kind in kinds:
-        k = kernel_for_grid(kind, diag_step(g))
+        k = default_kernel(kind)
         sr = sweep_full(g, k)
         # on the small skewed grid every patch holds a root
         assert (sr.seed_counts.excluded > 0) == (grid != "skewed")
@@ -915,15 +914,27 @@ def raw(*positions):
                                seed_index=i) for i, p in enumerate(positions)]
 
 
+# the merge radius is the grid's diagonal step: sqrt(2) on a unit grid, and
+# 1.5 with dx = 0.9, dy = 1.2
+def unit_sweep():
+    return patch_sweep()
+
+
+def sweep_d15():
+    sr = patch_sweep(dx=0.9, dy=1.2)
+    assert diag_step(sr.grid) == 1.5
+    return sr
+
+
 def test_reduce_merges_close_pair():
-    out = reduce_points(raw((0, 0), (0.5, 0)), d=math.sqrt(2))
+    out = reduce_points(raw((0, 0), (0.5, 0)), unit_sweep())
     assert len(out) == 1
     np.testing.assert_allclose(out[0].position, [0.25, 0.0])
     assert out[0].members_merged == 2
 
 
 def test_reduce_keeps_distant_points():
-    out = reduce_points(raw((0, 0), (10, 0)), d=math.sqrt(2))
+    out = reduce_points(raw((0, 0), (10, 0)), unit_sweep())
     assert len(out) == 2
     np.testing.assert_allclose(out[0].position, [0, 0])
     np.testing.assert_allclose(out[1].position, [10, 0])
@@ -931,7 +942,7 @@ def test_reduce_keeps_distant_points():
 
 def test_reduce_anchor_semantics():
     # (2,0) stays separate: gathering is anchored at the first point only
-    out = reduce_points(raw((0, 0), (1, 0), (2, 0)), d=1.5)
+    out = reduce_points(raw((0, 0), (1, 0), (2, 0)), sweep_d15())
     assert len(out) == 2
     np.testing.assert_allclose(out[0].position, [0.5, 0.0])
     np.testing.assert_allclose(out[1].position, [2.0, 0.0])
@@ -939,58 +950,54 @@ def test_reduce_anchor_semantics():
 
 
 def test_reduce_deterministic_and_idempotent():
+    sr = sweep_d15()
     pts = raw((0, 0), (1, 0), (2.6, 0), (5, 5))
-    once = reduce_points(pts, d=1.5)
-    again = reduce_points(pts, d=1.5)
+    once = reduce_points(pts, sr)
+    again = reduce_points(pts, sr)
     for a, b in zip(once, again):
         np.testing.assert_array_equal(a.position, b.position)
     # all pairwise distances now exceed d: reducing again changes nothing
     as_raw = raw(*[tuple(p.position) for p in once])
-    twice = reduce_points(as_raw, d=1.5)
+    twice = reduce_points(as_raw, sr)
     assert len(twice) == len(once)
     for a, b in zip(once, twice):
         np.testing.assert_allclose(a.position, b.position)
 
 
 def test_reduce_evaluates_on_first_members_patch():
-    centers = patch_offsets(1, 1) - np.array([1.5, 1.5])
-    h = 1.0 - 0.1 * np.sum(centers ** 2, axis=1)
-    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    p = interpolate_patch(PatchMatrix(k, 1, 1), centers, h)
+    sr = patch_sweep(lambda x, y: 1.0 - 0.1 * (x * x + y * y), origin=(-1.5, -1.5))
     pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
-    out = reduce_points(pts, d=1.0, interpolant_for=lambda i, j: p)
+    out = reduce_points(pts, sr)
     assert out[0].value == pytest.approx(1.0, abs=0.05)
     assert out[0].classification is Classification.MAXIMUM
 
 
 def test_reduce_terminates_on_non_finite_position():
     # a NaN anchor is within d of nothing, itself included; it still leaves
-    out = reduce_points(raw((math.nan, 0.0), (0.0, 0.0)), d=1.0)
+    out = reduce_points(raw((math.nan, 0.0), (0.0, 0.0)), unit_sweep())
     assert [p.members_merged for p in out] == [1, 1]
     np.testing.assert_array_equal(out[1].position, [0.0, 0.0])
-
-
-def test_reduce_without_interpolant_marks_degenerate():
-    out = reduce_points(raw((0, 0)), d=1.0)
     assert math.isnan(out[0].value)
-    assert out[0].classification is Classification.DEGENERATE
 
 
-def test_classification_kinds():
-    # quadratic-like fields through the patch center
-    centers = patch_offsets(1, 1) - np.array([1.5, 1.5])
-    k = kernel_for_grid(KernelKind.GAUSSIAN, math.sqrt(2))
-    m = PatchMatrix(k, 1, 1)
+def test_reduce_of_no_points_is_empty():
+    assert reduce_points([], unit_sweep()) == []
+
+
+@pytest.mark.parametrize("dx, dy", [(1.0, 1.0), (0.1, 2.0), (3.0, 0.01)])
+def test_classification_kinds(dx, dy):
+    # quadratic-like fields through the patch center, in units of the
+    # spacing, on grids of any aspect
+    origin = (-1.5 * dx, -1.5 * dy)
     cases = {
-        Classification.MINIMUM: np.sum(centers ** 2, axis=1),
-        Classification.MAXIMUM: -np.sum(centers ** 2, axis=1),
-        Classification.SADDLE: centers[:, 0] ** 2 - centers[:, 1] ** 2,
+        Classification.MINIMUM: lambda x, y: (x / dx) ** 2 + (y / dy) ** 2,
+        Classification.MAXIMUM: lambda x, y: -(x / dx) ** 2 - (y / dy) ** 2,
+        Classification.SADDLE: lambda x, y: (x / dx) ** 2 - (y / dy) ** 2,
     }
-    for expected, h in cases.items():
-        p = interpolate_patch(m, centers, h)
+    for expected, f in cases.items():
+        sr = patch_sweep(f, dx=dx, dy=dy, origin=origin)
         pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
-        out = reduce_points(pts, d=0.5, interpolant_for=lambda i, j: p)
-        assert out[0].classification is expected
+        assert reduce_points(pts, sr)[0].classification is expected
 
 
 def reduce_reference(raw_points, d):
@@ -1014,18 +1021,22 @@ def reduce_reference(raw_points, d):
 # a pair at exactly distance d: hypot(3, 4) == 5
 @example(coords=[(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)], d=5.0)
 def test_reduce_matches_list_reference(coords, d):
+    sr = patch_sweep(dx=d / math.sqrt(2), dy=d / math.sqrt(2))
     pts = raw(*coords)
-    got = reduce_points(pts, d)
-    want = reduce_reference(pts, d)
+    got = reduce_points(pts, sr)
+    want = reduce_reference(pts, diag_step(sr.grid))
     assert len(got) == len(want)
     for p, (centroid, members) in zip(got, want):
         np.testing.assert_array_equal(p.position, centroid)
         assert p.members_merged == members
 
 
-def reduce_points_reference(raw_points, d, interpolant_for, hessian_scale):
+def reduce_points_reference(raw_points, sweep):
     """``reduce_points`` as the per-cluster loop it was first written as: one
     interpolant, value, Jacobian and eigvalsh per cluster."""
+    g = sweep.grid
+    d = diag_step(g)
+    spacing = np.array([g.dx, g.dy])
     pos = np.array([np.asarray(r.position, float) for r in raw_points]).reshape(-1, 2)
     remaining = np.arange(len(raw_points))
     out = []
@@ -1037,11 +1048,14 @@ def reduce_points_reference(raw_points, d, interpolant_for, hessian_scale):
         cluster = remaining[near]
         remaining = remaining[~near]
         centroid = pos[cluster].mean(axis=0)
-        interp = interpolant_for(*anchor.patch)
-        value = float(interp(centroid))
-        jac = interp.gradient_jacobian(centroid)
+        i, j = anchor.patch
+        interp = sweep.interpolant(i, j)
+        xi = (centroid - g.origin) / spacing - [j - 1, i - 1]
+        value = float(interp(xi))
+        # the Hessian in the grid's units, times d^2
+        jac = interp.gradient_jacobian(xi) * np.outer(d / spacing, d / spacing)
         lam = np.linalg.eigvalsh(jac)
-        if np.any(np.abs(lam) < 1e-9 * hessian_scale):
+        if np.any(np.abs(lam) < 1e-9 * g.field_range):
             cls = Classification.DEGENERATE
         elif np.all(lam > 0):
             cls = Classification.MINIMUM
@@ -1058,7 +1072,7 @@ def reduce_points_reference(raw_points, d, interpolant_for, hessian_scale):
 @pytest.mark.parametrize("grid", ["F11-24", "F13-40", "F14-32", "skewed", "skewed-tiny"])
 def test_reduce_matches_the_per_cluster_loop(grid, kind):
     # skewed-tiny: values times 2^-40, so Hessian eigenvalues and the
-    # scale field_range / d^2 are far below 1
+    # field range are far below 1
     if grid.startswith("skewed"):
         g = skewed_grid()
         if grid == "skewed-tiny":
@@ -1067,11 +1081,9 @@ def test_reduce_matches_the_per_cluster_loop(grid, kind):
     else:
         fn, n = grid.split("-")
         g = sample(TestFunction[fn], int(n), int(n))
-    d = diag_step(g)
-    sr = sweep_full(g, kernel_for_grid(kind, d))
-    scale = g.field_range / (d * d)
-    got = reduce_points(sr.raw, d, interpolant_for=sr.interpolant, hessian_scale=scale)
-    want = reduce_points_reference(sr.raw, d, sr.interpolant, scale)
+    sr = sweep_full(g, default_kernel(kind))
+    got = reduce_points(sr.raw, sr)
+    want = reduce_points_reference(sr.raw, sr)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.position, b.position)
