@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -105,10 +106,14 @@ def _load_field(args) -> tuple[GridField, str]:
 
 
 def cmd_sample(args) -> int:
-    tf = _parse_fn(args.fn)
-    g = sample(tf, args.nx, args.ny)
-    save_csv(g, args.out)
+    save_csv(sample(_parse_fn(args.fn), args.nx, args.ny), args.out)
     return 0
+
+
+def _write_json(obj, path: str | None) -> None:
+    """obj as indented JSON text, to the file at path or else to stdout."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_find(args) -> int:
@@ -120,13 +125,12 @@ def cmd_find(args) -> int:
     report = run_pipeline(g, kind, alpha=args.alpha, threads=threads,
                           input_desc=_input_desc(g, source),
                           timings=not args.no_timings)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, args.json)
     return 0
+
+
+_GEOMETRY = ("nx", "ny", "dx", "dy", "origin")
+_BINDING_KINDS = [k.value for k in bindings_mod.BindingKind]
 
 
 def cmd_plot(args) -> int:
@@ -134,22 +138,34 @@ def cmd_plot(args) -> int:
         raise InputError(f"--levels must be positive, got {args.levels}")
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    g = load_csv(args.infile) if args.infile else None
-    if g is None:
-        src = report.get("input", {}).get("source", "")
-        if not src.startswith("function "):
-            raise InputError("no field: pass --in or use a report made from --fn")
-        g = sample(_parse_fn(src.split()[1]),
-                   report["input"]["nx"], report["input"]["ny"])
-    inp = report.get("input", {})
-    if inp and (inp.get("nx") != g.nx or inp.get("ny") != g.ny):
-        raise InputError(
-            f"report is for a {inp.get('nx')}x{inp.get('ny')} grid, "
-            f"field is {g.nx}x{g.ny}")
-    gt = None
-    src = inp.get("source", "")
-    if src.startswith("function "):
-        gt = ground_truth_json(_parse_fn(src.split()[1]))
+    # the report must hold what is read of it: the geometry of a non-empty
+    # input, and each point and binding member that render_svg overlays
+    inp = report.get("input", {}) if isinstance(report, dict) else None
+    if not isinstance(inp, dict) or inp and not (
+            all(k in inp for k in _GEOMETRY) and all(type(inp[k]) is int for k in ("nx", "ny"))):
+        raise InputError("report must be a JSON object whose input, if any, has "
+                         "integer nx and ny, dx, dy and origin")
+    pts, binds = report.get("stationary_points", []), report.get("bindings", [])
+    points_ok = isinstance(pts, list) and all(
+        isinstance(p, dict) and all(isinstance(p.get(c), (int, float)) for c in "xy") for p in pts)
+    bindings_ok = isinstance(binds, list) and all(
+        isinstance(b, dict) and b.get("kind") in _BINDING_KINDS
+        and isinstance(b.get("members"), list) and b["members"]
+        and all(type(i) is int and 0 <= i < len(pts) for i in b["members"]) for b in binds)
+    if not (points_ok and bindings_ok):
+        raise InputError("report points need a numeric x and y, and bindings a kind and "
+                         "members that index the points")
+    src = str(inp.get("source", ""))
+    fn = _parse_fn(src.removeprefix("function ")) if src.startswith("function ") else None
+    if not args.infile and fn is None:
+        raise InputError("no field: pass --in or use a report made from --fn")
+    g = load_csv(args.infile) if args.infile else sample(fn, inp["nx"], inp["ny"])
+    field = _input_desc(g, "")
+    if inp and any(inp[k] != field[k] for k in _GEOMETRY):
+        geometry = "{nx}x{ny} grid with dx={dx!r}, dy={dy!r}, origin={origin!r}"
+        raise InputError(f"report is for a {geometry.format(**inp)}; "
+                         f"field is a {geometry.format(**field)}")
+    gt = ground_truth_json(fn) if fn is not None else None
     svg = render_svg(g, report=report, ground_truth=gt, levels=args.levels)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -157,13 +173,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_truth(args) -> int:
-    tf = _parse_fn(args.fn)
-    text = json.dumps(ground_truth_json(tf), indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(ground_truth_json(_parse_fn(args.fn)), args.json)
     return 0
 
 

@@ -13,15 +13,16 @@ function.  The constant has zero gradient and Hessian, so only the weight
 solve and the interpolant's value see it.
 
 A patch is interpolated in grid-index units: its nodes ``_OFFS`` are the
-integer points (col, row) of [0, 3]^2, the same for every patch of every
-grid, and the kernel's shape parameter is per index unit.  The 17x17
-saddle-point matrix ``[A 1; 1^T 0]`` then depends only on the kernel, so it
-is built and factorized once per run and reused for every patch; at a
-kernel kind's default shape parameter it is one matrix per kind.  The
-factorization is an in-house LU with partial pivoting carried out in
-extended precision: at the default shape parameters the Gaussian matrix has
-condition number ~1e10, and float64 elimination would leave weight errors
-visible at the interpolation-property tolerance.
+integer points (col, row) of [0, 3]^2, a constant of this module that
+``_offsets``, ``_grad_jac`` (the one routine for gradients and Hessians)
+and ``PatchInterpolant`` build on, and the kernel's shape parameter is per
+index unit.  The 17x17 saddle-point matrix ``[A 1; 1^T 0]`` then depends
+only on the kernel, so it is built and factorized once per run and reused
+for every patch; at a kernel kind's default shape parameter it is one
+matrix per kind.  The factorization is an in-house LU with partial
+pivoting carried out in extended precision: at the default shape parameters
+the Gaussian matrix has condition number ~1e10, and float64 elimination
+would leave weight errors visible at the interpolation-property tolerance.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class PatchMatrix:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.entries = kernel.phi(_offsets(_OFFS, _OFFS)[2])
+        self.entries = kernel.phi(_offsets(_OFFS)[2])
         system = np.zeros((17, 17), dtype=np.longdouble)
         system[:16, :16] = self.entries
         system[:16, 16] = 1
@@ -117,14 +118,14 @@ class PatchMatrix:
         return x[:16].T, x[16]
 
 
-def _offsets(x, centers):
-    """The per-center terms every derivative of an RBF sum is built from.
+def _offsets(x):
+    """The per-node terms every derivative of an RBF sum is built from.
 
-    x (..., 2), centers (..., 16, 2); returns the components ox, oy of the
-    offsets x - x_m and their lengths r, all (..., 16) and contiguous.
+    x (..., 2); returns the components ox, oy of the offsets x - x_m to the
+    nodes ``_OFFS`` and their lengths r, all (..., 16) and contiguous.
     """
-    ox = x[..., 0, None] - centers[..., 0]
-    oy = x[..., 1, None] - centers[..., 1]
+    ox = x[..., 0, None] - _OFFS[:, 0]
+    oy = x[..., 1, None] - _OFFS[:, 1]
     r = ox * ox
     r += oy * oy
     return ox, oy, np.sqrt(r, out=r)
@@ -146,24 +147,18 @@ def _gradient_sums(cpsi, ox, oy):
     return gx, np.multiply(cpsi, oy, out=t).sum(axis=-1)
 
 
-def _gradient(x, centers, weights, kernel):
-    """The gradient gx, gy of RBF sums, as ``_grad_jac`` computes it, without
-    the Jacobian."""
-    ox, oy, r = _offsets(x, centers)
-    return _gradient_sums(_weighted(kernel.psi(r), weights), ox, oy)
+def _grad_jac(x, weights, kernel):
+    """Gradient and symmetric Jacobian of the gradient field of RBF sums at
+    the nodes ``_OFFS``.
 
-
-def _grad_jac(x, centers, weights, kernel):
-    """Gradient and symmetric Jacobian of the gradient field of RBF sums.
-
-    x (..., 2), centers (..., 16, 2), weights (..., 16); returns the arrays
+    x (..., 2) and weights (..., 16) broadcast; returns the arrays
     gx, gy, jxx, jxy, jyy of shape (...).  Uses only elementwise ops and
     fixed-order row sums, so results do not depend on batch size.  psi and
     eta come from one kernel evaluation; the weighted terms overwrite them,
     and the squared offsets the offsets once the gradient and jxy are
     summed, so the Hessian sums hold no (..., 16) array they do not need.
     """
-    ox, oy, r = _offsets(x, centers)
+    ox, oy, r = _offsets(x)
     psi, eta = kernel.psi_eta(r)
     del r
     cpsi = _weighted(psi, weights)
@@ -183,11 +178,10 @@ def _grad_jac(x, centers, weights, kernel):
 
 @dataclass(frozen=True)
 class PatchInterpolant:
-    """RBF interpolant over one 16-center patch, plus its constant term, or
-    a stack of them: centers (..., 16, 2), weights (..., 16) and constant
-    (...) broadcast against the points they are evaluated at."""
+    """RBF interpolant at the nodes ``_OFFS``, plus its constant term, or a
+    stack of them: weights (..., 16) and constant (...) broadcast against
+    the points, in the patch frame, they are evaluated at."""
 
-    centers: np.ndarray  # (..., 16, 2)
     weights: np.ndarray  # (..., 16)
     kernel: Kernel
     constant: float | np.ndarray = 0.0  # (...)
@@ -195,18 +189,15 @@ class PatchInterpolant:
     def __call__(self, x):
         """Interpolant value; x is (2,) or (..., 2).  Summed like
         ``_grad_jac``, so the value does not depend on the weights' layout."""
-        x = np.asarray(x, dtype=float)
-        _, _, r = _offsets(x, np.asarray(self.centers, dtype=float))
+        _, _, r = _offsets(np.asarray(x, dtype=float))
         out = (np.asarray(self.weights) * self.kernel.phi(r)).sum(axis=-1) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
-    def _float_args(self, x):
-        return (np.asarray(x, dtype=float), np.asarray(self.centers, dtype=float),
-                np.asarray(self.weights, dtype=float), self.kernel)
-
     def gradient(self, x) -> np.ndarray:
         """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
-        return np.stack(_gradient(*self._float_args(x)), axis=-1)
+        gx, gy, *_ = _grad_jac(np.asarray(x, dtype=float),
+                               np.asarray(self.weights, dtype=float), self.kernel)
+        return np.stack([gx, gy], axis=-1)
 
     def gradient_jacobian(self, x) -> np.ndarray:
         """Jacobian of the gradient field (the interpolant's Hessian).
@@ -214,6 +205,7 @@ class PatchInterpolant:
         J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric,
         shape (..., 2, 2).
         """
-        _, _, jxx, jxy, jyy = _grad_jac(*self._float_args(x))
+        _, _, jxx, jxy, jyy = _grad_jac(np.asarray(x, dtype=float),
+                                        np.asarray(self.weights, dtype=float), self.kernel)
         return np.stack([np.stack([jxx, jxy], axis=-1),
                          np.stack([jxy, jyy], axis=-1)], axis=-2)

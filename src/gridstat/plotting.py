@@ -16,6 +16,8 @@ import numpy as np
 
 from .grid import GridField
 
+_SIZE = 640  # px, the longer side of a plot
+
 
 def marching_squares(g: GridField, level: float) -> list[list[list[float]]]:
     """Line segments [[x0, y0], [x1, y1]] of the isoline at ``level``.
@@ -115,9 +117,8 @@ class _Svg:
                 f'viewBox="0 0 {self.width} {self.height}">\n{body}\n</svg>\n')
 
 
-def render_svg(g: GridField, report: dict | None = None,
-               ground_truth: dict | None = None,
-               levels: int = 10, size: int = 640) -> str:
+def render_svg(g: GridField, report: dict | None = None, ground_truth: dict | None = None,
+               levels: int = 10) -> str:
     """SVG contour map with optional detected/analytic overlays.
 
     ``report`` is the pipeline's JSON report (stationary_points, bindings);
@@ -127,7 +128,7 @@ def render_svg(g: GridField, report: dict | None = None,
     xmax = xmin + (g.nx - 1) * g.dx
     ymax = ymin + (g.ny - 1) * g.dy
     margin = 20.0
-    scale = (size - 2 * margin) / max(xmax - xmin, ymax - ymin)
+    scale = (_SIZE - 2 * margin) / max(xmax - xmin, ymax - ymin)
     width = (xmax - xmin) * scale + 2 * margin
     height = (ymax - ymin) * scale + 2 * margin
 

@@ -7,16 +7,16 @@ anchored centroid reduction (merge radius = the grid diagonal d).
 
 One engine, ``_search``, does the per-patch work for any number of patches
 at once: it lays the seed lattice in each search domain, runs Newton
-clamped to the patch's bounding box, accepts converged roots inside the
-domain with a small gradient and drops duplicates within a patch.  Its one
-caller, ``sweep_full``, first hands the active patches of the grid in fixed
-blocks of ``_BLOCK_PATCHES`` to ``_certify``, which proves most of them
-root-free with a native-space bound on the gradient (no seed in them could
-be accepted), and then hands the engine the rest, again in fixed blocks, in
-order on one thread or through a thread pool on several.  Every block size and thread count gives
-identical floating-point results because both only use elementwise
-operations and fixed-order row sums; the blocks bound the working set at
-threads x one block.
+(``_newton_seeds``) clamped to the patch's bounding box, accepts converged
+roots inside the domain with a small gradient and drops duplicates within
+a patch.  Its one caller, ``sweep_full``, first hands the active patches of
+the grid in fixed blocks of ``_BLOCK_PATCHES`` to ``_certify``, which
+proves most of them root-free with a native-space bound on the gradient (no
+seed in them could be accepted), and then hands the engine the rest, again
+in fixed blocks, in order on one thread or through a thread pool on
+several.  Every block size and thread count gives identical floating-point
+results because both only use elementwise operations and fixed-order row
+sums; the blocks bound the working set at threads x one block.
 
 Both work in the patch frame: positions in grid-index units relative to
 the patch's first node, so all patches of every grid share the nodes
@@ -27,15 +27,10 @@ each accepted root xi of the patch with first node n to the grid as
 origin + (n + xi) S, S = diag(dx, dy), and ``reduce_points`` maps each
 centroid back to evaluate and classify it.  Where the grid lies, its
 spacing and how its values are scaled then do not change the search at
-all; merging stays in physical units.
-
-Newton (``_newton_seeds``) keeps its live seeds compact: their indices,
-positions and a ring of each one's last ``_CYCLE`` positions are arrays
-that shrink only when seeds leave, and each iteration gathers the live
-seeds' weights by owner.  Seeds leave when they converge, hit a singular
-Jacobian, get stuck on an exact orbit of the clamped map of period at most
-``_CYCLE`` (which can never converge), or reach the iteration cap; only the
-converged ones are returned.
+all; merging stays in physical units.  Newton's steps, the acceptance test
+and ``reduce_points`` (through ``PatchInterpolant``) take every gradient
+and Hessian from ``_grad_jac``; the certifier sums its table of kernel
+terms with the same ``_gradient_sums``.
 
 The engine and the certifier gather rows with ``take`` and ``compress``,
 never with fancy or boolean indexing, and repeat indices with a broadcast
@@ -58,8 +53,8 @@ import numpy as np
 
 from .grid import GridField, NeighborIndex, diag_step
 from .kernels import Kernel, KernelKind
-from .patch import (_OFFS, DIAG, PatchInterpolant, PatchMatrix, _grad_jac, _gradient,
-                    _gradient_sums, _offsets, _weighted)
+from .patch import (DIAG, PatchInterpolant, PatchMatrix, _grad_jac, _gradient_sums, _offsets,
+                    _weighted)
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +176,7 @@ def _newton_seeds(seeds, owner, weights, kernel):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(xl, _OFFS, weights.take(ol, axis=0), kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(xl, weights.take(ol, axis=0), kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
@@ -259,7 +254,7 @@ def _search(lo, hi, weights, kernel):
 
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
-    gx, gy = _gradient(pos, _OFFS, weights.take(k, axis=0), kernel)
+    gx, gy, *_ = _grad_jac(pos, weights.take(k, axis=0), kernel)
     inside = np.all((pos >= lo.take(k, axis=0)) & (pos <= hi.take(k, axis=0)), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / DIAG)
 
@@ -381,9 +376,9 @@ def _certify(lo, hi, weights, entries, kernel):
     the size of a block's seed lattice.  A sub-box is fixed by its patch's
     domain (the patches share their nodes) and its cell at the level, and
     most patches share one of a few domains, so each chunk evaluates the
-    kernel once per distinct sub-box: a table of the centers' offsets,
-    psi and G^ keyed by (domain, cell), from which each sub-box's gradient
-    is summed with its patch's weights.  The table rows hold what
+    kernel once per distinct sub-box: a table of the offsets of the sub-box
+    centers, psi and G^ keyed by (domain, cell), from which each sub-box's
+    gradient is summed with its patch's weights.  The table rows hold what
     ``_grad_jac`` computes for that sub-box, so every gradient, and every
     decision, is the one a per-sub-box evaluation gives.
     """
@@ -425,7 +420,7 @@ def _certify(lo, hi, weights, entries, kernel):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-            ox, oy, dist = _offsets(x0, _OFFS)
+            ox, oy, dist = _offsets(x0)
             # the weighted terms are not named: held into the next chunk,
             # they would raise the peak by one (chunk, 16) array
             gx, gy = _gradient_sums(
@@ -473,8 +468,8 @@ class SweepResult:
             k = np.argmax(outside)
             raise IndexError(f"patch ({i.flat[k]},{j.flat[k]}) outside valid range")
         pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
-        return PatchInterpolant(centers=_OFFS, weights=self.weights[pidx],
-                                kernel=self.matrix.kernel, constant=self.constants[pidx])
+        return PatchInterpolant(weights=self.weights[pidx], kernel=self.matrix.kernel,
+                                constant=self.constants[pidx])
 
 
 def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult:

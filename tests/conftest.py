@@ -12,7 +12,7 @@ import pytest
 
 from gridstat import (GridField, Kernel, KernelKind, PatchInterpolant, TestFunction,
                       run_pipeline, sample, shape_parameter, sweep_full)
-from gridstat.patch import DIAG, _OFFS
+from gridstat.patch import DIAG
 
 
 # The five stationary points of the F1 surface inside the unit square,
@@ -59,11 +59,10 @@ def default_kernel(kind: KernelKind, scale: float = 1.0) -> Kernel:
     return Kernel(kind, scale * shape_parameter(kind, DIAG))
 
 
-def solve_interpolant(matrix, h, shift=(0.0, 0.0)) -> PatchInterpolant:
-    """The interpolant of samples h at the patch nodes moved by `shift`."""
+def solve_interpolant(matrix, h) -> PatchInterpolant:
+    """The interpolant of samples h at the patch nodes ``_OFFS``."""
     weights, constant = matrix.solve(h)
-    return PatchInterpolant(centers=_OFFS + np.asarray(shift, float), weights=weights,
-                            kernel=matrix.kernel, constant=float(constant))
+    return PatchInterpolant(weights=weights, kernel=matrix.kernel, constant=float(constant))
 
 
 def patch_sweep(f=lambda x, y: x * x + y * y, dx=1.0, dy=1.0, origin=(0.0, 0.0),

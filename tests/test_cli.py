@@ -161,6 +161,52 @@ def test_plot_dimension_mismatch_exits_2(tmp_path):
     assert run(["plot", "--report", rep, "--in", csv, "-o", tmp_path / "x.svg"]) == 2
 
 
+def test_plot_field_from_another_grid_exits_2(tmp_path, capsys):
+    # f2 and f13 at 20x20 have the same shape, but f2 lies on [-2, 2]^2 and
+    # f13 on [-1, 1]^2; the report's own field, read back from CSV, plots
+    rep, svg = tmp_path / "r.json", tmp_path / "out.svg"
+    f2, f13 = tmp_path / "f2.csv", tmp_path / "f13.csv"
+    for fn, csv in (("f2", f2), ("f13", f13)):
+        assert run(["sample", "--fn", fn, "--nx", "20", "--ny", "20", "-o", csv]) == 0
+    assert run(["find", "--in", f2, "--threads", "1", "--json", rep]) == 0
+    assert run(["plot", "--report", rep, "--in", f13, "-o", svg]) == 2
+    assert capsys.readouterr().err.startswith("error: report is for a 20x20 grid with dx=")
+    assert not svg.exists()
+    assert run(["plot", "--report", rep, "--in", f2, "-o", svg]) == 0
+
+
+def without_y(report):
+    points = [{k: v for k, v in p.items() if k != "y"} for p in report["stationary_points"]]
+    return {**report, "stationary_points": points}
+
+
+def member_past_the_points(report):
+    extra = {"kind": "isolated", "members": [len(report["stationary_points"])]}
+    return {**report, "bindings": report["bindings"] + [extra]}
+
+
+@pytest.mark.parametrize("malform", [
+    lambda r: {"input": {"source": "function "}},
+    lambda r: {**r, "input": {**r["input"], "source": "function "}},
+    lambda r: {"input": {"source": "function f2"}},
+    lambda r: [r],
+    without_y,
+    member_past_the_points,
+], ids=["empty-function-id", "empty-function-id-full-input", "input-without-nx", "json-list",
+        "point-without-y", "member-past-the-points"])
+def test_plot_malformed_report_exits_2(malform, tmp_path, capsys):
+    rep, svg = tmp_path / "r.json", tmp_path / "out.svg"
+    assert run(["find", "--fn", "f2", "--nx", "12", "--ny", "12", "--threads", "1",
+                "--json", rep]) == 0
+    report = json.loads(rep.read_text())
+    assert report["stationary_points"]
+    rep.write_text(json.dumps(malform(report)))
+    capsys.readouterr()
+    assert run(["plot", "--report", rep, "-o", svg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("levels", [0, -1, -2, -5])
 def test_plot_non_positive_levels_exits_2(levels, tmp_path, capsys):
     rep = tmp_path / "r.json"

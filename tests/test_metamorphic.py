@@ -4,7 +4,9 @@ and Opportunities", ACM Computing Surveys 51(1), 2018).
 
 Each changed grid's report is mapped back to the original grid and compared
 with the original report: `run_pipeline` at 60x60, Gaussian kernel, on f2
-(isolated points), f13 (circles) and f14 (crossing lines).
+(isolated points), f13 (circles) and f14 (crossing lines).  A round bowl
+on one-patch grids of several aspect ratios checks that stretching keeps
+the classification.
 """
 
 import dataclasses
@@ -12,7 +14,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridstat import KernelKind, TestFunction, run_pipeline, sample, sweep_full
+from gridstat import (GridField, KernelKind, TestFunction, diag_step, run_pipeline, sample,
+                      sweep_full)
 
 from conftest import default_kernel
 
@@ -180,3 +183,23 @@ def test_axis_stretch_keeps_the_points(fn, original):
     rep = find(dataclasses.replace(g, dy=10 * g.dy))
     assert_same_stationary_set(rep, ref,
                                lambda p: np.column_stack([p[:, 0], y0 + (p[:, 1] - y0) / 10]))
+
+
+ANISOTROPY_OPEN = pytest.mark.xfail(
+    strict=True, reason="in grid-index units the bowl's curvature differs 400:1 between the "
+    "axes, and the interpolation error along the steep axis flips the sign of the flat "
+    "axis's eigenvalue of the patch-frame Hessian: the minimum is classified a saddle")
+
+
+@pytest.mark.parametrize("dx, dy", [(1.0, 5.0),
+                                    pytest.param(0.1, 2.0, marks=ANISOTROPY_OPEN),
+                                    pytest.param(3.0, 0.01, marks=ANISOTROPY_OPEN)])
+def test_round_bowl_is_a_minimum_at_any_aspect(dx, dy):
+    # x^2 + y^2 on a 4x4 grid centered at the origin: one patch, one minimum
+    x, y = dx * (np.arange(4.0) - 1.5), dy * (np.arange(4.0) - 1.5)
+    xx, yy = np.meshgrid(x, y)
+    g = GridField(nx=4, ny=4, dx=dx, dy=dy, origin=(x[0], y[0]),
+                  values=(xx * xx + yy * yy).ravel())
+    [point] = find(g)["stationary_points"]
+    assert np.hypot(point["x"], point["y"]) <= 1e-6 * diag_step(g)
+    assert point["class"] == "minimum"

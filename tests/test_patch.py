@@ -138,20 +138,19 @@ def test_interpolation_property(kind):
     rng = np.random.default_rng(15)
     h = rng.normal(size=16)
     p = make_interp(kind, h)
-    vals = p(p.centers)
+    vals = p(_OFFS)
     np.testing.assert_allclose(vals, h, atol=1e-8 * max(1.0, np.max(np.abs(h))))
 
 
 def test_constant_field_reproduction():
     p = make_interp(KernelKind.GAUSSIAN, np.full(16, 5.0))
-    np.testing.assert_allclose(p(p.centers), 5.0, atol=5e-8)
+    np.testing.assert_allclose(p(_OFFS), 5.0, atol=5e-8)
     # the interpolant's constant term reproduces constants off the nodes too
     assert p(np.array([1.5, 1.5])) == pytest.approx(5.0, abs=5e-3)
 
 
 def test_zero_weights():
-    p = PatchInterpolant(centers=_OFFS, weights=np.zeros(16),
-                         kernel=Kernel(KernelKind.GAUSSIAN, 0.2))
+    p = PatchInterpolant(weights=np.zeros(16), kernel=Kernel(KernelKind.GAUSSIAN, 0.2))
     x = np.array([1.3, 2.1])
     assert p(x) == 0.0
     np.testing.assert_array_equal(p.gradient(x), [0.0, 0.0])
@@ -168,8 +167,7 @@ def test_value_does_not_depend_on_the_weights_layout(kind):
                                 dtype=float)
     x = rng.uniform(0, 3, (300, 2))
     for row in weights:
-        strided, contiguous = (PatchInterpolant(centers=_OFFS, weights=w,
-                                                kernel=k, constant=0.25)
+        strided, contiguous = (PatchInterpolant(weights=w, kernel=k, constant=0.25)
                                for w in (row, np.ascontiguousarray(row)))
         assert not row.flags.c_contiguous
         np.testing.assert_array_equal(strided(x), contiguous(x))
@@ -216,11 +214,10 @@ def test_jacobian_symmetric():
 
 
 def test_symmetric_bump_gradient_vanishes_at_center():
-    # field sampled from exp(-|x|^2) on a patch centered at the origin
-    centers = _OFFS - 1.5
-    h = np.exp(-np.sum(centers ** 2, axis=1))
-    p = solve_interpolant(PatchMatrix(default_kernel(KernelKind.GAUSSIAN)), h, shift=(-1.5, -1.5))
-    assert np.linalg.norm(p.gradient(np.zeros(2))) <= 1e-8 * np.max(np.abs(h))
+    # field sampled from exp(-|x - 1.5|^2): a bump at the patch center
+    h = np.exp(-np.sum((_OFFS - 1.5) ** 2, axis=1))
+    p = solve_interpolant(PatchMatrix(default_kernel(KernelKind.GAUSSIAN)), h)
+    assert np.linalg.norm(p.gradient(np.full(2, 1.5))) <= 1e-8 * np.max(np.abs(h))
 
 
 def test_matrix_reuse_equals_per_patch_factorization():

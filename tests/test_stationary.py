@@ -137,7 +137,6 @@ def test_stacked_interpolant_equals_each_patch():
     i, j = np.array([1, 3, 1, g.ny - 3]), np.array([2, 1, 2, g.nx - 3])
     stacked = sr.interpolant(i, j)
     assert stacked.weights.shape == (4, 16) and stacked.constant.shape == (4,)
-    np.testing.assert_array_equal(stacked.centers, _OFFS)
     x = np.array([[1.1, 1.2], [0.3, 2.9], [2.0, 0.5], [1.5, 1.5]])
     values, jac = stacked(x), stacked.gradient_jacobian(x)
     for r, (a, b) in enumerate(zip(i, j)):
@@ -281,18 +280,19 @@ def test_sweep_matches_dense_multistart_oracle():
 
 # --- gradient and Jacobian of RBF sums -------------------------------------------
 
-def gradient_reference(x, centers, weights, kernel):
-    """``_gradient`` as it was first written: offsets as one (..., 16, 2) array."""
-    diff = x[..., None, :] - centers
+def gradient_reference(x, weights, kernel):
+    """The gradient as it was first written: offsets to the nodes ``_OFFS``
+    as one (..., 16, 2) array."""
+    diff = x[..., None, :] - _OFFS
     r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
     cpsi = weights * kernel.psi(r)
     return (cpsi * diff[..., 0]).sum(axis=-1), (cpsi * diff[..., 1]).sum(axis=-1)
 
 
-def grad_jac_reference(x, centers, weights, kernel):
-    """``_grad_jac`` as it was first written: offsets as one (..., 16, 2)
-    array, and psi and eta from two kernel evaluations."""
-    diff = x[..., None, :] - centers
+def grad_jac_reference(x, weights, kernel):
+    """``_grad_jac`` as it was first written: offsets to the nodes ``_OFFS``
+    as one (..., 16, 2) array, and psi and eta from two kernel evaluations."""
+    diff = x[..., None, :] - _OFFS
     r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
     cpsi = weights * kernel.psi(r)
     ceta = weights * kernel.eta(r)
@@ -313,52 +313,54 @@ def assert_same_bits(got, want):
 
 
 def gradient_shapes(kind, seed):
-    """(x, centers, weights) in every layout the engine, the certifier and
+    """(x, weights) in every layout the engine, the certifier and
     ``PatchInterpolant`` use, on one random patch with one point on a node."""
-    k, centers, w = random_patch(kind, 1.0, seed)
+    k, w = random_patch(kind, 1.0, seed)
     rng = np.random.default_rng(seed)
     R = 7
     x = rng.uniform(0, 1, (R, 2)) * [2.1, 1.2]
-    x[2] = centers[5]  # r = 0: Wendland's eta takes its r = 0 branch
-    stacked = centers + rng.uniform(-2, 2, (R, 1, 2))
+    x[2] = _OFFS[5]  # r = 0: Wendland's eta takes its r = 0 branch
     ws = w * rng.uniform(0.5, 2.0, (R, 1))
     return k, [
-        (x, centers, ws),                        # the engine: shared nodes, per-seed weights
-        (x, centers, w),                         # one interpolant at many points
-        (x, stacked, ws),                        # a stacked interpolant, one point each
-        (x[3], stacked, ws),                     # one point against a stack
-        (x[3], centers, w),                      # one point, one patch
-        (x[3], centers, ws),                     # weights broader than the offsets
-        (x[:, None, :], stacked[None], ws[None]),  # (R, R) broadcast
+        (x, ws),                     # the engine: per-seed weights; a stack, one point each
+        (x, w),                      # one interpolant at many points
+        (x[3], w),                   # one point, one patch
+        (x[3], ws),                  # one point against a stack: weights broader than x
+        (x[:, None, :], ws[None]),   # (R, R) broadcast
     ]
+
+
+def assert_interpolant_keeps_the_bits(interp, x):
+    """``.gradient`` and ``.gradient_jacobian`` of interp at x are the
+    references' bits."""
+    gx, gy, jxx, jxy, jyy = grad_jac_reference(x, interp.weights, interp.kernel)
+    assert_same_bits([interp.gradient(x)], [np.stack(
+        gradient_reference(x, interp.weights, interp.kernel), axis=-1)])
+    assert_same_bits([interp.gradient_jacobian(x)], [np.stack(
+        [np.stack([jxx, jxy], axis=-1), np.stack([jxy, jyy], axis=-1)], axis=-2)])
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grad_jac_and_gradient_keep_the_bits_of_the_reference(kind, seed):
     k, layouts = gradient_shapes(kind, seed)
-    for x, centers, weights in layouts:
-        assert_same_bits(_grad_jac(x, centers, weights, k),
-                         grad_jac_reference(x, centers, weights, k))
-        assert_same_bits(stationary._gradient(x, centers, weights, k),
-                         gradient_reference(x, centers, weights, k))
+    for x, weights in layouts:
+        got = _grad_jac(x, weights, k)
+        assert_same_bits(got, grad_jac_reference(x, weights, k))
+        assert_same_bits(got[:2], gradient_reference(x, weights, k))
+        assert_interpolant_keeps_the_bits(PatchInterpolant(weights=weights, kernel=k), x)
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_interpolant_derivatives_keep_the_bits_of_the_reference(kind):
-    k, centers, w = random_patch(kind, 1.0, 5)
+    k, w = random_patch(kind, 1.0, 5)
     rng = np.random.default_rng(5)
-    stacked = centers + rng.uniform(-1, 1, (4, 1, 2))
     ws = w * rng.uniform(0.5, 2.0, (4, 1))
-    one = PatchInterpolant(centers=centers, weights=w, kernel=k)
-    many = PatchInterpolant(centers=stacked, weights=ws, kernel=k)
+    one = PatchInterpolant(weights=w, kernel=k)
+    many = PatchInterpolant(weights=ws, kernel=k)
     for interp, x in ((one, rng.uniform(0, 1.5, 2)), (one, rng.uniform(0, 1.5, (9, 2))),
                       (many, rng.uniform(0, 1.5, 2)), (many, rng.uniform(0, 1.5, (4, 2)))):
-        gx, gy, jxx, jxy, jyy = grad_jac_reference(x, interp.centers, interp.weights, k)
-        assert_same_bits([interp.gradient(x)], [np.stack(
-            gradient_reference(x, interp.centers, interp.weights, k), axis=-1)])
-        assert_same_bits([interp.gradient_jacobian(x)], [np.stack(
-            [np.stack([jxx, jxy], axis=-1), np.stack([jxy, jyy], axis=-1)], axis=-2)])
+        assert_interpolant_keeps_the_bits(interp, x)
 
 
 def test_grad_jac_leaves_its_arguments_unchanged():
@@ -366,14 +368,13 @@ def test_grad_jac_leaves_its_arguments_unchanged():
     for args in layouts:
         before = [a.copy() for a in args]
         _grad_jac(*args, k)
-        stationary._gradient(*args, k)
         for a, b in zip(args, before):
             np.testing.assert_array_equal(a, b)
 
 
 # --- Newton seed retirement -----------------------------------------------------
 
-def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap):
+def newton_full_cap(seeds, weights, kernel, bbox_lo, bbox_hi, cap):
     """The Newton loop without retirement of stuck seeds: every seed that
     neither converges nor hits a singular Jacobian runs all `cap` iterations."""
     x = np.array(seeds, dtype=float)
@@ -385,7 +386,7 @@ def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        gx, gy, jxx, jxy, jyy = _grad_jac(x[idx], centers[idx], weights[idx], kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(x[idx], weights[idx], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
@@ -406,11 +407,10 @@ def newton_full_cap(seeds, centers, weights, kernel, bbox_lo, bbox_hi, cap):
 
 def full_cap_roots(seeds, owner, weights, kernel, cap):
     """``newton_full_cap`` on the per-seed arrays made from the engine's
-    inputs, whose patches share the nodes ``_OFFS``: the converged seed
-    indices and their positions."""
+    inputs: the converged seed indices and their positions."""
     n = len(owner)
-    x, converged = newton_full_cap(seeds, np.broadcast_to(_OFFS, (n, 16, 2)), weights[owner],
-                                   kernel, np.zeros((n, 2)), np.full((n, 2), 3.0), cap)
+    x, converged = newton_full_cap(seeds, weights[owner], kernel, np.zeros((n, 2)),
+                                   np.full((n, 2), 3.0), cap)
     idx = np.flatnonzero(converged)
     return idx, x[idx]
 
@@ -475,15 +475,14 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     # Jacobian is rank-deficient; 2 is a bump whose seeds converge; 3 is a
     # bowl centered far beyond the patch, whose corner seed is stuck at once.
     k = Kernel(KernelKind.GAUSSIAN, alpha=1 / (2 * math.sqrt(2)))
-    centers = _OFFS
     m = PatchMatrix(k)
     unit = np.zeros(16)
     unit[4] = 1.0
-    bump = m.solve(-(centers[:, 0] - 1.5) ** 2 - (centers[:, 1] - 1.2) ** 2)[0]
-    bowl = m.solve((centers[:, 0] - 10.0) ** 2 + (centers[:, 1] - 10.0) ** 2)[0]
+    bump = m.solve(-(_OFFS[:, 0] - 1.5) ** 2 - (_OFFS[:, 1] - 1.2) ** 2)[0]
+    bowl = m.solve((_OFFS[:, 0] - 10.0) ** 2 + (_OFFS[:, 1] - 10.0) ** 2)[0]
     weights = np.stack([np.zeros(16), unit, np.asarray(bump, float), np.asarray(bowl, float)])
     lattice = [[x, y] for y in (0.6, 1.4, 2.2) for x in (0.7, 1.6, 2.4)]
-    inflection = centers[4] + [1 / (k.alpha * math.sqrt(2)), 0.0]
+    inflection = _OFFS[4] + [1 / (k.alpha * math.sqrt(2)), 0.0]
     seeds = np.array([lattice[0], [1.0, 1.0], lattice[1], inflection, *lattice[2:5],
                       [2.5, 0.5], [3.0, 3.0], *lattice[5:], [0.2, 2.9]])
     owner = np.array([2, 0, 2, 1, 2, 2, 2, 0, 3, 2, 2, 2, 2, 0])
@@ -573,7 +572,7 @@ def search_reference(lo, hi, weights, kernel, ns):
     owner = np.repeat(np.arange(len(lo)), nseed)
     idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
     k = owner[idx]
-    gx, gy = stationary._gradient(pos, _OFFS, weights[k], kernel)
+    gx, gy = gradient_reference(pos, weights[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / stationary.DIAG)
     min_sep = stationary._DEDUP_RADIUS * stationary.DIAG
@@ -672,19 +671,18 @@ def certifier_inputs(g, kernel):
 
 
 def random_patch(kind, scale, seed):
-    """Kernel at `scale` times its default alpha, centers and float64
-    weights of a patch interpolating uniform random values."""
+    """Kernel at `scale` times its default alpha and the float64 weights of
+    a patch interpolating uniform random values."""
     k = default_kernel(kind, scale)
     h = np.random.default_rng(seed).uniform(-1, 1, 16)
-    weights = np.asarray(PatchMatrix(k).solve(h)[0], float)
-    return k, _OFFS, weights
+    return k, np.asarray(PatchMatrix(k).solve(h)[0], float)
 
 
-def gradient_extended(x, centers, weights, kind, alpha):
+def gradient_extended(x, weights, kind, alpha):
     """The gradient of the RBF sum at points x (n,2), evaluated in extended
-    precision from the same float64 centers and weights."""
+    precision from the float64 nodes ``_OFFS`` and weights."""
     ld = np.longdouble
-    diff = np.asarray(x, ld)[:, None, :] - np.asarray(centers, ld)
+    diff = np.asarray(x, ld)[:, None, :] - np.asarray(_OFFS, ld)
     u = ld(alpha) * np.sqrt((diff * diff).sum(axis=-1))
     a2 = ld(alpha) * ld(alpha)
     if kind is KernelKind.GAUSSIAN:
@@ -696,10 +694,10 @@ def gradient_extended(x, centers, weights, kind, alpha):
     return ((np.asarray(weights, ld) * psi)[..., None] * diff).sum(axis=1)
 
 
-def kernel_matrix_extended(centers, kind, alpha):
-    """The kernel matrix of the float64 centers in extended precision."""
+def kernel_matrix_extended(kind, alpha):
+    """The kernel matrix of the float64 nodes ``_OFFS`` in extended precision."""
     ld = np.longdouble
-    c = np.asarray(centers, ld)
+    c = np.asarray(_OFFS, ld)
     diff = c[:, None, :] - c[None, :, :]
     u = ld(alpha) * np.sqrt((diff * diff).sum(axis=-1))
     if kind is KernelKind.GAUSSIAN:
@@ -718,7 +716,7 @@ scales = st.floats(0.25, 8.0)
 def test_gradient_modulus_bounds_gradient_differences(kind, scale, seed):
     # |grad s(x) - grad s(y)| <= N G^(|x - y|) for computed gradients, up to
     # their rounding eps at each end, on pairs from 1e-9 d apart to across the box
-    k, centers, weights = random_patch(kind, scale, seed)
+    k, weights = random_patch(kind, scale, seed)
     norm = stationary._native_norm(weights[None], PatchMatrix(k).entries, k.alpha)[0]
     eps = stationary._gradient_rounding(weights[None], k)[0]
     rng = np.random.default_rng(seed)
@@ -726,7 +724,7 @@ def test_gradient_modulus_bounds_gradient_differences(kind, scale, seed):
     step = DIAG * 10.0 ** rng.uniform(-9, 0.5, 200)
     angle = rng.uniform(0, 2 * math.pi, 200)
     y = np.clip(x + step[:, None] * np.stack([np.cos(angle), np.sin(angle)], -1), 0, 3)
-    gx, gy, *_ = _grad_jac(np.vstack([x, y]), centers, weights, k)
+    gx, gy, *_ = _grad_jac(np.vstack([x, y]), weights, k)
     diff = np.hypot(gx[:200] - gx[200:], gy[:200] - gy[200:])
     rho = np.hypot(*(x - y).T)
     assert np.all(diff <= norm * stationary._gradient_modulus(k, rho) + 2 * eps)
@@ -752,18 +750,18 @@ def test_gradient_modulus_is_the_running_maximum_of_the_modulus(kind):
 def test_certificate_margins_cover_the_rounding(kind, scale, seed):
     # eps bounds the rounding of computed gradients and their norms
     # anywhere in the patch's box, and N bounds the native-space norm of the
-    # RBF sum at the float64 centers, summed in extended precision
-    k, centers, weights = random_patch(kind, scale, seed)
+    # RBF sum at the float64 nodes, summed in extended precision
+    k, weights = random_patch(kind, scale, seed)
     eps = stationary._gradient_rounding(weights[None], k)[0]
     x = np.random.default_rng(seed).uniform(0, 3, (300, 2))
-    gx, gy, *_ = _grad_jac(x, centers, weights, k)
-    ref = gradient_extended(x, centers, weights, kind, k.alpha)
+    gx, gy, *_ = _grad_jac(x, weights, k)
+    ref = gradient_extended(x, weights, kind, k.alpha)
     assert np.all(np.abs(gx - ref[:, 0]) <= eps)
     assert np.all(np.abs(gy - ref[:, 1]) <= eps)
     assert np.all(np.abs(np.sqrt(gx * gx + gy * gy) - np.hypot(*ref.T)) <= eps)
     norm = stationary._native_norm(weights[None], PatchMatrix(k).entries, k.alpha)[0]
     w = np.asarray(weights, np.longdouble)
-    assert norm ** 2 >= w @ kernel_matrix_extended(centers, kind, k.alpha) @ w
+    assert norm ** 2 >= w @ kernel_matrix_extended(kind, k.alpha) @ w
 
 
 def test_native_norm_does_not_depend_on_the_block():
@@ -806,13 +804,13 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     starts = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
     for p in np.array_split(root_free, -(-root_free.size // 64)):
         x = lo[p, None] + (hi[p] - lo[p])[:, None] * lattice
-        gx, gy, *_ = _grad_jac(x, _OFFS, weights[p, None], k)
+        gx, gy, *_ = _grad_jac(x, weights[p, None], k)
         assert np.all(np.sqrt(gx * gx + gy * gy) > tol_g)
         seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
         owner = np.repeat(np.arange(p.size), len(starts))
         idx, pos, _ = stationary._newton_seeds(seeds, owner, weights[p], k)
         q = p[owner[idx]]
-        gx, gy, *_ = _grad_jac(pos, _OFFS, weights[q], k)
+        gx, gy, *_ = _grad_jac(pos, weights[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
 
@@ -847,7 +845,7 @@ def certify_reference(lo, hi, weights, entries, kernel):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
-            gx, gy, *_ = _grad_jac(x0, _OFFS, weights[kc], kernel)
+            gx, gy, *_ = _grad_jac(x0, weights[kc], kernel)
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
             split.append(np.flatnonzero(slack <= norm[kc] * modulus(kernel, r)) + c0)
             failed[kc[slack <= norm[kc] * modulus(kernel, r * finest)]] = True

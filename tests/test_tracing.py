@@ -35,7 +35,8 @@ def test_tracer_records_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["rc"] == 0
-    expected = {"stationary.sweep", "stationary.reduce", "kernels.psi",
-                "kernels.eta", "patch.solve", "patch.interp.gradient_jacobian",
-                "bindings.cluster", "plotting.render", "plotting.contour"}
+    expected = {"stationary.sweep", "stationary.reduce", "kernels.phi", "kernels.psi",
+                "kernels.eta", "patch.solve", "patch.interp.__call__",
+                "patch.interp.gradient_jacobian", "bindings.cluster", "plotting.render",
+                "plotting.contour"}
     assert expected <= set(out["spans"])
