@@ -97,9 +97,11 @@ def _parse_fn(name: str) -> TestFunction:
 
 
 def _load_field(args) -> tuple[GridField, str]:
-    if getattr(args, "infile", None):
+    if args.infile and args.fn:
+        raise InputError("--fn and --in exclude each other; pass one")
+    if args.infile:
         return load_csv(args.infile), args.infile
-    if getattr(args, "fn", None):
+    if args.fn:
         tf = _parse_fn(args.fn)
         return sample(tf, args.nx, args.ny), f"function {tf.value}"
     raise InputError("one of --fn or --in is required")

@@ -7,7 +7,10 @@ the same IEEE operations, in the same order, as a cell-by-cell loop, so its
 segments, their order and the SVG bytes are those of the loop; the tests
 keep the loop as the reference.  Output is standalone SVG with one group
 per layer: contours, detected points/curves, and optionally the analytic
-ground truth in a dashed style.
+ground truth in a dashed style.  The contour segments of all levels are
+mapped to pixels as one array and formatted straight from it, one line of
+text per segment; the tests keep the element-by-element builder this
+replaced and compare the text byte for byte.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .grid import GridField
 _SIZE = 640  # px, the longer side of a plot
 
 
-def marching_squares(g: GridField, level: float) -> list[list[list[float]]]:
-    """Line segments [[x0, y0], [x1, y1]] of the isoline at ``level``.
+def marching_squares(g: GridField, level: float) -> np.ndarray:
+    """Line segments of the isoline at ``level``, shape (n, 2, 2): segment
+    s runs from point [s, 0] to [s, 1], each (x, y).
 
     Cells come in row-major order.  Within a cell, a segment joins the
     crossings of two crossed edges, ascending by edge (edge k runs from
@@ -60,8 +64,7 @@ def marching_squares(g: GridField, level: float) -> list[list[list[float]]]:
         t = (level - vk) / (vals[cell, k2] - vk)
         return np.stack([xk + t * (cx[cell, k2] - xk), yk + t * (cy[cell, k2] - yk)], axis=-1)
 
-    return np.stack([crossing(edge_a[cell, seg]), crossing(edge_b[cell, seg])],
-                    axis=1).tolist()
+    return np.stack([crossing(edge_a[cell, seg]), crossing(edge_b[cell, seg])], axis=1)
 
 
 def chain_polyline(points: np.ndarray) -> list[int]:
@@ -83,38 +86,9 @@ def chain_polyline(points: np.ndarray) -> list[int]:
     return order
 
 
-class _Svg:
-    def __init__(self, width, height):
-        self.width = width
-        self.height = height
-        self.parts = []
-
-    def open_group(self, gid):
-        self.parts.append(f'<g id="{gid}">')
-
-    def close_group(self):
-        self.parts.append("</g>")
-
-    def polyline(self, pts, stroke, width, dashed=False):
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
-        self.parts.append(f'<polyline points="{coords}" fill="none" '
-                          f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
-
-    def circle(self, x, y, r, stroke, fill):
-        self.parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r}" '
-                          f'stroke="{stroke}" fill="{fill}"/>')
-
-    def cross(self, x, y, r, stroke):
-        self.parts.append(f'<path d="M {x - r:.3f} {y - r:.3f} L {x + r:.3f} {y + r:.3f} '
-                          f'M {x - r:.3f} {y + r:.3f} L {x + r:.3f} {y - r:.3f}" '
-                          f'stroke="{stroke}" stroke-width="1.2"/>')
-
-    def render(self):
-        body = "\n".join(self.parts)
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" '
-                f'width="{self.width}" height="{self.height}" '
-                f'viewBox="0 0 {self.width} {self.height}">\n{body}\n</svg>\n')
+def _polyline(pts, style: str) -> str:
+    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
+    return f'<polyline points="{coords}" fill="none" {style}/>'
 
 
 def render_svg(g: GridField, report: dict | None = None, ground_truth: dict | None = None,
@@ -135,43 +109,43 @@ def render_svg(g: GridField, report: dict | None = None, ground_truth: dict | No
     def to_px(x, y):
         return (margin + (x - xmin) * scale, height - margin - (y - ymin) * scale)
 
-    svg = _Svg(round(width), round(height))
-
-    svg.open_group("contours")
+    parts = ['<g id="contours">']
     vmin, vmax = float(g.values.min()), float(g.values.max())
     if vmax > vmin:
-        segs = np.array([s for lv in np.linspace(vmin, vmax, levels + 2)[1:-1]
-                         for s in marching_squares(g, lv)]).reshape(-1, 4)
-        ends = np.column_stack([*to_px(segs[:, 0], segs[:, 1]),
-                                *to_px(segs[:, 2], segs[:, 3])])
-        for xa, ya, xb, yb in ends.tolist():
-            svg.polyline([(xa, ya), (xb, yb)], stroke="#9ab", width=0.8)
-    svg.close_group()
+        segs = np.concatenate([np.empty((0, 2, 2)), *(
+            marching_squares(g, lv) for lv in np.linspace(vmin, vmax, levels + 2)[1:-1])])
+        ends = np.stack(to_px(segs[..., 0], segs[..., 1]), axis=-1).reshape(-1, 4)
+        parts += [f'<polyline points="{xa:.3f},{ya:.3f} {xb:.3f},{yb:.3f}" fill="none" '
+                  f'stroke="#9ab" stroke-width="0.8"/>' for xa, ya, xb, yb in ends.tolist()]
 
-    svg.open_group("detected")
+    parts += ["</g>", '<g id="detected">']
     if report:
         pts = report.get("stationary_points", [])
         for b in report.get("bindings", []):
             members = b["members"]
             if b["kind"] == "curve":
                 pos = np.array([[pts[i]["x"], pts[i]["y"]] for i in members])
-                order = chain_polyline(pos)
-                svg.polyline([to_px(*pos[k]) for k in order],
-                             stroke="#ffffff", width=2.0)
+                parts.append(_polyline([to_px(*pos[k]) for k in chain_polyline(pos)],
+                                       'stroke="#ffffff" stroke-width="2.0"'))
             else:
                 p = pts[members[0]]
                 x, y = to_px(p["x"], p["y"])
-                svg.circle(x, y, 4.0, stroke="#333", fill="#ffffff")
-    svg.close_group()
+                parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="4.0" '
+                             f'stroke="#333" fill="#ffffff"/>')
 
-    svg.open_group("ground-truth")
+    parts += ["</g>", '<g id="ground-truth">']
     if ground_truth:
         for curve in ground_truth.get("curves", []):
-            svg.polyline([to_px(x, y) for x, y in curve],
-                         stroke="#d22", width=1.2, dashed=True)
+            parts.append(_polyline([to_px(x, y) for x, y in curve],
+                                   'stroke="#d22" stroke-width="1.2" stroke-dasharray="6,4"'))
         for x, y in ground_truth.get("isolated", []):
             px, py = to_px(x, y)
-            svg.cross(px, py, 4.0, stroke="#d22")
-    svg.close_group()
+            parts.append(f'<path d="M {px - 4.0:.3f} {py - 4.0:.3f} L {px + 4.0:.3f} '
+                         f'{py + 4.0:.3f} M {px - 4.0:.3f} {py + 4.0:.3f} L {px + 4.0:.3f} '
+                         f'{py - 4.0:.3f}" stroke="#d22" stroke-width="1.2"/>')
+    parts.append("</g>")
 
-    return svg.render()
+    body = "\n".join(parts)
+    w, h = round(width), round(height)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+            f'viewBox="0 0 {w} {h}">\n{body}\n</svg>\n')

@@ -5,18 +5,20 @@ Newton's method with the analytic Jacobian is multistarted inside the
 window's search domain, and the accepted roots are merged across windows by
 anchored centroid reduction (merge radius = the grid diagonal d).
 
-One engine, ``_search``, does the per-patch work for any number of patches
-at once: it lays the seed lattice in each search domain, runs Newton
-(``_newton_seeds``) clamped to the patch's bounding box, accepts converged
-roots inside the domain with a small gradient and drops duplicates within
-a patch.  Its one caller, ``sweep_full``, first hands the active patches of
-the grid in fixed blocks of ``_BLOCK_PATCHES`` to ``_certify``, which
-proves most of them root-free with a native-space bound on the gradient (no
-seed in them could be accepted), and then hands the engine the rest, again
-in fixed blocks, in order on one thread or through a thread pool on
-several.  Every block size and thread count gives identical floating-point
-results because both only use elementwise operations and fixed-order row
-sums; the blocks bound the working set at threads x one block.
+Each patch carries the code of its search domain (``_domain_code``), a row
+of the constant table ``_DOMAINS``.  One engine, ``_search``, does the
+per-patch work for any number of patches at once: it lays the seed lattice
+once per code and gathers it, runs Newton (``_newton_seeds``) clamped to
+the patch's bounding box, accepts converged roots inside the domain with a
+small gradient and drops duplicates within a patch.  Its one caller,
+``sweep_full``, first hands the active patches of the grid in fixed blocks
+of ``_BLOCK_PATCHES`` to ``_certify``, which proves most of them root-free
+with a native-space bound on the gradient (no seed in them could be
+accepted), and then hands the engine the rest, again in fixed blocks, in
+order on one thread or through a thread pool on several.  Every block size
+and thread count gives identical floating-point results because both only
+use elementwise operations and fixed-order row sums; the blocks bound the
+working set at threads x one block.
 
 Both work in the patch frame: positions in grid-index units relative to
 the patch's first node, so all patches of every grid share the nodes
@@ -120,17 +122,20 @@ class StationaryPoint:
     members_merged: int
 
 
-def _domain_bounds(g: GridField, i, j) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo, hi of shape (..., 2) of the search domains of patches
-    (i, j), 1-based integers or integer arrays, in the patch frame.  Each
-    domain is the central cell [1, 2]^2 widened by half a cell per side,
-    with the widening replaced by extension to the grid boundary on sides
-    where the patch touches it."""
-    lo_x = np.where(j == 1, 0.0, 0.5)
-    hi_x = np.where(j == g.nx - 3, 3.0, 2.5)
-    lo_y = np.where(i == 1, 0.0, 0.5)
-    hi_y = np.where(i == g.ny - 3, 3.0, 2.5)
-    return np.stack([lo_x, lo_y], axis=-1), np.stack([hi_x, hi_y], axis=-1)
+def _domain_code(g: GridField, i, j):
+    """The search-domain code ex + 4 ey of patches (i, j), 1-based integers
+    or integer arrays.  On each axis bit 0 of e is set where the patch
+    touches the grid's first node column (x) or row (y), bit 1 where it
+    touches the last."""
+    return (j == 1) + 2 * (j == g.nx - 3) + 4 * ((i == 1) + 2 * (i == g.ny - 3))
+
+
+# the search domains in the patch frame, lo = _DOMAINS[code, 0] and hi =
+# _DOMAINS[code, 1]: the central cell [1, 2]^2 widened by half a cell per
+# side, with the widening replaced by extension to the grid boundary on
+# the sides the patch touches
+_E = (np.arange(16)[:, None] >> [0, 2]) & 3  # (ex, ey) of each code
+_DOMAINS = np.stack([np.where(_E & 1, 0.0, 0.5), np.where(_E & 2, 3.0, 2.5)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +235,26 @@ def _first_distinct(ok, xy, min_sep):
     return kept
 
 
-def _search(lo, hi, weights, kernel):
+def _search(code, weights, kernel):
     """Stationary points of P patch interpolants, and the ``SeedCounts`` of
     their Newton runs.
 
-    lo, hi (P,2) are the search domains in the patch frame and weights
-    (P,16) the interpolants at the shared nodes ``_OFFS``, in units of the
-    field range.  Seeds form an n x n lattice strictly inside each domain,
-    n = _SEEDS_PER_AXIS, row-major (y outer).  The kept roots are returned
-    ordered by (patch, seed) as their patches (rows of lo), seed slots and
-    positions xi in the patch frame.
+    code (P,) holds the patches' search-domain codes (``_domain_code``) and
+    weights (P,16) the interpolants at the shared nodes ``_OFFS``, in units
+    of the field range.  Seeds form an n x n lattice strictly inside each
+    domain, n = _SEEDS_PER_AXIS, row-major (y outer), laid once per code.
+    The kept roots are returned ordered by (patch, seed) as their patches
+    (entries of code), seed slots and positions xi in the patch frame.
     """
     ns = _SEEDS_PER_AXIS
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
-    fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (P, ns)
+    lo, hi = _DOMAINS[:, 0], _DOMAINS[:, 1]
+    fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (16, ns)
     fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
-    seeds = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
-    npatch = len(lo)
+    lattice = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
+    seeds = lattice.take(code, axis=0)
+    npatch = len(code)
     owner = _repeat_each(np.arange(npatch), nseed)
 
     idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
@@ -255,7 +262,8 @@ def _search(lo, hi, weights, kernel):
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
     gx, gy, *_ = _grad_jac(pos, weights.take(k, axis=0), kernel)
-    inside = np.all((pos >= lo.take(k, axis=0)) & (pos <= hi.take(k, axis=0)), axis=-1)
+    kc = code.take(k)
+    inside = np.all((pos >= lo.take(kc, axis=0)) & (pos <= hi.take(kc, axis=0)), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / DIAG)
 
     # drop duplicates within each patch, laid out as (patch, seed slot) over
@@ -349,15 +357,14 @@ def _gradient_rounding(weights, kernel):
 _QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
 
 
-def _certify(lo, hi, weights, entries, kernel):
+def _certify(code, weights, entries, kernel):
     """Which of P patches are certified root-free, shape (P,) bool.
 
     A certified patch has a computed |grad s| > tol_g = _GRAD_TOL_REL / DIAG
-    everywhere in its search domain [lo, hi], so ``_search`` could accept
-    no root in it; lo, hi, weights and kernel are those ``_search`` gets,
-    and entries is the kernel matrix of the nodes.  The
-    domain is cut into 2x2 sub-boxes, and a sub-box with center x0 and
-    half-diagonal r is certified when
+    everywhere in its search domain, so ``_search`` could accept no root in
+    it; code, weights and kernel are those ``_search`` gets, and entries is
+    the kernel matrix of the nodes.  The domain is cut into 2x2 sub-boxes,
+    and a sub-box with center x0 and half-diagonal r is certified when
 
         |g(x0)| - eps > N G^(r) + tol_g + eps,
 
@@ -374,26 +381,20 @@ def _certify(lo, hi, weights, entries, kernel):
 
     The pending sub-boxes are evaluated in chunks of 9 * _BLOCK_PATCHES,
     the size of a block's seed lattice.  A sub-box is fixed by its patch's
-    domain (the patches share their nodes) and its cell at the level, and
-    most patches share one of a few domains, so each chunk evaluates the
+    domain code (the patches share their nodes) and its cell at the level,
+    and most patches share one of a few codes, so each chunk evaluates the
     kernel once per distinct sub-box: a table of the offsets of the sub-box
-    centers, psi and G^ keyed by (domain, cell), from which each sub-box's
+    centers, psi and G^ keyed by (code, cell), from which each sub-box's
     gradient is summed with its patch's weights.  The table rows hold what
     ``_grad_jac`` computes for that sub-box, so every gradient, and every
-    decision, is the one a per-sub-box evaluation gives.
+    decision, is the one a per-sub-box evaluation gives.  Every bound and
+    width of a domain is a multiple of 1/2 and every side a power of two,
+    so the sub-box corners are exact.
     """
-    npatch = len(lo)
+    npatch = len(code)
     tol_g = _GRAD_TOL_REL / DIAG
     norm = _native_norm(weights, entries, kernel.alpha)
     eps = _gradient_rounding(weights, kernel)
-    # domain ids, equal where lo and hi are: the rows of [lo, hi] in sorted
-    # order, with a new id wherever a row differs from the one before it
-    bounds = np.column_stack([lo, hi])
-    order = np.lexsort(bounds.T)
-    ordered = bounds.take(order, axis=0)
-    new = np.any(ordered[1:] != ordered[:-1], axis=1)
-    domain = np.empty(npatch, dtype=np.int64)
-    domain[order] = np.concatenate([[0], np.cumsum(new)])
     failed = np.zeros(npatch, dtype=bool)
     # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
     k = _repeat_each(np.arange(npatch), 4)
@@ -409,14 +410,12 @@ def _certify(lo, hi, weights, entries, kernel):
         split = []
         for c0 in range(0, k.size, chunk):
             kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
-            key = (domain.take(kc) * side + cc[:, 1]) * side + cc[:, 0]
+            key = (code.take(kc) * side + cc[:, 1]) * side + cc[:, 0]
             _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-            kf = kc.take(first)
-            blo, bhi, cf = lo.take(kf, axis=0), hi.take(kf, axis=0), cc.take(first, axis=0)
-            # an edge is the same float at every level; t = 1 is hi itself
+            box, cf = _DOMAINS.take(code.take(kc.take(first)), axis=0), cc.take(first, axis=0)
+            blo, bhi = box[:, 0], box[:, 1]
             a = blo + (bhi - blo) * (cf / side)
-            t = (cf + 1) / side
-            b = np.where(t == 1.0, bhi, blo + (bhi - blo) * t)
+            b = blo + (bhi - blo) * ((cf + 1) / side)
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
@@ -488,7 +487,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
     patches = np.column_stack([ii + 1, jj + 1])
-    lo, hi = _domain_bounds(g, patches[:, 0], patches[:, 1])
+    code = _domain_code(g, patches[:, 0], patches[:, 1])
 
     patch_range = h.max(axis=1) - h.min(axis=1)
     active = (field_range > 0) & (patch_range > _FLAT_PATCH * field_range)
@@ -504,12 +503,10 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         weights[blk], constants[blk] = matrix.solve(h[blk])
 
     def certify(block: np.ndarray):
-        return _certify(lo[block], hi[block], weights[block] / field_range,
-                        matrix.entries, kernel)
+        return _certify(code[block], weights[block] / field_range, matrix.entries, kernel)
 
     def search(block: np.ndarray):
-        (k, slot, xi), counts = _search(lo[block], hi[block], weights[block] / field_range,
-                                        kernel)
+        (k, slot, xi), counts = _search(code[block], weights[block] / field_range, kernel)
         ij = patches.take(block.take(k), axis=0)
         # the one map from the patch frame to the grid; (j - 1, i - 1) is the first node
         on_grid = origin + (ij[:, ::-1] - 1 + xi) * spacing

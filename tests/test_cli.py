@@ -107,6 +107,15 @@ def test_find_missing_input_exits_2(tmp_path, capsys):
     assert run(["find", "--in", bad]) == 2
 
 
+def test_find_function_and_csv_together_exits_2(tmp_path, capsys):
+    csv = tmp_path / "f2.csv"
+    rep = tmp_path / "r.json"
+    assert run(["sample", "--fn", "f2", "--nx", "8", "--ny", "8", "-o", csv]) == 0
+    assert run(["find", "--fn", "f13", "--in", csv, "--json", rep]) == 2
+    assert "error: --fn and --in exclude each other" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_find_negative_threads_exits_2(tmp_path, capsys):
     rep = tmp_path / "r.json"
     assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",

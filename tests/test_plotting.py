@@ -29,7 +29,9 @@ def test_marching_squares_linear_field():
 
 def test_marching_squares_no_crossings():
     g = linear_field()
-    assert marching_squares(g, level=99.0) == []
+    segs = marching_squares(g, level=99.0)
+    assert segs.size == 0
+    assert segs.shape == (0, 2, 2)
 
 
 def test_marching_squares_closed_loop():
@@ -40,7 +42,7 @@ def test_marching_squares_closed_loop():
     g = GridField(nx=n, ny=n, dx=xs[1] - xs[0], dy=xs[1] - xs[0],
                   origin=(-1.0, -1.0), values=(X ** 2 + Y ** 2).ravel())
     segs = marching_squares(g, level=0.25)
-    assert segs
+    assert segs.size
     for p0, p1 in segs:
         for p in (p0, p1):
             assert np.hypot(*p) == pytest.approx(0.5, abs=0.1)
@@ -150,9 +152,9 @@ SADDLES = GridField(nx=4, ny=4, dx=0.3, dy=0.7, origin=(-1.5, -2.0),
 def test_marching_squares_equals_cell_loop(g, level):
     got = marching_squares(g, level)
     want = marching_squares_reference(g, level)
-    assert got == [[list(p0), list(p1)] for p0, p1 in want]
+    assert got.tolist() == [[list(p0), list(p1)] for p0, p1 in want]
     # bit for bit, the sign of zero included
-    assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def test_pinned_grid_has_saddles_split_both_ways():
@@ -183,6 +185,120 @@ def fake_report(positions, curve_members=(), isolated_members=()):
         "bindings": ([{"kind": "curve", "members": list(m)} for m in curve_members]
                      + [{"kind": "isolated", "members": [i]} for i in isolated_members]),
     }
+
+
+class _Svg:
+    def __init__(self, width, height):
+        self.width = width
+        self.height = height
+        self.parts = []
+
+    def open_group(self, gid):
+        self.parts.append(f'<g id="{gid}">')
+
+    def close_group(self):
+        self.parts.append("</g>")
+
+    def polyline(self, pts, stroke, width, dashed=False):
+        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
+        self.parts.append(f'<polyline points="{coords}" fill="none" '
+                          f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
+
+    def circle(self, x, y, r, stroke, fill):
+        self.parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r}" '
+                          f'stroke="{stroke}" fill="{fill}"/>')
+
+    def cross(self, x, y, r, stroke):
+        self.parts.append(f'<path d="M {x - r:.3f} {y - r:.3f} L {x + r:.3f} {y + r:.3f} '
+                          f'M {x - r:.3f} {y + r:.3f} L {x + r:.3f} {y - r:.3f}" '
+                          f'stroke="{stroke}" stroke-width="1.2"/>')
+
+    def render(self):
+        body = "\n".join(self.parts)
+        return (f'<svg xmlns="http://www.w3.org/2000/svg" '
+                f'width="{self.width}" height="{self.height}" '
+                f'viewBox="0 0 {self.width} {self.height}">\n{body}\n</svg>\n')
+
+
+def render_svg_reference(g, report=None, ground_truth=None, levels=10):
+    """``render_svg`` as an element-by-element builder over the scalar
+    references, the way it was written before it formatted the contour
+    array directly."""
+    xmin, ymin = g.origin
+    xmax = xmin + (g.nx - 1) * g.dx
+    ymax = ymin + (g.ny - 1) * g.dy
+    margin = 20.0
+    scale = (640 - 2 * margin) / max(xmax - xmin, ymax - ymin)
+    width = (xmax - xmin) * scale + 2 * margin
+    height = (ymax - ymin) * scale + 2 * margin
+
+    def to_px(x, y):
+        return (margin + (x - xmin) * scale, height - margin - (y - ymin) * scale)
+
+    svg = _Svg(round(width), round(height))
+
+    svg.open_group("contours")
+    vmin, vmax = float(g.values.min()), float(g.values.max())
+    if vmax > vmin:
+        segs = np.array([s for lv in np.linspace(vmin, vmax, levels + 2)[1:-1]
+                         for s in marching_squares_reference(g, lv)]).reshape(-1, 4)
+        ends = np.column_stack([*to_px(segs[:, 0], segs[:, 1]),
+                                *to_px(segs[:, 2], segs[:, 3])])
+        for xa, ya, xb, yb in ends.tolist():
+            svg.polyline([(xa, ya), (xb, yb)], stroke="#9ab", width=0.8)
+    svg.close_group()
+
+    svg.open_group("detected")
+    if report:
+        pts = report.get("stationary_points", [])
+        for b in report.get("bindings", []):
+            members = b["members"]
+            if b["kind"] == "curve":
+                pos = np.array([[pts[i]["x"], pts[i]["y"]] for i in members])
+                order = chain_polyline_reference(pos)
+                svg.polyline([to_px(*pos[k]) for k in order],
+                             stroke="#ffffff", width=2.0)
+            else:
+                p = pts[members[0]]
+                x, y = to_px(p["x"], p["y"])
+                svg.circle(x, y, 4.0, stroke="#333", fill="#ffffff")
+    svg.close_group()
+
+    svg.open_group("ground-truth")
+    if ground_truth:
+        for curve in ground_truth.get("curves", []):
+            svg.polyline([to_px(x, y) for x, y in curve],
+                         stroke="#d22", width=1.2, dashed=True)
+        for x, y in ground_truth.get("isolated", []):
+            px, py = to_px(x, y)
+            svg.cross(px, py, 4.0, stroke="#d22")
+    svg.close_group()
+
+    return svg.render()
+
+
+def overlays(g):
+    """A report with curve and isolated bindings and a ground truth with
+    curves and isolated points, spread over g's rectangle."""
+    x0, y0 = g.origin
+    w, h = (g.nx - 1) * g.dx, (g.ny - 1) * g.dy
+    t = np.linspace(0.0, 1.0, 7)
+    report = fake_report(np.column_stack([x0 + w * t, y0 + h * t * t]),
+                         curve_members=[(5, 1, 3, 2), (4, 6)], isolated_members=[0, 6])
+    gt = {"curves": [[[x0, y0], [x0 + w / 3, y0 + h], [x0 + w, y0 + h / 7]],
+                     [[x0 + w / 2, y0 + h / 2], [x0, y0 + h]]],
+          "isolated": [[x0 + w / 5, y0 + h / 3], [x0 + w, y0]]}
+    return report, gt
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_grids(), levels=st.sampled_from((0, 1, 10)), with_overlays=st.booleans())
+@example(g=SADDLES, levels=10, with_overlays=True)
+@example(g=SADDLES, levels=10, with_overlays=False)
+def test_render_svg_equals_the_builder(g, levels, with_overlays):
+    report, gt = overlays(g) if with_overlays else (None, None)
+    assert render_svg(g, report, gt, levels) == render_svg_reference(g, report, gt, levels)
 
 
 def test_render_svg_well_formed_and_layered():

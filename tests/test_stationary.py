@@ -14,8 +14,8 @@ from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterp
                       TestFunction, diag_step, reduce_points, sample, sweep_full)
 from gridstat import stationary
 from gridstat.patch import _OFFS, DIAG, _grad_jac
-from gridstat.stationary import (_GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL, SeedCounts,
-                                 _domain_bounds, classify)
+from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
+                                 SeedCounts, _domain_code, classify)
 
 from conftest import default_kernel, patch_sweep
 
@@ -33,29 +33,47 @@ def sweep_each_kernel(f, origin=(0.0, 0.0)):
 
 # --- search domains ------------------------------------------------------------
 
+def domain_bounds(g, i, j):
+    """lo, hi (..., 2) of the search domains of patches (i, j) in the patch
+    frame, looked up by their codes."""
+    box = _DOMAINS[_domain_code(g, i, j)]
+    return box[..., 0, :], box[..., 1, :]
+
+
+def test_domain_codes_mark_the_boundaries_a_patch_touches():
+    # patches i = 1..3, j = 1..4; bit 0 of ex + 4 ey is the first column,
+    # bit 1 the last, bits 2 and 3 the first and last row
+    g = unit_grid(nx=7, ny=6)
+    i, j = np.mgrid[1:4, 1:5]
+    assert _domain_code(g, i, j).tolist() == [[5, 4, 4, 6], [1, 0, 0, 2], [9, 8, 8, 10]]
+    # the one patch of a 4x4 grid touches all four boundaries
+    assert _domain_code(unit_grid(4, 4), 1, 1) == 15
+    np.testing.assert_array_equal(domain_bounds(unit_grid(4, 4), 1, 1), [[0, 0], [3, 3]])
+
+
 def test_patch_domain_interior():
     # in the patch frame: patch (2, 2) starts at node (1, 1) of the grid
-    lo, hi = _domain_bounds(unit_grid(), 2, 2)
+    lo, hi = domain_bounds(unit_grid(), 2, 2)
     np.testing.assert_allclose(lo, [0.5, 0.5])
     np.testing.assert_allclose(hi, [2.5, 2.5])
 
 
 def test_patch_domain_corner():
-    lo, hi = _domain_bounds(unit_grid(), 1, 1)
+    lo, hi = domain_bounds(unit_grid(), 1, 1)
     np.testing.assert_allclose(lo, [0.0, 0.0])
     np.testing.assert_allclose(hi, [2.5, 2.5])
 
 
 def test_patch_domain_far_corner():
-    lo, hi = _domain_bounds(unit_grid(), 3, 3)
+    lo, hi = domain_bounds(unit_grid(), 3, 3)
     np.testing.assert_allclose(lo, [0.5, 0.5])
     np.testing.assert_allclose(hi, [3.0, 3.0])
 
 
 def test_adjacent_domains_overlap_by_one_cell():
     g = unit_grid(nx=8, ny=8)
-    _, a_hi = _domain_bounds(g, 3, 2)
-    b_lo, _ = _domain_bounds(g, 3, 3)
+    _, a_hi = domain_bounds(g, 3, 2)
+    b_lo, _ = domain_bounds(g, 3, 3)
     # patch (3, 3) starts one cell to the right of patch (3, 2)
     assert a_hi[0] - (b_lo[0] + 1) == 1
 
@@ -63,7 +81,7 @@ def test_adjacent_domains_overlap_by_one_cell():
 def test_domains_cover_grid_rectangle():
     g = unit_grid(nx=7, ny=6)
     i, j = np.mgrid[1:g.ny - 2, 1:g.nx - 2]
-    lo, hi = _domain_bounds(g, i.ravel(), j.ravel())  # (patches, 2)
+    lo, hi = domain_bounds(g, i.ravel(), j.ravel())  # (patches, 2)
     origins = np.column_stack([j.ravel() - 1, i.ravel() - 1])  # first nodes, index units
     lo, hi = lo + origins, hi + origins
     rng = np.random.default_rng(21)
@@ -112,7 +130,7 @@ def test_roots_respect_gradient_tolerance_and_domain(grid):
     tol_g = _GRAD_TOL_REL * g.field_range / DIAG * (1 + 1e-6)
     assert sr.raw, "expected stationary points on the F2 sample"
     for r in sr.raw:
-        lo, hi = _domain_bounds(g, *r.patch)
+        lo, hi = domain_bounds(g, *r.patch)
         xi = to_patch_frame(g, r)
         assert np.all((lo - 1e-12 <= xi) & (xi <= hi + 1e-12))
         interp = sr.interpolant(*r.patch)
@@ -184,16 +202,20 @@ def skewed_grid():
                      values=TestFunction.F2(xx, yy).ravel())
 
 
-def narrow_grid(nx, ny):
-    """nx x ny nodes of f2 sampled at 30x30, 4 wide along one axis and
-    starting 5 nodes in along it: one patch spans that axis and touches both
-    of its boundaries."""
+def f2_window(nx, ny, i0, j0):
+    """The nx x ny nodes of f2 sampled at 30x30 from node row i0, column j0."""
     g = sample(TestFunction.F2, 30, 30)
-    i0, j0 = (0, 5) if nx == 4 else (5, 0)
     values = g.grid2d()[i0:i0 + ny, j0:j0 + nx]
     return GridField(nx=nx, ny=ny, dx=g.dx, dy=g.dy,
                      origin=(g.origin[0] + j0 * g.dx, g.origin[1] + i0 * g.dy),
                      values=values.ravel())
+
+
+def narrow_grid(nx, ny):
+    """nx x ny nodes of f2 sampled at 30x30, 4 wide along one axis and
+    starting 5 nodes in along it: one patch spans that axis and touches both
+    of its boundaries."""
+    return f2_window(nx, ny, *((0, 5) if nx == 4 else (5, 0)))
 
 
 def check_block_invariance(g, block, threads, monkeypatch):
@@ -560,10 +582,12 @@ def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
 
 # --- in-patch duplicates ---------------------------------------------------------
 
-def search_reference(lo, hi, weights, kernel, ns):
+def search_reference(code, weights, kernel, ns):
     """``_search`` with its in-patch dedup as the per-root loop it was first
-    written as, with an ns x ns seed lattice: the kept roots as (patch,
-    seed slot, position) and the number of accepted roots."""
+    written as, with an ns x ns seed lattice laid in each patch's domain:
+    the kept roots as (patch, seed slot, position) and the number of
+    accepted roots."""
+    lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
     fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t
@@ -651,8 +675,8 @@ def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
         return idx, pos, SeedCounts(launched=len(owner), converged=idx.size)
 
     monkeypatch.setattr(stationary, "_newton_seeds", engine)
-    args = (np.full((2, 2), 0.5), np.full((2, 2), 2.5), np.zeros((2, 16)),
-            default_kernel(KernelKind.GAUSSIAN))
+    # domain code 0: [0.5, 2.5]^2
+    args = (np.zeros(2, dtype=int), np.zeros((2, 16)), default_kernel(KernelKind.GAUSSIAN))
     got, _ = stationary._search(*args)
     assert list(zip(got[0].tolist(), got[1].tolist())) == [(0, 0), (0, 4), (0, 5), (1, 3)]
     assert_same_search(got, search_reference(*args, stationary._SEEDS_PER_AXIS)[0])
@@ -665,9 +689,8 @@ def certifier_inputs(g, kernel):
     the patch frame."""
     sr = sweep_full(g, kernel)
     ii, jj = np.divmod(np.arange(sr.weights.shape[0]), g.nx - 3)
-    lo, hi = _domain_bounds(g, ii + 1, jj + 1)
     weights = np.asarray(sr.weights) / g.field_range
-    return (lo, hi, weights, sr.matrix.entries, kernel), sr
+    return (_domain_code(g, ii + 1, jj + 1), weights, sr.matrix.entries, kernel), sr
 
 
 def random_patch(kind, scale, seed):
@@ -767,7 +790,7 @@ def test_certificate_margins_cover_the_rounding(kind, scale, seed):
 def test_native_norm_does_not_depend_on_the_block():
     # each patch's bound is the same alone, in blocks of 7 and in the whole grid
     g = sample(TestFunction.F13, 24, 24)
-    (_, _, weights, entries, k), _ = certifier_inputs(g, default_kernel(KernelKind.GAUSSIAN))
+    (_, weights, entries, k), _ = certifier_inputs(g, default_kernel(KernelKind.GAUSSIAN))
     whole = stationary._native_norm(weights, entries, k.alpha)
     for step in (1, 7):
         parts = [stationary._native_norm(weights[p0:p0 + step], entries, k.alpha)
@@ -794,7 +817,8 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     g = sample(fn, 24, 24)
     k = default_kernel(kind, scale)
     args, sr = certifier_inputs(g, k)
-    lo, hi, weights, _, _ = args
+    code, weights, _, _ = args
+    lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
     tol_g = _GRAD_TOL_REL / DIAG
     root_free = np.flatnonzero(stationary._certify(*args))
     assert root_free.size == sr.seed_counts.excluded > 0
@@ -815,10 +839,11 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
 
 
-def certify_reference(lo, hi, weights, entries, kernel):
+def certify_reference(code, weights, entries, kernel):
     """``_certify`` as one kernel evaluation (``_grad_jac``) per pending
-    sub-box, the way it was first written."""
-    npatch = len(lo)
+    sub-box, the way it was first written, with each patch's own bounds."""
+    lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
+    npatch = len(code)
     tol_g = _GRAD_TOL_REL / DIAG
     norm = stationary._native_norm(weights, entries, kernel.alpha)
     eps = stationary._gradient_rounding(weights, kernel)
@@ -859,6 +884,9 @@ def certify_reference(lo, hi, weights, entries, kernel):
     *((fn, kind, 1.0, None) for fn in ("F1", "F2", "F13") for kind in KernelKind),
     *((grid, kind, 1.0, None) for grid in ("skewed", "f2-4x30", "f2-30x4")
       for kind in KernelKind),
+    # one patch on a 4x4 grid: domain code 15, the only one touching all
+    # four boundaries
+    *(("f2-4x4", kind, 1.0, None) for kind in KernelKind),
     # the finest-level exit ends most patches early
     ("F1", KernelKind.WENDLAND31, 3.0, None),
     # chunks of 9 sub-boxes split the sub-boxes of one domain and cell
@@ -869,6 +897,8 @@ def test_certify_matches_the_per_sub_box_reference(grid, kind, scale, block, mon
         monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
     if grid == "skewed":
         g = skewed_grid()
+    elif grid == "f2-4x4":
+        g = f2_window(4, 4, 1, 1)  # certified root-free with every kernel
     elif grid.startswith("f2-"):
         g = narrow_grid(*map(int, grid[3:].split("x")))
     else:
@@ -899,7 +929,7 @@ def test_certification_leaves_the_raw_points_unchanged(grid, monkeypatch):
         # on the small skewed grid every patch holds a root
         assert (sr.seed_counts.excluded > 0) == (grid != "skewed")
         with monkeypatch.context() as m:
-            m.setattr(stationary, "_certify", lambda lo, *rest: np.zeros(len(lo), dtype=bool))
+            m.setattr(stationary, "_certify", lambda code, *rest: np.zeros(len(code), dtype=bool))
             every = sweep_full(g, k)
         assert every.seed_counts.excluded == 0
         assert_same_raw(sr.raw, every.raw)
