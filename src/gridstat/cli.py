@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -47,8 +48,16 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
     """
     d = diag_step(g)
     alpha_default = shape_parameter(kind, d)
-    index_alpha = shape_parameter(kind, DIAG) if alpha is None else alpha * d / DIAG
-    kernel = Kernel(kind, index_alpha)
+    if alpha is None:
+        kernel = Kernel(kind, shape_parameter(kind, DIAG))
+    elif not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    else:
+        try:
+            kernel = Kernel(kind, alpha * d / DIAG)
+        except ValueError as exc:
+            raise ValueError(f"alpha={alpha} is out of range ({exc} per grid-index "
+                             "unit)") from None
     dmax = bindings_mod.delta_max(d)
 
     t0 = time.perf_counter()

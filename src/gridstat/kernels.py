@@ -76,6 +76,22 @@ class Kernel:
         # an infinite alpha makes alpha * r = inf * 0 = nan at every center
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        # an overflowing coefficient makes every psi or eta, and every seed, inf or nan
+        if not all(map(math.isfinite, self._coefficients())):
+            raise ValueError(f"the {self.kind.value} kernel's psi and eta coefficients "
+                             f"{self._coefficients()} are not finite at alpha={self.alpha}")
+
+    def _coefficients(self):
+        """The constant factors of psi and eta (see ``psi`` and ``eta``):
+        -2 a^2 and 4 a^4 (Gaussian), -2 a^2 and 8 a^4 (inverse quadric),
+        -20 a^2 and 60 a^3 (Wendland)."""
+        a = float(self.alpha)
+        a2 = a * a
+        if self.kind is KernelKind.GAUSSIAN:
+            return -2.0 * a2, 4.0 * (a2 * a2)
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            return -2.0 * a2, 8.0 * (a2 * a2)
+        return -20.0 * a2, 60.0 * a2 * a
 
     @_radial
     def phi(self, r):
@@ -124,26 +140,25 @@ class Kernel:
 
     def _psi_of(self, f):
         """psi from the shared factor f = ``_shared(r)``; f is left as it is."""
-        a2 = self.alpha * self.alpha
+        c = self._coefficients()[0]
         if self.kind is KernelKind.GAUSSIAN:
-            return -2.0 * a2 * f
+            return c * f
         if self.kind is KernelKind.INVERSE_QUADRIC:
             q = f ** 2
-            return np.divide(-2.0 * a2, q, out=q)
-        return -20.0 * a2 * f ** 3
+            return np.divide(c, q, out=q)
+        return c * f ** 3
 
     def _eta_of(self, f, r):
         """eta from the shared factor f = ``_shared(r)`` and r; overwrites f."""
-        a2 = self.alpha * self.alpha
-        a4 = a2 * a2
+        c = self._coefficients()[1]
         if self.kind is KernelKind.GAUSSIAN:
-            f *= 4.0 * a4
+            f *= c
             return f
         if self.kind is KernelKind.INVERSE_QUADRIC:
             f **= 3
-            return np.divide(8.0 * a4, f, out=f)
+            return np.divide(c, f, out=f)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where(r > 0, 60.0 * a2 * self.alpha * f * f / np.where(r > 0, r, 1.0), 0.0)
+            return np.where(r > 0, c * f * f / np.where(r > 0, r, 1.0), 0.0)
 
     @_radial
     def psi(self, r):

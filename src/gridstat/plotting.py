@@ -78,11 +78,20 @@ def chain_polyline(points: np.ndarray) -> list[int]:
         return list(range(n))
     start = int(np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
     order = [start]
-    rest = np.delete(np.arange(n), start)  # ascending, so argmin breaks ties by index
-    while rest.size:
-        k = int(np.argmin(np.linalg.norm(pts[rest] - pts[order[-1]], axis=1)))
-        order.append(int(rest[k]))
-        rest = np.delete(rest, k)
+    # every distance once, rounded as np.linalg.norm rounds it; used points
+    # are masked out as infinitely far, and argmin over the ascending
+    # indices breaks ties by index
+    dx = pts[:, 0, None] - pts[:, 0]
+    dy = pts[:, 1, None] - pts[:, 1]
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    dist = np.sqrt(dx, out=dx)
+    used = np.zeros(n, dtype=bool)
+    used[start] = True
+    for _ in range(n - 1):
+        k = int(np.argmin(np.where(used, np.inf, dist[order[-1]])))
+        used[k] = True
+        order.append(k)
     return order
 
 

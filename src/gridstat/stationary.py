@@ -31,8 +31,9 @@ centroid back to evaluate and classify it.  Where the grid lies, its
 spacing and how its values are scaled then do not change the search at
 all; merging stays in physical units.  Newton's steps, the acceptance test
 and ``reduce_points`` (through ``PatchInterpolant``) take every gradient
-and Hessian from ``_grad_jac``; the certifier sums its table of kernel
-terms with the same ``_gradient_sums``.
+and Hessian from ``_grad_jac``; the certifier sums the same terms in the
+same order, per domain code from a table built once per sweep at its two
+coarsest levels and gathered per sub-box at the deeper ones.
 
 The engine and the certifier gather rows with ``take`` and ``compress``,
 never with fancy or boolean indexing, and repeat indices with a broadcast
@@ -40,7 +41,10 @@ and a copy instead of ``np.repeat``.  At their shapes (thousands of rows
 of 16) ``take`` is about 2.5 times as fast as fancy indexing and
 ``compress`` up to 10 times as fast as a boolean mask; fancy indexing and
 ``np.repeat`` also do not run in parallel on the pool's threads, where
-``take`` does.
+``take`` does.  The certifier's coarse levels gather no rows at all: each
+code's patches are a column range of the weights transposed to (16, P),
+and each sub-box reads its gradient from the (cells, P) products with one
+flat ``take``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +76,8 @@ _MAX_ITERATIONS = 30   # Newton's iteration cap
 _CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
+_DENSE_LEVELS = 2      # _certify evaluates levels 1 to this from a _LevelTable
+_PIECE = 2048          # sub-boxes per product in _tabled: temporaries of 256 KB
 _MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (see _certify)
 _BOX_DIAMETER = 3.0 * DIAG  # of the patch box [0, 3]^2
 # alpha * r*: the gradient modulus G of each kernel rises up to r* and has
@@ -357,21 +364,136 @@ def _gradient_rounding(weights, kernel):
 _QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
 
 
-def _certify(code, weights, entries, kernel):
+def _sub_box_terms(code, cells, level, kernel):
+    """The offsets ox, oy of the centers x0 of sub-boxes to the nodes and
+    psi there, all (n, 16), and G^ (2, n) at their half-diagonals r and at
+    the finest level's.
+
+    Sub-box s is cell cells[s] = (ix, iy) of the side x side split of the
+    search domain code[s], side = 2^level.  Every bound and width of a
+    domain is a multiple of 1/2 and every side a power of two, so its
+    corners are exact.
+    """
+    side = 2 ** level
+    box = _DOMAINS.take(code, axis=0)
+    blo, bhi = box[:, 0], box[:, 1]
+    a = blo + (bhi - blo) * (cells / side)
+    b = blo + (bhi - blo) * ((cells + 1) / side)
+    x0 = (a + b) * 0.5
+    half = np.maximum(x0 - a, b - x0)
+    r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
+    ox, oy, dist = _offsets(x0)
+    finest = 2.0 ** (level - _CERTIFY_DEPTH)
+    return ox, oy, kernel.psi(dist), _gradient_modulus(kernel, np.stack([r, r * finest]))
+
+
+class _LevelTable(NamedTuple):
+    """``_sub_box_terms`` of every cell j = ix + side iy of one level of
+    all 16 domain codes: ox, oy and psi (16, side^2, 16), and G^
+    (2, 16 side^2) with the sub-box of code c and cell j in column
+    c side^2 + j."""
+
+    side: int
+    ox: np.ndarray
+    oy: np.ndarray
+    psi: np.ndarray
+    modulus: np.ndarray
+
+
+
+def _level_tables(kernel) -> list[_LevelTable]:
+    """The ``_LevelTable`` of each of the levels 1 to _DENSE_LEVELS; 320
+    sub-boxes, built once per sweep."""
+    tables = []
+    for level in range(1, _DENSE_LEVELS + 1):
+        side = 2 ** level
+        j = np.arange(side * side)
+        cells = np.tile(np.column_stack([j % side, j // side]), (16, 1))
+        ox, oy, psi, modulus = _sub_box_terms(_repeat_each(np.arange(16), j.size), cells,
+                                              level, kernel)
+        tables.append(_LevelTable(side, *(t.reshape(16, j.size, 16) for t in (ox, oy, psi)),
+                                  modulus))
+    return tables
+
+
+def _sum16(a):
+    """a.sum(axis=-2) of a (..., 16, m), bit for bit: numpy sums 16 doubles
+    pairwise, r_j = a_j + a_(j+8), then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    and adds that to its identity 0.0, which turns a -0.0 into 0.0."""
+    r = a[..., :8, :] + a[..., 8:, :]
+    q = r[..., 0::2, :] + r[..., 1::2, :]
+    s = q[..., 0, :] + q[..., 1, :]
+    s += q[..., 2, :] + q[..., 3, :]
+    s += 0.0
+    return s
+
+
+def _tabled(k, cells, code, weights, table):
+    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) of one
+    level, from its ``_LevelTable``.
+
+    The patches of one domain code share every sub-box of the level, so
+    the gradients of all cells of the pending patches are products of the
+    table with the patches' weights, ordered by code and transposed to
+    (16, P): (c psi) (x0 - x_m) in a (cells, 16, columns) layout, in pieces
+    of at most _PIECE sub-boxes, summed over the nodes in numpy's order
+    (``_sum16``).  Each sub-box then reads its values with one flat take.
+    """
+    ncell = table.side * table.side
+    pending = np.zeros(len(code), dtype=bool)
+    pending.put(k, True)
+    order = np.argsort(code, kind="stable")
+    cols = order.compress(pending.take(order))
+    column = np.empty(len(code), dtype=np.intp)
+    column.put(cols, np.arange(cols.size))
+    wt = np.ascontiguousarray(weights.take(cols, axis=0).T)
+    bounds = np.searchsorted(code.take(cols), np.arange(17))
+    gx, gy = np.empty((ncell, cols.size)), np.empty((ncell, cols.size))
+    step = _PIECE // ncell
+    for c in range(16):
+        ox, oy, psi = (t[c, :, :, None] for t in (table.ox, table.oy, table.psi))
+        for p0 in range(bounds[c], bounds[c + 1], step):
+            p1 = min(p0 + step, bounds[c + 1])
+            cpsi = psi * wt[:, p0:p1]
+            gx[:, p0:p1] = _sum16(cpsi * ox)
+            gy[:, p0:p1] = _sum16(np.multiply(cpsi, oy, out=cpsi))
+    j = cells[:, 1] * table.side + cells[:, 0]
+    flat = j * cols.size + column.take(k)
+    return gx.take(flat), gy.take(flat), table.modulus.take(code.take(k) * ncell + j, axis=1)
+
+
+def _gathered(k, cells, level, code, weights, kernel):
+    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) at a
+    level, with one kernel evaluation per distinct (code, cell) key and
+    each sub-box's terms gathered from those of its key."""
+    side = 2 ** level
+    kc = code.take(k)
+    key = (kc * side + cells[:, 1]) * side + cells[:, 0]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    ox, oy, psi, modulus = _sub_box_terms(kc.take(first), cells.take(first, axis=0), level,
+                                          kernel)
+    gx, gy = _gradient_sums(_weighted(weights.take(k, axis=0), psi.take(inv, axis=0)),
+                            ox.take(inv, axis=0), oy.take(inv, axis=0))
+    return gx, gy, modulus.take(inv, axis=1)
+
+
+def _certify(code, weights, entries, tables, kernel):
     """Which of P patches are certified root-free, shape (P,) bool.
 
     A certified patch has a computed |grad s| > tol_g = _GRAD_TOL_REL / DIAG
     everywhere in its search domain, so ``_search`` could accept no root in
-    it; code, weights and kernel are those ``_search`` gets, and entries is
-    the kernel matrix of the nodes.  The domain is cut into 2x2 sub-boxes,
-    and a sub-box with center x0 and half-diagonal r is certified when
+    it; code, weights and kernel are those ``_search`` gets, entries is the
+    kernel matrix of the nodes and tables the ``_level_tables`` of the
+    kernel.  The domain is cut into 2x2 sub-boxes, and a sub-box with
+    center x0 and half-diagonal r is certified when
 
         |g(x0)| - eps > N G^(r) + tol_g + eps,
 
     with g the computed gradient, N >= ||s||_N (``_native_norm``), G^ the
     gradient modulus (``_gradient_modulus``) and eps the rounding bound of
     ``_gradient_rounding``: then every x in the sub-box has an exact
-    |grad s(x)| > tol_g + eps and a computed one > tol_g.  A sub-box that
+    |grad s(x)| > tol_g + eps and a computed one > tol_g.  Only a test that
+    holds certifies: a NaN bound or gradient fails it.  A sub-box that
     fails is cut into 2x2 again, down to _CERTIFY_DEPTH halvings; a patch
     is certified when all its sub-boxes are.  A sub-box whose center fails
     the test even with the finest level's half-diagonal ends its patch's
@@ -379,17 +501,16 @@ def _certify(code, weights, entries, kernel):
     almost surely fail too, and refining costs up to 4^depth evaluations.
     Every decision depends on its own patch only.
 
-    The pending sub-boxes are evaluated in chunks of 9 * _BLOCK_PATCHES,
-    the size of a block's seed lattice.  A sub-box is fixed by its patch's
-    domain code (the patches share their nodes) and its cell at the level,
-    and most patches share one of a few codes, so each chunk evaluates the
-    kernel once per distinct sub-box: a table of the offsets of the sub-box
-    centers, psi and G^ keyed by (code, cell), from which each sub-box's
-    gradient is summed with its patch's weights.  The table rows hold what
-    ``_grad_jac`` computes for that sub-box, so every gradient, and every
-    decision, is the one a per-sub-box evaluation gives.  Every bound and
-    width of a domain is a multiple of 1/2 and every side a power of two,
-    so the sub-box corners are exact.
+    A sub-box is fixed by its patch's domain code (the patches share their
+    nodes) and its cell at the level, and most patches share one of a few
+    codes.  Levels 1 and 2 (4 and 16 cells), where most sub-boxes are
+    evaluated, take every gradient of the pending patches from the tables
+    (``_tabled``).  The deeper levels, where few are left, evaluate the
+    pending sub-boxes in chunks of 9 * _BLOCK_PATCHES, the size of a
+    block's seed lattice, with one kernel evaluation per distinct sub-box
+    of a chunk (``_gathered``).  Both sum what ``_grad_jac`` computes for
+    that sub-box, in its order, so every gradient, and every decision, is
+    the one a per-sub-box evaluation gives.
     """
     npatch = len(code)
     tol_g = _GRAD_TOL_REL / DIAG
@@ -399,40 +520,24 @@ def _certify(code, weights, entries, kernel):
     # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
     k = _repeat_each(np.arange(npatch), 4)
     cells = np.tile(_QUARTERS, (npatch, 1))
-    chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
         keep = ~failed.take(k)
         k, cells = k.compress(keep), cells.compress(keep, axis=0)
         if k.size == 0:
             break
-        side = 2 ** level
-        finest = 2.0 ** (level - _CERTIFY_DEPTH)  # finest half-diagonal / this level's
+        chunk = k.size if level <= len(tables) else 9 * _BLOCK_PATCHES
         split = []
         for c0 in range(0, k.size, chunk):
             kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
-            key = (code.take(kc) * side + cc[:, 1]) * side + cc[:, 0]
-            _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-            box, cf = _DOMAINS.take(code.take(kc.take(first)), axis=0), cc.take(first, axis=0)
-            blo, bhi = box[:, 0], box[:, 1]
-            a = blo + (bhi - blo) * (cf / side)
-            b = blo + (bhi - blo) * ((cf + 1) / side)
-            x0 = (a + b) * 0.5
-            half = np.maximum(x0 - a, b - x0)
-            r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-            ox, oy, dist = _offsets(x0)
-            # the weighted terms are not named: held into the next chunk,
-            # they would raise the peak by one (chunk, 16) array
-            gx, gy = _gradient_sums(
-                _weighted(weights.take(kc, axis=0), kernel.psi(dist).take(inv, axis=0)),
-                ox.take(inv, axis=0), oy.take(inv, axis=0))
+            if level <= len(tables):
+                gx, gy, modulus = _tabled(kc, cc, code, weights, tables[level - 1])
+            else:
+                gx, gy, modulus = _gathered(kc, cc, level, code, weights, kernel)
             ekc, nkc = eps.take(kc), norm.take(kc)
             slack = np.sqrt(gx * gx + gy * gy) - ekc - tol_g - ekc
-            # G^ of each key at this level's half-diagonal and at the finest's
-            modulus = _gradient_modulus(kernel, np.stack([r, r * finest]))
-            bound = nkc * modulus[0].take(inv)
-            split.append(np.flatnonzero(slack <= bound) + c0)
-            bound = nkc * modulus[1].take(inv)
-            failed[kc.compress(slack <= bound)] = True
+            # modulus holds G^ at this level's half-diagonal and at the finest's
+            split.append(np.flatnonzero(~(slack > nkc * modulus[0])) + c0)
+            failed[kc.compress(~(slack > nkc * modulus[1]))] = True
         # at the finest level every failed sub-box has failed its patch
         split = np.concatenate(split)
         k = _repeat_each(k.take(split), 4)
@@ -481,6 +586,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     field_range = g.field_range
 
     matrix = PatchMatrix(kernel)
+    tables = _level_tables(kernel)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
     weights, constants = np.empty((npatch, 16)), np.empty(npatch)
@@ -503,7 +609,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         weights[blk], constants[blk] = matrix.solve(h[blk])
 
     def certify(block: np.ndarray):
-        return _certify(code[block], weights[block] / field_range, matrix.entries, kernel)
+        return _certify(code[block], weights[block] / field_range, matrix.entries, tables,
+                        kernel)
 
     def search(block: np.ndarray):
         (k, slot, xi), counts = _search(code[block], weights[block] / field_range, kernel)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -129,6 +130,26 @@ def test_find_infinite_alpha_exits_2(tmp_path, capsys):
     assert run(["find", "--fn", "f2", "--nx", "20", "--ny", "20",
                 "--alpha", "inf", "--json", rep]) == 2
     assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+    assert not rep.exists()
+
+
+def test_find_negative_alpha_reports_the_value_passed(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    assert run(["find", "--fn", "f2", "--nx", "20", "--ny", "20",
+                "--alpha=-1", "--json", rep]) == 2
+    assert capsys.readouterr().err == "error: alpha must be positive and finite, got -1.0\n"
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e80", "1e300"])
+def test_find_overflowing_alpha_exits_2(alpha, tmp_path, capsys):
+    # alpha^4 overflows in the Gaussian's eta: every seed would be singular
+    rep = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["find", "--fn", "f2", "--nx", "20", "--ny", "20",
+                    "--alpha", alpha, "--json", rep]) == 2
+    assert capsys.readouterr().err.startswith(f"error: alpha={float(alpha)} is out of range")
     assert not rep.exists()
 
 

@@ -45,6 +45,25 @@ def test_alpha_must_be_finite(kind, alpha):
         Kernel(kind, alpha)
 
 
+# the largest alpha whose psi and eta coefficients are finite is about
+# 8.19e76 (4 a^4, Gaussian), 6.89e76 (8 a^4, inverse quadric) and 1.44e102
+# (60 a^3, Wendland)
+@pytest.mark.parametrize("kind, alpha", [
+    (KernelKind.GAUSSIAN, 8.2e76), (KernelKind.GAUSSIAN, 1.05e299),
+    (KernelKind.INVERSE_QUADRIC, 6.9e76), (KernelKind.WENDLAND31, 1.45e102),
+    (KernelKind.WENDLAND31, 1e200)])
+def test_alpha_with_overflowing_coefficients_is_rejected(kind, alpha):
+    with pytest.raises(ValueError, match="coefficients .* are not finite"):
+        Kernel(kind, alpha)
+
+
+@pytest.mark.parametrize("kind, alpha", [(KernelKind.GAUSSIAN, 8.1e76),
+                                         (KernelKind.INVERSE_QUADRIC, 6.8e76),
+                                         (KernelKind.WENDLAND31, 1.43e102)])
+def test_largest_alphas_have_finite_coefficients(kind, alpha):
+    assert all(map(math.isfinite, Kernel(kind, alpha)._coefficients()))
+
+
 def test_phi_prime_values():
     for kind in ALL_KINDS:
         assert Kernel(kind, 1.7).phi_prime(0.0) == 0.0
