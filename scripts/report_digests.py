@@ -6,11 +6,12 @@ Runs `find` on every built-in function with every kernel at 120x120, with
 kernel and 200x40 with the Gaussian and inverse quadric kernels, each with
 both thread counts; on f2 on a stretched 200x40 grid with the Gaussian
 kernel; and on f1 with the Wendland kernel at four times its default shape
-parameter (57 reports).  It renders each report with `plot` and prints one
-line per report and one per SVG: the digest of its bytes and the case
-(`<case>` for the report, `<case>.svg` for its plot).  A change that
-must leave the reports and plots byte-identical is checked by writing the
-digests before it and comparing after it.
+parameter (57 reports).  It renders each report with `plot`, digests the
+sweep under each report (``sweep_digest``) and prints one line per report,
+per SVG and per sweep: the digest and the case (`<case>` for the report,
+`<case>.svg` for its plot, `<case>.sweep` for its sweep).  A change that
+must leave the reports, plots and Newton work unchanged is checked by
+writing the digests before it and comparing after it.
 
 Usage (from the root of a checkout):
   python3 scripts/report_digests.py > digests.txt
@@ -19,14 +20,15 @@ Usage (from the root of a checkout):
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
 any case is missing from either side.  With or without it, the script
-exits 1 if a case's `-t1` and `-t2` reports (or plots) differ: the thread
-count must not change a byte.  Uses the standard library and numpy only;
-the 57 reports and plots take a few minutes on two cores.
+exits 1 if a case's `-t1` and `-t2` reports, plots or sweeps differ: the
+thread count must not change a byte.  Uses the standard library and numpy
+only; the 57 cases take about 20 s on two cores (a 2-vCPU Xeon guest).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -65,34 +67,63 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def sweep_digest(sr) -> str:
+    """sha256 of a `SweepResult`'s seed counts, `iterations` included, and
+    of every raw point's position bytes, patch and seed slot: the Newton
+    work, which the report does not show."""
+    h = hashlib.sha256(repr(dataclasses.astuple(sr.seed_counts)).encode())
+    for p in sr.raw:
+        h.update(p.position.tobytes())
+        h.update(repr((p.patch, p.seed_index)).encode())
+    return h.hexdigest()
+
+
 def digests(src: str) -> dict[str, str]:
-    """case name -> sha256 of its report and case name + ".svg" -> sha256
-    of its plot, from the package under `src`."""
+    """case name -> sha256 of its report, case name + ".svg" -> sha256 of
+    its plot and case name + ".sweep" -> ``sweep_digest`` of its sweep,
+    from the package under `src`."""
     sys.path.insert(0, src)
     from gridstat import cli
 
+    sweeps = []
+    run_sweep = cli.sweep_full
+
+    def sweep_full(*args, **kwargs):
+        sr = run_sweep(*args, **kwargs)
+        sweeps.append(sweep_digest(sr))
+        return sr
+
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "report.json")
-        svg = os.path.join(tmp, "plot.svg")
-        for name, find_argv in cases():
-            for cmd, argv in (("find", [*find_argv, "--no-timings", "--json", path]),
-                              ("plot", ["--report", path, "-o", svg])):
-                rc = cli.main([cmd, *argv])
-                if rc != 0:
-                    raise SystemExit(f"{cmd} exited {rc} on {name}")
-            out[name] = sha256(path)
-            out[name + ".svg"] = sha256(svg)
+    cli.sweep_full = sweep_full
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            svg = os.path.join(tmp, "plot.svg")
+            for name, find_argv in cases():
+                sweeps.clear()
+                for cmd, argv in (("find", [*find_argv, "--no-timings", "--json", path]),
+                                  ("plot", ["--report", path, "-o", svg])):
+                    rc = cli.main([cmd, *argv])
+                    if rc != 0:
+                        raise SystemExit(f"{cmd} exited {rc} on {name}")
+                if len(sweeps) != 1:
+                    raise SystemExit(f"{len(sweeps)} sweeps on {name}, expected 1")
+                out[name] = sha256(path)
+                out[name + ".svg"] = sha256(svg)
+                out[name + ".sweep"] = sweeps[0]
+    finally:
+        cli.sweep_full = run_sweep
     return out
 
 
 def thread_mismatches(got: dict[str, str]) -> list[str]:
-    """The `-t1` names (reports and plots) whose `-t2` twin has other
-    bytes; a case run at one thread count only is not compared."""
+    """The `-t1` names (reports, plots and sweeps: every suffix) whose
+    `-t2` twin has another digest; a case run at one thread count only is
+    not compared."""
     bad = []
     for name, digest in got.items():
-        stem, svg, _ = name.partition(".svg")
-        if stem.endswith("-t1") and got.get(stem[:-2] + "t2" + svg, digest) != digest:
+        stem, tag, suffix = name.rpartition("-t1")
+        if tag and suffix[:1] in ("", ".") and got.get(stem + "-t2" + suffix, digest) != digest:
             bad.append(name)
     return sorted(bad)
 

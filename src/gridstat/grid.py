@@ -40,6 +40,15 @@ class GridField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.nx * self.ny,):
             raise ValueError(f"expected {self.nx * self.ny} values, got {v.size}")
+        # the nodes origin + i * spacing must be distinct finite floats
+        for name, o, d, n in (("x", self.origin[0], self.dx, self.nx),
+                              ("y", self.origin[1], self.dy, self.ny)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = o + d * np.arange(n)
+                distinct = np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()
+            if not distinct:
+                raise ValueError(f"grid nodes along {name} must be finite and strictly "
+                                 f"increasing: origin {o}, spacing {d}, {n} nodes")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         v = v.copy()

@@ -7,18 +7,18 @@ anchored centroid reduction (merge radius = the grid diagonal d).
 
 Each patch carries the code of its search domain (``_domain_code``), a row
 of the constant table ``_DOMAINS``.  One engine, ``_search``, does the
-per-patch work for any number of patches at once: it lays the seed lattice
-once per code and gathers it, runs Newton (``_newton_seeds``) clamped to
-the patch's bounding box, accepts converged roots inside the domain with a
-small gradient and drops duplicates within a patch.  Its one caller,
-``sweep_full``, first hands the active patches of the grid in fixed blocks
-of ``_BLOCK_PATCHES`` to ``_certify``, which proves most of them root-free
-with a native-space bound on the gradient (no seed in them could be
-accepted), and then hands the engine the rest, again in fixed blocks, in
-order on one thread or through a thread pool on several.  Every block size
-and thread count gives identical floating-point results because both only
-use elementwise operations and fixed-order row sums; the blocks bound the
-working set at threads x one block.
+per-patch work for any number of patches at once: it gathers each patch's
+seed lattice from the constant table ``_SEEDS``, runs Newton
+(``_newton_seeds``) clamped to the patch's bounding box, accepts converged
+roots inside the domain with a small gradient and drops duplicates within
+a patch.  Its one caller, ``sweep_full``, first hands the active patches
+of the grid in fixed blocks of ``_BLOCK_PATCHES`` to ``_certify``, which
+proves most of them root-free with a native-space bound on the gradient
+(no seed in them could be accepted), and then hands the engine the rest,
+again in fixed blocks, in order on one thread or through a thread pool on
+several.  Every block size and thread count gives identical floating-point
+results because both only use elementwise operations and fixed-order row
+sums; the blocks bound the working set at threads x one block.
 
 Both work in the patch frame: positions in grid-index units relative to
 the patch's first node, so all patches of every grid share the nodes
@@ -31,9 +31,10 @@ centroid back to evaluate and classify it.  Where the grid lies, its
 spacing and how its values are scaled then do not change the search at
 all; merging stays in physical units.  Newton's steps, the acceptance test
 and ``reduce_points`` (through ``PatchInterpolant``) take every gradient
-and Hessian from ``_grad_jac``; the certifier sums the same terms in the
-same order, per domain code from a table built once per sweep at its two
-coarsest levels and gathered per sub-box at the deeper ones.
+and Hessian from ``_grad_jac``; the certifier sums the same terms with the
+same routine, ``_gradient_sums``, per domain code from a table built once
+per sweep at its two coarsest levels and gathered per sub-box at the
+deeper ones.
 
 The engine and the certifier gather rows with ``take`` and ``compress``,
 never with fancy or boolean indexing, and repeat indices with a broadcast
@@ -41,10 +42,11 @@ and a copy instead of ``np.repeat``.  At their shapes (thousands of rows
 of 16) ``take`` is about 2.5 times as fast as fancy indexing and
 ``compress`` up to 10 times as fast as a boolean mask; fancy indexing and
 ``np.repeat`` also do not run in parallel on the pool's threads, where
-``take`` does.  The certifier's coarse levels gather no rows at all: each
-code's patches are a column range of the weights transposed to (16, P),
-and each sub-box reads its gradient from the (cells, P) products with one
-flat ``take``.
+``take`` does.  The certifier's coarse levels gather no terms per
+sub-box: each code's pending patches are a range of rows of their weights
+in code order, (P, 1, 16), which broadcast against the code's (cells, 16)
+rows of the table, and each sub-box reads its gradient from the (P, cells)
+sums with one flat ``take``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +77,7 @@ _MAX_ITERATIONS = 30   # Newton's iteration cap
 _CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
-_DENSE_LEVELS = 2      # _certify evaluates levels 1 to this from a _LevelTable
+_DENSE_LEVELS = 2      # _certify evaluates levels 1 to this from _level_tables
 _PIECE = 2048          # sub-boxes per product in _tabled: temporaries of 256 KB
 _MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (see _certify)
 _BOX_DIAMETER = 3.0 * DIAG  # of the patch box [0, 3]^2
@@ -143,6 +144,19 @@ def _domain_code(g: GridField, i, j):
 # the sides the patch touches
 _E = (np.arange(16)[:, None] >> [0, 2]) & 3  # (ex, ey) of each code
 _DOMAINS = np.stack([np.where(_E & 1, 0.0, 0.5), np.where(_E & 2, 3.0, 2.5)], axis=1)
+
+
+def _seed_lattice(ns):
+    """The Newton seeds of every domain code, (16, ns^2, 2): an ns x ns
+    lattice strictly inside the domain, row-major (y outer)."""
+    t = np.arange(1, ns + 1) / (ns + 1)
+    lo, hi = _DOMAINS[:, 0], _DOMAINS[:, 1]
+    fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (16, ns)
+    fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
+    return np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
+
+
+_SEEDS = _seed_lattice(_SEEDS_PER_AXIS)  # the seeds _search starts from
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +262,14 @@ def _search(code, weights, kernel):
 
     code (P,) holds the patches' search-domain codes (``_domain_code``) and
     weights (P,16) the interpolants at the shared nodes ``_OFFS``, in units
-    of the field range.  Seeds form an n x n lattice strictly inside each
-    domain, n = _SEEDS_PER_AXIS, row-major (y outer), laid once per code.
-    The kept roots are returned ordered by (patch, seed) as their patches
-    (entries of code), seed slots and positions xi in the patch frame.
+    of the field range.  Each patch starts from the seeds ``_SEEDS`` of its
+    code.  The kept roots are returned ordered by (patch, seed) as their
+    patches (entries of code), seed slots and positions xi in the patch
+    frame.
     """
-    ns = _SEEDS_PER_AXIS
-    nseed = ns * ns
-    t = np.arange(1, ns + 1) / (ns + 1)
+    seeds = _SEEDS.take(code, axis=0)
+    nseed = seeds.shape[1]
     lo, hi = _DOMAINS[:, 0], _DOMAINS[:, 1]
-    fx = lo[:, 0, None] + (hi[:, 0] - lo[:, 0])[:, None] * t  # (16, ns)
-    fy = lo[:, 1, None] + (hi[:, 1] - lo[:, 1])[:, None] * t
-    lattice = np.stack([np.tile(fx, ns), np.repeat(fy, ns, axis=1)], axis=-1)
-    seeds = lattice.take(code, axis=0)
     npatch = len(code)
     owner = _repeat_each(np.arange(npatch), nseed)
 
@@ -387,79 +396,52 @@ def _sub_box_terms(code, cells, level, kernel):
     return ox, oy, kernel.psi(dist), _gradient_modulus(kernel, np.stack([r, r * finest]))
 
 
-class _LevelTable(NamedTuple):
-    """``_sub_box_terms`` of every cell j = ix + side iy of one level of
-    all 16 domain codes: ox, oy and psi (16, side^2, 16), and G^
-    (2, 16 side^2) with the sub-box of code c and cell j in column
-    c side^2 + j."""
-
-    side: int
-    ox: np.ndarray
-    oy: np.ndarray
-    psi: np.ndarray
-    modulus: np.ndarray
-
-
-
-def _level_tables(kernel) -> list[_LevelTable]:
-    """The ``_LevelTable`` of each of the levels 1 to _DENSE_LEVELS; 320
-    sub-boxes, built once per sweep."""
+def _level_tables(kernel):
+    """The ``_sub_box_terms`` of every cell of all 16 domain codes at each
+    of the levels 1 to _DENSE_LEVELS, built once per sweep (320 sub-boxes):
+    the sub-box of code c and cell (ix, iy) is row (column of G^)
+    c side^2 + iy side + ix, the key ``_gathered`` gives it."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
         side = 2 ** level
-        j = np.arange(side * side)
-        cells = np.tile(np.column_stack([j % side, j // side]), (16, 1))
-        ox, oy, psi, modulus = _sub_box_terms(_repeat_each(np.arange(16), j.size), cells,
-                                              level, kernel)
-        tables.append(_LevelTable(side, *(t.reshape(16, j.size, 16) for t in (ox, oy, psi)),
-                                  modulus))
+        key = np.arange(16 * side * side)
+        cells = np.column_stack([key % side, key // side % side])
+        tables.append(_sub_box_terms(key // (side * side), cells, level, kernel))
     return tables
 
 
-def _sum16(a):
-    """a.sum(axis=-2) of a (..., 16, m), bit for bit: numpy sums 16 doubles
-    pairwise, r_j = a_j + a_(j+8), then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    and adds that to its identity 0.0, which turns a -0.0 into 0.0."""
-    r = a[..., :8, :] + a[..., 8:, :]
-    q = r[..., 0::2, :] + r[..., 1::2, :]
-    s = q[..., 0, :] + q[..., 1, :]
-    s += q[..., 2, :] + q[..., 3, :]
-    s += 0.0
-    return s
-
-
-def _tabled(k, cells, code, weights, table):
-    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) of one
-    level, from its ``_LevelTable``.
+def _tabled(k, cells, level, code, weights, table):
+    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) at a
+    level, from its ``_level_tables`` entry.
 
     The patches of one domain code share every sub-box of the level, so
-    the gradients of all cells of the pending patches are products of the
-    table with the patches' weights, ordered by code and transposed to
-    (16, P): (c psi) (x0 - x_m) in a (cells, 16, columns) layout, in pieces
-    of at most _PIECE sub-boxes, summed over the nodes in numpy's order
-    (``_sum16``).  Each sub-box then reads its values with one flat take.
+    the gradients of all cells of a code's pending patches come from the
+    code's rows of the table at once: with their weights w (P, 1, 16) in
+    code order, ``_gradient_sums`` of w psi[rows], ox[rows] and oy[rows],
+    in pieces of at most _PIECE sub-boxes.  Each sub-box then reads its
+    values with one flat take.
     """
-    ncell = table.side * table.side
+    ox, oy, psi, modulus = table
+    side = 2 ** level
+    ncell = side * side
     pending = np.zeros(len(code), dtype=bool)
     pending.put(k, True)
     order = np.argsort(code, kind="stable")
     cols = order.compress(pending.take(order))
     column = np.empty(len(code), dtype=np.intp)
     column.put(cols, np.arange(cols.size))
-    wt = np.ascontiguousarray(weights.take(cols, axis=0).T)
+    w = weights.take(cols, axis=0)[:, None, :]
     bounds = np.searchsorted(code.take(cols), np.arange(17))
-    gx, gy = np.empty((ncell, cols.size)), np.empty((ncell, cols.size))
+    gx, gy = np.empty((cols.size, ncell)), np.empty((cols.size, ncell))
     step = _PIECE // ncell
     for c in range(16):
-        ox, oy, psi = (t[c, :, :, None] for t in (table.ox, table.oy, table.psi))
+        rows = slice(c * ncell, (c + 1) * ncell)
         for p0 in range(bounds[c], bounds[c + 1], step):
             p1 = min(p0 + step, bounds[c + 1])
-            cpsi = psi * wt[:, p0:p1]
-            gx[:, p0:p1] = _sum16(cpsi * ox)
-            gy[:, p0:p1] = _sum16(np.multiply(cpsi, oy, out=cpsi))
-    j = cells[:, 1] * table.side + cells[:, 0]
-    flat = j * cols.size + column.take(k)
-    return gx.take(flat), gy.take(flat), table.modulus.take(code.take(k) * ncell + j, axis=1)
+            gx[p0:p1], gy[p0:p1] = _gradient_sums(w[p0:p1] * psi[rows], ox[rows], oy[rows])
+    j = cells[:, 1] * side + cells[:, 0]
+    flat = column.take(k) * ncell + j
+    return gx.take(flat), gy.take(flat), modulus.take(code.take(k) * ncell + j, axis=1)
 
 
 def _gathered(k, cells, level, code, weights, kernel):
@@ -503,14 +485,15 @@ def _certify(code, weights, entries, tables, kernel):
 
     A sub-box is fixed by its patch's domain code (the patches share their
     nodes) and its cell at the level, and most patches share one of a few
-    codes.  Levels 1 and 2 (4 and 16 cells), where most sub-boxes are
-    evaluated, take every gradient of the pending patches from the tables
-    (``_tabled``).  The deeper levels, where few are left, evaluate the
-    pending sub-boxes in chunks of 9 * _BLOCK_PATCHES, the size of a
-    block's seed lattice, with one kernel evaluation per distinct sub-box
-    of a chunk (``_gathered``).  Both sum what ``_grad_jac`` computes for
-    that sub-box, in its order, so every gradient, and every decision, is
-    the one a per-sub-box evaluation gives.
+    codes.  Every level evaluates the pending sub-boxes in chunks of
+    9 * _BLOCK_PATCHES, the size of a block's seed lattice.  At levels 1
+    and 2 (4 and 16 cells), where most sub-boxes are evaluated, a chunk
+    takes every gradient of its pending patches from the tables
+    (``_tabled``); at the deeper levels, where few are left, it makes one
+    kernel evaluation per distinct sub-box (``_gathered``).  Both sum with
+    ``_gradient_sums``, as ``_grad_jac`` does for that sub-box, so every
+    gradient, and every decision, is the one a per-sub-box evaluation
+    gives.
     """
     npatch = len(code)
     tol_g = _GRAD_TOL_REL / DIAG
@@ -520,17 +503,17 @@ def _certify(code, weights, entries, tables, kernel):
     # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
     k = _repeat_each(np.arange(npatch), 4)
     cells = np.tile(_QUARTERS, (npatch, 1))
+    chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
         keep = ~failed.take(k)
         k, cells = k.compress(keep), cells.compress(keep, axis=0)
         if k.size == 0:
             break
-        chunk = k.size if level <= len(tables) else 9 * _BLOCK_PATCHES
         split = []
         for c0 in range(0, k.size, chunk):
             kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
             if level <= len(tables):
-                gx, gy, modulus = _tabled(kc, cc, code, weights, tables[level - 1])
+                gx, gy, modulus = _tabled(kc, cc, level, code, weights, tables[level - 1])
             else:
                 gx, gy, modulus = _gathered(kc, cc, level, code, weights, kernel)
             ekc, nkc = eps.take(kc), norm.take(kc)

@@ -164,6 +164,22 @@ def test_find_non_finite_geometry_exits_2(header, tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("header", ["40,40,1e307,1e307,-2.0,-2.0", "40,40,1e-303,1e-303,1e6,1e6"],
+                         ids=["nodes-overflow", "nodes-round-to-one"])
+def test_find_grid_without_distinct_finite_nodes_exits_2(header, tmp_path, capsys):
+    # f2's 40x40 samples under a spacing whose last node overflows, or so
+    # small that every node rounds to the origin
+    csv = tmp_path / "g.csv"
+    assert run(["sample", "--fn", "f2", "--nx", "40", "--ny", "40", "-o", csv]) == 0
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *lines[1:]]) + "\n")
+    rep = tmp_path / "r.json"
+    assert run(["find", "--in", csv, "--json", rep]) == 2
+    assert capsys.readouterr().err.startswith("error: grid nodes along x must be finite "
+                                              "and strictly increasing")
+    assert not rep.exists()
+
+
 def test_find_factorization_failure_exits_3(capsys):
     # alpha tiny enough that the interpolation matrix rounds to all-ones
     assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",

@@ -40,6 +40,25 @@ def test_gridfield_rejects_non_finite_geometry(field, change):
         GridField(**{**args, **change})
 
 
+@pytest.mark.parametrize("change", [
+    {"dx": 1e308, "origin": (-2.0, 0.0)},   # the last x node overflows
+    {"dy": 1e308},                          # so does the last y node
+    {"dx": 1e-303, "origin": (1e6, 0.0)},   # every x node rounds to 1e6
+    {"dy": 2.0 ** -53, "origin": (0.0, 1.0)},  # 1 + dy rounds to 1
+], ids=["x-overflows", "y-overflows", "x-rounds-to-one-node", "y-repeats-a-node"])
+def test_gridfield_rejects_nodes_that_are_not_distinct_finite_floats(change):
+    args = dict(nx=4, ny=4, dx=1.0, dy=1.0, origin=(0.0, 0.0), values=np.zeros(16))
+    axis = "x" if "dx" in change else "y"
+    with pytest.raises(ValueError, match=f"grid nodes along {axis} must be finite and "
+                                         "strictly increasing"):
+        GridField(**{**args, **change})
+
+
+def test_gridfield_accepts_nodes_one_ulp_apart():
+    g = GridField(nx=4, ny=4, dx=2.0 ** -52, dy=1.0, origin=(1.0, 0.0), values=np.zeros(16))
+    assert g.origin == (1.0, 0.0)
+
+
 def test_values_are_immutable():
     g = unit_grid()
     with pytest.raises(ValueError):

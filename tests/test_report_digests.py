@@ -1,7 +1,13 @@
-"""The thread-count check of scripts/report_digests.py."""
+"""The thread-count check and the sweep digest of scripts/report_digests.py."""
 
+import dataclasses
 import importlib.util
 import os
+
+import numpy as np
+from conftest import default_kernel
+
+from gridstat import KernelKind, TestFunction, sample, sweep_full
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "report_digests.py")
 _spec = importlib.util.spec_from_file_location("report_digests", _PATH)
@@ -27,3 +33,31 @@ def test_case_without_a_two_thread_run_is_not_compared():
     got = {"f2-gaussian-200x40-t1": "a", "f2-gaussian-200x40-t1.svg": "b",
            "f13-gaussian-240-t2": "c", "f13-gaussian-240-t2.svg": "d"}
     assert report_digests.thread_mismatches(got) == []
+
+
+def test_every_suffix_of_a_thread_pair_is_compared():
+    # the sweep digests too, and names with a dot before the thread tag
+    got = {"f2-gaussian-120-t1.sweep": "a", "f2-gaussian-120-t2.sweep": "b",
+           "f1-wendland-120-alpha28.05-t1": "c", "f1-wendland-120-alpha28.05-t2": "d",
+           "f1-wendland-120-alpha28.05-t1.svg": "e", "f1-wendland-120-alpha28.05-t2.svg": "e"}
+    assert report_digests.thread_mismatches(got) == ["f1-wendland-120-alpha28.05-t1",
+                                                     "f2-gaussian-120-t1.sweep"]
+
+
+def test_sweep_digest_covers_iterations_and_every_raw_point():
+    sr = sweep_full(sample(TestFunction.F2, 12, 12), default_kernel(KernelKind.GAUSSIAN))
+    digest = report_digests.sweep_digest(sr)
+    assert sr.raw and digest == report_digests.sweep_digest(dataclasses.replace(sr))
+    counts = sr.seed_counts
+    changed = [
+        dataclasses.replace(sr, seed_counts=dataclasses.replace(
+            counts, iterations=counts.iterations + 1)),
+        dataclasses.replace(sr, raw=sr.raw[:-1]),
+        dataclasses.replace(sr, raw=[dataclasses.replace(
+            sr.raw[0], position=np.nextafter(sr.raw[0].position, np.inf)), *sr.raw[1:]]),
+        dataclasses.replace(sr, raw=[dataclasses.replace(sr.raw[0], patch=(0, 0)),
+                                     *sr.raw[1:]]),
+        dataclasses.replace(sr, raw=[dataclasses.replace(sr.raw[0], seed_index=99),
+                                     *sr.raw[1:]]),
+    ]
+    assert all(report_digests.sweep_digest(c) != digest for c in changed)

@@ -243,7 +243,7 @@ def check_block_invariance(g, block, threads, monkeypatch):
 def test_sweep_equals_per_patch_search(grid, seeds, threads, monkeypatch):
     # blocks of one patch are the per-patch search
     g = sample(TestFunction.F2, 12, 12) if grid == "f2-12x12" else skewed_grid()
-    monkeypatch.setattr(stationary, "_SEEDS_PER_AXIS", seeds)
+    monkeypatch.setattr(stationary, "_SEEDS", stationary._seed_lattice(seeds))
     sr = check_block_invariance(g, 1, threads, monkeypatch)
     searched = (g.nx - 3) * (g.ny - 3) - len(sr.flat_patches) - sr.seed_counts.excluded
     assert sr.seed_counts.launched == searched * seeds * seeds
@@ -944,24 +944,15 @@ def test_certify_matches_the_per_sub_box_reference(grid, kind, scale, block, mon
     assert got.any() == (grid != "skewed")
 
 
-def test_sum16_keeps_the_bits_of_numpy_sum():
-    # wide exponents, exact and near cancellation, zeros of both signs
-    rng = np.random.default_rng(16)
-    a = rng.standard_normal((120_000, 16)) * 10.0 ** rng.integers(-40, 40, (120_000, 16))
-    a[::3, 9] = -a[::3, 1]
-    a[1::3, 8:] = -a[1::3, :8] * (1 + 2.0 ** -52)
-    a[2::7] = np.where(rng.random((len(a[2::7]), 16)) < 0.5, -0.0, 0.0)
-    assert stationary._sum16(a.T).tobytes() == a.sum(axis=-1).tobytes()
-    # the (cells, 16, columns) layout of the tables
-    b = a[:4000].reshape(4, 1000, 16).transpose(0, 2, 1)
-    assert stationary._sum16(b).tobytes() == b.sum(axis=-2).tobytes()
-
-
+@pytest.mark.parametrize("piece", [None, 16])
 @pytest.mark.parametrize("kind", list(KernelKind))
-def test_table_gradients_keep_the_bits_of_grad_jac(kind):
+def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
     # every cell of levels 1 and 2 of every patch, on grids that hold all
     # 16 domain codes: gx, gy equal _grad_jac at the cell's center and G^
-    # the modulus at its half-diagonal and at the finest level's
+    # the modulus at its half-diagonal and at the finest level's; pieces of
+    # 16 sub-boxes split each code's patches into many pieces
+    if piece is not None:
+        monkeypatch.setattr(stationary, "_PIECE", piece)
     grids = [sample(TestFunction.F2, 24, 24), narrow_grid(4, 30), narrow_grid(30, 4),
              f2_window(4, 4, 1, 1)]
     k = default_kernel(kind)
@@ -976,7 +967,7 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind):
             iy, ix = np.divmod(np.arange(side * side), side)
             cells = np.tile(np.column_stack([ix, iy]), (len(code), 1))
             p = np.repeat(np.arange(len(code)), side * side)
-            gx, gy, modulus = stationary._tabled(p, cells, code, weights, table)
+            gx, gy, modulus = stationary._tabled(p, cells, level, code, weights, table)
             a = lo[p] + (hi[p] - lo[p]) * (cells / side)
             b = lo[p] + (hi[p] - lo[p]) * ((cells + 1) / side)
             x0 = (a + b) * 0.5
