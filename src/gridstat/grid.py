@@ -40,7 +40,6 @@ class GridField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.nx * self.ny,):
             raise ValueError(f"expected {self.nx * self.ny} values, got {v.size}")
-        # the nodes origin + i * spacing must be distinct finite floats
         for name, o, d, n in (("x", self.origin[0], self.dx, self.nx),
                               ("y", self.origin[1], self.dy, self.ny)):
             with np.errstate(over="ignore", invalid="ignore"):
