@@ -5,7 +5,9 @@ Subcommands:
   find    run the full pipeline and emit a JSON report
   plot    render a report over its field as an SVG contour map
 
-Exit codes: 0 success, 2 usage/input error, 3 numeric failure.
+Exit codes: 0 success, 2 usage/input error, 3 numeric failure.  A path
+that cannot be read or written (a missing file, a directory) is an input
+error.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, GridFormatError, FileNotFoundError, ValueError) as exc:
+    except (InputError, GridFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FactorizationError as exc:

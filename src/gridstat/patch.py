@@ -23,6 +23,18 @@ matrix per kind.  The factorization is an in-house LU with partial
 pivoting carried out in extended precision: at the default shape parameters
 the Gaussian matrix has condition number ~1e10, and float64 elimination
 would leave weight errors visible at the interpolation-property tolerance.
+
+The per-node terms are laid out node-major: the offsets of N points to
+the 16 nodes are (16, N) arrays with the points on the contiguous axis,
+so every elementwise step runs over the points in one long inner loop
+(numpy runs an (N, 16) layout with an inner loop of 16), and
+``_gradient_sums``, the one 16-term sum, adds whole rows in numpy's
+pairwise order, written out.  ``_grad_jac`` evaluates its points in slices
+of ``_SLICE``, so its temporaries fit in a core's L2 cache and the
+allocator hands the same memory back slice after slice instead of mapping
+it and faulting it in again on every Newton iteration.
+``PatchInterpolant`` lays its points and weights out the same way
+(``_node_major``).
 """
 
 from __future__ import annotations
@@ -89,7 +101,7 @@ class PatchMatrix:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.entries = kernel.phi(_offsets(_OFFS)[2])
+        self.entries = kernel.phi(_offsets(*_OFFS.T)[2])
         system = np.zeros((17, 17), dtype=np.longdouble)
         system[:16, :16] = self.entries
         system[:16, 16] = 1
@@ -118,62 +130,91 @@ class PatchMatrix:
         return x[:16].T, x[16]
 
 
-def _offsets(x):
+#: points per pass of ``_grad_jac``: each of its (16, _SLICE) temporaries
+#: is 256 KB and stays in a core's L2 cache
+_SLICE = 2048
+
+
+def _offsets(px, py):
     """The per-node terms every derivative of an RBF sum is built from.
 
-    x (..., 2); returns the components ox, oy of the offsets x - x_m to the
-    nodes ``_OFFS`` and their lengths r, all (..., 16) and contiguous.
+    px, py (N,) are the coordinates of N points; returns the components
+    ox, oy of the offsets x - x_m to the nodes ``_OFFS`` and their lengths
+    r, all (16, N): node-major, with the points on the contiguous axis.
     """
-    ox = x[..., 0, None] - _OFFS[:, 0]
-    oy = x[..., 1, None] - _OFFS[:, 1]
+    ox = px - _OFFS[:, 0, None]
+    oy = py - _OFFS[:, 1, None]
     r = ox * ox
     r += oy * oy
     return ox, oy, np.sqrt(r, out=r)
 
 
-def _weighted(terms, weights):
-    """terms * weights, written over terms where the product has its shape
-    and dtype."""
-    fits = (np.broadcast_shapes(terms.shape, weights.shape) == terms.shape
-            and np.result_type(terms, weights) == terms.dtype)
-    return np.multiply(terms, weights, out=terms if fits else None)
+def _gradient_sums(t, out=None):
+    """The sum over the 16 nodes of the terms t (16, ...), shape (...),
+    written into out if given: the program's one 16-term sum, which every
+    gradient, Hessian, interpolant value and certifier bound goes through.
+    t is overwritten.
 
-
-def _gradient_sums(cpsi, ox, oy):
-    """gx, gy = sum_m cpsi_m (x - x_m) from the weighted terms cpsi = c_m
-    psi(r_m) and the offsets' components ox, oy, all (..., 16)."""
-    t = cpsi * ox
-    gx = t.sum(axis=-1)
-    return gx, np.multiply(cpsi, oy, out=t).sum(axis=-1)
-
-
-def _grad_jac(x, weights, kernel):
-    """Gradient and symmetric Jacobian of the gradient field of RBF sums at
-    the nodes ``_OFFS``.
-
-    x (..., 2) and weights (..., 16) broadcast; returns the arrays
-    gx, gy, jxx, jxy, jyy of shape (...).  Uses only elementwise ops and
-    fixed-order row sums, so results do not depend on batch size.  psi and
-    eta come from one kernel evaluation; the weighted terms overwrite them,
-    and the squared offsets the offsets once the gradient and jxy are
-    summed, so the Hessian sums hold no (..., 16) array they do not need.
+    The order is written out, r_j = t_j + t_{j+8}, then
+    ((r_0 + r_1) + (r_2 + r_3)) + ((r_4 + r_5) + (r_6 + r_7)), then + 0.0,
+    which turns -0.0 into 0.0: numpy's pairwise sum of 16 contiguous
+    doubles started from its identity, bit for bit.  Each step is one
+    elementwise add over the points, so no sum depends on how many points
+    are summed at once.
     """
-    ox, oy, r = _offsets(x)
-    psi, eta = kernel.psi_eta(r)
-    del r
-    cpsi = _weighted(psi, weights)
-    ceta = _weighted(eta, weights)
-    del psi, eta
-    gx, gy = _gradient_sums(cpsi, ox, oy)
-    tr = cpsi.sum(axis=-1)
-    # cpsi has the shape of ceta: its array takes the products of jxy
-    t = np.multiply(ceta, ox, out=cpsi)
-    jxy = np.multiply(t, oy, out=t).sum(axis=-1)
-    del cpsi, t
-    # ceta (x - x_m)^2 rounds the square first, then the product
-    jxx = _weighted(np.multiply(ox, ox, out=ox), ceta).sum(axis=-1) + tr
-    jyy = _weighted(np.multiply(oy, oy, out=oy), ceta).sum(axis=-1) + tr
-    return gx, gy, jxx, jxy, jyy
+    np.add(t[:8], t[8:], out=t[:8])
+    np.add(t[0:8:2], t[1:8:2], out=t[0:8:2])
+    np.add(t[0:8:4], t[2:8:4], out=t[0:8:4])
+    out = np.add(t[0], t[4], out=out)
+    out += 0.0
+    return out
+
+
+def _grad_jac(px, py, weights, kernel):
+    """Gradient and symmetric Jacobian of the gradient field of RBF sums at
+    the nodes ``_OFFS``: the one routine every gradient and Hessian of the
+    program comes from.
+
+    Point n at (px[n], py[n]), (N,) each, is evaluated against the weights
+    weights[:, n] (16, N); returns the arrays gx, gy, jxx, jxy, jyy, (N,)
+    each.  The points are evaluated in slices of _SLICE, so the (16, slice)
+    temporaries stay in cache; every step is elementwise or a
+    ``_gradient_sums``, so no result depends on the slice or on N.  psi and
+    eta come from one kernel evaluation, and the weighted terms overwrite
+    them; the Hessian's products overwrite the offsets once the gradient is
+    summed.
+    """
+    n = len(px)
+    out = np.empty((5, n))
+    for s0 in range(0, n, _SLICE):
+        s = slice(s0, s0 + _SLICE)
+        gx, gy, jxx, jxy, jyy = out[:, s]
+        ox, oy, r = _offsets(px[s], py[s])
+        psi, eta = kernel.psi_eta(r)
+        cpsi = np.multiply(psi, weights[:, s], out=psi)
+        ceta = np.multiply(eta, weights[:, s], out=eta)
+        # r is free: its array takes every product that is summed
+        _gradient_sums(np.multiply(cpsi, ox, out=r), out=gx)
+        _gradient_sums(np.multiply(cpsi, oy, out=r), out=gy)
+        _gradient_sums(np.multiply(np.multiply(ceta, ox, out=r), oy, out=r), out=jxy)
+        tr = _gradient_sums(cpsi)
+        # ceta (x - x_m)^2 rounds the square first, then the product
+        _gradient_sums(np.multiply(np.multiply(ox, ox, out=ox), ceta, out=ox), out=jxx)
+        _gradient_sums(np.multiply(np.multiply(oy, oy, out=oy), ceta, out=oy), out=jyy)
+        jxx += tr
+        jyy += tr
+    return tuple(out)
+
+
+def _node_major(x, weights):
+    """Points x (..., 2) and weights (..., 16), broadcast against each
+    other, in the layout of ``_grad_jac``: the broadcast shape (...), the
+    coordinates px, py (N,) and the weights (16, N)."""
+    x = np.asarray(x, dtype=float)
+    weights = np.asarray(weights)
+    shape = np.broadcast_shapes(x.shape[:-1], weights.shape[:-1])
+    px, py = (np.broadcast_to(x[..., k], shape).reshape(-1) for k in (0, 1))
+    return shape, px, py, np.broadcast_to(weights, shape + (16,)).reshape(-1, 16).T
 
 
 @dataclass(frozen=True)
@@ -187,16 +228,22 @@ class PatchInterpolant:
     constant: float | np.ndarray = 0.0  # (...)
 
     def __call__(self, x):
-        """Interpolant value; x is (2,) or (..., 2).  Summed like
-        ``_grad_jac``, so the value does not depend on the weights' layout."""
-        _, _, r = _offsets(np.asarray(x, dtype=float))
-        out = (np.asarray(self.weights) * self.kernel.phi(r)).sum(axis=-1) + self.constant
+        """Interpolant value; x is (2,) or (..., 2).  Summed by
+        ``_gradient_sums``, so the value does not depend on the weights'
+        layout."""
+        shape, px, py, w = _node_major(x, self.weights)
+        _, _, r = _offsets(px, py)
+        out = _gradient_sums(w * self.kernel.phi(r)).reshape(shape) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
+
+    def _derivatives(self, x):
+        """``_grad_jac`` at x (..., 2): gx, gy, jxx, jxy, jyy, shape (...)."""
+        shape, px, py, w = _node_major(x, np.asarray(self.weights, dtype=float))
+        return [a.reshape(shape) for a in _grad_jac(px, py, w, self.kernel)]
 
     def gradient(self, x) -> np.ndarray:
         """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
-        gx, gy, *_ = _grad_jac(np.asarray(x, dtype=float),
-                               np.asarray(self.weights, dtype=float), self.kernel)
+        gx, gy, *_ = self._derivatives(x)
         return np.stack([gx, gy], axis=-1)
 
     def gradient_jacobian(self, x) -> np.ndarray:
@@ -205,7 +252,6 @@ class PatchInterpolant:
         J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric,
         shape (..., 2, 2).
         """
-        _, _, jxx, jxy, jyy = _grad_jac(np.asarray(x, dtype=float),
-                                        np.asarray(self.weights, dtype=float), self.kernel)
+        _, _, jxx, jxy, jyy = self._derivatives(x)
         return np.stack([np.stack([jxx, jxy], axis=-1),
                          np.stack([jxy, jyy], axis=-1)], axis=-2)

@@ -17,7 +17,7 @@ proves most of them root-free with a native-space bound on the gradient
 (no seed in them could be accepted), and then hands the engine the rest,
 again in fixed blocks, in order on one thread or through a thread pool on
 several.  Every block size and thread count gives identical floating-point
-results because both only use elementwise operations and fixed-order row
+results because both only use elementwise operations and fixed-order
 sums; the blocks bound the working set at threads x one block.
 
 Both work in the patch frame: positions in grid-index units relative to
@@ -36,17 +36,22 @@ same routine, ``_gradient_sums``, per domain code from a table built once
 per sweep at its two coarsest levels and gathered per sub-box at the
 deeper ones.
 
-The engine and the certifier gather rows with ``take`` and ``compress``,
-never with fancy or boolean indexing, and repeat indices with a broadcast
-and a copy instead of ``np.repeat``.  At their shapes (thousands of rows
-of 16) ``take`` is about 2.5 times as fast as fancy indexing and
+The engine and the certifier gather with ``take`` and ``compress``, never
+with fancy or boolean indexing, and repeat indices with a broadcast and a
+copy instead of ``np.repeat``.  At their shapes (thousands of points by
+16 nodes) ``take`` is about 2.5 times as fast as fancy indexing and
 ``compress`` up to 10 times as fast as a boolean mask; fancy indexing and
 ``np.repeat`` also do not run in parallel on the pool's threads, where
-``take`` does.  The certifier's coarse levels gather no terms per
-sub-box: each code's pending patches are a range of rows of their weights
-in code order, (P, 1, 16), which broadcast against the code's (cells, 16)
-rows of the table, and each sub-box reads its gradient from the (P, cells)
-sums with one flat ``take``.
+``take`` does.  Both keep their terms in the node-major layout of
+``_grad_jac``, 16 nodes by the points: the engine holds its live seeds as
+two coordinate vectors, weights (16, live) and a ring (_CYCLE, 2, live),
+and compresses them along the seeds only when seeds leave.  The
+certifier's coarse levels gather no terms per sub-box: each code's
+pending patches are a range of columns of their weights in code order,
+(16, P), which broadcast against the code's (16, cells) columns of the
+table, and each sub-box reads its gradient from the (cells, P) sums with
+one flat ``take``; the deeper levels gather the columns of their distinct
+sub-boxes.
 """
 
 from __future__ import annotations
@@ -61,8 +66,7 @@ import numpy as np
 
 from .grid import GridField, NeighborIndex, diag_step
 from .kernels import Kernel, KernelKind
-from .patch import (DIAG, PatchInterpolant, PatchMatrix, _grad_jac, _gradient_sums, _offsets,
-                    _weighted)
+from .patch import DIAG, PatchInterpolant, PatchMatrix, _grad_jac, _gradient_sums, _offsets
 
 log = logging.getLogger(__name__)
 
@@ -183,55 +187,59 @@ def _newton_seeds(seeds, owner, weights, kernel):
       repeat that orbit up to the cap and never converge;
     - capped: still live after _MAX_ITERATIONS.
 
-    The live seeds' indices, positions and rings are compact arrays that
-    shrink only when seeds leave; ``counts.iterations`` is the number of
-    seed evaluations.
+    The live seeds' indices, coordinates, weights (16, live) and rings
+    (_CYCLE, 2, live) are compact arrays, in the layout ``_grad_jac``
+    takes, that shrink only when seeds leave; ``counts.iterations`` is the
+    number of seed evaluations.
     """
-    xl = np.array(seeds, dtype=float)
-    n = xl.shape[0]
-    x = np.empty_like(xl)  # x[s] is seed s's root once it has converged
+    seeds = np.asarray(seeds, dtype=float)
+    n = seeds.shape[0]
+    px, py = seeds[:, 0].copy(), seeds[:, 1].copy()
+    wl = weights.T.take(owner, axis=1)  # the live seeds' weights
+    # rx[s], ry[s] is seed s's root once it has converged
+    rx, ry = np.empty(n), np.empty(n)
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
-    ol = owner  # the live seeds' owners
-    # ring[:, k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
-    ring = np.full((n, _CYCLE, 2), np.nan)
-    ring[:, 0] = xl
+    # ring[k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
+    ring = np.full((_CYCLE, 2, n), np.nan)
+    ring[0, 0], ring[0, 1] = px, py
     step_tol = _STEP_TOL * DIAG
     singular = stuck = iterations = 0
     for it in range(_MAX_ITERATIONS):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(xl, weights.take(ol, axis=0), kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(px, py, wl, kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
-            live, ol, xl, ring = (a.compress(ok, axis=0) for a in (live, ol, xl, ring))
-            gx, gy, jxx, jxy, jyy, det = (a.compress(ok) for a in (gx, gy, jxx, jxy, jyy, det))
+            live, px, py, gx, gy, jxx, jxy, jyy, det = (
+                a.compress(ok) for a in (live, px, py, gx, gy, jxx, jxy, jyy, det))
+            wl, ring = wl.compress(ok, axis=1), ring.compress(ok, axis=2)
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
-        nx = np.minimum(np.maximum(xl[:, 0] - sx, 0.0), 3.0)
-        ny = np.minimum(np.maximum(xl[:, 1] - sy, 0.0), 3.0)
+        px = np.minimum(np.maximum(px - sx, 0.0), 3.0)
+        py = np.minimum(np.maximum(py - sy, 0.0), 3.0)
         done = np.sqrt(sx * sx + sy * sy) <= step_tol
-        seen = (ring[:, :, 0] == nx[:, None]) & (ring[:, :, 1] == ny[:, None])
-        cyc = ~done & seen.any(axis=1)
-        xl = np.stack([nx, ny], axis=-1)
+        seen = (ring[:, 0] == px) & (ring[:, 1] == py)
+        cyc = ~done & seen.any(axis=0)
         leave = done | cyc
         if leave.any():
             stuck += int(np.count_nonzero(cyc))
             root = live.compress(done)
-            x[root] = xl.compress(done, axis=0)
+            rx[root], ry[root] = px.compress(done), py.compress(done)
             converged[root] = True
             stay = ~leave
-            live, ol, xl, ring = (a.compress(stay, axis=0) for a in (live, ol, xl, ring))
-        ring[:, (it + 1) % _CYCLE] = xl
+            live, px, py = (a.compress(stay) for a in (live, px, py))
+            wl, ring = wl.compress(stay, axis=1), ring.compress(stay, axis=2)
+        ring[(it + 1) % _CYCLE, 0], ring[(it + 1) % _CYCLE, 1] = px, py
     idx = np.flatnonzero(converged)
     counts = SeedCounts(launched=n, converged=idx.size, singular=singular,
                         stuck=stuck, capped=live.size, iterations=iterations)
-    return idx, x.take(idx, axis=0), counts
+    return idx, np.column_stack([rx.take(idx), ry.take(idx)]), counts
 
 
 def _repeat_each(a, n):
@@ -277,7 +285,7 @@ def _search(code, weights, kernel):
 
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
-    gx, gy, *_ = _grad_jac(pos, weights.take(k, axis=0), kernel)
+    gx, gy, *_ = _grad_jac(pos[:, 0], pos[:, 1], weights.T.take(k, axis=1), kernel)
     kc = code.take(k)
     inside = np.all((pos >= lo.take(kc, axis=0)) & (pos <= hi.take(kc, axis=0)), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / DIAG)
@@ -348,9 +356,9 @@ def _native_norm(weights, entries, alpha):
     # einsum without optimize calls no BLAS: each row's sums run in one
     # fixed order whatever the number of rows, so a patch's bound does not
     # depend on its block
-    q = (weights * np.einsum("pj,ij->pi", weights, entries)).sum(axis=-1)
+    q = _gradient_sums((weights * np.einsum("pj,ij->pi", weights, entries)).T)
     delta = 2.0 ** -51 * _BOX_DIAMETER
-    l1 = np.abs(weights).sum(axis=-1)
+    l1 = _gradient_sums(np.abs(weights).T)
     margin = l1 * l1 * (_MARGIN + 3.0 * alpha * delta)
     return np.sqrt(np.maximum(q, 0.0) + margin) * (1.0 + _MARGIN)
 
@@ -367,7 +375,7 @@ def _gradient_rounding(weights, kernel):
     products and the 16-term sums add a few ulps of the terms' sum, so
     _MARGIN (2^13 ulps) times that sum bounds the error.
     """
-    return _MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
+    return _MARGIN * _gradient_sums(np.abs(weights).T) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
 
 
 _QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
@@ -375,7 +383,7 @@ _QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
 
 def _sub_box_terms(code, cells, level, kernel):
     """The offsets ox, oy of the centers x0 of sub-boxes to the nodes and
-    psi there, all (n, 16), and G^ (2, n) at their half-diagonals r and at
+    psi there, all (16, n), and G^ (2, n) at their half-diagonals r and at
     the finest level's.
 
     Sub-box s is cell cells[s] = (ix, iy) of the side x side split of the
@@ -391,7 +399,7 @@ def _sub_box_terms(code, cells, level, kernel):
     x0 = (a + b) * 0.5
     half = np.maximum(x0 - a, b - x0)
     r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
-    ox, oy, dist = _offsets(x0)
+    ox, oy, dist = _offsets(x0[:, 0], x0[:, 1])
     finest = 2.0 ** (level - _CERTIFY_DEPTH)
     return ox, oy, kernel.psi(dist), _gradient_modulus(kernel, np.stack([r, r * finest]))
 
@@ -399,8 +407,8 @@ def _sub_box_terms(code, cells, level, kernel):
 def _level_tables(kernel):
     """The ``_sub_box_terms`` of every cell of all 16 domain codes at each
     of the levels 1 to _DENSE_LEVELS, built once per sweep (320 sub-boxes):
-    the sub-box of code c and cell (ix, iy) is row (column of G^)
-    c side^2 + iy side + ix, the key ``_gathered`` gives it."""
+    the sub-box of code c and cell (ix, iy) is column c side^2 + iy side +
+    ix, the key ``_gathered`` gives it."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
         side = 2 ** level
@@ -416,9 +424,10 @@ def _tabled(k, cells, level, code, weights, table):
 
     The patches of one domain code share every sub-box of the level, so
     the gradients of all cells of a code's pending patches come from the
-    code's rows of the table at once: with their weights w (P, 1, 16) in
-    code order, ``_gradient_sums`` of w psi[rows], ox[rows] and oy[rows],
-    in pieces of at most _PIECE sub-boxes.  Each sub-box then reads its
+    code's (16, cells) columns of the table at once: with their weights
+    w (16, P) in code order, ``_gradient_sums`` of the (16, cells, P)
+    products w psi ox and w psi oy, in pieces of at most _PIECE sub-boxes
+    (or one patch's cells, if there are more).  Each sub-box then reads its
     values with one flat take.
     """
     ox, oy, psi, modulus = table
@@ -430,32 +439,37 @@ def _tabled(k, cells, level, code, weights, table):
     cols = order.compress(pending.take(order))
     column = np.empty(len(code), dtype=np.intp)
     column.put(cols, np.arange(cols.size))
-    w = weights.take(cols, axis=0)[:, None, :]
+    w = weights.T.take(cols, axis=1)[:, None, :]
     bounds = np.searchsorted(code.take(cols), np.arange(17))
-    gx, gy = np.empty((cols.size, ncell)), np.empty((cols.size, ncell))
-    step = _PIECE // ncell
+    gx, gy = np.empty((ncell, cols.size)), np.empty((ncell, cols.size))
+    step = max(1, _PIECE // ncell)  # patches per piece
     for c in range(16):
-        rows = slice(c * ncell, (c + 1) * ncell)
+        keys = slice(c * ncell, (c + 1) * ncell)
+        ox_c, oy_c, psi_c = ox[:, keys, None], oy[:, keys, None], psi[:, keys, None]
         for p0 in range(bounds[c], bounds[c + 1], step):
             p1 = min(p0 + step, bounds[c + 1])
-            gx[p0:p1], gy[p0:p1] = _gradient_sums(w[p0:p1] * psi[rows], ox[rows], oy[rows])
+            cpsi = w[:, :, p0:p1] * psi_c
+            _gradient_sums(cpsi * ox_c, out=gx[:, p0:p1])
+            _gradient_sums(np.multiply(cpsi, oy_c, out=cpsi), out=gy[:, p0:p1])
     j = cells[:, 1] * side + cells[:, 0]
-    flat = column.take(k) * ncell + j
+    flat = j * cols.size + column.take(k)
     return gx.take(flat), gy.take(flat), modulus.take(code.take(k) * ncell + j, axis=1)
 
 
 def _gathered(k, cells, level, code, weights, kernel):
     """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) at a
     level, with one kernel evaluation per distinct (code, cell) key and
-    each sub-box's terms gathered from those of its key."""
+    each sub-box's terms gathered from the columns of its key."""
     side = 2 ** level
     kc = code.take(k)
     key = (kc * side + cells[:, 1]) * side + cells[:, 0]
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     ox, oy, psi, modulus = _sub_box_terms(kc.take(first), cells.take(first, axis=0), level,
                                           kernel)
-    gx, gy = _gradient_sums(_weighted(weights.take(k, axis=0), psi.take(inv, axis=0)),
-                            ox.take(inv, axis=0), oy.take(inv, axis=0))
+    cpsi = weights.T.take(k, axis=1)
+    cpsi *= psi.take(inv, axis=1)
+    gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
+    gy = _gradient_sums(np.multiply(cpsi, oy.take(inv, axis=1), out=cpsi))
     return gx, gy, modulus.take(inv, axis=1)
 
 

@@ -108,6 +108,21 @@ def test_find_missing_input_exits_2(tmp_path, capsys):
     assert run(["find", "--in", bad]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--fn", "f2", "--nx", "8", "--ny", "8", "-o", "{dir}"],
+    ["find", "--in", "{dir}"],
+    ["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--threads", "1", "--json", "{dir}"],
+    ["plot", "--report", "{dir}", "-o", "{dir}/out.svg"],
+], ids=["sample-out", "find-in", "find-json", "plot-report"])
+def test_directory_path_exits_2(argv, tmp_path, capsys):
+    # a directory where a file is read or written is an input error: one
+    # error line, no traceback
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_find_function_and_csv_together_exits_2(tmp_path, capsys):
     csv = tmp_path / "f2.csv"
     rep = tmp_path / "r.json"

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
                       PatchMatrix, RawStationaryPoint, StationaryPoint,
                       TestFunction, diag_step, reduce_points, sample, sweep_full)
-from gridstat import stationary
-from gridstat.patch import _OFFS, DIAG, _grad_jac
+from gridstat import patch, stationary
+from gridstat.patch import _OFFS, DIAG, _grad_jac, _gradient_sums, _node_major
 from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
                                  SeedCounts, _domain_code, classify)
 
@@ -327,6 +327,14 @@ def grad_jac_reference(x, weights, kernel):
     return gx, gy, jxx, jxy, jyy
 
 
+def grad_jac_rows(x, weights, kernel):
+    """``_grad_jac`` at points x (..., 2) against weights (..., 16),
+    broadcast, in the row layout of the references: gx, gy, jxx, jxy, jyy
+    of the broadcast shape (...)."""
+    shape, px, py, w = _node_major(x, weights)
+    return tuple(a.reshape(shape) for a in _grad_jac(px, py, w, kernel))
+
+
 def assert_same_bits(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -368,7 +376,7 @@ def assert_interpolant_keeps_the_bits(interp, x):
 def test_grad_jac_and_gradient_keep_the_bits_of_the_reference(kind, seed):
     k, layouts = gradient_shapes(kind, seed)
     for x, weights in layouts:
-        got = _grad_jac(x, weights, k)
+        got = grad_jac_rows(x, weights, k)
         assert_same_bits(got, grad_jac_reference(x, weights, k))
         assert_same_bits(got[:2], gradient_reference(x, weights, k))
         assert_interpolant_keeps_the_bits(PatchInterpolant(weights=weights, kernel=k), x)
@@ -388,11 +396,62 @@ def test_interpolant_derivatives_keep_the_bits_of_the_reference(kind):
 
 def test_grad_jac_leaves_its_arguments_unchanged():
     k, layouts = gradient_shapes(KernelKind.GAUSSIAN, 3)
-    for args in layouts:
+    for x, weights in layouts:
+        _, *args = _node_major(x, weights)
         before = [a.copy() for a in args]
         _grad_jac(*args, k)
         for a, b in zip(args, before):
             np.testing.assert_array_equal(a, b)
+
+
+def hard_rows(rng, n):
+    """(n, 16) rows that are hard to sum: magnitudes from 1e-40 to 1e40,
+    exact and near cancellation, zeros of both signs, infinities of both
+    signs, NaN and overflow.
+
+    No row holds both NaN and infinities: inf - inf makes a NaN whose sign
+    differs from np.nan's, and IEEE 754 leaves open which of two NaNs an
+    addition returns.  numpy's compiled sum adds r_3 + r_2 where the
+    written-out order has r_2 + r_3, and only such a pair of NaNs shows it.
+    """
+    a = rng.standard_normal((n, 16)) * 10.0 ** rng.integers(-40, 41, (n, 16))
+    q = np.array_split(np.arange(n), 6)
+    # exact cancellation: the last 8 terms are the first 8 negated, reordered
+    perm = rng.permuted(np.tile(np.arange(8), (q[0].size, 1)), axis=1)
+    a[q[0], 8:] = -np.take_along_axis(a[q[0], :8], perm, axis=1)
+    # near cancellation: the same, off by a few ulps
+    perm = rng.permuted(np.tile(np.arange(8), (q[1].size, 1)), axis=1)
+    ulps = 1.0 + rng.integers(-3, 4, (q[1].size, 8)) * 2.0 ** -52
+    a[q[1], 8:] = -np.take_along_axis(a[q[1], :8], perm, axis=1) * ulps
+    # zeros of both signs, alone or among tiny terms
+    a[q[2]] = rng.choice([0.0, -0.0, 5e-324, -5e-324], (q[2].size, 16), p=[.45, .45, .05, .05])
+    a[q[2][:3]] = -0.0
+    # infinities of both signs at random places, and NaN in other rows
+    for rows, special in ((q[3], [np.inf, -np.inf]), (q[4], [np.nan])):
+        a[rows] = np.where(rng.random((rows.size, 16)) < 0.1,
+                           rng.choice(special, (rows.size, 16)), a[rows])
+    # overflow of a finite sum
+    a[q[5]] = rng.choice([-1.0, 1.0], (q[5].size, 16)) * np.finfo(float).max
+    return a
+
+
+def test_gradient_sums_keep_the_bits_of_numpy_sum():
+    # the one 16-term sum is numpy's sum of the same terms laid out (N, 16),
+    # byte for byte, in the (16, N) layout, in (16, A, B) and written to out
+    rng = np.random.default_rng(21)
+    a = hard_rows(rng, 120_000)
+    with np.errstate(all="ignore"):
+        want = a.sum(axis=-1)
+        got = _gradient_sums(np.ascontiguousarray(a.T))
+        assert got.tobytes() == want.tobytes()
+        got = _gradient_sums(np.ascontiguousarray(a.T).reshape(16, 300, 400))
+        assert got.tobytes() == want.reshape(300, 400).tobytes()
+        out = np.full((400, 300), 7.0)
+        _gradient_sums(np.ascontiguousarray(a.T).reshape(16, 300, 400), out=out.T)
+        assert np.ascontiguousarray(out.T).tobytes() == want.reshape(300, 400).tobytes()
+    assert np.isnan(want).any() and np.isinf(want).any()
+    # numpy's identity, 0.0, turns a sum of -0.0 into 0.0
+    assert (want == 0).sum() > 3 and not np.signbit(want[want == 0]).any()
 
 
 # --- Newton seed retirement -----------------------------------------------------
@@ -409,7 +468,7 @@ def newton_full_cap(seeds, weights, kernel, bbox_lo, bbox_hi, cap):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        gx, gy, jxx, jxy, jyy = _grad_jac(x[idx], weights[idx], kernel)
+        gx, gy, jxx, jxy, jyy = grad_jac_rows(x[idx], weights[idx], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
@@ -749,7 +808,7 @@ def test_gradient_modulus_bounds_gradient_differences(kind, scale, seed):
     step = DIAG * 10.0 ** rng.uniform(-9, 0.5, 200)
     angle = rng.uniform(0, 2 * math.pi, 200)
     y = np.clip(x + step[:, None] * np.stack([np.cos(angle), np.sin(angle)], -1), 0, 3)
-    gx, gy, *_ = _grad_jac(np.vstack([x, y]), weights, k)
+    gx, gy, *_ = grad_jac_rows(np.vstack([x, y]), weights, k)
     diff = np.hypot(gx[:200] - gx[200:], gy[:200] - gy[200:])
     rho = np.hypot(*(x - y).T)
     assert np.all(diff <= norm * stationary._gradient_modulus(k, rho) + 2 * eps)
@@ -779,7 +838,7 @@ def test_certificate_margins_cover_the_rounding(kind, scale, seed):
     k, weights = random_patch(kind, scale, seed)
     eps = stationary._gradient_rounding(weights[None], k)[0]
     x = np.random.default_rng(seed).uniform(0, 3, (300, 2))
-    gx, gy, *_ = _grad_jac(x, weights, k)
+    gx, gy, *_ = grad_jac_rows(x, weights, k)
     ref = gradient_extended(x, weights, kind, k.alpha)
     assert np.all(np.abs(gx - ref[:, 0]) <= eps)
     assert np.all(np.abs(gy - ref[:, 1]) <= eps)
@@ -857,13 +916,13 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     starts = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
     for p in np.array_split(root_free, -(-root_free.size // 64)):
         x = lo[p, None] + (hi[p] - lo[p])[:, None] * lattice
-        gx, gy, *_ = _grad_jac(x, weights[p, None], k)
+        gx, gy, *_ = grad_jac_rows(x, weights[p, None], k)
         assert np.all(np.sqrt(gx * gx + gy * gy) > tol_g)
         seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
         owner = np.repeat(np.arange(p.size), len(starts))
         idx, pos, _ = stationary._newton_seeds(seeds, owner, weights[p], k)
         q = p[owner[idx]]
-        gx, gy, *_ = _grad_jac(pos, weights[q], k)
+        gx, gy, *_ = grad_jac_rows(pos, weights[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
 
@@ -900,7 +959,7 @@ def certify_reference(code, weights, entries, tables, kernel):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
-            gx, gy, *_ = _grad_jac(x0, weights[kc], kernel)
+            gx, gy, *_ = grad_jac_rows(x0, weights[kc], kernel)
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
             split.append(np.flatnonzero(~(slack > norm[kc] * modulus(kernel, r))) + c0)
             failed[kc[~(slack > norm[kc] * modulus(kernel, r * finest))]] = True
@@ -971,7 +1030,7 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
             a = lo[p] + (hi[p] - lo[p]) * (cells / side)
             b = lo[p] + (hi[p] - lo[p]) * ((cells + 1) / side)
             x0 = (a + b) * 0.5
-            want_x, want_y, *_ = _grad_jac(x0, weights[p], k)
+            want_x, want_y, *_ = grad_jac_rows(x0, weights[p], k)
             assert gx.tobytes() == want_x.tobytes()
             assert gy.tobytes() == want_y.tobytes()
             half = np.maximum(x0 - a, b - x0)
@@ -980,6 +1039,34 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
             want = stationary._gradient_modulus(k, np.stack([r, r * finest]))
             assert modulus.tobytes() == want.tobytes()
     assert codes == set(range(16))
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_results_do_not_depend_on_the_slices(kind, monkeypatch):
+    # _grad_jac evaluates its points in slices of _SLICE and _tabled its
+    # sub-boxes in pieces of _PIECE: slices and pieces of 1 and 7 give the
+    # bits and the SeedCounts, iterations included, of the default ones
+    g = sample(TestFunction.F13, 24, 24)
+    k = default_kernel(kind)
+    [(engine_args, _)] = captured_engine_runs(monkeypatch, g, kind)
+    certifier_args, _ = certifier_inputs(g, k)
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0, 3, (5000, 2))
+    weights = certifier_args[1][rng.integers(0, len(certifier_args[1]), 5000)]
+
+    def run():
+        idx, pos, counts = stationary._newton_seeds(*engine_args)
+        return ([idx, pos, *grad_jac_rows(x, weights, k), stationary._certify(*certifier_args)],
+                astuple(counts))
+
+    want, want_counts = run()
+    assert len(engine_args[1]) > patch._SLICE and want_counts[3] > 0
+    for size in (1, 7):
+        monkeypatch.setattr(patch, "_SLICE", size)
+        monkeypatch.setattr(stationary, "_PIECE", size)
+        got, counts = run()
+        assert_same_bits(got, want)
+        assert counts == want_counts
 
 
 def assert_same_raw(got, want):
