@@ -34,7 +34,7 @@ of ``_SLICE``, so its temporaries fit in a core's L2 cache and the
 allocator hands the same memory back slice after slice instead of mapping
 it and faulting it in again on every Newton iteration.
 ``PatchInterpolant`` lays its points and weights out the same way
-(``_node_major``).
+(``_node_major``, ``_grad_jac_rows``).
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ def _offsets(px, py):
 
 def _gradient_sums(t, out=None):
     """The sum over the 16 nodes of the terms t (16, ...), shape (...),
-    written into out if given: the program's one 16-term sum, which every
-    gradient, Hessian, interpolant value and certifier bound goes through.
-    t is overwritten.
+    written into out if given: the one sum over the nodes, which every
+    gradient, Hessian and interpolant value goes through.  t is
+    overwritten.
 
     The order is written out, r_j = t_j + t_{j+8}, then
     ((r_0 + r_1) + (r_2 + r_3)) + ((r_4 + r_5) + (r_6 + r_7)), then + 0.0,
@@ -217,6 +217,13 @@ def _node_major(x, weights):
     return shape, px, py, np.broadcast_to(weights, shape + (16,)).reshape(-1, 16).T
 
 
+def _grad_jac_rows(x, weights, kernel):
+    """``_grad_jac`` at points x (..., 2) against weights (..., 16),
+    broadcast: gx, gy, jxx, jxy, jyy of the broadcast shape (...)."""
+    shape, px, py, w = _node_major(x, weights)
+    return [a.reshape(shape) for a in _grad_jac(px, py, w, kernel)]
+
+
 @dataclass(frozen=True)
 class PatchInterpolant:
     """RBF interpolant at the nodes ``_OFFS``, plus its constant term, or a
@@ -236,14 +243,9 @@ class PatchInterpolant:
         out = _gradient_sums(w * self.kernel.phi(r)).reshape(shape) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
-    def _derivatives(self, x):
-        """``_grad_jac`` at x (..., 2): gx, gy, jxx, jxy, jyy, shape (...)."""
-        shape, px, py, w = _node_major(x, np.asarray(self.weights, dtype=float))
-        return [a.reshape(shape) for a in _grad_jac(px, py, w, self.kernel)]
-
     def gradient(self, x) -> np.ndarray:
         """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
-        gx, gy, *_ = self._derivatives(x)
+        gx, gy, *_ = _grad_jac_rows(x, np.asarray(self.weights, dtype=float), self.kernel)
         return np.stack([gx, gy], axis=-1)
 
     def gradient_jacobian(self, x) -> np.ndarray:
@@ -252,6 +254,7 @@ class PatchInterpolant:
         J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric,
         shape (..., 2, 2).
         """
-        _, _, jxx, jxy, jyy = self._derivatives(x)
+        _, _, jxx, jxy, jyy = _grad_jac_rows(x, np.asarray(self.weights, dtype=float),
+                                             self.kernel)
         return np.stack([np.stack([jxx, jxy], axis=-1),
                          np.stack([jxy, jyy], axis=-1)], axis=-2)

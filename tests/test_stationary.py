@@ -14,7 +14,7 @@ from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterp
                       PatchMatrix, RawStationaryPoint, StationaryPoint,
                       TestFunction, diag_step, reduce_points, sample, sweep_full)
 from gridstat import patch, stationary
-from gridstat.patch import _OFFS, DIAG, _grad_jac, _gradient_sums, _node_major
+from gridstat.patch import _OFFS, DIAG, _grad_jac, _grad_jac_rows, _gradient_sums, _node_major
 from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
                                  SeedCounts, _domain_code, classify)
 
@@ -327,14 +327,6 @@ def grad_jac_reference(x, weights, kernel):
     return gx, gy, jxx, jxy, jyy
 
 
-def grad_jac_rows(x, weights, kernel):
-    """``_grad_jac`` at points x (..., 2) against weights (..., 16),
-    broadcast, in the row layout of the references: gx, gy, jxx, jxy, jyy
-    of the broadcast shape (...)."""
-    shape, px, py, w = _node_major(x, weights)
-    return tuple(a.reshape(shape) for a in _grad_jac(px, py, w, kernel))
-
-
 def assert_same_bits(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -376,7 +368,7 @@ def assert_interpolant_keeps_the_bits(interp, x):
 def test_grad_jac_and_gradient_keep_the_bits_of_the_reference(kind, seed):
     k, layouts = gradient_shapes(kind, seed)
     for x, weights in layouts:
-        got = grad_jac_rows(x, weights, k)
+        got = _grad_jac_rows(x, weights, k)
         assert_same_bits(got, grad_jac_reference(x, weights, k))
         assert_same_bits(got[:2], gradient_reference(x, weights, k))
         assert_interpolant_keeps_the_bits(PatchInterpolant(weights=weights, kernel=k), x)
@@ -468,7 +460,7 @@ def newton_full_cap(seeds, weights, kernel, bbox_lo, bbox_hi, cap):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        gx, gy, jxx, jxy, jyy = grad_jac_rows(x[idx], weights[idx], kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac_rows(x[idx], weights[idx], kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
@@ -808,7 +800,7 @@ def test_gradient_modulus_bounds_gradient_differences(kind, scale, seed):
     step = DIAG * 10.0 ** rng.uniform(-9, 0.5, 200)
     angle = rng.uniform(0, 2 * math.pi, 200)
     y = np.clip(x + step[:, None] * np.stack([np.cos(angle), np.sin(angle)], -1), 0, 3)
-    gx, gy, *_ = grad_jac_rows(np.vstack([x, y]), weights, k)
+    gx, gy, *_ = _grad_jac_rows(np.vstack([x, y]), weights, k)
     diff = np.hypot(gx[:200] - gx[200:], gy[:200] - gy[200:])
     rho = np.hypot(*(x - y).T)
     assert np.all(diff <= norm * stationary._gradient_modulus(k, rho) + 2 * eps)
@@ -838,7 +830,7 @@ def test_certificate_margins_cover_the_rounding(kind, scale, seed):
     k, weights = random_patch(kind, scale, seed)
     eps = stationary._gradient_rounding(weights[None], k)[0]
     x = np.random.default_rng(seed).uniform(0, 3, (300, 2))
-    gx, gy, *_ = grad_jac_rows(x, weights, k)
+    gx, gy, *_ = _grad_jac_rows(x, weights, k)
     ref = gradient_extended(x, weights, kind, k.alpha)
     assert np.all(np.abs(gx - ref[:, 0]) <= eps)
     assert np.all(np.abs(gy - ref[:, 1]) <= eps)
@@ -916,13 +908,13 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     starts = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
     for p in np.array_split(root_free, -(-root_free.size // 64)):
         x = lo[p, None] + (hi[p] - lo[p])[:, None] * lattice
-        gx, gy, *_ = grad_jac_rows(x, weights[p, None], k)
+        gx, gy, *_ = _grad_jac_rows(x, weights[p, None], k)
         assert np.all(np.sqrt(gx * gx + gy * gy) > tol_g)
         seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
         owner = np.repeat(np.arange(p.size), len(starts))
         idx, pos, _ = stationary._newton_seeds(seeds, owner, weights[p], k)
         q = p[owner[idx]]
-        gx, gy, *_ = grad_jac_rows(pos, weights[q], k)
+        gx, gy, *_ = _grad_jac_rows(pos, weights[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
 
@@ -959,7 +951,7 @@ def certify_reference(code, weights, entries, tables, kernel):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
-            gx, gy, *_ = grad_jac_rows(x0, weights[kc], kernel)
+            gx, gy, *_ = _grad_jac_rows(x0, weights[kc], kernel)
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
             split.append(np.flatnonzero(~(slack > norm[kc] * modulus(kernel, r))) + c0)
             failed[kc[~(slack > norm[kc] * modulus(kernel, r * finest))]] = True
@@ -1030,7 +1022,7 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
             a = lo[p] + (hi[p] - lo[p]) * (cells / side)
             b = lo[p] + (hi[p] - lo[p]) * ((cells + 1) / side)
             x0 = (a + b) * 0.5
-            want_x, want_y, *_ = grad_jac_rows(x0, weights[p], k)
+            want_x, want_y, *_ = _grad_jac_rows(x0, weights[p], k)
             assert gx.tobytes() == want_x.tobytes()
             assert gy.tobytes() == want_y.tobytes()
             half = np.maximum(x0 - a, b - x0)
@@ -1056,7 +1048,7 @@ def test_results_do_not_depend_on_the_slices(kind, monkeypatch):
 
     def run():
         idx, pos, counts = stationary._newton_seeds(*engine_args)
-        return ([idx, pos, *grad_jac_rows(x, weights, k), stationary._certify(*certifier_args)],
+        return ([idx, pos, *_grad_jac_rows(x, weights, k), stationary._certify(*certifier_args)],
                 astuple(counts))
 
     want, want_counts = run()
