@@ -82,7 +82,7 @@ _CYCLE = 8             # a seed that returns to one of its last this many positi
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
 _DENSE_LEVELS = 2      # _certify evaluates levels 1 to this from _level_tables
-_PIECE = 2048          # sub-boxes per product in _tabled and _gathered: temporaries of 256 KB
+_PIECE = 2048          # sub-boxes per product in _tabled: temporaries of 256 KB
 _MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (see _certify)
 _BOX_DIAMETER = 3.0 * DIAG  # of the patch box [0, 3]^2
 # alpha * r*: the gradient modulus G of each kernel rises up to r* and has
@@ -439,7 +439,7 @@ def _tabled(k, cells, level, code, weights, table):
     cols = order.compress(pending.take(order))
     column = np.empty(len(code), dtype=np.intp)
     column.put(cols, np.arange(cols.size))
-    w = weights.T.take(cols, axis=1)[:, None, :]
+    w = weights.take(cols, axis=0).T[:, None, :]
     bounds = np.searchsorted(code.take(cols), np.arange(17))
     gx, gy = np.empty((ncell, cols.size)), np.empty((ncell, cols.size))
     step = max(1, _PIECE // ncell)  # patches per piece
@@ -459,21 +459,16 @@ def _tabled(k, cells, level, code, weights, table):
 def _gathered(k, cells, level, code, weights, kernel):
     """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) at a
     level, with one kernel evaluation per distinct (code, cell) key and
-    each sub-box's terms gathered from the columns of its key, in pieces of
-    _PIECE sub-boxes."""
+    each sub-box's terms gathered from the columns of its key."""
     side = 2 ** level
     kc = code.take(k)
     key = (kc * side + cells[:, 1]) * side + cells[:, 0]
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     ox, oy, psi, modulus = _sub_box_terms(kc.take(first), cells.take(first, axis=0), level,
                                           kernel)
-    gx, gy = np.empty(k.size), np.empty(k.size)
-    for s0 in range(0, k.size, _PIECE):
-        s = slice(s0, s0 + _PIECE)
-        cols = inv[s]
-        cpsi = np.multiply(weights.take(k[s], axis=0).T, psi.take(cols, axis=1), order="C")
-        _gradient_sums(cpsi * ox.take(cols, axis=1), out=gx[s])
-        _gradient_sums(np.multiply(cpsi, oy.take(cols, axis=1), out=cpsi), out=gy[s])
+    cpsi = np.multiply(weights.take(k, axis=0).T, psi.take(inv, axis=1), order="C")
+    gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
+    gy = _gradient_sums(np.multiply(cpsi, oy.take(inv, axis=1), out=cpsi))
     return gx, gy, modulus.take(inv, axis=1)
 
 
