@@ -220,7 +220,7 @@ def _node_major(x, weights):
 def _grad_jac_rows(x, weights, kernel):
     """``_grad_jac`` at points x (..., 2) against weights (..., 16),
     broadcast: gx, gy, jxx, jxy, jyy of the broadcast shape (...)."""
-    shape, px, py, w = _node_major(x, weights)
+    shape, px, py, w = _node_major(x, np.asarray(weights, dtype=float))
     return [a.reshape(shape) for a in _grad_jac(px, py, w, kernel)]
 
 
@@ -245,7 +245,7 @@ class PatchInterpolant:
 
     def gradient(self, x) -> np.ndarray:
         """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
-        gx, gy, *_ = _grad_jac_rows(x, np.asarray(self.weights, dtype=float), self.kernel)
+        gx, gy, *_ = _grad_jac_rows(x, self.weights, self.kernel)
         return np.stack([gx, gy], axis=-1)
 
     def gradient_jacobian(self, x) -> np.ndarray:
@@ -254,7 +254,6 @@ class PatchInterpolant:
         J = sum_m c_m [ eta(r_m) (x-x_m)(x-x_m)^T + psi(r_m) I ]; symmetric,
         shape (..., 2, 2).
         """
-        _, _, jxx, jxy, jyy = _grad_jac_rows(x, np.asarray(self.weights, dtype=float),
-                                             self.kernel)
+        _, _, jxx, jxy, jyy = _grad_jac_rows(x, self.weights, self.kernel)
         return np.stack([np.stack([jxx, jxy], axis=-1),
                          np.stack([jxy, jyy], axis=-1)], axis=-2)
