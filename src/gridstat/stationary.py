@@ -46,12 +46,12 @@ copy instead of ``np.repeat``.  At their shapes (thousands of points by
 ``_grad_jac``, 16 nodes by the points: the engine holds its live seeds as
 two coordinate vectors, weights (16, live) and a ring (_CYCLE, 2, live),
 and compresses them along the seeds only when seeds leave.  The
-certifier's coarse levels gather no terms per sub-box: each code's
-pending patches are a range of columns of their weights in code order,
-(16, P), which broadcast against the code's (16, cells) columns of the
-table, and each sub-box reads its gradient from the (cells, P) sums with
-one flat ``take``; the deeper levels gather the columns of their distinct
-sub-boxes.
+certifier keeps each level's pending sub-boxes as one bool mask (cells, L)
+over its live patches in code order.  At its coarse levels each code's
+live patches are a range of columns of their weights, (16, P), which
+broadcast against the code's (16, cells) columns of the table into the
+(cells, P) sums the mask's tests read whole; the deeper levels gather the
+columns of the distinct sub-boxes of the mask's pending cells.
 """
 
 from __future__ import annotations
@@ -378,20 +378,18 @@ def _gradient_rounding(weights, kernel):
     return _MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
 
 
-_QUARTERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-
-
-def _sub_box_terms(code, cells, level, kernel):
+def _sub_box_terms(code, cell, level, kernel):
     """The offsets ox, oy of the centers x0 of sub-boxes to the nodes and
     psi there, all (16, n), and G^ (2, n) at their half-diagonals r and at
     the finest level's.
 
-    Sub-box s is cell cells[s] = (ix, iy) of the side x side split of the
-    search domain code[s], side = 2^level.  Every bound and width of a
-    domain is a multiple of 1/2 and every side a power of two, so its
-    corners are exact.
+    Sub-box s is cell cell[s] = iy side + ix, the cell (ix, iy) of the
+    side x side split of the search domain code[s], side = 2^level.  Every
+    bound and width of a domain is a multiple of 1/2 and every side a power
+    of two, so its corners are exact.
     """
     side = 2 ** level
+    cells = np.stack(np.divmod(cell, side)[::-1], axis=-1)  # (ix, iy)
     box = _DOMAINS.take(code, axis=0)
     blo, bhi = box[:, 0], box[:, 1]
     a = blo + (bhi - blo) * (cells / side)
@@ -407,65 +405,53 @@ def _sub_box_terms(code, cells, level, kernel):
 def _level_tables(kernel):
     """The ``_sub_box_terms`` of every cell of all 16 domain codes at each
     of the levels 1 to _DENSE_LEVELS, built once per sweep (320 sub-boxes):
-    the sub-box of code c and cell (ix, iy) is column c side^2 + iy side +
-    ix, the key ``_gathered`` gives it."""
+    the sub-box of code c and cell j is column c side^2 + j, the key
+    ``_gathered`` gives it."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
-        side = 2 ** level
-        key = np.arange(16 * side * side)
-        cells = np.column_stack([key % side, key // side % side])
-        tables.append(_sub_box_terms(key // (side * side), cells, level, kernel))
+        ncell = 4 ** level
+        key = np.arange(16 * ncell)
+        tables.append(_sub_box_terms(key // ncell, key % ncell, level, kernel))
     return tables
 
 
-def _tabled(k, cells, level, code, weights, table):
-    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) at a
-    level, from its ``_level_tables`` entry.
+def _tabled(code, weights, table):
+    """gx, gy (cells, P) and G^ (2, cells, P) of every cell of a level of P
+    patches, from its ``_level_tables`` entry; code (P,) is sorted.
 
-    The patches of one domain code share every sub-box of the level, so
-    the gradients of all cells of a code's pending patches come from the
-    code's (16, cells) columns of the table at once: with their weights
-    w (16, P) in code order, ``_gradient_sums`` of the (16, cells, P)
-    products w psi ox and w psi oy, in pieces of at most _PIECE sub-boxes
-    (or one patch's cells, if there are more).  Each sub-box then reads its
-    values with one flat take.
+    The patches of one domain code share every sub-box of the level, so the
+    gradients of all cells of a code's patches come from the code's
+    (16, cells) columns of the table at once: with their weights w (16, P),
+    ``_gradient_sums`` of the (16, cells, P) products w psi ox and w psi oy,
+    in pieces of at most _PIECE sub-boxes (or one patch's cells, if there
+    are more).  Each code's G^ is its columns of the table.
     """
     ox, oy, psi, modulus = table
-    side = 2 ** level
-    ncell = side * side
-    pending = np.zeros(len(code), dtype=bool)
-    pending.put(k, True)
-    order = np.argsort(code, kind="stable")
-    cols = order.compress(pending.take(order))
-    column = np.empty(len(code), dtype=np.intp)
-    column.put(cols, np.arange(cols.size))
-    w = weights.take(cols, axis=0).T[:, None, :]
-    bounds = np.searchsorted(code.take(cols), np.arange(17))
-    gx, gy = np.empty((ncell, cols.size)), np.empty((ncell, cols.size))
+    ncell = ox.shape[1] // 16
+    w = weights.T[:, None, :]
+    bounds = np.searchsorted(code, np.arange(17))
+    gx, gy = np.empty((ncell, len(code))), np.empty((ncell, len(code)))
+    ghat = np.empty((2, ncell, len(code)))
     step = max(1, _PIECE // ncell)  # patches per piece
     for c in range(16):
         keys = slice(c * ncell, (c + 1) * ncell)
         ox_c, oy_c, psi_c = ox[:, keys, None], oy[:, keys, None], psi[:, keys, None]
+        ghat[:, :, bounds[c]:bounds[c + 1]] = modulus[:, keys, None]
         for p0 in range(bounds[c], bounds[c + 1], step):
             p1 = min(p0 + step, bounds[c + 1])
             cpsi = w[:, :, p0:p1] * psi_c
             _gradient_sums(cpsi * ox_c, out=gx[:, p0:p1])
             _gradient_sums(np.multiply(cpsi, oy_c, out=cpsi), out=gy[:, p0:p1])
-    j = cells[:, 1] * side + cells[:, 0]
-    flat = j * cols.size + column.take(k)
-    return gx.take(flat), gy.take(flat), modulus.take(code.take(k) * ncell + j, axis=1)
+    return gx, gy, ghat
 
 
-def _gathered(k, cells, level, code, weights, kernel):
-    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cells) at a
+def _gathered(k, cell, level, code, weights, kernel):
+    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cell) at a
     level, with one kernel evaluation per distinct (code, cell) key and
     each sub-box's terms gathered from the columns of its key."""
-    side = 2 ** level
-    kc = code.take(k)
-    key = (kc * side + cells[:, 1]) * side + cells[:, 0]
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    ox, oy, psi, modulus = _sub_box_terms(kc.take(first), cells.take(first, axis=0), level,
-                                          kernel)
+    ncell = 4 ** level
+    key, inv = np.unique(code.take(k) * ncell + cell, return_inverse=True)
+    ox, oy, psi, modulus = _sub_box_terms(key // ncell, key % ncell, level, kernel)
     cpsi = np.multiply(weights.take(k, axis=0).T, psi.take(inv, axis=1), order="C")
     gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
     gy = _gradient_sums(np.multiply(cpsi, oy.take(inv, axis=1), out=cpsi))
@@ -498,46 +484,54 @@ def _certify(code, weights, entries, tables, kernel):
 
     A sub-box is fixed by its patch's domain code (the patches share their
     nodes) and its cell at the level, and most patches share one of a few
-    codes.  Every level evaluates the pending sub-boxes in chunks of
-    9 * _BLOCK_PATCHES, the size of a block's seed lattice.  At levels 1
-    and 2 (4 and 16 cells), where most sub-boxes are evaluated, a chunk
-    takes every gradient of its pending patches from the tables
-    (``_tabled``); at the deeper levels, where few are left, it makes one
+    codes.  A level's pending sub-boxes are a bool mask (side^2, L) over
+    the live patches, those with a pending cell, in code order; each failed
+    cell is pending 2x2 at the next level.  At levels 1 and 2 (4 and 16
+    cells), where most sub-boxes are evaluated, every cell of the live
+    patches is tested at once with gradients from the tables (``_tabled``);
+    at the deeper levels, where few are left, the pending cells go in
+    chunks of 9 * _BLOCK_PATCHES, a block's seed lattice, through one
     kernel evaluation per distinct sub-box (``_gathered``).  Both sum with
     ``_gradient_sums``, as ``_grad_jac`` does for that sub-box, so every
-    gradient, and every decision, is the one a per-sub-box evaluation
-    gives.
+    gradient, and every decision, is the one a per-sub-box evaluation gives.
     """
-    npatch = len(code)
     tol_g = _GRAD_TOL_REL / DIAG
     norm = _native_norm(weights, entries, kernel.alpha)
     eps = _gradient_rounding(weights, kernel)
-    failed = np.zeros(npatch, dtype=bool)
-    # pending sub-boxes: owning patch k and cell (ix, iy) of the level's grid
-    k = _repeat_each(np.arange(npatch), 4)
-    cells = np.tile(_QUARTERS, (npatch, 1))
+
+    def fails(gx, gy, modulus, k):
+        # sub-boxes of patches k that fail with G^ at this level's and the finest's r
+        e, n = eps.take(k), norm.take(k)
+        slack = np.sqrt(gx * gx + gy * gy) - e - tol_g - e
+        return ~(slack > n * modulus[0]), ~(slack > n * modulus[1])
+
+    failed = np.zeros(len(code), dtype=bool)
+    live = np.argsort(code, kind="stable")
+    pending = np.ones((4, live.size), dtype=bool)  # cell iy side + ix of each live patch
     chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
-        keep = ~failed.take(k)
-        k, cells = k.compress(keep), cells.compress(keep, axis=0)
-        if k.size == 0:
-            break
-        split = []
-        for c0 in range(0, k.size, chunk):
-            kc, cc = k[c0:c0 + chunk], cells[c0:c0 + chunk]
-            if level <= len(tables):
-                gx, gy, modulus = _tabled(kc, cc, level, code, weights, tables[level - 1])
-            else:
-                gx, gy, modulus = _gathered(kc, cc, level, code, weights, kernel)
-            ekc, nkc = eps.take(kc), norm.take(kc)
-            slack = np.sqrt(gx * gx + gy * gy) - ekc - tol_g - ekc
-            # modulus holds G^ at this level's half-diagonal and at the finest's
-            split.append(np.flatnonzero(~(slack > nkc * modulus[0])) + c0)
-            failed[kc.compress(~(slack > nkc * modulus[1]))] = True
+        if level <= len(tables):
+            terms = _tabled(code.take(live), weights.take(live, axis=0), tables[level - 1])
+            split, stop = (f & pending for f in fails(*terms, live))
+        else:
+            split, stop = np.zeros_like(pending), np.zeros_like(pending)
+            pairs = np.flatnonzero(pending)
+            for pc in np.split(pairs, range(chunk, pairs.size, chunk)):
+                cell, col = np.divmod(pc, live.size)
+                k = live.take(col)
+                s, t = fails(*_gathered(k, cell, level, code, weights, kernel), k)
+                split.put(pc.compress(s), True)
+                stop.put(pc.compress(t), True)
         # at the finest level every failed sub-box has failed its patch
-        split = np.concatenate(split)
-        k = _repeat_each(k.take(split), 4)
-        cells = (2 * cells.take(split, axis=0)[:, None, :] + _QUARTERS).reshape(-1, 2)
+        dead = stop.any(axis=0)
+        failed.put(live.compress(dead), True)
+        keep = split.any(axis=0) & ~dead
+        live = live.compress(keep)
+        if live.size == 0:
+            break
+        side = 2 ** level
+        split = split.compress(keep, axis=1).reshape(side, 1, side, 1, live.size)
+        pending = np.broadcast_to(split, (side, 2, side, 2, live.size)).reshape(-1, live.size)
     return ~failed
 
 

@@ -929,7 +929,7 @@ def certify_reference(code, weights, entries, tables, kernel):
     norm = stationary._native_norm(weights, entries, kernel.alpha)
     eps = stationary._gradient_rounding(weights, kernel)
     modulus = stationary._gradient_modulus
-    quarters = stationary._QUARTERS
+    quarters = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
     failed = np.zeros(npatch, dtype=bool)
     k = np.repeat(np.arange(npatch), 4)
     cells = np.tile(quarters, (npatch, 1))
@@ -1012,21 +1012,23 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
     for g in grids:
         (code, weights, *_), _ = certifier_inputs(g, k)
         codes.update(code.tolist())
-        lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
+        order = np.argsort(code, kind="stable")
         for level, table in enumerate(tables, start=1):
             side = 2 ** level
+            gx, gy, modulus = stationary._tabled(code[order], weights[order], table)
+            # cell iy side + ix of patch order[q] is entry (iy side + ix, q)
             iy, ix = np.divmod(np.arange(side * side), side)
-            cells = np.tile(np.column_stack([ix, iy]), (len(code), 1))
-            p = np.repeat(np.arange(len(code)), side * side)
-            gx, gy, modulus = stationary._tabled(p, cells, level, code, weights, table)
-            a = lo[p] + (hi[p] - lo[p]) * (cells / side)
-            b = lo[p] + (hi[p] - lo[p]) * ((cells + 1) / side)
+            cells = np.stack([ix, iy], axis=-1)[:, None]
+            p = np.broadcast_to(order, (side * side, len(code)))
+            lo, hi = _DOMAINS[code[p], 0], _DOMAINS[code[p], 1]
+            a = lo + (hi - lo) * (cells / side)
+            b = lo + (hi - lo) * ((cells + 1) / side)
             x0 = (a + b) * 0.5
             want_x, want_y, *_ = _grad_jac_rows(x0, weights[p], k)
             assert gx.tobytes() == want_x.tobytes()
             assert gy.tobytes() == want_y.tobytes()
             half = np.maximum(x0 - a, b - x0)
-            r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
+            r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + stationary._MARGIN)
             finest = 2.0 ** (level - stationary._CERTIFY_DEPTH)
             want = stationary._gradient_modulus(k, np.stack([r, r * finest]))
             assert modulus.tobytes() == want.tobytes()
