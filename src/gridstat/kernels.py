@@ -95,16 +95,16 @@ class Kernel:
 
     @_radial
     def phi(self, r):
-        """Kernel value phi(r); phi(0) = 1 for every kind."""
-        u = self.alpha * r
+        """Kernel value phi(r); phi(0) = 1 for every kind.  From the factor
+        f = ``_shared(r)``: f (Gaussian), 1/f (inverse quadric) and
+        f^4 (4ar + 1) (Wendland)."""
+        f = self._shared(r)
         if self.kind is KernelKind.GAUSSIAN:
-            out = np.exp(-(u * u))
-        elif self.kind is KernelKind.INVERSE_QUADRIC:
-            out = 1.0 / (1.0 + u * u)
-        else:
-            t = np.maximum(1.0 - u, 0.0)
-            out = t ** 4 * (4.0 * u + 1.0)
-        return out
+            return f
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            return np.divide(1.0, f, out=f)
+        # _shared overwrote its own ar
+        return f ** 4 * (4.0 * (self.alpha * r) + 1.0)
 
     @_radial
     def phi_prime(self, r):
@@ -122,7 +122,7 @@ class Kernel:
             return np.where(np.isinf(eta), psi, psi + eta * (r * r))
 
     def _shared(self, r):
-        """The factor psi and eta of each kind are both built from:
+        """The factor phi, psi and eta of each kind are built from:
           Gaussian         exp(-(ar)^2)
           inverse quadric  1+(ar)^2
           Wendland 3,1     (1-ar)_+
@@ -138,43 +138,23 @@ class Kernel:
             return u
         return np.maximum(np.subtract(1.0, u, out=u), 0.0, out=u)
 
-    def _psi_of(self, f):
-        """psi from the shared factor f = ``_shared(r)``; f is left as it is."""
-        c = self._coefficients()[0]
-        if self.kind is KernelKind.GAUSSIAN:
-            return c * f
-        if self.kind is KernelKind.INVERSE_QUADRIC:
-            q = f ** 2
-            return np.divide(c, q, out=q)
-        return c * f ** 3
-
-    def _eta_of(self, f, r):
-        """eta from the shared factor f = ``_shared(r)`` and r; overwrites f."""
-        c = self._coefficients()[1]
-        if self.kind is KernelKind.GAUSSIAN:
-            f *= c
-            return f
-        if self.kind is KernelKind.INVERSE_QUADRIC:
-            f **= 3
-            return np.divide(c, f, out=f)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where(r > 0, c * f * f / np.where(r > 0, r, 1.0), 0.0)
-
     @_radial
     def psi(self, r):
-        """phi'(r)/r, continuously extended to r = 0.
+        """phi'(r)/r, continuously extended to r = 0: the first half of
+        ``psi_eta``.
 
         Each kind reduces to a closed form with no division by r:
           Gaussian         -2 a^2 exp(-(ar)^2)
           inverse quadric  -2 a^2 (1+(ar)^2)^-2
           Wendland 3,1     -20 a^2 (1-ar)_+^3
         """
-        return self._psi_of(self._shared(r))
+        return self.psi_eta(r)[0]
 
     @_radial
     def eta(self, r):
         """(phi''(r) r - phi'(r)) / r^3 = psi'(r)/r, the radial weight of the
-        rank-one part of d/dx [psi(|x|) x] = eta(|x|) x x^T + psi(|x|) I.
+        rank-one part of d/dx [psi(|x|) x] = eta(|x|) x x^T + psi(|x|) I: the
+        second half of ``psi_eta``.
 
         Gaussian and inverse quadric have smooth closed forms:
           Gaussian         4 a^4 exp(-(ar)^2)
@@ -184,11 +164,20 @@ class Kernel:
         which vanishes quadratically there, the r = 0 value is taken as 0 so
         the Jacobian term stays finite.
         """
-        return self._eta_of(self._shared(r), r)
+        return self.psi_eta(r)[1]
 
     @_radial
     def psi_eta(self, r):
-        """psi(r) and eta(r) from one evaluation of their shared factor,
-        bit for bit the values of ``psi`` and ``eta``."""
+        """psi(r) and eta(r) (see ``psi`` and ``eta``) from one evaluation of
+        their shared factor f = ``_shared(r)``, which eta overwrites."""
+        cpsi, ceta = self._coefficients()
         f = self._shared(r)
-        return self._psi_of(f), self._eta_of(f, r)
+        if self.kind is KernelKind.GAUSSIAN:
+            return cpsi * f, np.multiply(f, ceta, out=f)
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            q = f ** 2
+            f **= 3
+            return np.divide(cpsi, q, out=q), np.divide(ceta, f, out=f)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            eta = np.where(r > 0, ceta * f * f / np.where(r > 0, r, 1.0), 0.0)
+        return cpsi * f ** 3, eta
