@@ -129,7 +129,17 @@ def _write_json(obj, path: str | None) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _check_output(path: str | None) -> None:
+    """Reject, before any work and creating nothing, an output path that is
+    a directory or lies under a directory that does not exist."""
+    if path and os.path.isdir(path):
+        raise InputError(f"{path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(f"{os.path.dirname(path)} is not a directory")
+
+
 def cmd_find(args) -> int:
+    _check_output(args.json)
     g, source = _load_field(args)
     kind = _KERNELS[args.kernel]
     if args.threads < 0:
@@ -149,6 +159,7 @@ _BINDING_KINDS = [k.value for k in bindings_mod.BindingKind]
 def cmd_plot(args) -> int:
     if args.levels < 1:
         raise InputError(f"--levels must be positive, got {args.levels}")
+    _check_output(args.out)
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     # the report must hold what is read of it: the geometry of a non-empty

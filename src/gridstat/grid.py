@@ -277,14 +277,15 @@ def load_csv(path) -> GridField:
     if len(lines) - 1 != ny:
         raise GridFormatError(f"expected {ny} value rows, got {len(lines) - 1} "
                               f"(expected {nx * ny} values)")
+    # every row is checked against the header before the grid is allocated
+    for r, line in enumerate(lines[1:], start=2):
+        if line.count(",") != nx - 1:
+            raise GridFormatError(f"line {r}: expected {nx} values, got {line.count(',') + 1} "
+                                  f"(grid needs {nx * ny} values)")
     values = np.empty((ny, nx))
     for r, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != nx:
-            raise GridFormatError(f"line {r}: expected {nx} values, got {len(parts)} "
-                                  f"(grid needs {nx * ny} values)")
         try:
-            row = np.array([float(s) for s in parts])
+            row = np.array([float(s) for s in line.split(",")])
         except ValueError as exc:
             raise GridFormatError(f"line {r}: {exc}") from None
         if not np.all(np.isfinite(row)):

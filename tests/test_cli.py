@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridstat import TestFunction, load_csv
+from gridstat import TestFunction, cli, load_csv
 from gridstat.cli import main
 
 
@@ -100,6 +100,16 @@ def test_find_kernel_choices(tmp_path):
         assert json.loads(rep.read_text())["kernel"] == kernel
 
 
+def test_find_huge_header_with_short_rows_exits_2(tmp_path, capsys):
+    # the rows are checked against the header before the grid is allocated
+    csv = tmp_path / "g.csv"
+    csv.write_text("1000000000000,4,0.1,0.1,0,0\n" + "1,2,3,4\n" * 4)
+    assert run(["find", "--in", csv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: expected 1000000000000 values, got 4")
+    assert err.count("\n") == 1
+
+
 def test_find_missing_input_exits_2(tmp_path, capsys):
     assert run(["find", "--in", tmp_path / "nope.csv"]) == 2
     assert run(["find"]) == 2  # neither --fn nor --in
@@ -121,6 +131,43 @@ def test_directory_path_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--json", "{dir}"],
+    ["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--json", "{dir}/missing/r.json"],
+    ["plot", "--report", "{report}", "-o", "{dir}"],
+    ["plot", "--report", "{report}", "-o", "{dir}/missing/out.svg"],
+], ids=["find-json-dir", "find-json-missing-parent", "plot-out-dir", "plot-out-missing-parent"])
+def test_unwritable_output_exits_2_before_the_work(argv, tmp_path, monkeypatch, capsys):
+    # a directory or a path under a missing directory is rejected before
+    # the sweep or the rendering runs, and nothing is created
+    report = tmp_path / "made" / "r.json"
+    report.parent.mkdir()
+    assert run(["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--threads", "1",
+                "--json", report]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "sweep_full", _must_not_run)
+    monkeypatch.setattr(cli, "render_svg", _must_not_run)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([a.format(dir=out, report=report) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
+def test_failed_find_leaves_an_existing_report_unchanged(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    rep.write_text("old report\n")
+    # alpha tiny enough that the interpolation matrix rounds to all-ones
+    assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",
+                "--alpha", "1e-300", "--json", rep]) == 3
+    assert rep.read_text() == "old report\n"
 
 
 def test_find_function_and_csv_together_exits_2(tmp_path, capsys):
