@@ -1,7 +1,7 @@
 """Stationary points of gridded scalar fields via piecewise RBF interpolation."""
 
 from .bindings import Binding, BindingKind, cluster, delta_max, summarize
-from .grid import (GridField, NeighborIndex, TestFunction, diag_step, load_csv, sample,
+from .grid import (GridField, TestFunction, diag_step, load_csv, neighbor_lists, sample,
                    save_csv)
 from .kernels import Kernel, KernelKind, OMEGA, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
@@ -10,8 +10,9 @@ from .stationary import (Classification, RawStationaryPoint, StationaryPoint, re
                          sweep_full)
 
 __all__ = [
-    "Binding", "BindingKind", "NeighborIndex", "cluster", "delta_max", "summarize",
-    "GridField", "TestFunction", "diag_step", "load_csv", "sample", "save_csv",
+    "Binding", "BindingKind", "cluster", "delta_max", "summarize",
+    "GridField", "TestFunction", "diag_step", "load_csv", "neighbor_lists", "sample",
+    "save_csv",
     "Kernel", "KernelKind", "OMEGA", "shape_parameter",
     "GroundTruth", "ParametricCurve", "ground_truth",
     "FactorizationError", "PatchInterpolant", "PatchMatrix",

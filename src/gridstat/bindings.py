@@ -2,19 +2,18 @@
 
 Two reduced stationary points on the same underlying curve can end up at
 most 4d apart (d = grid diagonal), so bindings are the connected components
-of the "within 4d" relation.  Neighbors are looked up in the grid hash
-``grid.NeighborIndex``, as in the duplicate reduction.
+of the "within 4d" relation.  Each point's neighbors come from
+``grid.neighbor_lists``, as in the duplicate reduction.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .grid import NeighborIndex
+from .grid import neighbor_lists
 from .stationary import StationaryPoint
 
 
@@ -38,27 +37,25 @@ class Binding:
 
 def cluster(points: list[StationaryPoint], dmax: float) -> list[Binding]:
     """Partition points into bindings: breadth-first growth of the
-    within-dmax relation, seeds taken in list order."""
+    within-dmax relation, seeds taken in list order.  The neighbor lists
+    hold every pair within dmax, O(pairs) for dense inputs."""
     positions = np.array([np.asarray(p.position, float) for p in points]).reshape(-1, 2)
     n = len(points)
     if n == 0:
         return []
-    index = NeighborIndex(positions, dmax)
-    assigned = np.zeros(n, dtype=bool)
+    near = neighbor_lists(positions, dmax)
+    assigned = [False] * n
     bindings = []
     for start in range(n):
         if assigned[start]:
             continue
         assigned[start] = True
         members = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in index.query(*positions[u]):
+        for u in members:  # the list grows as the search reaches new points
+            for w in near[u]:
                 if not assigned[w]:
                     assigned[w] = True
                     members.append(w)
-                    queue.append(w)
         kind = BindingKind.ISOLATED if len(members) == 1 else BindingKind.CURVE
         bindings.append(Binding(member_indices=tuple(sorted(members)), kind=kind))
     return bindings

@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage/input error, 3 numeric failure.  A path
 that cannot be read or written (a missing file, a directory) is an input
-error.
+error, and so is a size too large to allocate (a MemoryError).
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ def _load_field(args) -> tuple[GridField, str]:
 
 
 def cmd_sample(args) -> int:
+    _check_output(args.out)
     save_csv(sample(_parse_fn(args.fn), args.nx, args.ny), args.out)
     return 0
 
@@ -197,6 +198,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_truth(args) -> int:
+    _check_output(args.json)
     _write_json(ground_truth_json(_parse_fn(args.fn)), args.json)
     return 0
 
@@ -254,7 +256,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, GridFormatError, OSError, ValueError) as exc:
+    except (InputError, GridFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FactorizationError as exc:

@@ -1,5 +1,5 @@
 """Regular-grid scalar fields: representation, CSV I/O, built-in samplers,
-and a fixed-radius grid hash of points.
+and the fixed-radius neighbor lists of a set of points, from a grid hash.
 
 A :class:`GridField` stores an ``ny x nx`` grid row-major (row index maps to
 y, column index to x).  Six
@@ -69,46 +69,39 @@ def diag_step(g: GridField) -> float:
     return math.hypot(g.dx, g.dy)
 
 
-class NeighborIndex:
-    """Fixed-radius neighbor queries over 2-D points via a grid hash with
-    cell size equal to the radius (Bentley, Stanat & Williams, "The
-    complexity of finding fixed-radius near neighbors", IPL 6(6), 1977).
+def neighbor_lists(positions: np.ndarray, radius: float) -> list[list[int]]:
+    """For each of the n points (n, 2), the ascending indices of the points
+    within ``radius`` of it, itself included: j is in the list of i when
+    hypot(p_j - p_i) <= radius.
 
-    A point with a non-finite coordinate is within the radius of nothing:
-    it is not hashed, and a query at it finds nothing.
+    A grid hash (Bentley, Stanat & Williams, "The complexity of finding
+    fixed-radius near neighbors", IPL 6(6), 1977) with cells of side
+    2 radius: the cell indices of a pair within the radius differ by at most
+    about 1/2 plus their rounding, so by at most 1 while the coordinates are
+    below 2^50 radii, and each occupied cell's points are tested against the
+    3x3 block of cells around it at once.  A point with a non-finite
+    coordinate is within the radius of nothing: its list is empty and it is
+    in no list.  The lists hold every pair within the radius, O(pairs) in
+    all, which for dense inputs can approach n^2.
     """
-
-    def __init__(self, positions: np.ndarray, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.positions = np.asarray(positions, float).reshape(-1, 2)
-        self.radius = radius
-        self._cells: dict[tuple[int, int], list[int]] = defaultdict(list)
-        finite = np.isfinite(self.positions).all(axis=1)
-        for idx, (x, y) in zip(np.flatnonzero(finite).tolist(),
-                               self.positions[finite].tolist()):
-            self._cells[self._cell(x, y)].append(idx)
-
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.radius), math.floor(y / self.radius))
-
-    def query(self, x: float, y: float) -> list[int]:
-        """Indices of all points within ``radius`` of (x, y), ascending.
-
-        A pair whose distance rounds to exactly ``radius`` can hash two cells
-        apart (the cell index rounds too), so the block searched around the
-        query cell is 5x5 rather than 3x3.
-        """
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return []
-        cx, cy = self._cell(x, y)
-        cand = [idx for gx in range(cx - 2, cx + 3) for gy in range(cy - 2, cy + 3)
-                for idx in self._cells.get((gx, gy), ())]
-        if not cand:
-            return []
-        cand = np.array(cand)
-        p = self.positions[cand]
-        return sorted(cand[np.hypot(p[:, 0] - x, p[:, 1] - y) <= self.radius].tolist())
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    pos = np.asarray(positions, float).reshape(-1, 2)
+    finite = np.flatnonzero(np.isfinite(pos).all(axis=1))
+    cells: dict[tuple[float, float], list[int]] = defaultdict(list)
+    keys = np.floor(pos.take(finite, axis=0) / (2 * radius)).tolist()
+    for i, key in zip(finite.tolist(), keys):
+        cells[tuple(key)].append(i)
+    out: list[list[int]] = [[] for _ in range(len(pos))]
+    for (cx, cy), own in cells.items():
+        # a set of keys, since cx +- 1 rounds to cx where the indices reach 2^53
+        block = {(cx + a, cy + b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+        cand = np.array(sorted(j for key in block for j in cells.get(key, ())))
+        p, c = pos.take(own, axis=0), pos.take(cand, axis=0)
+        near = np.hypot(c[:, 0] - p[:, 0, None], c[:, 1] - p[:, 1, None]) <= radius
+        for i, row in zip(own, near):
+            out[i] = cand.compress(row).tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------

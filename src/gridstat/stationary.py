@@ -37,21 +37,21 @@ per sweep at its two coarsest levels and gathered per sub-box at the
 deeper ones.
 
 The engine and the certifier gather with ``take`` and ``compress``, never
-with fancy or boolean indexing, and repeat indices with a broadcast and a
-copy instead of ``np.repeat``.  At their shapes (thousands of points by
-16 nodes) ``take`` is about 2.5 times as fast as fancy indexing and
-``compress`` up to 10 times as fast as a boolean mask; fancy indexing and
-``np.repeat`` also do not run in parallel on the pool's threads, where
-``take`` does.  Both keep their terms in the node-major layout of
-``_grad_jac``, 16 nodes by the points: the engine holds its live seeds as
-two coordinate vectors, weights (16, live) and a ring (_CYCLE, 2, live),
-and compresses them along the seeds only when seeds leave.  The
-certifier keeps each level's pending sub-boxes as one bool mask (cells, L)
-over its live patches in code order.  At its coarse levels each code's
-live patches are a range of columns of their weights, (16, P), which
-broadcast against the code's (16, cells) columns of the table into the
-(cells, P) sums the mask's tests read whole; the deeper levels gather the
-columns of the distinct sub-boxes of the mask's pending cells.
+with fancy or boolean indexing, and repeat with an integer division or a
+broadcast and a copy instead of ``np.repeat``.  At their shapes
+(thousands of points by 16 nodes) ``take`` is about 2.5 times as fast as
+fancy indexing and ``compress`` up to 10 times as fast as a boolean mask;
+fancy indexing and ``np.repeat`` also do not run in parallel on the pool's
+threads, where ``take`` does.  Both keep their terms in the node-major
+layout of ``_grad_jac``, 16 nodes by the points: the engine holds its live
+seeds as two coordinate vectors, weights (16, live) and a ring
+(_CYCLE, 2, live), and compresses them along the seeds only when seeds
+leave.  The certifier keeps each level's pending sub-boxes as one bool
+mask (cells, L) over its live patches in code order.  At its coarse levels
+each code's live patches are a range of columns of their weights, (16, P),
+which broadcast against the code's (16, cells) columns of the table into
+the (cells, P) sums the mask's tests read whole; the deeper levels gather
+the columns of the distinct sub-boxes of the mask's pending cells.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridField, NeighborIndex, diag_step
+from .grid import GridField, diag_step, neighbor_lists
 from .kernels import Kernel, KernelKind
 from .patch import DIAG, PatchInterpolant, PatchMatrix, _grad_jac, _gradient_sums, _offsets
 
@@ -242,12 +242,6 @@ def _newton_seeds(seeds, owner, weights, kernel):
     return idx, np.column_stack([rx.take(idx), ry.take(idx)]), counts
 
 
-def _repeat_each(a, n):
-    """Each entry of the 1-d array a n times in a row: np.repeat(a, n) as a
-    broadcast and a copy, which runs in parallel on the pool's threads."""
-    return np.broadcast_to(a[:, None], (a.size, n)).reshape(-1)
-
-
 def _first_distinct(ok, xy, min_sep):
     """Which roots of P patches to keep, shape (P, n) bool.
 
@@ -279,7 +273,7 @@ def _search(code, weights, kernel):
     nseed = seeds.shape[1]
     lo, hi = _DOMAINS[:, 0], _DOMAINS[:, 1]
     npatch = len(code)
-    owner = _repeat_each(np.arange(npatch), nseed)
+    owner = np.arange(npatch * nseed) // nseed
 
     idx, pos, counts = _newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
 
@@ -672,13 +666,14 @@ def reduce_points(raw: list[RawStationaryPoint], sweep: SweepResult) -> list[Sta
     g = sweep.grid
     d = diag_step(g)
     pos = np.array([np.asarray(r.position, float) for r in raw]).reshape(-1, 2)
-    index = NeighborIndex(pos, d)
-    taken = np.zeros(len(raw), dtype=bool)
+    near = neighbor_lists(pos, d)
+    taken = [False] * len(raw)
     clusters = []
     for a in range(len(raw)):
         if not taken[a]:
-            cluster = [a] + [c for c in index.query(*pos[a]) if c > a and not taken[c]]
-            taken[cluster] = True
+            cluster = [a] + [c for c in near[a] if c > a and not taken[c]]
+            for c in cluster:
+                taken[c] = True
             clusters.append(cluster)
     if not clusters:
         return []

@@ -1,4 +1,4 @@
-"""Neighbor index and binding (curve vs. isolated) grouping."""
+"""Neighbor lists and binding (curve vs. isolated) grouping."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import (Binding, BindingKind, Classification, NeighborIndex,
-                      StationaryPoint, cluster, delta_max, summarize)
+from gridstat import (Binding, BindingKind, Classification, StationaryPoint, cluster,
+                      delta_max, neighbor_lists, summarize)
 
 
 def points(*positions):
@@ -47,34 +47,60 @@ def test_delta_max():
         delta_max(0.0)
 
 
-def test_neighbor_index_query():
+def test_neighbor_lists():
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 1.4]])
-    idx = NeighborIndex(pos, radius=1.5)
-    assert idx.query(0.0, 0.0) == [0, 1, 3]
-    assert idx.query(3.0, 0.0) == [2]
-    with pytest.raises(ValueError):
-        NeighborIndex(pos, radius=0.0)
+    assert neighbor_lists(pos, radius=1.5) == [[0, 1, 3], [0, 1], [2], [0, 3]]
+    assert neighbor_lists(np.zeros((0, 2)), radius=1.5) == []
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            neighbor_lists(pos, radius)
 
 
-def test_neighbor_index_skips_non_finite_points():
+def test_neighbor_lists_skip_non_finite_points():
     pos = np.array([[0.0, 0.0], [math.nan, 0.0], [1.0, math.inf], [0.5, 0.0]])
-    idx = NeighborIndex(pos, radius=1.5)
-    assert idx.query(0.0, 0.0) == [0, 3]
-    assert idx.query(math.nan, 0.0) == []
-    assert idx.query(1.0, math.inf) == []
+    assert neighbor_lists(pos, radius=1.5) == [[0, 3], [], [], [0, 3]]
 
 
-def test_neighbor_index_matches_brute_force():
+def test_neighbor_lists_match_brute_force():
     rng = np.random.default_rng(31)
     for _ in range(100):
         n = rng.integers(1, 60)
         pos = rng.uniform(-5, 5, (n, 2))
         radius = rng.uniform(0.1, 3.0)
-        idx = NeighborIndex(pos, radius)
-        q = rng.uniform(-5, 5, 2)
-        expect = sorted(np.flatnonzero(
-            np.linalg.norm(pos - q, axis=1) <= radius).tolist())
-        assert idx.query(*q) == expect
+        expect = [sorted(np.flatnonzero(np.linalg.norm(pos - q, axis=1) <= radius).tolist())
+                  for q in pos]
+        assert neighbor_lists(pos, radius) == expect
+
+
+def all_pairs_lists(pos, radius):
+    """Neighbor lists by one broadcast over all pairs, p_j - p_i."""
+    diff = pos[None, :, :] - pos[:, None, :]
+    finite = np.isfinite(pos).all(axis=1)
+    near = (np.hypot(diff[..., 0], diff[..., 1]) <= radius) & finite & finite[:, None]
+    return [np.flatnonzero(row).tolist() for row in near]
+
+
+def test_neighbor_lists_miss_no_pair():
+    # cells of side 2 radius and a 3x3 block miss no pair within the radius:
+    # lattices spaced exactly at the radius put many pairs on the boundary,
+    # and nudging a lattice point at 0 by 1e-30 radius makes pairs whose
+    # distance rounds to the radius while radius-sized cells would put them
+    # two apart; offsets and scales move the cell indices' rounding
+    rng = np.random.default_rng(34)
+    for t in range(600):
+        n = int(rng.integers(1, 50))
+        radius = float(rng.uniform(0.05, 3.0))
+        offset = (0.0, 1e6, -1e5)[t % 3]
+        scale = 2.0 ** (0, 600, -600)[t // 3 % 3]
+        if t % 2:
+            nudge = rng.choice([0.0, -1e-30, 1e-30], (n, 2))
+            pos = offset + radius * (rng.integers(-4, 5, (n, 2)) + nudge)
+        else:
+            pos = offset + rng.uniform(-5, 5, (n, 2))
+        if t % 5 == 0:
+            pos[rng.integers(n)] = (math.nan, offset)
+        pos, radius = pos * scale, radius * scale
+        assert neighbor_lists(pos, radius) == all_pairs_lists(pos, radius)
 
 
 def test_cluster_chains_collinear_points():
@@ -134,31 +160,23 @@ def test_cluster_matches_brute_force_property(coords, dmax):
     assert got == brute_components(pos, dmax)
 
 
-def query_scalar_reference(index, x, y):
-    """NeighborIndex.query as a per-candidate loop with scalar np.hypot."""
-    cx, cy = index._cell(x, y)
-    out = []
-    for gx in range(cx - 2, cx + 3):
-        for gy in range(cy - 2, cy + 3):
-            for i in index._cells.get((gx, gy), ()):
-                px, py = index.positions[i]
-                if np.hypot(px - x, py - y) <= index.radius:
-                    out.append(i)
-    return sorted(out)
+def lists_scalar_reference(pos, radius):
+    """neighbor_lists as a loop over all pairs with scalar np.hypot."""
+    finite = [bool(np.isfinite(p).all()) for p in pos]
+    return [[j for j, (px, py) in enumerate(pos)
+             if finite[i] and finite[j] and np.hypot(px - x, py - y) <= radius]
+            for i, (x, y) in enumerate(pos)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(coords=st.lists(
     st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=1, max_size=40),
-    radius=st.floats(0.01, 4.0),
-    query=st.tuples(st.floats(-6, 6), st.floats(-6, 6)))
+    radius=st.floats(0.01, 4.0))
 # a pair at exactly the radius: hypot(3, 4) == 5
-@example(coords=[(0.0, 0.0), (3.0, 4.0), (-3.0, -4.0)], radius=5.0, query=(0.0, 0.0))
-def test_query_matches_scalar_loop(coords, radius, query):
+@example(coords=[(0.0, 0.0), (3.0, 4.0), (-3.0, -4.0)], radius=5.0)
+def test_neighbor_lists_match_scalar_loop(coords, radius):
     pos = np.array(coords, float)
-    index = NeighborIndex(pos, radius)
-    for x, y in [query, *pos]:
-        assert index.query(x, y) == query_scalar_reference(index, x, y)
+    assert neighbor_lists(pos, radius) == lists_scalar_reference(pos, radius)
 
 
 def test_summarize():

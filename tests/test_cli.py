@@ -142,10 +142,17 @@ def _must_not_run(*args, **kwargs):
     ["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--json", "{dir}/missing/r.json"],
     ["plot", "--report", "{report}", "-o", "{dir}"],
     ["plot", "--report", "{report}", "-o", "{dir}/missing/out.svg"],
-], ids=["find-json-dir", "find-json-missing-parent", "plot-out-dir", "plot-out-missing-parent"])
+    ["truth", "--fn", "f1", "--json", "{dir}"],
+    ["truth", "--fn", "f1", "--json", "{dir}/missing/t.json"],
+    ["sample", "--fn", "f2", "--nx", "8", "--ny", "8", "-o", "{dir}"],
+    ["sample", "--fn", "f2", "--nx", "8", "--ny", "8", "-o", "{dir}/missing/g.csv"],
+], ids=["find-json-dir", "find-json-missing-parent", "plot-out-dir", "plot-out-missing-parent",
+        "truth-json-dir", "truth-json-missing-parent", "sample-out-dir",
+        "sample-out-missing-parent"])
 def test_unwritable_output_exits_2_before_the_work(argv, tmp_path, monkeypatch, capsys):
     # a directory or a path under a missing directory is rejected before
-    # the sweep or the rendering runs, and nothing is created
+    # the sweep, the rendering, the oracle or the sampling runs, and nothing
+    # is created
     report = tmp_path / "made" / "r.json"
     report.parent.mkdir()
     assert run(["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--threads", "1",
@@ -153,11 +160,34 @@ def test_unwritable_output_exits_2_before_the_work(argv, tmp_path, monkeypatch, 
     capsys.readouterr()
     monkeypatch.setattr(cli, "sweep_full", _must_not_run)
     monkeypatch.setattr(cli, "render_svg", _must_not_run)
+    monkeypatch.setattr(cli, "ground_truth_json", _must_not_run)
+    monkeypatch.setattr(cli, "sample", _must_not_run)
     out = tmp_path / "out"
     out.mkdir()
     assert run([a.format(dir=out, report=report) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "--report", "{report}", "-o", "{dir}/out.svg", "--levels", 10 ** 15],
+    ["find", "--fn", "f2", "--nx", 10 ** 16, "--ny", 4, "--json", "{dir}/r.json"],
+    ["sample", "--fn", "f2", "--nx", 4, "--ny", 10 ** 16, "-o", "{dir}/g.csv"],
+], ids=["plot-levels", "find-nx", "sample-ny"])
+def test_size_too_large_to_allocate_exits_2(argv, tmp_path, capsys):
+    # each first allocation is at least 1 PiB (np.linspace of the levels,
+    # np.arange of the nodes), which numpy refuses before touching memory
+    report = tmp_path / "made" / "r.json"
+    report.parent.mkdir()
+    assert run(["find", "--fn", "f2", "--nx", "8", "--ny", "8", "--threads", "1",
+                "--json", report]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([str(a).format(dir=out, report=report) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert os.listdir(out) == []
 
 
