@@ -69,12 +69,13 @@ def sha256(path: str) -> str:
 
 def sweep_digest(sr) -> str:
     """sha256 of a `SweepResult`'s seed counts, `iterations` included, and
-    of every raw point's position bytes, patch and seed slot: the Newton
-    work, which the report does not show."""
+    of every raw point in order: its row of `raw` as bytes, then
+    repr(((i, j), seed)) of its patch and seed slot as Python ints.  This
+    is the Newton work, which the report does not show."""
     h = hashlib.sha256(repr(dataclasses.astuple(sr.seed_counts)).encode())
-    for p in sr.raw:
-        h.update(p.position.tobytes())
-        h.update(repr((p.patch, p.seed_index)).encode())
+    for x, (i, j), seed in zip(sr.raw, sr.raw_patch.tolist(), sr.raw_seed.tolist()):
+        h.update(x.tobytes())
+        h.update(repr(((i, j), seed)).encode())
     return h.hexdigest()
 
 

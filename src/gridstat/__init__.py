@@ -6,8 +6,7 @@ from .grid import (GridField, TestFunction, diag_step, load_csv, neighbor_lists,
 from .kernels import Kernel, KernelKind, OMEGA, shape_parameter
 from .oracle import GroundTruth, ParametricCurve, ground_truth
 from .patch import FactorizationError, PatchInterpolant, PatchMatrix
-from .stationary import (Classification, RawStationaryPoint, StationaryPoint, reduce_points,
-                         sweep_full)
+from .stationary import Classification, StationaryPoint, reduce_points, sweep_full
 
 __all__ = [
     "Binding", "BindingKind", "cluster", "delta_max", "summarize",
@@ -16,7 +15,7 @@ __all__ = [
     "Kernel", "KernelKind", "OMEGA", "shape_parameter",
     "GroundTruth", "ParametricCurve", "ground_truth",
     "FactorizationError", "PatchInterpolant", "PatchMatrix",
-    "Classification", "RawStationaryPoint", "StationaryPoint",
+    "Classification", "StationaryPoint",
     "reduce_points", "sweep_full", "run_pipeline",
 ]
 

@@ -2,7 +2,8 @@
 
 Two reduced stationary points on the same underlying curve can end up at
 most 4d apart (d = grid diagonal), so bindings are the connected components
-of the "within 4d" relation.  Each point's neighbors come from
+of the "within 4d" relation among the reduced points' positions, an (m, 2)
+array whose rows the bindings name.  Each point's neighbors come from
 ``grid.neighbor_lists``, as in the duplicate reduction.
 """
 
@@ -14,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .grid import neighbor_lists
-from .stationary import StationaryPoint
 
 
 def delta_max(d: float) -> float:
@@ -35,12 +35,11 @@ class Binding:
     kind: BindingKind
 
 
-def cluster(points: list[StationaryPoint], dmax: float) -> list[Binding]:
-    """Partition points into bindings: breadth-first growth of the
-    within-dmax relation, seeds taken in list order.  The neighbor lists
-    hold every pair within dmax, O(pairs) for dense inputs."""
-    positions = np.array([np.asarray(p.position, float) for p in points]).reshape(-1, 2)
-    n = len(points)
+def cluster(positions: np.ndarray, dmax: float) -> list[Binding]:
+    """Partition the points at positions (m, 2) into bindings: breadth-first
+    growth of the within-dmax relation, seeds taken in row order.  The
+    neighbor lists hold every pair within dmax, O(pairs) for dense inputs."""
+    n = len(positions)
     if n == 0:
         return []
     near = neighbor_lists(positions, dmax)
@@ -61,15 +60,16 @@ def cluster(points: list[StationaryPoint], dmax: float) -> list[Binding]:
     return bindings
 
 
-def summarize(bindings: list[Binding], points: list[StationaryPoint]) -> dict:
-    """Counts plus per-curve member counts and axis-aligned extents."""
+def summarize(bindings: list[Binding], positions: np.ndarray) -> dict:
+    """Counts plus per-curve member counts and axis-aligned extents of the
+    points at positions (m, 2)."""
     curves = []
     n_isolated = 0
     for b in bindings:
         if b.kind is BindingKind.ISOLATED:
             n_isolated += 1
             continue
-        pos = np.array([points[i].position for i in b.member_indices])
+        pos = positions.take(b.member_indices, axis=0)
         curves.append({
             "members": len(b.member_indices),
             "xmin": float(pos[:, 0].min()), "xmax": float(pos[:, 0].max()),

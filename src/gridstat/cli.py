@@ -65,13 +65,14 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
     t0 = time.perf_counter()
     sr = sweep_full(g, kernel, threads=threads)
     t1 = time.perf_counter()
-    points = reduce_points(sr.raw, sr)
+    points = reduce_points(sr.raw, sr.raw_patch, sr)
+    positions = np.array([p.position for p in points]).reshape(-1, 2)
     t2 = time.perf_counter()
-    binds = bindings_mod.cluster(points, dmax)
-    summary = bindings_mod.summarize(binds, points)
+    binds = bindings_mod.cluster(positions, dmax)
+    summary = bindings_mod.summarize(binds, positions)
     t3 = time.perf_counter()
 
-    report = {
+    return {
         "input": input_desc or {},
         "kernel": kind.value,
         "alpha": alpha_default if alpha is None else alpha,
@@ -92,7 +93,6 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
         "timings_ms": ({"sweep": (t1 - t0) * 1e3, "reduce": (t2 - t1) * 1e3,
                         "cluster": (t3 - t2) * 1e3} if timings else {}),
     }
-    return report
 
 
 def _input_desc(g: GridField, source: str) -> dict:
@@ -171,15 +171,17 @@ def cmd_plot(args) -> int:
         raise InputError("report must be a JSON object whose input, if any, has "
                          "integer nx and ny, dx, dy and origin")
     pts, binds = report.get("stationary_points", []), report.get("bindings", [])
-    points_ok = isinstance(pts, list) and all(
-        isinstance(p, dict) and all(isinstance(p.get(c), (int, float)) for c in "xy") for p in pts)
+    # JSON reads NaN and Infinity as floats, and integers of any size
+    points_ok = isinstance(pts, list) and all(isinstance(p, dict) and all(
+        type(p.get(c)) in (int, float) and abs(p[c]) <= sys.float_info.max for c in "xy")
+        for p in pts)
     bindings_ok = isinstance(binds, list) and all(
         isinstance(b, dict) and b.get("kind") in _BINDING_KINDS
         and isinstance(b.get("members"), list) and b["members"]
         and all(type(i) is int and 0 <= i < len(pts) for i in b["members"]) for b in binds)
     if not (points_ok and bindings_ok):
-        raise InputError("report points need a numeric x and y, and bindings a kind and "
-                         "members that index the points")
+        raise InputError("report points need a finite numeric x and y, and bindings a kind "
+                         "and members that index the points")
     src = str(inp.get("source", ""))
     fn = _parse_fn(src.removeprefix("function ")) if src.startswith("function ") else None
     if not args.infile and fn is None:

@@ -18,7 +18,9 @@ proves most of them root-free with a native-space bound on the gradient
 again in fixed blocks, in order on one thread or through a thread pool on
 several.  Every block size and thread count gives identical floating-point
 results because both only use elementwise operations and fixed-order
-sums; the blocks bound the working set at threads x one block.
+sums; the blocks bound the working set at threads x one block.  The raw
+points leave it as arrays (``SweepResult``), one row each in (i, j, seed)
+order, and the reduction reads their positions and patches.
 
 Both work in the patch frame: positions in grid-index units relative to
 the patch's first node, so all patches of every grid share the nodes
@@ -110,13 +112,6 @@ class SeedCounts:
 
     def __add__(self, other: SeedCounts) -> SeedCounts:
         return SeedCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
-
-
-@dataclass(frozen=True, eq=False)
-class RawStationaryPoint:
-    position: np.ndarray  # (2,)
-    patch: tuple[int, int]  # (i, j), 1-based
-    seed_index: int
 
 
 class Classification(Enum):
@@ -535,14 +530,16 @@ def _certify(code, weights, entries, tables, kernel):
 
 @dataclass
 class SweepResult:
-    """Raw points plus the per-patch interpolation data needed downstream."""
+    """Raw points as arrays, plus the per-patch interpolation data needed downstream."""
 
-    raw: list[RawStationaryPoint]
+    raw: np.ndarray            # (n, 2) float64, the raw points on the grid
+    raw_patch: np.ndarray      # (n, 2) int, their patches (i, j), 1-based
+    raw_seed: np.ndarray       # (n,) int, their seed slots
     matrix: PatchMatrix
     weights: np.ndarray        # (npatch, 16) float64, in the field's units
     constants: np.ndarray      # (npatch,) float64, the interpolants' constant terms
     grid: GridField
-    flat_patches: list[tuple[int, int]]
+    flat_patches: np.ndarray   # (k, 2) int, the patches (i, j) skipped as flat
     seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i, j) -> PatchInterpolant:
@@ -581,9 +578,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     patch_range = h.max(axis=1) - h.min(axis=1)
     active = (field_range > 0) & (patch_range > _FLAT_PATCH * field_range)
-    flat = [(int(i), int(j)) for i, j in patches[~active]]
-    if flat:
-        log.debug("%d flat patches skipped", len(flat))
+    flat = patches.compress(~active, axis=0)
 
     act = np.flatnonzero(active)
     origin, spacing = np.array(g.origin), np.array([g.dx, g.dy])
@@ -598,11 +593,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     def search(block: np.ndarray):
         (k, slot, xi), counts = _search(code[block], weights[block] / field_range, kernel)
-        ij = patches.take(block.take(k), axis=0)
-        # the one map from the patch frame to the grid; (j - 1, i - 1) is the first node
-        on_grid = origin + (ij[:, ::-1] - 1 + xi) * spacing
-        return [RawStationaryPoint(position=x, patch=tuple(p), seed_index=s) for x, p, s
-                in zip(on_grid, ij.tolist(), slot.tolist())], counts
+        return block.take(k), slot, xi, counts
 
     def blocks(idx: np.ndarray):
         return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
@@ -618,15 +609,21 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
         root_free = np.concatenate([np.zeros(0, dtype=bool), *each(certify, blocks(act))])
         parts = list(each(search, blocks(act[~root_free])))
-    raw = [p for part, _ in parts for p in part]
-    counts = sum((c for _, c in parts), SeedCounts(excluded=int(np.count_nonzero(root_free))))
-    log.debug("%d patches certified root-free; Newton seeds: %d launched, %d converged, "
-              "%d singular, %d stuck, %d capped; %d seed evaluations", counts.excluded,
-              counts.launched, counts.converged, counts.singular, counts.stuck,
-              counts.capped, counts.iterations)
+    # a first part without roots counts the certified patches and shapes an empty sweep
+    k, slot, xi, counts = zip((np.zeros(0, int), np.zeros(0, int), np.zeros((0, 2)),
+                               SeedCounts(excluded=int(np.count_nonzero(root_free)))), *parts)
+    ij = patches.take(np.concatenate(k), axis=0)
+    # the one map from the patch frame to the grid; (j - 1, i - 1) is the first node
+    raw = origin + (ij[:, ::-1] - 1 + np.concatenate(xi)) * spacing
+    counts = sum(counts, SeedCounts())
+    log.debug("%d flat patches skipped, %d certified root-free; Newton seeds: %d launched, "
+              "%d converged, %d singular, %d stuck, %d capped; %d seed evaluations",
+              len(flat), counts.excluded, counts.launched, counts.converged,
+              counts.singular, counts.stuck, counts.capped, counts.iterations)
 
-    return SweepResult(raw=raw, matrix=matrix, weights=weights, constants=constants,
-                       grid=g, flat_patches=flat, seed_counts=counts)
+    return SweepResult(raw=raw, raw_patch=ij, raw_seed=np.concatenate(slot), matrix=matrix,
+                       weights=weights, constants=constants, grid=g, flat_patches=flat,
+                       seed_counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +645,13 @@ def classify(lam: np.ndarray, scale: float) -> list[Classification]:
     return [_BY_CODE[c] for c in code.tolist()]
 
 
-def reduce_points(raw: list[RawStationaryPoint], sweep: SweepResult) -> list[StationaryPoint]:
-    """Anchored centroid reduction: repeatedly take the first remaining
-    point, merge everything within the grid's diagonal step d of *it*
-    (anchor semantics), and emit the centroid.  A point with a non-finite
-    coordinate is within d of nothing and leaves alone.
+def reduce_points(raw: np.ndarray, patch: np.ndarray,
+                  sweep: SweepResult) -> list[StationaryPoint]:
+    """Anchored centroid reduction of raw points on the grid, raw (n, 2) in
+    patches (i, j) patch (n, 2) as in ``SweepResult``: repeatedly take the
+    first remaining point, merge everything within the grid's diagonal step
+    d of *it* (anchor semantics), and emit the centroid.  A point with a
+    non-finite coordinate is within d of nothing and leaves alone.
 
     Value and classification come from the interpolant of each cluster's
     first member's patch, stacked over the anchors' patches, at the
@@ -665,8 +664,7 @@ def reduce_points(raw: list[RawStationaryPoint], sweep: SweepResult) -> list[Sta
     """
     g = sweep.grid
     d = diag_step(g)
-    pos = np.array([np.asarray(r.position, float) for r in raw]).reshape(-1, 2)
-    near = neighbor_lists(pos, d)
+    near = neighbor_lists(raw, d)
     taken = [False] * len(raw)
     clusters = []
     for a in range(len(raw)):
@@ -677,8 +675,8 @@ def reduce_points(raw: list[RawStationaryPoint], sweep: SweepResult) -> list[Sta
             clusters.append(cluster)
     if not clusters:
         return []
-    centroids = [pos[c].mean(axis=0) for c in clusters]
-    anchors = np.array([raw[c[0]].patch for c in clusters])  # (i, j), 1-based
+    centroids = [raw[c].mean(axis=0) for c in clusters]
+    anchors = patch.take([c[0] for c in clusters], axis=0)  # (i, j), 1-based
     spacing = np.array([g.dx, g.dy])
     xi = (np.array(centroids) - g.origin) / spacing - (anchors[:, ::-1] - 1)
     interp = sweep.interpolant(anchors[:, 0], anchors[:, 1])

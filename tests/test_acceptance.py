@@ -23,13 +23,12 @@ import math
 import numpy as np
 import pytest
 
-from gridstat import (OMEGA, Kernel, KernelKind, PatchMatrix, RawStationaryPoint,
-                      TestFunction, delta_max, diag_step, ground_truth, reduce_points,
-                      run_pipeline, sample, sweep_full)
+from gridstat import (OMEGA, Kernel, KernelKind, PatchMatrix, TestFunction, delta_max,
+                      diag_step, ground_truth, reduce_points, run_pipeline, sample,
+                      sweep_full)
 from gridstat.bindings import cluster as cluster_points
 from gridstat.cli import main as cli_main
 from gridstat.patch import _OFFS
-from gridstat.stationary import StationaryPoint, Classification
 
 from conftest import (F1_FROZEN, binding_members, default_kernel, patch_sweep,
                       report_positions, solve_interpolant)
@@ -247,8 +246,8 @@ def test_c10_single_factorization_equals_per_patch():
 # --- criterion 11: reduction semantics ------------------------------------------
 
 def as_raw(*positions):
-    return [RawStationaryPoint(position=np.array(p, float), patch=(1, 1),
-                               seed_index=i) for i, p in enumerate(positions)]
+    """The positions (n, 2) and patches (n, 2) of raw points, all in patch (1, 1)."""
+    return np.array(positions, float).reshape(-1, 2), np.ones((len(positions), 2), dtype=int)
 
 
 def test_c11_reduce_hand_traced_cases():
@@ -256,21 +255,21 @@ def test_c11_reduce_hand_traced_cases():
     # and 1.5 with dx = 0.9, dy = 1.2
     unit, d15 = patch_sweep(), patch_sweep(dx=0.9, dy=1.2)
     assert diag_step(d15.grid) == 1.5
-    out = reduce_points(as_raw((0, 0), (0.5, 0)), unit)
+    out = reduce_points(*as_raw((0, 0), (0.5, 0)), unit)
     assert [(tuple(p.position), p.members_merged) for p in out] == [((0.25, 0.0), 2)]
 
-    out = reduce_points(as_raw((0, 0), (10, 0)), unit)
+    out = reduce_points(*as_raw((0, 0), (10, 0)), unit)
     assert [tuple(p.position) for p in out] == [(0.0, 0.0), (10.0, 0.0)]
 
-    out = reduce_points(as_raw((0, 0), (1, 0), (2, 0)), d15)
+    out = reduce_points(*as_raw((0, 0), (1, 0), (2, 0)), d15)
     assert [(tuple(p.position), p.members_merged) for p in out] == [
         ((0.5, 0.0), 2), ((2.0, 0.0), 1)]
 
     # deterministic, and idempotent once pairwise distances exceed d
-    again = reduce_points(as_raw((0, 0), (1, 0), (2, 0)), d15)
+    again = reduce_points(*as_raw((0, 0), (1, 0), (2, 0)), d15)
     assert [tuple(p.position) for p in again] == [(0.5, 0.0), (2.0, 0.0)]
-    once = reduce_points(as_raw((0, 0), (1, 0), (2.6, 0)), d15)
-    twice = reduce_points(as_raw(*[tuple(p.position) for p in once]), d15)
+    once = reduce_points(*as_raw((0, 0), (1, 0), (2.6, 0)), d15)
+    twice = reduce_points(*as_raw(*[tuple(p.position) for p in once]), d15)
     assert ([tuple(p.position) for p in twice]
             == [tuple(p.position) for p in once] == [(0.5, 0.0), (2.6, 0.0)])
 
@@ -283,10 +282,7 @@ def test_c12_cluster_equals_brute_force():
         n = int(rng.integers(1, 501))
         pos = rng.uniform(-10, 10, (n, 2))
         dmax = float(rng.uniform(0.2, 2.0))
-        pts = [StationaryPoint(position=p, value=0.0,
-                               classification=Classification.DEGENERATE,
-                               members_merged=1) for p in pos]
-        got = {b.member_indices for b in cluster_points(pts, dmax)}
+        got = {b.member_indices for b in cluster_points(pos, dmax)}
 
         adj = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2) <= dmax
         unseen = set(range(n))

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import (Binding, BindingKind, Classification, StationaryPoint, cluster,
-                      delta_max, neighbor_lists, summarize)
+from gridstat import Binding, BindingKind, cluster, delta_max, neighbor_lists, summarize
 
 
 def points(*positions):
-    return [StationaryPoint(position=np.array(p, float), value=0.0,
-                            classification=Classification.DEGENERATE,
-                            members_merged=1)
-            for p in positions]
+    """The (m, 2) positions that ``cluster`` and ``summarize`` take."""
+    return np.array(positions, float).reshape(-1, 2)
 
 
 def brute_components(positions, dmax):

@@ -318,6 +318,15 @@ def without_y(report):
     return {**report, "stationary_points": points}
 
 
+def with_last_point(coord, value):
+    """A malform that sets the last point's coordinate; json writes and
+    reads NaN, Infinity and -Infinity, and integers of any size."""
+    def malform(report):
+        points = report["stationary_points"]
+        return {**report, "stationary_points": points[:-1] + [{**points[-1], coord: value}]}
+    return malform
+
+
 def member_past_the_points(report):
     extra = {"kind": "isolated", "members": [len(report["stationary_points"])]}
     return {**report, "bindings": report["bindings"] + [extra]}
@@ -329,9 +338,15 @@ def member_past_the_points(report):
     lambda r: {"input": {"source": "function f2"}},
     lambda r: [r],
     without_y,
+    with_last_point("x", math.nan),
+    with_last_point("y", math.inf),
+    with_last_point("x", -math.inf),
+    with_last_point("y", True),
+    with_last_point("x", 10 ** 400),
     member_past_the_points,
 ], ids=["empty-function-id", "empty-function-id-full-input", "input-without-nx", "json-list",
-        "point-without-y", "member-past-the-points"])
+        "point-without-y", "point-x-nan", "point-y-infinity", "point-x-minus-infinity",
+        "point-y-bool", "point-x-int-beyond-float", "member-past-the-points"])
 def test_plot_malformed_report_exits_2(malform, tmp_path, capsys):
     rep, svg = tmp_path / "r.json", tmp_path / "out.svg"
     assert run(["find", "--fn", "f2", "--nx", "12", "--ny", "12", "--threads", "1",
@@ -341,7 +356,8 @@ def test_plot_malformed_report_exits_2(malform, tmp_path, capsys):
     rep.write_text(json.dumps(malform(report)))
     capsys.readouterr()
     assert run(["plot", "--report", rep, "-o", svg]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not svg.exists()
 
 

@@ -138,12 +138,12 @@ def test_sweep_does_not_see_the_spacing(fn):
     ref, got = (sweep_full(h, default_kernel(KernelKind.GAUSSIAN)) for h in (g, stretched))
     assert got.seed_counts == ref.seed_counts
     assert got.seed_counts.iterations == ref.seed_counts.iterations
-    assert ([(r.patch, r.seed_index) for r in got.raw]
-            == [(r.patch, r.seed_index) for r in ref.raw])
+    np.testing.assert_array_equal(got.raw_patch, ref.raw_patch)
+    np.testing.assert_array_equal(got.raw_seed, ref.raw_seed)
     np.testing.assert_array_equal(got.weights, ref.weights)
     y0 = g.origin[1]
-    back = np.array([[r.position[0], y0 + (r.position[1] - y0) / 10] for r in got.raw])
-    np.testing.assert_allclose(back, [r.position for r in ref.raw], rtol=0, atol=1e-12)
+    back = np.column_stack([got.raw[:, 0], y0 + (got.raw[:, 1] - y0) / 10])
+    np.testing.assert_allclose(back, ref.raw, rtol=0, atol=1e-12)
 
 
 def transpose(g):

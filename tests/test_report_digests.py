@@ -47,17 +47,21 @@ def test_every_suffix_of_a_thread_pair_is_compared():
 def test_sweep_digest_covers_iterations_and_every_raw_point():
     sr = sweep_full(sample(TestFunction.F2, 12, 12), default_kernel(KernelKind.GAUSSIAN))
     digest = report_digests.sweep_digest(sr)
-    assert sr.raw and digest == report_digests.sweep_digest(dataclasses.replace(sr))
+    assert len(sr.raw) and digest == report_digests.sweep_digest(dataclasses.replace(sr))
     counts = sr.seed_counts
+
+    def with_first_row(name, value):
+        a = getattr(sr, name).copy()
+        a[0] = value
+        return dataclasses.replace(sr, **{name: a})
+
     changed = [
         dataclasses.replace(sr, seed_counts=dataclasses.replace(
             counts, iterations=counts.iterations + 1)),
-        dataclasses.replace(sr, raw=sr.raw[:-1]),
-        dataclasses.replace(sr, raw=[dataclasses.replace(
-            sr.raw[0], position=np.nextafter(sr.raw[0].position, np.inf)), *sr.raw[1:]]),
-        dataclasses.replace(sr, raw=[dataclasses.replace(sr.raw[0], patch=(0, 0)),
-                                     *sr.raw[1:]]),
-        dataclasses.replace(sr, raw=[dataclasses.replace(sr.raw[0], seed_index=99),
-                                     *sr.raw[1:]]),
+        dataclasses.replace(sr, raw=sr.raw[:-1], raw_patch=sr.raw_patch[:-1],
+                            raw_seed=sr.raw_seed[:-1]),
+        with_first_row("raw", np.nextafter(sr.raw[0], np.inf)),
+        with_first_row("raw_patch", (0, 0)),
+        with_first_row("raw_seed", 99),
     ]
     assert all(report_digests.sweep_digest(c) != digest for c in changed)

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
-                      PatchMatrix, RawStationaryPoint, StationaryPoint,
-                      TestFunction, diag_step, reduce_points, sample, sweep_full)
+                      PatchMatrix, StationaryPoint, TestFunction, diag_step, reduce_points,
+                      sample, sweep_full)
 from gridstat import patch, stationary
 from gridstat.patch import _OFFS, DIAG, _grad_jac, _grad_jac_rows, _gradient_sums, _node_major
 from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
@@ -99,28 +99,38 @@ def test_find_bump_maximum():
     for kind, sr in sweep_each_kernel(lambda x, y: np.exp(-(x * x + y * y)),
                                       origin=(-1.5, -1.5)).items():
         assert len(sr.raw) == 1, kind
-        assert np.linalg.norm(sr.raw[0].position) <= 1e-6 * math.sqrt(2), kind
+        assert np.linalg.norm(sr.raw[0]) <= 1e-6 * math.sqrt(2), kind
+
+
+def assert_no_raw(sr):
+    """A sweep without roots still gives its raw points as arrays of the
+    usual dtypes: (0, 2) float positions, (0, 2) int patches, (0,) int
+    seed slots."""
+    assert (sr.raw.shape, sr.raw.dtype) == ((0, 2), np.float64)
+    assert (sr.raw_patch.shape, sr.raw_patch.dtype.kind) == ((0, 2), "i")
+    assert (sr.raw_seed.shape, sr.raw_seed.dtype.kind) == ((0,), "i")
 
 
 def test_monotone_field_has_no_roots():
     # the gradient is near (1, 0) everywhere: the patch is certified root-free
     for kind, sr in sweep_each_kernel(lambda x, y: x).items():
-        assert sr.raw == [], kind
+        assert_no_raw(sr)
+        assert (sr.flat_patches.shape, sr.flat_patches.dtype.kind) == ((0, 2), "i"), kind
         assert sr.seed_counts.excluded == 1, kind
         assert sr.seed_counts.launched == 0, kind
 
 
 def test_flat_patch_skipped():
     for kind, sr in sweep_each_kernel(lambda x, y: 3.0).items():
-        assert sr.raw == [], kind
-        assert sr.flat_patches == [(1, 1)], kind
+        assert_no_raw(sr)
+        assert sr.flat_patches.dtype.kind == "i", kind
+        assert sr.flat_patches.tolist() == [[1, 1]], kind
         assert sr.seed_counts == SeedCounts(), kind
 
 
-def to_patch_frame(g, raw_point):
-    """A raw point's position mapped back into its patch's frame."""
-    i, j = raw_point.patch
-    return (raw_point.position - g.origin) / [g.dx, g.dy] - [j - 1, i - 1]
+def to_patch_frame(g, position, i, j):
+    """A raw point's position mapped back into the frame of its patch (i, j)."""
+    return (position - g.origin) / [g.dx, g.dy] - [j - 1, i - 1]
 
 
 @pytest.mark.parametrize("grid", ["f2-20x20", "skewed"])
@@ -129,12 +139,12 @@ def test_roots_respect_gradient_tolerance_and_domain(grid):
     sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
     # in the patch frame, up to the rounding of the map to the grid and back
     tol_g = _GRAD_TOL_REL * g.field_range / DIAG * (1 + 1e-6)
-    assert sr.raw, "expected stationary points on the F2 sample"
-    for r in sr.raw:
-        lo, hi = domain_bounds(g, *r.patch)
-        xi = to_patch_frame(g, r)
+    assert len(sr.raw), "expected stationary points on the F2 sample"
+    for x, (i, j) in zip(sr.raw, sr.raw_patch.tolist()):
+        lo, hi = domain_bounds(g, i, j)
+        xi = to_patch_frame(g, x, i, j)
         assert np.all((lo - 1e-12 <= xi) & (xi <= hi + 1e-12))
-        interp = sr.interpolant(*r.patch)
+        interp = sr.interpolant(i, j)
         assert np.linalg.norm(interp.gradient(xi)) <= tol_g
 
 
@@ -219,6 +229,13 @@ def narrow_grid(nx, ny):
     return f2_window(nx, ny, *((0, 5) if nx == 4 else (5, 0)))
 
 
+def assert_same_raw(got, want):
+    """Two sweeps gave the same raw points, bit for bit and in one order:
+    their positions, patches and seed slots."""
+    for name in ("raw", "raw_patch", "raw_seed"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
 def check_block_invariance(g, block, threads, monkeypatch):
     """sweep_full in blocks of `block` patches on `threads` threads gives the
     raw points, bit for bit, and the seed counts of one block on one thread."""
@@ -227,11 +244,8 @@ def check_block_invariance(g, block, threads, monkeypatch):
     ref = sweep_full(g, k, threads=1)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
     got = sweep_full(g, k, threads=threads)
-    assert ref.raw
-    assert len(got.raw) == len(ref.raw)
-    for a, b in zip(got.raw, ref.raw):
-        np.testing.assert_array_equal(a.position, b.position)
-        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
+    assert len(ref.raw)
+    assert_same_raw(got, ref)
     assert got.seed_counts == ref.seed_counts
     assert got.seed_counts.iterations == ref.seed_counts.iterations > 0
     return ref
@@ -252,14 +266,11 @@ def test_sweep_equals_per_patch_search(grid, seeds, threads, monkeypatch):
 def test_sweep_ordered_and_thread_invariant():
     g = sample(TestFunction.F2, 20, 20)
     k = default_kernel(KernelKind.GAUSSIAN)
-    raw1 = sweep_full(g, k, threads=1).raw
-    raw4 = sweep_full(g, k, threads=4).raw
-    keys = [(r.patch, r.seed_index) for r in raw1]
+    sr1 = sweep_full(g, k, threads=1)
+    sr4 = sweep_full(g, k, threads=4)
+    keys = list(zip(map(tuple, sr1.raw_patch.tolist()), sr1.raw_seed.tolist()))
     assert keys == sorted(keys)
-    assert len(raw1) == len(raw4)
-    for a, b in zip(raw1, raw4):
-        np.testing.assert_array_equal(a.position, b.position)
-        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
+    assert_same_raw(sr4, sr1)
 
 
 def test_sweep_matches_dense_multistart_oracle():
@@ -268,7 +279,7 @@ def test_sweep_matches_dense_multistart_oracle():
     g = sample(tf, 20, 20)
     d = diag_step(g)
     sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
-    reduced = reduce_points(sr.raw, sr)
+    reduced = reduce_points(sr.raw, sr.raw_patch, sr)
     got = np.array([p.position for p in reduced])
 
     rng = np.random.default_rng(22)
@@ -1063,13 +1074,6 @@ def test_results_do_not_depend_on_the_slices(kind, monkeypatch):
         assert counts == want_counts
 
 
-def assert_same_raw(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.position, b.position)
-        assert (a.patch, a.seed_index) == (b.patch, b.seed_index)
-
-
 @pytest.mark.parametrize("grid", [*(f.name for f in TestFunction), "skewed"])
 def test_certification_leaves_the_raw_points_unchanged(grid, monkeypatch):
     # searching every patch, as when nothing is certified, gives the same
@@ -1085,14 +1089,14 @@ def test_certification_leaves_the_raw_points_unchanged(grid, monkeypatch):
             m.setattr(stationary, "_certify", lambda code, *rest: np.zeros(len(code), dtype=bool))
             every = sweep_full(g, k)
         assert every.seed_counts.excluded == 0
-        assert_same_raw(sr.raw, every.raw)
+        assert_same_raw(sr, every)
 
 
 # --- reduction ----------------------------------------------------------------
 
 def raw(*positions):
-    return [RawStationaryPoint(position=np.array(p, float), patch=(1, 1),
-                               seed_index=i) for i, p in enumerate(positions)]
+    """The positions (n, 2) and patches (n, 2) of raw points, all in patch (1, 1)."""
+    return np.array(positions, float).reshape(-1, 2), np.ones((len(positions), 2), dtype=int)
 
 
 # the merge radius is the grid's diagonal step: sqrt(2) on a unit grid, and
@@ -1108,14 +1112,14 @@ def sweep_d15():
 
 
 def test_reduce_merges_close_pair():
-    out = reduce_points(raw((0, 0), (0.5, 0)), unit_sweep())
+    out = reduce_points(*raw((0, 0), (0.5, 0)), unit_sweep())
     assert len(out) == 1
     np.testing.assert_allclose(out[0].position, [0.25, 0.0])
     assert out[0].members_merged == 2
 
 
 def test_reduce_keeps_distant_points():
-    out = reduce_points(raw((0, 0), (10, 0)), unit_sweep())
+    out = reduce_points(*raw((0, 0), (10, 0)), unit_sweep())
     assert len(out) == 2
     np.testing.assert_allclose(out[0].position, [0, 0])
     np.testing.assert_allclose(out[1].position, [10, 0])
@@ -1123,7 +1127,7 @@ def test_reduce_keeps_distant_points():
 
 def test_reduce_anchor_semantics():
     # (2,0) stays separate: gathering is anchored at the first point only
-    out = reduce_points(raw((0, 0), (1, 0), (2, 0)), sweep_d15())
+    out = reduce_points(*raw((0, 0), (1, 0), (2, 0)), sweep_d15())
     assert len(out) == 2
     np.testing.assert_allclose(out[0].position, [0.5, 0.0])
     np.testing.assert_allclose(out[1].position, [2.0, 0.0])
@@ -1133,13 +1137,13 @@ def test_reduce_anchor_semantics():
 def test_reduce_deterministic_and_idempotent():
     sr = sweep_d15()
     pts = raw((0, 0), (1, 0), (2.6, 0), (5, 5))
-    once = reduce_points(pts, sr)
-    again = reduce_points(pts, sr)
+    once = reduce_points(*pts, sr)
+    again = reduce_points(*pts, sr)
     for a, b in zip(once, again):
         np.testing.assert_array_equal(a.position, b.position)
     # all pairwise distances now exceed d: reducing again changes nothing
     as_raw = raw(*[tuple(p.position) for p in once])
-    twice = reduce_points(as_raw, sr)
+    twice = reduce_points(*as_raw, sr)
     assert len(twice) == len(once)
     for a, b in zip(once, twice):
         np.testing.assert_allclose(a.position, b.position)
@@ -1147,22 +1151,21 @@ def test_reduce_deterministic_and_idempotent():
 
 def test_reduce_evaluates_on_first_members_patch():
     sr = patch_sweep(lambda x, y: 1.0 - 0.1 * (x * x + y * y), origin=(-1.5, -1.5))
-    pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
-    out = reduce_points(pts, sr)
+    out = reduce_points(*raw((0, 0)), sr)
     assert out[0].value == pytest.approx(1.0, abs=0.05)
     assert out[0].classification is Classification.MAXIMUM
 
 
 def test_reduce_terminates_on_non_finite_position():
     # a NaN anchor is within d of nothing, itself included; it still leaves
-    out = reduce_points(raw((math.nan, 0.0), (0.0, 0.0)), unit_sweep())
+    out = reduce_points(*raw((math.nan, 0.0), (0.0, 0.0)), unit_sweep())
     assert [p.members_merged for p in out] == [1, 1]
     np.testing.assert_array_equal(out[1].position, [0.0, 0.0])
     assert math.isnan(out[0].value)
 
 
 def test_reduce_of_no_points_is_empty():
-    assert reduce_points([], unit_sweep()) == []
+    assert reduce_points(*raw(), unit_sweep()) == []
 
 
 @pytest.mark.parametrize("dx, dy", [(1.0, 1.0), (0.1, 2.0), (3.0, 0.01)])
@@ -1177,21 +1180,19 @@ def test_classification_kinds(dx, dy):
     }
     for expected, f in cases.items():
         sr = patch_sweep(f, dx=dx, dy=dy, origin=origin)
-        pts = [RawStationaryPoint(position=np.zeros(2), patch=(1, 1), seed_index=0)]
-        assert reduce_points(pts, sr)[0].classification is expected
+        assert reduce_points(*raw((0, 0)), sr)[0].classification is expected
 
 
-def reduce_reference(raw_points, d):
-    """The list-based anchored reduction: (centroid, members) per cluster."""
-    remaining = list(raw_points)
+def reduce_reference(positions, d):
+    """The list-based anchored reduction of the points at positions (n, 2):
+    (centroid, members) per cluster."""
+    remaining = list(range(len(positions)))
     out = []
     while remaining:
-        ap = np.asarray(remaining[0].position, float)
-        cluster = [r for r in remaining
-                   if np.hypot(*(np.asarray(r.position, float) - ap)) <= d]
+        ap = positions[remaining[0]]
+        cluster = [r for r in remaining if np.hypot(*(positions[r] - ap)) <= d]
         remaining = [r for r in remaining if r not in cluster]
-        out.append((np.mean([np.asarray(r.position, float) for r in cluster], axis=0),
-                    len(cluster)))
+        out.append((np.mean([positions[r] for r in cluster], axis=0), len(cluster)))
     return out
 
 
@@ -1204,32 +1205,30 @@ def reduce_reference(raw_points, d):
 def test_reduce_matches_list_reference(coords, d):
     sr = patch_sweep(dx=d / math.sqrt(2), dy=d / math.sqrt(2))
     pts = raw(*coords)
-    got = reduce_points(pts, sr)
-    want = reduce_reference(pts, diag_step(sr.grid))
+    got = reduce_points(*pts, sr)
+    want = reduce_reference(pts[0], diag_step(sr.grid))
     assert len(got) == len(want)
     for p, (centroid, members) in zip(got, want):
         np.testing.assert_array_equal(p.position, centroid)
         assert p.members_merged == members
 
 
-def reduce_points_reference(raw_points, sweep):
+def reduce_points_reference(pos, patch, sweep):
     """``reduce_points`` as the per-cluster loop it was first written as: one
     interpolant, value, Jacobian and eigvalsh per cluster."""
     g = sweep.grid
     d = diag_step(g)
     spacing = np.array([g.dx, g.dy])
-    pos = np.array([np.asarray(r.position, float) for r in raw_points]).reshape(-1, 2)
-    remaining = np.arange(len(raw_points))
+    remaining = np.arange(len(pos))
     out = []
     while remaining.size:
-        anchor = raw_points[remaining[0]]
+        i, j = patch[remaining[0]]
         diff = pos[remaining] - pos[remaining[0]]
         near = np.hypot(diff[:, 0], diff[:, 1]) <= d
         near[0] = True
         cluster = remaining[near]
         remaining = remaining[~near]
         centroid = pos[cluster].mean(axis=0)
-        i, j = anchor.patch
         interp = sweep.interpolant(i, j)
         xi = (centroid - g.origin) / spacing - [j - 1, i - 1]
         value = float(interp(xi))
@@ -1263,8 +1262,8 @@ def test_reduce_matches_the_per_cluster_loop(grid, kind):
         fn, n = grid.split("-")
         g = sample(TestFunction[fn], int(n), int(n))
     sr = sweep_full(g, default_kernel(kind))
-    got = reduce_points(sr.raw, sr)
-    want = reduce_points_reference(sr.raw, sr)
+    got = reduce_points(sr.raw, sr.raw_patch, sr)
+    want = reduce_points_reference(sr.raw, sr.raw_patch, sr)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.position, b.position)
