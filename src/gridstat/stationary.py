@@ -647,8 +647,8 @@ def classify(lam: np.ndarray, scale: float) -> list[Classification]:
 
 def reduce_points(raw: np.ndarray, patch: np.ndarray,
                   sweep: SweepResult) -> list[StationaryPoint]:
-    """Anchored centroid reduction of raw points on the grid, raw (n, 2) in
-    patches (i, j) patch (n, 2) as in ``SweepResult``: repeatedly take the
+    """Anchored centroid reduction of the raw points raw (n, 2) in the
+    patches patch (n, 2), as ``SweepResult`` holds them: repeatedly take the
     first remaining point, merge everything within the grid's diagonal step
     d of *it* (anchor semantics), and emit the centroid.  A point with a
     non-finite coordinate is within d of nothing and leaves alone.
