@@ -48,12 +48,11 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
     alpha d / DIAG, which is alpha dx on a square grid.  By default it gets
     the default for that diagonal, one value per kernel kind on every grid.
     """
+    _check_alpha(alpha)
     d = diag_step(g)
     alpha_default = shape_parameter(kind, d)
     if alpha is None:
         kernel = Kernel(kind, shape_parameter(kind, DIAG))
-    elif not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     else:
         try:
             kernel = Kernel(kind, alpha * d / DIAG)
@@ -93,6 +92,12 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
         "timings_ms": ({"sweep": (t1 - t0) * 1e3, "reduce": (t2 - t1) * 1e3,
                         "cluster": (t3 - t2) * 1e3} if timings else {}),
     }
+
+
+def _check_alpha(alpha: float | None) -> None:
+    """Reject a shape parameter that is given but not positive and finite."""
+    if alpha is not None and not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _input_desc(g: GridField, source: str) -> dict:
@@ -140,11 +145,12 @@ def _check_output(path: str | None) -> None:
 
 
 def cmd_find(args) -> int:
+    if args.threads < 0:
+        raise InputError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
+    _check_alpha(args.alpha)
     _check_output(args.json)
     g, source = _load_field(args)
     kind = _KERNELS[args.kernel]
-    if args.threads < 0:
-        raise InputError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     report = run_pipeline(g, kind, alpha=args.alpha, threads=threads,
                           input_desc=_input_desc(g, source),

@@ -50,6 +50,11 @@ class GridField:
                                  f"increasing: origin {o}, spacing {d}, {n} nodes")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
+        # Python floats overflow to inf without numpy's warning
+        vmax, vmin = float(v.max()), float(v.min())
+        if not math.isfinite(vmax - vmin):
+            raise ValueError(f"field range max - min overflows float64: max {vmax!r}, "
+                             f"min {vmin!r}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -36,7 +36,8 @@ and ``reduce_points`` (through ``PatchInterpolant``) take every gradient
 and Hessian from ``_grad_jac``; the certifier sums the same terms with the
 same routine, ``_gradient_sums``, per domain code from a table built once
 per sweep at its two coarsest levels and gathered per sub-box at the
-deeper ones.
+deeper ones, and reads its gradient modulus G^, one value per domain code
+and level, from a second table built with the first.
 
 The engine and the certifier gather with ``take`` and ``compress``, never
 with fancy or boolean indexing, and repeat with an integer division or a
@@ -369,82 +370,80 @@ def _gradient_rounding(weights, kernel):
 
 def _sub_box_terms(code, cell, level, kernel):
     """The offsets ox, oy of the centers x0 of sub-boxes to the nodes and
-    psi there, all (16, n), and G^ (2, n) at their half-diagonals r and at
-    the finest level's.
+    psi there, all (16, n).
 
     Sub-box s is cell cell[s] = iy side + ix, the cell (ix, iy) of the
-    side x side split of the search domain code[s], side = 2^level.  Every
-    bound and width of a domain is a multiple of 1/2 and every side a power
-    of two, so its corners are exact.
+    side x side split of the search domain code[s], [lo, hi], side = 2^level,
+    and x0 = lo + (hi - lo) (ix + 1/2, iy + 1/2) / side is exact: every bound
+    and width of a domain is a multiple of 1/2 and every side a power of two.
     """
     side = 2 ** level
     cells = np.stack(np.divmod(cell, side)[::-1], axis=-1)  # (ix, iy)
     box = _DOMAINS.take(code, axis=0)
-    blo, bhi = box[:, 0], box[:, 1]
-    a = blo + (bhi - blo) * (cells / side)
-    b = blo + (bhi - blo) * ((cells + 1) / side)
-    x0 = (a + b) * 0.5
-    half = np.maximum(x0 - a, b - x0)
-    r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _MARGIN)
+    x0 = box[:, 0] + (box[:, 1] - box[:, 0]) * ((cells + 0.5) / side)
     ox, oy, dist = _offsets(x0[:, 0], x0[:, 1])
-    finest = 2.0 ** (level - _CERTIFY_DEPTH)
-    return ox, oy, kernel.psi(dist), _gradient_modulus(kernel, np.stack([r, r * finest]))
+    return ox, oy, kernel.psi(dist)
 
 
 def _level_tables(kernel):
-    """The ``_sub_box_terms`` of every cell of all 16 domain codes at each
-    of the levels 1 to _DENSE_LEVELS, built once per sweep (320 sub-boxes):
-    the sub-box of code c and cell j is column c side^2 + j, the key
-    ``_gathered`` gives it."""
+    """The tables ``_certify`` reads, built once per sweep: the
+    ``_sub_box_terms`` of every cell of the 16 domain codes at levels 1 to
+    _DENSE_LEVELS (320 sub-boxes, code c and cell j in column c side^2 + j,
+    the key ``_gathered`` gives it), and G^ (_CERTIFY_DEPTH, 2, 16).  A
+    code's sub-boxes at a level are one exact box with half-widths
+    (hi - lo) / 2^(level + 1), so G^[level - 1, :, c] is the modulus at its
+    half-diagonal r and at the finest level's, r 2^(level - _CERTIFY_DEPTH)."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
         ncell = 4 ** level
         key = np.arange(16 * ncell)
         tables.append(_sub_box_terms(key // ncell, key % ncell, level, kernel))
-    return tables
+    level = np.arange(1, _CERTIFY_DEPTH + 1)[:, None]
+    half = (_DOMAINS[:, 1] - _DOMAINS[:, 0]) / 2.0 ** (level[..., None] + 1)  # (depth, 16, 2)
+    r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + _MARGIN)
+    finest = 2.0 ** (level - _CERTIFY_DEPTH)
+    return tables, _gradient_modulus(kernel, np.stack([r, r * finest], axis=1))
 
 
 def _tabled(code, weights, table):
-    """gx, gy (cells, P) and G^ (2, cells, P) of every cell of a level of P
-    patches, from its ``_level_tables`` entry; code (P,) is sorted.
+    """gx, gy (cells, P) of every cell of a level of P patches, from its
+    ``_level_tables`` entry; code (P,) is sorted.
 
     The patches of one domain code share every sub-box of the level, so the
     gradients of all cells of a code's patches come from the code's
     (16, cells) columns of the table at once: with their weights w (16, P),
     ``_gradient_sums`` of the (16, cells, P) products w psi ox and w psi oy,
     in pieces of at most _PIECE sub-boxes (or one patch's cells, if there
-    are more).  Each code's G^ is its columns of the table.
+    are more).
     """
-    ox, oy, psi, modulus = table
+    ox, oy, psi = table
     ncell = ox.shape[1] // 16
     w = weights.T[:, None, :]
     bounds = np.searchsorted(code, np.arange(17))
     gx, gy = np.empty((ncell, len(code))), np.empty((ncell, len(code)))
-    ghat = np.empty((2, ncell, len(code)))
     step = max(1, _PIECE // ncell)  # patches per piece
     for c in range(16):
         keys = slice(c * ncell, (c + 1) * ncell)
         ox_c, oy_c, psi_c = ox[:, keys, None], oy[:, keys, None], psi[:, keys, None]
-        ghat[:, :, bounds[c]:bounds[c + 1]] = modulus[:, keys, None]
         for p0 in range(bounds[c], bounds[c + 1], step):
             p1 = min(p0 + step, bounds[c + 1])
             cpsi = w[:, :, p0:p1] * psi_c
             _gradient_sums(cpsi * ox_c, out=gx[:, p0:p1])
             _gradient_sums(np.multiply(cpsi, oy_c, out=cpsi), out=gy[:, p0:p1])
-    return gx, gy, ghat
+    return gx, gy
 
 
 def _gathered(k, cell, level, code, weights, kernel):
-    """gx, gy (n,) and G^ (2, n) of sub-boxes (patch k, cell cell) at a
-    level, with one kernel evaluation per distinct (code, cell) key and
-    each sub-box's terms gathered from the columns of its key."""
+    """gx, gy (n,) of sub-boxes (patch k, cell cell) at a level, with one
+    kernel evaluation per distinct (code, cell) key and each sub-box's terms
+    gathered from the columns of its key."""
     ncell = 4 ** level
     key, inv = np.unique(code.take(k) * ncell + cell, return_inverse=True)
-    ox, oy, psi, modulus = _sub_box_terms(key // ncell, key % ncell, level, kernel)
+    ox, oy, psi = _sub_box_terms(key // ncell, key % ncell, level, kernel)
     cpsi = np.multiply(weights.take(k, axis=0).T, psi.take(inv, axis=1), order="C")
     gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
     gy = _gradient_sums(np.multiply(cpsi, oy.take(inv, axis=1), out=cpsi))
-    return gx, gy, modulus.take(inv, axis=1)
+    return gx, gy
 
 
 def _certify(code, weights, entries, tables, kernel):
@@ -481,34 +480,35 @@ def _certify(code, weights, entries, tables, kernel):
     at the deeper levels, where few are left, the pending cells go in
     chunks of 9 * _BLOCK_PATCHES, a block's seed lattice, through one
     kernel evaluation per distinct sub-box (``_gathered``).  Both sum with
-    ``_gradient_sums``, as ``_grad_jac`` does for that sub-box, so every
-    gradient, and every decision, is the one a per-sub-box evaluation gives.
+    ``_gradient_sums`` as ``_grad_jac`` does and bound with the same N G^,
+    so every gradient and decision is the one a per-sub-box evaluation gives.
     """
+    dense, ghat = tables
     tol_g = _GRAD_TOL_REL / DIAG
-    norm = _native_norm(weights, entries, kernel.alpha)
+    bound = _native_norm(weights, entries, kernel.alpha) * ghat.take(code, axis=2)
     eps = _gradient_rounding(weights, kernel)
 
-    def fails(gx, gy, modulus, k):
+    def fails(gx, gy, k, level):
         # sub-boxes of patches k that fail with G^ at this level's and the finest's r
-        e, n = eps.take(k), norm.take(k)
+        e, b = eps.take(k), bound[level - 1].take(k, axis=1)
         slack = np.sqrt(gx * gx + gy * gy) - e - tol_g - e
-        return ~(slack > n * modulus[0]), ~(slack > n * modulus[1])
+        return ~(slack > b[0]), ~(slack > b[1])
 
     failed = np.zeros(len(code), dtype=bool)
     live = np.argsort(code, kind="stable")
     pending = np.ones((4, live.size), dtype=bool)  # cell iy side + ix of each live patch
     chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
-        if level <= len(tables):
-            terms = _tabled(code.take(live), weights.take(live, axis=0), tables[level - 1])
-            split, stop = (f & pending for f in fails(*terms, live))
+        if level <= len(dense):
+            terms = _tabled(code.take(live), weights.take(live, axis=0), dense[level - 1])
+            split, stop = (f & pending for f in fails(*terms, live, level))
         else:
             split, stop = np.zeros_like(pending), np.zeros_like(pending)
             pairs = np.flatnonzero(pending)
             for pc in np.split(pairs, range(chunk, pairs.size, chunk)):
                 cell, col = np.divmod(pc, live.size)
                 k = live.take(col)
-                s, t = fails(*_gathered(k, cell, level, code, weights, kernel), k)
+                s, t = fails(*_gathered(k, cell, level, code, weights, kernel), k, level)
                 split.put(pc.compress(s), True)
                 stop.put(pc.compress(t), True)
         # at the finest level every failed sub-box has failed its patch
@@ -561,7 +561,9 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     """All raw stationary points of the grid, ordered by (i, j, seed), with
     the per-patch interpolation data.  The kernel's shape parameter is per
     grid-index unit (``run_pipeline`` converts a physical one); the raw
-    points are on the grid, in its physical units."""
+    points are on the grid, in its physical units.  Raises ValueError when
+    the float64 weights or constant of an active patch are not finite: the
+    extended-precision solve overflowed when rounded to float64."""
     npi, npj = g.ny - 3, g.nx - 3
     npatch = npi * npj
     field_range = g.field_range
@@ -585,7 +587,10 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     def solve(b0: int):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
-        weights[blk], constants[blk] = matrix.solve(h[blk])
+        c, b = matrix.solve(h[blk])
+        # a weight beyond float64 becomes inf here and is rejected below
+        with np.errstate(over="ignore"):
+            weights[blk], constants[blk] = c, b
 
     def certify(block: np.ndarray):
         return _certify(code[block], weights[block] / field_range, matrix.entries, tables,
@@ -607,6 +612,12 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         each = map if nthreads == 1 else pool.map
         list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
+        finite = np.isfinite(weights).all(axis=1) & np.isfinite(constants)
+        overflow = np.flatnonzero(active & ~finite)
+        if overflow.size:
+            i, j = patches[overflow[0]]
+            raise ValueError(f"the interpolation weights of {overflow.size} patches, the "
+                             f"first ({i},{j}), overflow float64; scale the field down")
         root_free = np.concatenate([np.zeros(0, dtype=bool), *each(certify, blocks(act))])
         parts = list(each(search, blocks(act[~root_free])))
     # a first part without roots counts the certified patches and shapes an empty sweep

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridstat import TestFunction, cli, load_csv
+from gridstat import KernelKind, TestFunction, cli, load_csv, run_pipeline, sample
 from gridstat.cli import main
 
 
@@ -134,7 +134,7 @@ def test_directory_path_exits_2(argv, tmp_path, capsys):
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("ran before the output path was checked")
+    raise AssertionError("ran before the arguments were checked")
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,28 +209,48 @@ def test_find_function_and_csv_together_exits_2(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_find_negative_threads_exits_2(tmp_path, capsys):
+# a bad --threads or --alpha is rejected before the field is sampled or read
+FIELD_SOURCES = [["--fn", "f2", "--nx", "20", "--ny", "20"], ["--in", "g.csv"]]
+
+
+@pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
+def test_find_negative_threads_exits_2(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sample", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
     rep = tmp_path / "r.json"
-    assert run(["find", "--fn", "f2", "--nx", "6", "--ny", "6",
-                "--threads", "-3", "--json", rep]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert run(["find", *source, "--threads", "-3", "--json", rep]) == 2
+    assert capsys.readouterr().err == ("error: --threads must be 0 (all cores) or positive, "
+                                       "got -3\n")
     assert not rep.exists()
 
 
-def test_find_infinite_alpha_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
+def test_find_infinite_alpha_exits_2(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sample", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
     rep = tmp_path / "r.json"
-    assert run(["find", "--fn", "f2", "--nx", "20", "--ny", "20",
-                "--alpha", "inf", "--json", rep]) == 2
-    assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+    assert run(["find", *source, "--alpha", "inf", "--json", rep]) == 2
+    assert capsys.readouterr().err == "error: alpha must be positive and finite, got inf\n"
     assert not rep.exists()
 
 
-def test_find_negative_alpha_reports_the_value_passed(tmp_path, capsys):
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
+@pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
+def test_find_negative_alpha_reports_the_value_passed(source, alpha, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(cli, "sample", _must_not_run)
+    monkeypatch.setattr(cli, "load_csv", _must_not_run)
     rep = tmp_path / "r.json"
-    assert run(["find", "--fn", "f2", "--nx", "20", "--ny", "20",
-                "--alpha=-1", "--json", rep]) == 2
-    assert capsys.readouterr().err == "error: alpha must be positive and finite, got -1.0\n"
+    assert run(["find", *source, f"--alpha={alpha}", "--json", rep]) == 2
+    assert capsys.readouterr().err == (f"error: alpha must be positive and finite, "
+                                       f"got {float(alpha)}\n")
     assert not rep.exists()
+
+
+def test_run_pipeline_rejects_a_bad_alpha():
+    # library callers pass no command line: run_pipeline checks alpha itself
+    with pytest.raises(ValueError, match="alpha must be positive and finite, got 0.0"):
+        run_pipeline(sample(TestFunction.F2, 8, 8), KernelKind.GAUSSIAN, alpha=0.0)
 
 
 @pytest.mark.parametrize("alpha", ["1e80", "1e300"])
@@ -243,6 +263,50 @@ def test_find_overflowing_alpha_exits_2(alpha, tmp_path, capsys):
                     "--alpha", alpha, "--json", rep]) == 2
     assert capsys.readouterr().err.startswith(f"error: alpha={float(alpha)} is out of range")
     assert not rep.exists()
+
+
+def write_scaled_f2(path, e):
+    """f2 sampled at 60x60 times 10^e, as a grid CSV written without
+    GridField, which rejects a field whose range overflows."""
+    g = sample(TestFunction.F2, 60, 60)
+    rows = (g.grid2d() * 10.0 ** e).tolist()
+    head = [g.nx, g.ny, g.dx, g.dy, *g.origin]
+    path.write_text("\n".join(",".join(map(repr, row)) for row in [head, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("e, kernel, want", [
+    (304, "gaussian", 24),
+    # Wendland's weights of f2 are finite where the Gaussian's overflow
+    (307, "wendland", 24),
+    (306, "gaussian", "error: the interpolation weights of "),
+    (308, "gaussian", "error: field range max - min overflows float64"),
+], ids=["1e304-gaussian", "1e307-wendland", "1e306-gaussian", "1e308-gaussian"])
+def test_find_rejects_a_field_too_large_for_float64(e, kernel, want, tmp_path, capsys):
+    # a field whose weights or range do not fit in float64 exits 2 with one
+    # error line and no numpy warning, rather than reporting too few points;
+    # want is the isolated point count or the error's start
+    csv, rep = tmp_path / "g.csv", tmp_path / "r.json"
+    write_scaled_f2(csv, e)
+    code = run(["find", "--in", csv, "--kernel", kernel, "--threads", "1", "--json", rep])
+    err = capsys.readouterr().err
+    if isinstance(want, str):
+        assert code == 2
+        assert err.startswith(want) and err.count("\n") == 1
+        assert not rep.exists()
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(rep.read_text())["summary"] == {
+            "isolated": want, "curves": 0, "curve_details": []}
+
+
+def test_plot_rejects_a_field_whose_range_overflows(tmp_path, capsys):
+    csv, rep, svg = tmp_path / "g.csv", tmp_path / "r.json", tmp_path / "out.svg"
+    write_scaled_f2(csv, 308)
+    assert run(["find", "--fn", "f2", "--nx", "60", "--ny", "60", "--threads", "1",
+                "--json", rep]) == 0
+    assert run(["plot", "--report", rep, "--in", csv, "-o", svg]) == 2
+    assert capsys.readouterr().err.startswith("error: field range max - min overflows")
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("header", ["6,6,0.1,0.1,inf,0.0", "6,6,0.1,0.1,1e400,0.0",

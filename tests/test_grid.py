@@ -54,6 +54,17 @@ def test_gridfield_rejects_nodes_that_are_not_distinct_finite_floats(change):
         GridField(**{**args, **change})
 
 
+def test_gridfield_rejects_a_range_that_overflows():
+    # max - min of finite values can overflow; a range that fits is accepted
+    values = np.zeros(16)
+    values[0], values[1] = 1e308, -1e308
+    with pytest.raises(ValueError, match="field range max - min overflows float64: "
+                                         "max 1e[+]308, min -1e[+]308"):
+        unit_grid(4, 4, values)
+    values[1] = -7e307
+    assert unit_grid(4, 4, values).field_range == 1.7e308
+
+
 def test_gridfield_accepts_nodes_one_ulp_apart():
     g = GridField(nx=4, ny=4, dx=2.0 ** -52, dy=1.0, origin=(1.0, 0.0), values=np.zeros(16))
     assert g.origin == (1.0, 0.0)

@@ -1010,15 +1010,14 @@ def test_certify_matches_the_per_sub_box_reference(grid, kind, scale, block, mon
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
     # every cell of levels 1 and 2 of every patch, on grids that hold all
-    # 16 domain codes: gx, gy equal _grad_jac at the cell's center and G^
-    # the modulus at its half-diagonal and at the finest level's; pieces of
-    # 16 sub-boxes split each code's patches into many pieces
+    # 16 domain codes: gx, gy equal _grad_jac at the cell's center; pieces
+    # of 16 sub-boxes split each code's patches into many pieces
     if piece is not None:
         monkeypatch.setattr(stationary, "_PIECE", piece)
     grids = [sample(TestFunction.F2, 24, 24), narrow_grid(4, 30), narrow_grid(30, 4),
              f2_window(4, 4, 1, 1)]
     k = default_kernel(kind)
-    tables = stationary._level_tables(k)
+    tables, _ = stationary._level_tables(k)
     codes = set()
     for g in grids:
         (code, weights, *_), _ = certifier_inputs(g, k)
@@ -1026,7 +1025,7 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
         order = np.argsort(code, kind="stable")
         for level, table in enumerate(tables, start=1):
             side = 2 ** level
-            gx, gy, modulus = stationary._tabled(code[order], weights[order], table)
+            gx, gy = stationary._tabled(code[order], weights[order], table)
             # cell iy side + ix of patch order[q] is entry (iy side + ix, q)
             iy, ix = np.divmod(np.arange(side * side), side)
             cells = np.stack([ix, iy], axis=-1)[:, None]
@@ -1038,12 +1037,33 @@ def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
             want_x, want_y, *_ = _grad_jac_rows(x0, weights[p], k)
             assert gx.tobytes() == want_x.tobytes()
             assert gy.tobytes() == want_y.tobytes()
-            half = np.maximum(x0 - a, b - x0)
-            r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + stationary._MARGIN)
-            finest = 2.0 ** (level - stationary._CERTIFY_DEPTH)
-            want = stationary._gradient_modulus(k, np.stack([r, r * finest]))
-            assert modulus.tobytes() == want.tobytes()
     assert codes == set(range(16))
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_modulus_table_keeps_the_bits_of_every_sub_box(kind, scale):
+    # every cell of every domain code at levels 1 to _CERTIFY_DEPTH: the
+    # table's G^ for the code and level is the modulus at the cell's own
+    # half-diagonal, from its corners, and at the finest level's
+    k = default_kernel(kind, scale)
+    _, ghat = stationary._level_tables(k)
+    depth = stationary._CERTIFY_DEPTH
+    assert ghat.shape == (depth, 2, 16)
+    lo, hi = _DOMAINS[:, 0], _DOMAINS[:, 1]
+    for level in range(1, depth + 1):
+        side = 2 ** level
+        iy, ix = np.divmod(np.arange(side * side), side)
+        cells = np.stack([ix, iy], axis=-1)[:, None]
+        a = lo + (hi - lo) * (cells / side)
+        b = lo + (hi - lo) * ((cells + 1) / side)
+        x0 = (a + b) * 0.5
+        half = np.maximum(x0 - a, b - x0)
+        r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + stationary._MARGIN)
+        finest = 2.0 ** (level - depth)
+        want = stationary._gradient_modulus(k, np.stack([r, r * finest]))  # (2, cells, 16)
+        got = np.broadcast_to(ghat[level - 1, :, None, :], want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
