@@ -398,10 +398,10 @@ def _level_tables(kernel):
         ncell = 4 ** level
         key = np.arange(16 * ncell)
         tables.append(_sub_box_terms(key // ncell, key % ncell, level, kernel))
-    level = np.arange(1, _CERTIFY_DEPTH + 1)[:, None]
-    half = (_DOMAINS[:, 1] - _DOMAINS[:, 0]) / 2.0 ** (level[..., None] + 1)  # (depth, 16, 2)
+    levels = np.arange(1, _CERTIFY_DEPTH + 1)[:, None]
+    half = (_DOMAINS[:, 1] - _DOMAINS[:, 0]) / 2.0 ** (levels[..., None] + 1)  # (depth, 16, 2)
     r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + _MARGIN)
-    finest = 2.0 ** (level - _CERTIFY_DEPTH)
+    finest = 2.0 ** (levels - _CERTIFY_DEPTH)
     return tables, _gradient_modulus(kernel, np.stack([r, r * finest], axis=1))
 
 

@@ -213,10 +213,14 @@ def test_find_function_and_csv_together_exits_2(tmp_path, capsys):
 FIELD_SOURCES = [["--fn", "f2", "--nx", "20", "--ny", "20"], ["--in", "g.csv"]]
 
 
-@pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
-def test_find_negative_threads_exits_2(source, tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def no_field(monkeypatch):
     monkeypatch.setattr(cli, "sample", _must_not_run)
     monkeypatch.setattr(cli, "load_csv", _must_not_run)
+
+
+@pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
+def test_find_negative_threads_exits_2(source, no_field, tmp_path, capsys):
     rep = tmp_path / "r.json"
     assert run(["find", *source, "--threads", "-3", "--json", rep]) == 2
     assert capsys.readouterr().err == ("error: --threads must be 0 (all cores) or positive, "
@@ -225,9 +229,7 @@ def test_find_negative_threads_exits_2(source, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
-def test_find_infinite_alpha_exits_2(source, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "sample", _must_not_run)
-    monkeypatch.setattr(cli, "load_csv", _must_not_run)
+def test_find_infinite_alpha_exits_2(source, no_field, tmp_path, capsys):
     rep = tmp_path / "r.json"
     assert run(["find", *source, "--alpha", "inf", "--json", rep]) == 2
     assert capsys.readouterr().err == "error: alpha must be positive and finite, got inf\n"
@@ -236,10 +238,8 @@ def test_find_infinite_alpha_exits_2(source, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
 @pytest.mark.parametrize("source", FIELD_SOURCES, ids=["fn", "in"])
-def test_find_negative_alpha_reports_the_value_passed(source, alpha, tmp_path, monkeypatch,
+def test_find_negative_alpha_reports_the_value_passed(source, alpha, no_field, tmp_path,
                                                       capsys):
-    monkeypatch.setattr(cli, "sample", _must_not_run)
-    monkeypatch.setattr(cli, "load_csv", _must_not_run)
     rep = tmp_path / "r.json"
     assert run(["find", *source, f"--alpha={alpha}", "--json", rep]) == 2
     assert capsys.readouterr().err == (f"error: alpha must be positive and finite, "
