@@ -573,6 +573,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
     weights, constants = np.empty((npatch, 16)), np.empty(npatch)
+    finite = np.empty(npatch, dtype=bool)
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
     patches = np.column_stack([ii + 1, jj + 1])
@@ -591,6 +592,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         # a weight beyond float64 becomes inf here and is rejected below
         with np.errstate(over="ignore"):
             weights[blk], constants[blk] = c, b
+        finite[blk] = np.isfinite(weights[blk]).all(axis=1) & np.isfinite(constants[blk])
 
     def certify(block: np.ndarray):
         return _certify(code[block], weights[block] / field_range, matrix.entries, tables,
@@ -612,7 +614,6 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         each = map if nthreads == 1 else pool.map
         list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
-        finite = np.isfinite(weights).all(axis=1) & np.isfinite(constants)
         overflow = np.flatnonzero(active & ~finite)
         if overflow.size:
             i, j = patches[overflow[0]]
