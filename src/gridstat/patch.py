@@ -17,17 +17,15 @@ integer points (col, row) of [0, 3]^2, a constant of this module that
 ``_offsets``, ``_grad_jac`` (the one routine for gradients and Hessians)
 and ``PatchInterpolant`` build on, and the kernel's shape parameter is per
 index unit.  The 17x17 saddle-point matrix ``[A 1; 1^T 0]`` then depends
-only on the kernel, so it is built and factorized once per run and reused
-for every patch; at a kernel kind's default shape parameter it is one
-matrix per kind.  The factorization is an in-house LU with partial
-pivoting carried out in extended precision: at the default shape parameters
-the Gaussian matrix has condition number ~6e9, and the float64 weights
-``sweep_full`` stores are the long-double solution rounded once rather
-than the result of a float64 elimination.  The residual contract of
-``PatchMatrix.solve`` (||A c + b - h||_inf and |sum c| at most
-1e-8 max(1, ||h||_inf)) holds for its long-double output, not for those
-float64 weights: on random right-hand sides with the Gaussian kernel the
-solve's residual is ~3e-11, the rounded weights' ~5e-8.
+only on the kernel, so it is built once per run and shared by every
+patch; at a kernel kind's default shape parameter it is one matrix per
+kind.  ``PatchMatrix.solve`` hands a whole block of patches to one
+float64 LAPACK ``gesv``, an LU with partial pivoting, which is backward
+stable whatever the condition number (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, ch. 9): the Gaussian matrix at the default
+shape parameter has condition number ~6e9, and on random right-hand sides
+the normwise backward error of the weights is at most 0.35u, u = 2^-53
+the unit roundoff (``test_solve_residual_bound`` allows 2u).
 
 The per-node terms are laid out node-major: the offsets of N points to
 the 16 nodes are (16, N) arrays with the points on the contiguous axis,
@@ -56,40 +54,6 @@ class FactorizationError(RuntimeError):
     """The patch interpolation matrix could not be factorized."""
 
 
-def lu_factor_pp(a: np.ndarray):
-    """LU decomposition with partial pivoting, dtype-preserving.
-
-    Returns (lu, piv) in the packed convention: L has unit diagonal and is
-    stored below it, U on and above.  Raises FactorizationError on a zero
-    pivot column.
-    """
-    lu = np.array(a, copy=True)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0:
-            raise FactorizationError(f"zero pivot in column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
-
-
-def lu_solve_pp(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for one or many right-hand sides (columns of b)."""
-    x = np.array(b[piv], dtype=lu.dtype, copy=True)
-    n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
 # canonical 4x4 layout in index units: node m = 4*row + col at (col, row)
 _OFFS = np.array([(j, i) for i in range(4) for j in range(4)], dtype=float)
 #: the diagonal of a grid cell in index units
@@ -97,42 +61,47 @@ DIAG = math.sqrt(2.0)
 
 
 class PatchMatrix:
-    """The shared interpolation matrix of the patch nodes ``_OFFS`` and the
-    factorization of its constant-augmented saddle-point system.
+    """The shared interpolation matrix of the patch nodes ``_OFFS`` and its
+    constant-augmented saddle-point system.
 
-    ``entries`` is the 16x16 kernel matrix A; the factorized system is
-    ``[A 1; 1^T 0] [c; b] = [h; 0]``.
+    ``entries`` is the 16x16 kernel matrix A and ``system`` the float64
+    matrix ``[A 1; 1^T 0]`` of ``[A 1; 1^T 0] [c; b] = [h; 0]``.
+    Construction raises FactorizationError where LAPACK's LU meets an exactly
+    zero pivot.
     """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.entries = kernel.phi(_offsets(*_OFFS.T)[2])
-        system = np.zeros((17, 17), dtype=np.longdouble)
-        system[:16, :16] = self.entries
-        system[:16, 16] = 1
-        system[16, :16] = 1
+        self.system = np.ones((17, 17))
+        self.system[:16, :16] = self.entries
+        self.system[16, 16] = 0.0
         try:
-            self._lu, self._piv = lu_factor_pp(system)
-        except FactorizationError as exc:
+            np.linalg.solve(self.system, np.zeros(17))
+        except np.linalg.LinAlgError as exc:
             raise FactorizationError(
                 f"interpolation matrix is singular for kernel "
                 f"{kernel.kind.value} with alpha={kernel.alpha} per grid-index unit: "
                 f"{exc}") from exc
 
     def solve(self, h) -> tuple[np.ndarray, np.ndarray]:
-        """Weights c and constant b with A c + b = h and sum(c) = 0.
+        """Float64 weights c and constant b with A c + b = h and sum(c) = 0.
 
-        h is (16,) or (npatch, 16); c has the same shape and b is a scalar
-        or (npatch,).  Both are returned in extended precision; cast to
-        float64 where speed matters.
+        h is (..., 16); c has its shape and b is (...).  All right-hand sides
+        go to one LAPACK solve with one zero column more: LAPACK solves a
+        single column by another route, whose last bits differ, and with two
+        or more columns each column's weights do not depend on how many are
+        solved at once or where the column stands.
         """
-        h = np.asarray(h)
+        h = np.asarray(h, dtype=float)
+        if h.shape[-1:] != (16,):
+            raise ValueError(f"sample values must have a last axis of 16, got shape {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("sample values must be finite")
-        rhs = np.zeros((17,) + h.shape[:-1], dtype=np.longdouble)
-        rhs[:16] = h.T
-        x = lu_solve_pp(self._lu, self._piv, rhs)
-        return x[:16].T, x[16]
+        rhs = np.zeros((17, h.size // 16 + 1))
+        rhs[:16, :-1] = h.reshape(-1, 16).T
+        x = np.linalg.solve(self.system, rhs)[:, :-1]
+        return x[:16].T.reshape(h.shape), x[16].reshape(h.shape[:-1])
 
 
 #: points per pass of ``_grad_jac``: each of its (16, _SLICE) temporaries

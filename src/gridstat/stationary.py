@@ -562,8 +562,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     the per-patch interpolation data.  The kernel's shape parameter is per
     grid-index unit (``run_pipeline`` converts a physical one); the raw
     points are on the grid, in its physical units.  Raises ValueError when
-    the float64 weights or constant of an active patch are not finite: the
-    extended-precision solve overflowed when rounded to float64."""
+    the weights or constant of an active patch are not finite: the float64
+    solve overflowed."""
     npi, npj = g.ny - 3, g.nx - 3
     npatch = npi * npj
     field_range = g.field_range
@@ -588,10 +588,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     def solve(b0: int):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
-        c, b = matrix.solve(h[blk])
-        # a weight beyond float64 becomes inf here and is rejected below
-        with np.errstate(over="ignore"):
-            weights[blk], constants[blk] = c, b
+        weights[blk], constants[blk] = matrix.solve(h[blk])
         finite[blk] = np.isfinite(weights[blk]).all(axis=1) & np.isfinite(constants[blk])
 
     def certify(block: np.ndarray):
@@ -605,9 +602,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     def blocks(idx: np.ndarray):
         return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
 
-    # fixed-size blocks bound the working set (at 240² one whole-grid weight
-    # solve made 15 MB of extended-precision temporaries) and do not depend
-    # on the thread count; map keeps them in order, and the weight blocks
+    # fixed-size blocks bound the working set and do not depend on the
+    # thread count; map keeps them in order, and the weight blocks
     # write disjoint rows.  The patches certified root-free are dropped and
     # the rest cut into blocks again.
     nthreads = max(1, int(threads))

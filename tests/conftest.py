@@ -59,6 +59,14 @@ def default_kernel(kind: KernelKind, scale: float = 1.0) -> Kernel:
     return Kernel(kind, scale * shape_parameter(kind, DIAG))
 
 
+#: the largest error at its nodes, relative to the samples' size, that the
+#: interpolation tests allow a patch interpolant of float64 weights: the
+#: Gaussian weights at the default shape parameter reach ~1e8 times the
+#: samples, so the float64 sum of the 16 terms at a node rounds at ~1e-7
+NODE_ERROR = {KernelKind.GAUSSIAN: 1e-6, KernelKind.INVERSE_QUADRIC: 1e-8,
+              KernelKind.WENDLAND31: 1e-8}
+
+
 def solve_interpolant(matrix, h) -> PatchInterpolant:
     """The interpolant of samples h at the patch nodes ``_OFFS``."""
     weights, constant = matrix.solve(h)

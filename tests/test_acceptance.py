@@ -30,7 +30,7 @@ from gridstat.bindings import cluster as cluster_points
 from gridstat.cli import main as cli_main
 from gridstat.patch import _OFFS
 
-from conftest import (F1_FROZEN, binding_members, default_kernel, patch_sweep,
+from conftest import (F1_FROZEN, NODE_ERROR, binding_members, default_kernel, patch_sweep,
                       report_positions, solve_interpolant)
 
 ALL_KINDS = list(KernelKind)
@@ -221,7 +221,7 @@ def test_c9_interpolation_property_random_patches():
         h = rng.normal(size=16)
         p = solve_interpolant(matrices[kind], h)
         err = np.max(np.abs(p(_OFFS) - h))
-        assert err <= 1e-8 * np.max(np.abs(h))
+        assert err <= NODE_ERROR[kind] * np.max(np.abs(h))
 
 
 # --- criterion 10: matrix constancy across the sweep ---------------------------
