@@ -69,7 +69,7 @@ def test_solve_residual_bound(kind):
         residual = max(abs(float(sum((e * v for e, v in zip(row, xf)), Fraction(-t))))
                        for row, t in zip(exact, [*h.tolist(), 0.0]))
         scale = np.max(np.abs(s).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(h))
-        assert residual <= 2 * (np.finfo(float).eps / 2) * scale
+        assert residual <= np.finfo(float).eps * scale  # 2u
 
 
 def test_solve_rejects_nonfinite():
