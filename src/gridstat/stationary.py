@@ -17,8 +17,10 @@ proves most of them root-free with a native-space bound on the gradient
 (no seed in them could be accepted), and then hands the engine the rest,
 again in fixed blocks, in order on one thread or through a thread pool on
 several.  Every block size and thread count gives identical floating-point
-results because both only use elementwise operations and fixed-order
-sums; the blocks bound the working set at threads x one block.  The raw
+results because the engine only uses elementwise operations and
+fixed-order sums, and the certifier's BLAS products, whose bits can
+depend on the block, only take the decisions an exact evaluation takes
+alike; the blocks bound the working set at threads x one block.  The raw
 points leave it as arrays (``SweepResult``), one row each in (i, j, seed)
 order, and the reduction reads their positions and patches.
 
@@ -33,11 +35,13 @@ centroid back to evaluate and classify it.  Where the grid lies, its
 spacing and how its values are scaled then do not change the search at
 all; merging stays in physical units.  Newton's steps, the acceptance test
 and ``reduce_points`` (through ``PatchInterpolant``) take every gradient
-and Hessian from ``_grad_jac``; the certifier sums the same terms with the
-same routine, ``_gradient_sums``, per domain code from a table built once
-per sweep at its two coarsest levels and gathered per sub-box at the
-deeper ones, and reads its gradient modulus G^, one value per domain code
-and level, from a second table built with the first.
+and Hessian from ``_grad_jac``.  The certifier screens its three coarsest
+levels with gradients from one BLAS product per domain code of a table
+built once per sweep, and takes every decision the screen cannot, and
+every one at the deeper levels, from the terms ``_grad_jac`` sums, with
+the same routine, ``_gradient_sums``; it reads its gradient modulus G^,
+one value per domain code and level, from a second table built with the
+first.
 
 The engine and the certifier gather with ``take`` and ``compress``, never
 with fancy or boolean indexing, and repeat with an integer division or a
@@ -52,9 +56,9 @@ seeds as two coordinate vectors, weights (16, live) and a ring
 leave.  The certifier keeps each level's pending sub-boxes as one bool
 mask (cells, L) over its live patches in code order.  At its coarse levels
 each code's live patches are a range of columns of their weights, (16, P),
-which broadcast against the code's (16, cells) columns of the table into
-the (cells, P) sums the mask's tests read whole; the deeper levels gather
-the columns of the distinct sub-boxes of the mask's pending cells.
+which the code's (cells, 16) rows of the table multiply into the
+(cells, P) gradients the mask's tests read whole; the exact path gathers
+the columns of the distinct sub-boxes of the cells it evaluates.
 """
 
 from __future__ import annotations
@@ -84,8 +88,7 @@ _MAX_ITERATIONS = 30   # Newton's iteration cap
 _CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
-_DENSE_LEVELS = 2      # _certify evaluates levels 1 to this from _level_tables
-_PIECE = 2048          # sub-boxes per product in _tabled: temporaries of 256 KB
+_DENSE_LEVELS = 3      # _certify screens levels 1 to this with _level_tables' products
 _MARGIN = 2.0 ** -40   # relative rounding margin of the certificate's bounds (see _certify)
 _BOX_DIAMETER = 3.0 * DIAG  # of the patch box [0, 3]^2
 # alpha * r*: the gradient modulus G of each kernel rises up to r* and has
@@ -386,18 +389,21 @@ def _sub_box_terms(code, cell, level, kernel):
 
 
 def _level_tables(kernel):
-    """The tables ``_certify`` reads, built once per sweep: the
-    ``_sub_box_terms`` of every cell of the 16 domain codes at levels 1 to
-    _DENSE_LEVELS (320 sub-boxes, code c and cell j in column c side^2 + j,
-    the key ``_gathered`` gives it), and G^ (_CERTIFY_DEPTH, 2, 16).  A
-    code's sub-boxes at a level are one exact box with half-widths
-    (hi - lo) / 2^(level + 1), so G^[level - 1, :, c] is the modulus at its
-    half-diagonal r and at the finest level's, r 2^(level - _CERTIFY_DEPTH)."""
+    """The tables ``_certify`` reads, built once per sweep: for levels 1 to
+    _DENSE_LEVELS, the rows psi ox and psi oy of the ``_sub_box_terms`` of
+    every cell of the 16 domain codes, two (16 side^2, 16) matrices per
+    level (1,344 sub-boxes in all, 344 KB; code c and cell j in row
+    c side^2 + j, the key ``_gathered`` gives it), and G^
+    (_CERTIFY_DEPTH, 2, 16).  A code's sub-boxes at a level are one exact
+    box with half-widths (hi - lo) / 2^(level + 1), so G^[level - 1, :, c]
+    is the modulus at its half-diagonal r and at the finest level's,
+    r 2^(level - _CERTIFY_DEPTH)."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
         ncell = 4 ** level
         key = np.arange(16 * ncell)
-        tables.append(_sub_box_terms(key // ncell, key % ncell, level, kernel))
+        ox, oy, psi = _sub_box_terms(key // ncell, key % ncell, level, kernel)
+        tables.append((np.ascontiguousarray((psi * ox).T), np.ascontiguousarray((psi * oy).T)))
     levels = np.arange(1, _CERTIFY_DEPTH + 1)[:, None]
     half = (_DOMAINS[:, 1] - _DOMAINS[:, 0]) / 2.0 ** (levels[..., None] + 1)  # (depth, 16, 2)
     r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + _MARGIN)
@@ -405,38 +411,34 @@ def _level_tables(kernel):
     return tables, _gradient_modulus(kernel, np.stack([r, r * finest], axis=1))
 
 
-def _tabled(code, weights, table):
+def _table_gradients(code, weights, table):
     """gx, gy (cells, P) of every cell of a level of P patches, from its
     ``_level_tables`` entry; code (P,) is sorted.
 
-    The patches of one domain code share every sub-box of the level, so the
-    gradients of all cells of a code's patches come from the code's
-    (16, cells) columns of the table at once: with their weights w (16, P),
-    ``_gradient_sums`` of the (16, cells, P) products w psi ox and w psi oy,
-    in pieces of at most _PIECE sub-boxes (or one patch's cells, if there
-    are more).
+    The patches of one domain code share every sub-box of the level, so
+    the gradients of all cells of a code's patches are one matrix product
+    per axis: the code's (cells, 16) rows of psi ox or psi oy times the
+    patches' weights (16, P).  BLAS sums the 16 terms in an order of its
+    own, which can depend on P, so these gradients only screen
+    (``_screen_margin``).
     """
-    ox, oy, psi = table
-    ncell = ox.shape[1] // 16
-    w = weights.T[:, None, :]
+    ax, ay = table
+    ncell = len(ax) // 16
     bounds = np.searchsorted(code, np.arange(17))
+    wt = weights.T
     gx, gy = np.empty((ncell, len(code))), np.empty((ncell, len(code)))
-    step = max(1, _PIECE // ncell)  # patches per piece
-    for c in range(16):
-        keys = slice(c * ncell, (c + 1) * ncell)
-        ox_c, oy_c, psi_c = ox[:, keys, None], oy[:, keys, None], psi[:, keys, None]
-        for p0 in range(bounds[c], bounds[c + 1], step):
-            p1 = min(p0 + step, bounds[c + 1])
-            cpsi = w[:, :, p0:p1] * psi_c
-            _gradient_sums(cpsi * ox_c, out=gx[:, p0:p1])
-            _gradient_sums(np.multiply(cpsi, oy_c, out=cpsi), out=gy[:, p0:p1])
+    for c in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        keys, p = slice(c * ncell, (c + 1) * ncell), slice(bounds[c], bounds[c + 1])
+        np.matmul(ax[keys], wt[:, p], out=gx[:, p])
+        np.matmul(ay[keys], wt[:, p], out=gy[:, p])
     return gx, gy
 
 
 def _gathered(k, cell, level, code, weights, kernel):
     """gx, gy (n,) of sub-boxes (patch k, cell cell) at a level, with one
     kernel evaluation per distinct (code, cell) key and each sub-box's terms
-    gathered from the columns of its key."""
+    gathered from the columns of its key: the bits of ``_grad_jac`` at the
+    sub-box's center."""
     ncell = 4 ** level
     key, inv = np.unique(code.take(k) * ncell + cell, return_inverse=True)
     ox, oy, psi = _sub_box_terms(key // ncell, key % ncell, level, kernel)
@@ -444,6 +446,32 @@ def _gathered(k, cell, level, code, weights, kernel):
     gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
     gy = _gradient_sums(np.multiply(cpsi, oy.take(inv, axis=1), out=cpsi))
     return gx, gy
+
+
+def _screen_margin(eps):
+    """delta (P,): a bound on the difference between the slack
+    ``_certify`` computes from a ``_table_gradients`` gradient and the one
+    it computes from ``_grad_jac``'s at the same center, given the
+    patches' rounding bounds eps (``_gradient_rounding``).
+
+    Both gradients sum the 16 terms c_m psi(r_m) (x0 - x_m), with two
+    roundings each, of the same psi and offsets; BLAS in its own order,
+    perhaps with fused multiply-adds.  eps counts 2^13 ulps of
+    S = sum |c| |psi(0)| (box diameter) against a few dozen that any order
+    of the products and sums takes, so both computed norms n lie within
+    eps of |grad s(x0)|, and within 2 eps of each other.  The slack
+    ((n - eps) - tol_g) - eps rounds three times, each time by at most
+    u = 2^-53 of a result below S + 3 eps + tol_g, since n <= S + eps.  So
+    the two slacks differ by at most
+
+        2 eps + 6u (S + 3 eps + tol_g) < (2 + 2^-10) eps + 6u tol_g,
+
+    because 6u S is 3 2^-12 eps, S = 2^40 eps up to the rounding of eps.
+    delta = (2 + 2^-9) eps + 2^-50 tol_g exceeds it by far more than its
+    own rounding.  An infinite or NaN eps gives an infinite or NaN delta,
+    which screens nothing.
+    """
+    return (2.0 + 2.0 ** -9) * eps + 2.0 ** -50 * (_GRAD_TOL_REL / DIAG)
 
 
 def _certify(code, weights, entries, tables, kernel):
@@ -458,41 +486,54 @@ def _certify(code, weights, entries, tables, kernel):
 
         |g(x0)| - eps > N G^(r) + tol_g + eps,
 
-    with g the computed gradient, N >= ||s||_N (``_native_norm``), G^ the
-    gradient modulus (``_gradient_modulus``) and eps the rounding bound of
-    ``_gradient_rounding``: then every x in the sub-box has an exact
-    |grad s(x)| > tol_g + eps and a computed one > tol_g.  Only a test that
-    holds certifies: a NaN bound or gradient fails it.  A sub-box that
-    fails is cut into 2x2 again, down to _CERTIFY_DEPTH halvings; a patch
-    is certified when all its sub-boxes are.  A sub-box whose center fails
-    the test even with the finest level's half-diagonal ends its patch's
-    certification at once: its finest sub-boxes around that center would
-    almost surely fail too, and refining costs up to 4^depth evaluations.
-    Every decision depends on its own patch only.
+    with g the gradient ``_grad_jac`` computes, N >= ||s||_N
+    (``_native_norm``), G^ the gradient modulus (``_gradient_modulus``) and
+    eps the rounding bound of ``_gradient_rounding``: then every x in the
+    sub-box has an exact |grad s(x)| > tol_g + eps and a computed one
+    > tol_g.  Only a test that holds certifies: a NaN bound or gradient
+    fails it.  A sub-box that fails is cut into 2x2 again, down to
+    _CERTIFY_DEPTH halvings; a patch is certified when all its sub-boxes
+    are.  A sub-box whose center fails the test even with the finest
+    level's half-diagonal ends its patch's certification at once: its
+    finest sub-boxes around that center would almost surely fail too, and
+    refining costs up to 4^depth evaluations.  Every decision depends on
+    its own patch only.
 
     A sub-box is fixed by its patch's domain code (the patches share their
     nodes) and its cell at the level, and most patches share one of a few
     codes.  A level's pending sub-boxes are a bool mask (side^2, L) over
     the live patches, those with a pending cell, in code order; each failed
-    cell is pending 2x2 at the next level.  At levels 1 and 2 (4 and 16
-    cells), where most sub-boxes are evaluated, every cell of the live
-    patches is tested at once with gradients from the tables (``_tabled``);
-    at the deeper levels, where few are left, the pending cells go in
-    chunks of 9 * _BLOCK_PATCHES, a block's seed lattice, through one
-    kernel evaluation per distinct sub-box (``_gathered``).  Both sum with
-    ``_gradient_sums`` as ``_grad_jac`` does and bound with the same N G^,
-    so every gradient and decision is the one a per-sub-box evaluation gives.
+    cell is pending 2x2 at the next level.  At levels 1 to _DENSE_LEVELS
+    (4, 16 and 64 cells), where most sub-boxes are tested, the gradients of
+    every cell of the live patches come from one matrix product per code
+    and axis (``_table_gradients``).  A filtered predicate (Shewchuk,
+    *Discrete Comput. Geom.* 18, 1997) decides with them: a pending
+    sub-box whose finite slack lies farther than delta (``_screen_margin``)
+    from both its bounds gets the decision ``_grad_jac``'s slack would
+    give, and every other pending sub-box, like every pending one at the
+    deeper levels, is evaluated exactly: in chunks of 9 * _BLOCK_PATCHES,
+    a block's seed lattice, with one kernel evaluation per distinct
+    sub-box (``_gathered``), in ``_grad_jac``'s operations and order.
+    Every test uses the same N G^, so every decision is the one a
+    per-sub-box evaluation gives, whatever the BLAS.
     """
     dense, ghat = tables
     tol_g = _GRAD_TOL_REL / DIAG
     bound = _native_norm(weights, entries, kernel.alpha) * ghat.take(code, axis=2)
     eps = _gradient_rounding(weights, kernel)
+    delta = _screen_margin(eps)
 
-    def fails(gx, gy, k, level):
-        # sub-boxes of patches k that fail with G^ at this level's and the finest's r
-        e, b = eps.take(k), bound[level - 1].take(k, axis=1)
-        slack = np.sqrt(gx * gx + gy * gy) - e - tol_g - e
-        return ~(slack > b[0]), ~(slack > b[1])
+    def slack(gx, gy, k, level):
+        # |g| - eps - tol_g - eps of sub-boxes of patches k, in place of gx,
+        # and their bounds N G^ at this level's and the finest's r
+        e = eps.take(k)
+        np.multiply(gx, gx, out=gx)
+        gx += np.multiply(gy, gy, out=gy)
+        s = np.sqrt(gx, out=gx)
+        s -= e
+        s -= tol_g
+        s -= e
+        return s, bound[level - 1].take(k, axis=1)
 
     failed = np.zeros(len(code), dtype=bool)
     live = np.argsort(code, kind="stable")
@@ -500,17 +541,28 @@ def _certify(code, weights, entries, tables, kernel):
     chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
         if level <= len(dense):
-            terms = _tabled(code.take(live), weights.take(live, axis=0), dense[level - 1])
-            split, stop = (f & pending for f in fails(*terms, live, level))
+            gx, gy = _table_gradients(code.take(live), weights.take(live, axis=0),
+                                      dense[level - 1])
+            s, b = slack(gx, gy, live, level)
+            d = delta.take(live)
+            # NaN and inf slacks, and those within delta of a bound, are not
+            # screened; rounding is monotone, so s > fl(b + delta) puts s
+            # above b + delta exactly, and s < fl(b - delta) below b - delta
+            near = ~(s < np.inf)
+            for bb in b:
+                near |= ~((s > bb + d) | (s < bb - d))
+            split, stop = ~(s > b[0]) & pending, ~(s > b[1]) & pending
+            exact = np.flatnonzero(near & pending)
         else:
             split, stop = np.zeros_like(pending), np.zeros_like(pending)
-            pairs = np.flatnonzero(pending)
-            for pc in np.split(pairs, range(chunk, pairs.size, chunk)):
-                cell, col = np.divmod(pc, live.size)
-                k = live.take(col)
-                s, t = fails(*_gathered(k, cell, level, code, weights, kernel), k, level)
-                split.put(pc.compress(s), True)
-                stop.put(pc.compress(t), True)
+            exact = np.flatnonzero(pending)
+        for c0 in range(0, exact.size, chunk):
+            pc = exact[c0:c0 + chunk]
+            cell, col = np.divmod(pc, live.size)
+            k = live.take(col)
+            s, b = slack(*_gathered(k, cell, level, code, weights, kernel), k, level)
+            split.put(pc, ~(s > b[0]))
+            stop.put(pc, ~(s > b[1]))
         # at the finest level every failed sub-box has failed its patch
         dead = stop.any(axis=0)
         failed.put(live.compress(dead), True)

@@ -176,6 +176,25 @@ def test_load_csv_errors(tmp_path):
         load_csv(tmp_path / "missing.csv")
 
 
+def test_load_csv_reads_what_float_reads(tmp_path):
+    # underscores and non-ASCII digits, which float() reads and numpy's
+    # parser does not, and whitespace around a value
+    p = tmp_path / "g.csv"
+    rows = [",".join(["1.0"] * 4)] * 4
+    rows[1] = "1_0, 2.5 ,\u0663,-0.0"
+    p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    g = load_csv(p)
+    assert g.grid2d()[1].tolist() == [10.0, 2.5, 3.0, -0.0]
+    rows[3] = "1.0,1.0,1.0,inf"
+    p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(GridFormatError, match="line 5: non-finite"):
+        load_csv(p)
+    rows[2] = "1.0,1.0,x,1.0"
+    p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(GridFormatError, match="line 4: could not convert string to float: 'x'"):
+        load_csv(p)
+
+
 @pytest.mark.parametrize("header, field", [("6,6,inf,0.1,0.0,0.0", "dx"),
                                            ("6,6,0.1,1e400,0.0,0.0", "dy"),
                                            ("6,6,0.1,0.1,inf,0.0", "origin x"),

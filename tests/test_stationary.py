@@ -972,7 +972,7 @@ def certify_reference(code, weights, entries, tables, kernel):
     return ~failed
 
 
-@pytest.mark.parametrize("grid, kind, scale, block", [
+REFERENCE_CASES = [
     *((fn, kind, 1.0, None) for fn in ("F1", "F2", "F13") for kind in KernelKind),
     *((grid, kind, 1.0, None) for grid in ("skewed", "f2-4x30", "f2-30x4")
       for kind in KernelKind),
@@ -983,61 +983,143 @@ def certify_reference(code, weights, entries, tables, kernel):
     ("F1", KernelKind.WENDLAND31, 3.0, None),
     # chunks of 9 sub-boxes split the sub-boxes of one domain and cell
     ("F2", KernelKind.GAUSSIAN, 1.0, 1),
-    # one block of 2,209 patches: code 0 spans several pieces of the tables
+    # one block of 2,209 patches: code 0 is one product 2,209 patches wide
     ("F2@50", KernelKind.GAUSSIAN, 1.0, 10**6),
-])
+]
+
+
+def reference_grid(grid):
+    """The grid a ``REFERENCE_CASES`` entry names."""
+    if grid == "skewed":
+        return skewed_grid()
+    if grid == "f2-4x4":
+        return f2_window(4, 4, 1, 1)  # certified root-free with every kernel
+    if grid.startswith("f2-"):
+        return narrow_grid(*map(int, grid[3:].split("x")))
+    if grid == "F2@50":
+        return sample(TestFunction.F2, 50, 50)
+    return sample(TestFunction[grid], 24, 24)
+
+
+@pytest.mark.parametrize("grid, kind, scale, block", REFERENCE_CASES)
 def test_certify_matches_the_per_sub_box_reference(grid, kind, scale, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
-    if grid == "skewed":
-        g = skewed_grid()
-    elif grid == "f2-4x4":
-        g = f2_window(4, 4, 1, 1)  # certified root-free with every kernel
-    elif grid.startswith("f2-"):
-        g = narrow_grid(*map(int, grid[3:].split("x")))
-    elif grid == "F2@50":
-        g = sample(TestFunction.F2, 50, 50)
-    else:
-        g = sample(TestFunction[grid], 24, 24)
-    args, _ = certifier_inputs(g, default_kernel(kind, scale))
+    args, _ = certifier_inputs(reference_grid(grid), default_kernel(kind, scale))
     got = stationary._certify(*args)
     np.testing.assert_array_equal(got, certify_reference(*args))
     # on the small skewed grid every patch holds a root
     assert got.any() == (grid != "skewed")
 
 
-@pytest.mark.parametrize("piece", [None, 16])
+@pytest.mark.parametrize("grid, kind, scale, block", REFERENCE_CASES)
+def test_certify_without_the_screen_decides_alike(grid, kind, scale, block, monkeypatch):
+    # an infinite screen margin sends every sub-box down the exact path
+    if block is not None:
+        monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
+    args, _ = certifier_inputs(reference_grid(grid), default_kernel(kind, scale))
+    want = stationary._certify(*args)
+    monkeypatch.setattr(stationary, "_screen_margin", lambda eps: np.full(len(eps), np.inf))
+    np.testing.assert_array_equal(stationary._certify(*args), want)
+
+
+def test_sub_boxes_near_a_bound_take_the_exact_path(monkeypatch):
+    # f2 at 20x20 with the Gaussian at 0.7 times its default alpha: level-2
+    # sub-boxes whose table slack lies within delta of a bound are evaluated
+    # at their centers, and every decision is the reference's
+    args, _ = certifier_inputs(sample(TestFunction.F2, 20, 20),
+                               default_kernel(KernelKind.GAUSSIAN, 0.7))
+    levels = []
+    gathered = stationary._gathered
+
+    def spy(k, cell, level, *rest):
+        levels.append(level)
+        return gathered(k, cell, level, *rest)
+
+    monkeypatch.setattr(stationary, "_gathered", spy)
+    got = stationary._certify(*args)
+    assert 2 in levels
+    np.testing.assert_array_equal(got, certify_reference(*args))
+
+
+def test_non_finite_table_gradients_take_the_exact_path(monkeypatch):
+    # the screen trusts no inf or NaN: with a third of the table's
+    # gradients replaced by them, every decision is still the reference's
+    args, _ = certifier_inputs(sample(TestFunction.F2, 24, 24),
+                               default_kernel(KernelKind.GAUSSIAN))
+    table_gradients = stationary._table_gradients
+
+    def spoiled(*a):
+        gx, gy = table_gradients(*a)
+        gx.flat[::3] = np.inf
+        gy.flat[1::3] = np.nan
+        return gx, gy
+
+    monkeypatch.setattr(stationary, "_table_gradients", spoiled)
+    got = stationary._certify(*args)
+    assert got.any()
+    np.testing.assert_array_equal(got, certify_reference(*args))
+
+
+def screen_gaps(code, weights, k):
+    """|table slack - _grad_jac slack| and delta at every cell of levels 1
+    to _DENSE_LEVELS of P patches, code (P,) sorted: lists of (cells, P)
+    and (P,)."""
+    tables, _ = stationary._level_tables(k)
+    tol_g = _GRAD_TOL_REL / DIAG
+    eps = stationary._gradient_rounding(weights, k)
+    gaps = []
+    for level, table in enumerate(tables, start=1):
+        side = 2 ** level
+        gx, gy = stationary._table_gradients(code, weights, table)
+        # cell iy side + ix of patch q is entry (iy side + ix, q)
+        iy, ix = np.divmod(np.arange(side * side), side)
+        cells = np.stack([ix, iy], axis=-1)[:, None]
+        lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
+        x0 = lo + (hi - lo) * ((cells + 0.5) / side)
+        want_x, want_y, *_ = _grad_jac_rows(x0, weights, k)
+        table_slack = np.sqrt(gx * gx + gy * gy) - eps - tol_g - eps
+        exact_slack = np.sqrt(want_x * want_x + want_y * want_y) - eps - tol_g - eps
+        gaps.append(np.abs(table_slack - exact_slack))
+    return gaps, stationary._screen_margin(eps)
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("kind", list(KernelKind))
-def test_table_gradients_keep_the_bits_of_grad_jac(kind, piece, monkeypatch):
-    # every cell of levels 1 and 2 of every patch, on grids that hold all
-    # 16 domain codes: gx, gy equal _grad_jac at the cell's center; pieces
-    # of 16 sub-boxes split each code's patches into many pieces
-    if piece is not None:
-        monkeypatch.setattr(stationary, "_PIECE", piece)
+def test_table_slack_lies_within_the_screen_margin(kind, scale):
+    # every cell of levels 1 to 3 of every patch, on grids that hold all 16
+    # domain codes: the slack from the table's products lies within delta
+    # of the one from _grad_jac at the cell's center
+    assert stationary._DENSE_LEVELS == 3
     grids = [sample(TestFunction.F2, 24, 24), narrow_grid(4, 30), narrow_grid(30, 4),
              f2_window(4, 4, 1, 1)]
-    k = default_kernel(kind)
-    tables, _ = stationary._level_tables(k)
+    k = default_kernel(kind, scale)
     codes = set()
     for g in grids:
         (code, weights, *_), _ = certifier_inputs(g, k)
         codes.update(code.tolist())
         order = np.argsort(code, kind="stable")
-        for level, table in enumerate(tables, start=1):
-            side = 2 ** level
-            gx, gy = stationary._tabled(code[order], weights[order], table)
-            # cell iy side + ix of patch order[q] is entry (iy side + ix, q)
-            iy, ix = np.divmod(np.arange(side * side), side)
-            cells = np.stack([ix, iy], axis=-1)[:, None]
-            p = np.broadcast_to(order, (side * side, len(code)))
-            lo, hi = _DOMAINS[code[p], 0], _DOMAINS[code[p], 1]
-            a = lo + (hi - lo) * (cells / side)
-            b = lo + (hi - lo) * ((cells + 1) / side)
-            x0 = (a + b) * 0.5
-            want_x, want_y, *_ = _grad_jac_rows(x0, weights[p], k)
-            assert gx.tobytes() == want_x.tobytes()
-            assert gy.tobytes() == want_y.tobytes()
+        gaps, delta = screen_gaps(code[order], weights[order], k)
+        for gap in gaps:
+            assert np.all(gap <= delta)
     assert codes == set(range(16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(KernelKind)), scale=scales, seed=st.integers(0, 2**32 - 1),
+       width=st.integers(1, 40))
+def test_table_slack_of_random_patches_lies_within_the_screen_margin(kind, scale, seed,
+                                                                      width):
+    # patches interpolating random values, at random domain codes, in
+    # products of every width up to 40
+    k = default_kernel(kind, scale)
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-1, 1, (width, 16)) * 10.0 ** rng.uniform(-3, 3, (width, 1))
+    weights = PatchMatrix(k).solve(h)[0]
+    code = np.sort(rng.integers(0, 16, width))
+    gaps, delta = screen_gaps(code, weights, k)
+    for gap in gaps:
+        assert np.all(gap <= delta)
 
 
 @pytest.mark.parametrize("scale", [1.0, 3.0])
@@ -1068,9 +1150,8 @@ def test_modulus_table_keeps_the_bits_of_every_sub_box(kind, scale):
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_results_do_not_depend_on_the_slices(kind, monkeypatch):
-    # _grad_jac evaluates its points in slices of _SLICE and _tabled its
-    # sub-boxes in pieces of _PIECE: slices and pieces of 1 and 7 give the
-    # bits and the SeedCounts, iterations included, of the default ones
+    # _grad_jac evaluates its points in slices of _SLICE: slices of 1 and 7
+    # give the bits and the SeedCounts, iterations included, of the default ones
     g = sample(TestFunction.F13, 24, 24)
     k = default_kernel(kind)
     [(engine_args, _)] = captured_engine_runs(monkeypatch, g, kind)
@@ -1088,7 +1169,6 @@ def test_results_do_not_depend_on_the_slices(kind, monkeypatch):
     assert len(engine_args[1]) > patch._SLICE and want_counts[3] > 0
     for size in (1, 7):
         monkeypatch.setattr(patch, "_SLICE", size)
-        monkeypatch.setattr(stationary, "_PIECE", size)
         got, counts = run()
         assert_same_bits(got, want)
         assert counts == want_counts
