@@ -102,8 +102,6 @@ def neighbor_lists(positions: np.ndarray, radius: float) -> list[list[int]]:
     pos = np.asarray(positions, float).reshape(-1, 2)
     n = len(pos)
     finite = np.flatnonzero(np.isfinite(pos).all(axis=1))
-    if finite.size == 0:
-        return [[] for _ in range(n)]
     keys = np.floor(pos.take(finite, axis=0) / (2 * radius))
     ux, uy = np.sort(keys[:, 0]), np.sort(keys[:, 1])
 
