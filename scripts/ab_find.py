@@ -73,8 +73,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="directory holding the change's gridstat")
     ap.add_argument("--workload", required=True, help="a workload of perfbench/run.py")
     ap.add_argument("--rounds", type=int, default=16, help="timed rounds (default 16)")
-    ap.add_argument("--seed", type=int, default=1,
-                    help="orders the calls of a pass, as perfbench's --seed (default 1)")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, PERFBENCH)
@@ -92,7 +90,7 @@ def main(argv=None) -> int:
             surfaces.write_csv(fn, n, os.path.join(tmp, f"{fn}.csv"))
         calls = [{"name": f"{fn}-{kernel}", "kernel": kernel, "threads": threads,
                   "csv": os.path.join(tmp, f"{fn}.csv")} for fn, kernel in pairs]
-        random.Random(args.seed).shuffle(calls)
+        random.Random(1).shuffle(calls)  # perfbench's order at its default --seed
 
         wall = {side: [] for side in SIDES}
         cpu = {side: [] for side in SIDES}

@@ -10,6 +10,7 @@ by the acceptance suite.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,13 +74,6 @@ def diag_step(g: GridField) -> float:
     return math.hypot(g.dx, g.dy)
 
 
-#: points whose candidate pairs ``neighbor_lists`` forms at once: about 20
-#: candidates each on f13's points at 240x240, so arrays of about 40 KB
-_NEIGHBOR_RUN = 256
-#: the key offsets (x, y) of the 3x3 block of cells around a cell
-_BLOCK = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, 9)
-
-
 def neighbor_lists(positions: np.ndarray, radius: float) -> list[list[int]]:
     """For each of the n points (n, 2), the ascending indices of the points
     within ``radius`` of it, itself included: j is in the list of i when
@@ -89,53 +83,29 @@ def neighbor_lists(positions: np.ndarray, radius: float) -> list[list[int]]:
     fixed-radius near neighbors", IPL 6(6), 1977) with cells of side
     2 radius: the cell indices of a pair within the radius differ by at most
     about 1/2 plus their rounding, so by at most 1 while the coordinates are
-    below 2^50 radii, and each point is tested against the points of the
-    3x3 block of cells around its own.  The points are sorted by cell once,
-    and each of the 9 cells of every point's block is a range of that order,
-    found with ``searchsorted``.  A point with a non-finite coordinate is
-    within the radius of nothing: its list is empty and it is in no list.
-    The lists hold every pair within the radius, O(pairs) in all, which for
-    dense inputs can approach n^2.
+    below 2^50 radii, and each occupied cell's points are tested against the
+    3x3 block of cells around it at once.  A point with a non-finite
+    coordinate is within the radius of nothing: its list is empty and it is
+    in no list.  The lists hold every pair within the radius, O(pairs) in
+    all, which for dense inputs can approach n^2.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     pos = np.asarray(positions, float).reshape(-1, 2)
-    n = len(pos)
     finite = np.flatnonzero(np.isfinite(pos).all(axis=1))
-    keys = np.floor(pos.take(finite, axis=0) / (2 * radius))
-    ux, uy = np.sort(keys[:, 0]), np.sort(keys[:, 1])
-
-    def cells(kx, ky):
-        # a cell's number from the first positions of its keys among the
-        # points' sorted keys; -1, below every number, where no point has a key
-        rx = np.minimum(np.searchsorted(ux, kx), len(ux) - 1)
-        ry = np.minimum(np.searchsorted(uy, ky), len(uy) - 1)
-        return np.where((ux.take(rx) == kx) & (uy.take(ry) == ky), rx * len(uy) + ry, -1)
-
-    own = cells(keys[:, 0], keys[:, 1])
-    order = np.argsort(own, kind="stable")
-    by_cell = own.take(order)
-    out: list[list[int]] = [[] for _ in range(n)]
-    # _NEIGHBOR_RUN points at a time keep every array of a run small
-    for f0 in range(0, finite.size, _NEIGHBOR_RUN):
-        run, k = finite[f0:f0 + _NEIGHBOR_RUN], keys[f0:f0 + _NEIGHBOR_RUN]
-        block = cells(k[:, 0, None] + _BLOCK[0], k[:, 1, None] + _BLOCK[1])  # (run, 9)
-        # a key +- 1 rounds to the key where the keys reach 2^53: count its cell once
-        block.sort(axis=1)
-        block[:, 1:][block[:, 1:] == block[:, :-1]] = -1
-        first = np.searchsorted(by_cell, block, "left").ravel()
-        count = np.searchsorted(by_cell, block, "right").ravel() - first
-        # candidate t: point i against the t-th point of its block, in cell
-        # order, at position first + (t - start) of the points sorted by cell
-        end = np.cumsum(count)
-        i = np.repeat(np.repeat(run, 9), count)
-        j = finite.take(order.take(np.arange(end[-1]) - np.repeat(end - count - first, count)))
-        near = np.hypot(pos[j, 0] - pos[i, 0], pos[j, 1] - pos[i, 1]) <= radius
-        i, j = np.divmod(np.sort(i.compress(near) * n + j.compress(near)), n)
-        j = j.tolist()
-        start = np.searchsorted(i, run).tolist() + [len(j)]
-        for p, a, b in zip(run.tolist(), start[:-1], start[1:]):
-            out[p] = j[a:b]
+    cells: dict[tuple[float, float], list[int]] = defaultdict(list)
+    keys = np.floor(pos.take(finite, axis=0) / (2 * radius)).tolist()
+    for i, key in zip(finite.tolist(), keys):
+        cells[tuple(key)].append(i)
+    out: list[list[int]] = [[] for _ in range(len(pos))]
+    for (cx, cy), own in cells.items():
+        # a set of keys, since cx +- 1 rounds to cx where the indices reach 2^53
+        block = {(cx + a, cy + b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+        cand = np.array(sorted(j for key in block for j in cells.get(key, ())))
+        p, c = pos.take(own, axis=0), pos.take(cand, axis=0)
+        near = np.hypot(c[:, 0] - p[:, 0, None], c[:, 1] - p[:, 1, None]) <= radius
+        for i, row in zip(own, near):
+            out[i] = cand.compress(row).tolist()
     return out
 
 
@@ -324,7 +294,8 @@ def load_csv(path) -> GridField:
             if not np.all(np.isfinite(row)):
                 raise GridFormatError(f"line {r}: non-finite value")
             values[r - 2] = row
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise GridFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
+    else:
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise GridFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
     return GridField(nx=nx, ny=ny, dx=dx, dy=dy, origin=(x0, y0), values=values.ravel())

@@ -68,6 +68,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -389,10 +390,11 @@ def _sub_box_terms(code, cell, level, kernel):
 
 
 def _level_tables(kernel):
-    """The tables ``_certify`` reads, built once per sweep: for levels 1 to
-    _DENSE_LEVELS, the rows psi ox and psi oy of the ``_sub_box_terms`` of
-    every cell of the 16 domain codes, two (16 side^2, 16) matrices per
-    level (1,344 sub-boxes in all, 344 KB; code c and cell j in row
+    """The tables ``_certify`` reads, built once per sweep for the
+    certifier's pass only: for levels 1 to _DENSE_LEVELS, the rows psi ox
+    and psi oy of the ``_sub_box_terms`` of every cell of the 16 domain
+    codes, two (16 side^2, 16) matrices per level (1,344 sub-boxes in all,
+    344 KB; code c and cell j in row
     c side^2 + j, the key ``_gathered`` gives it), and G^
     (_CERTIFY_DEPTH, 2, 16).  A code's sub-boxes at a level are one exact
     box with half-widths (hi - lo) / 2^(level + 1), so G^[level - 1, :, c]
@@ -621,7 +623,6 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     field_range = g.field_range
 
     matrix = PatchMatrix(kernel)
-    tables = _level_tables(kernel)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
     weights, constants = np.empty((npatch, 16)), np.empty(npatch)
@@ -643,7 +644,7 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         weights[blk], constants[blk] = matrix.solve(h[blk])
         finite[blk] = np.isfinite(weights[blk]).all(axis=1) & np.isfinite(constants[blk])
 
-    def certify(block: np.ndarray):
+    def certify(block: np.ndarray, tables):
         return _certify(code[block], weights[block] / field_range, matrix.entries, tables,
                         kernel)
 
@@ -667,7 +668,10 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
             i, j = patches[overflow[0]]
             raise ValueError(f"the interpolation weights of {overflow.size} patches, the "
                              f"first ({i},{j}), overflow float64; scale the field down")
-        root_free = np.concatenate([np.zeros(0, dtype=bool), *each(certify, blocks(act))])
+        # the level tables live through this pass only: the search, whose
+        # Newton temporaries set the sweep's peak memory, does not hold them
+        root_free = np.concatenate([np.zeros(0, dtype=bool), *each(
+            certify, blocks(act), repeat(_level_tables(kernel)))])
         parts = list(each(search, blocks(act[~root_free])))
     # a first part without roots counts the certified patches and shapes an empty sweep
     k, slot, xi, counts = zip((np.zeros(0, int), np.zeros(0, int), np.zeros((0, 2)),

@@ -100,19 +100,6 @@ def test_neighbor_lists_miss_no_pair():
         assert neighbor_lists(pos, radius) == all_pairs_lists(pos, radius)
 
 
-def test_neighbor_lists_count_each_cell_once_where_keys_reach_2_53():
-    # from 2^53 cells on, a cell index +- 1 rounds to the index itself, so
-    # one cell is several of a point's 3x3 block; its points are listed once
-    radius = 0.75
-    for k in (2.0 ** 53, 2.0 ** 54, -(2.0 ** 55), 2.0 ** 70):
-        rng = np.random.default_rng(int(math.log2(abs(k))))
-        pos = 2 * radius * k + radius * rng.integers(-8, 9, (40, 2)).astype(float)
-        pos[:, 1] = rng.uniform(-2, 2, 40)
-        lists = neighbor_lists(pos, radius)
-        assert lists == all_pairs_lists(pos, radius)
-        assert all(len(set(row)) == len(row) for row in lists)
-
-
 def test_cluster_chains_collinear_points():
     d = 1.0
     pts = points((0, 0), (3 * d, 0), (6 * d, 0))
