@@ -8,10 +8,13 @@ both thread counts; on f2 on a stretched 200x40 grid with the Gaussian
 kernel; and on f1 with the Wendland kernel at four times its default shape
 parameter (57 reports).  It renders each report with `plot`, digests the
 sweep under each report (``sweep_digest``) and prints one line per report,
-per SVG and per sweep: the digest and the case (`<case>` for the report,
-`<case>.svg` for its plot, `<case>.sweep` for its sweep).  A change that
-must leave the reports, plots and Newton work unchanged is checked by
-writing the digests before it and comparing after it.
+per SVG, per sweep and per report's counts: the digest and the case
+(`<case>` for the report, `<case>.svg` for its plot, `<case>.sweep` for
+its sweep, `<case>.counts` for ``report_counts`` of its report in place of
+a digest).  A change that must leave the reports, plots and Newton work
+unchanged is checked by writing the digests before it and comparing after
+it; one that may move the bits of the weights reads the `.counts` lines:
+the bits moved, the counts held.
 
 Usage (from the root of a checkout):
   python3 scripts/report_digests.py > digests.txt
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -67,6 +71,15 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def report_counts(path: str) -> str:
+    """`isolated/curves/points` of the report at path: its summary's
+    isolated point and curve counts and its number of stationary points."""
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    summary = report["summary"]
+    return f"{summary['isolated']}/{summary['curves']}/{len(report['stationary_points'])}"
+
+
 def sweep_digest(sr) -> str:
     """sha256 of a `SweepResult`'s seed counts, `iterations` included, and
     of every raw point in order: its row of `raw` as bytes, then
@@ -81,8 +94,9 @@ def sweep_digest(sr) -> str:
 
 def digests(src: str) -> dict[str, str]:
     """case name -> sha256 of its report, case name + ".svg" -> sha256 of
-    its plot and case name + ".sweep" -> ``sweep_digest`` of its sweep,
-    from the package under `src`."""
+    its plot, case name + ".sweep" -> ``sweep_digest`` of its sweep and
+    case name + ".counts" -> ``report_counts`` of its report, from the
+    package under `src`."""
     sys.path.insert(0, src)
     from gridstat import cli
 
@@ -112,6 +126,7 @@ def digests(src: str) -> dict[str, str]:
                 out[name] = sha256(path)
                 out[name + ".svg"] = sha256(svg)
                 out[name + ".sweep"] = sweeps[0]
+                out[name + ".counts"] = report_counts(path)
     finally:
         cli.sweep_full = run_sweep
     return out

@@ -168,7 +168,10 @@ def cmd_plot(args) -> int:
         raise InputError(f"--levels must be positive, got {args.levels}")
     _check_output(args.out)
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise InputError(f"{args.report} nests too deeply to be a report") from None
     # the report must hold what is read of it: the geometry of a non-empty
     # input, and each point and binding member that render_svg overlays
     inp = report.get("input", {}) if isinstance(report, dict) else None

@@ -67,7 +67,7 @@ class PatchMatrix:
     ``entries`` is the 16x16 kernel matrix A and ``system`` the float64
     matrix ``[A 1; 1^T 0]`` of ``[A 1; 1^T 0] [c; b] = [h; 0]``.
     Construction raises FactorizationError where LAPACK's LU meets an exactly
-    zero pivot.
+    zero pivot, and ``solve`` where a weight or the constant overflows float64.
     """
 
     def __init__(self, kernel: Kernel):
@@ -101,6 +101,10 @@ class PatchMatrix:
         rhs = np.zeros((17, h.size // 16 + 1))
         rhs[:16, :-1] = h.reshape(-1, 16).T
         x = np.linalg.solve(self.system, rhs)[:, :-1]
+        if not np.all(np.isfinite(x)):
+            raise FactorizationError(
+                f"interpolation weights overflow float64 for kernel "
+                f"{self.kernel.kind.value} with alpha={self.kernel.alpha} per grid-index unit")
         return x[:16].T.reshape(h.shape), x[16].reshape(h.shape[:-1])
 
 

@@ -24,24 +24,24 @@ alike; the blocks bound the working set at threads x one block.  The raw
 points leave it as arrays (``SweepResult``), one row each in (i, j, seed)
 order, and the reduction reads their positions and patches.
 
-Both work in the patch frame: positions in grid-index units relative to
-the patch's first node, so all patches of every grid share the nodes
-``_OFFS`` and the box [0, 3]^2, lengths are measured against the index
-diagonal ``DIAG`` = sqrt(2), and values are in units of the field range.
-The frame meets physical units at two points only: ``sweep_full`` maps
-each accepted root xi of the patch with first node n to the grid as
-origin + (n + xi) S, S = diag(dx, dy), and ``reduce_points`` maps each
-centroid back to evaluate and classify it.  Where the grid lies, its
-spacing and how its values are scaled then do not change the search at
-all; merging stays in physical units.  Newton's steps, the acceptance test
-and ``reduce_points`` (through ``PatchInterpolant``) take every gradient
-and Hessian from ``_grad_jac``.  The certifier screens its three coarsest
-levels with gradients from one BLAS product per domain code of a table
-built once per sweep, and takes every decision the screen cannot, and
-every one at the deeper levels, from the terms ``_grad_jac`` sums, with
-the same routine, ``_gradient_sums``; it reads its gradient modulus G^,
-one value per domain code and level, from a second table built with the
-first.
+Both work in the patch frame: positions in grid-index units relative to the
+patch's first node, so all patches of every grid share the nodes ``_OFFS``
+and the box [0, 3]^2, lengths are measured against the index diagonal
+``DIAG`` = sqrt(2), and values are in units of the field range R.  The frame
+meets physical units at two points only, for positions and values alike:
+``sweep_full`` solves for h / R and maps each accepted root xi of the patch
+with first node n to the grid as origin + (n + xi) S, S = diag(dx, dy), and
+``reduce_points`` maps each centroid back to evaluate and classify it and
+multiplies its value by R.  Where the grid lies, its spacing and how its
+values are scaled then do not change the search at all; merging stays in
+physical units.  Newton's steps, the acceptance test and ``reduce_points``
+(through ``PatchInterpolant``) take every gradient and Hessian from
+``_grad_jac``.  The certifier screens its three coarsest levels with
+gradients from one BLAS product per domain code of a table built once per
+sweep, and takes every decision the screen cannot, and every one at the
+deeper levels, from the terms ``_grad_jac`` sums, with the same routine,
+``_gradient_sums``; it reads its gradient modulus G^, one value per domain
+code and level, from a second table built with the first.
 
 The engine and the certifier gather with ``take`` and ``compress``, never
 with fancy or boolean indexing, and repeat with an integer division or a
@@ -590,17 +590,17 @@ class SweepResult:
     raw_patch: np.ndarray      # (n, 2) int, their patches (i, j), 1-based
     raw_seed: np.ndarray       # (n,) int, their seed slots
     matrix: PatchMatrix
-    weights: np.ndarray        # (npatch, 16) float64, in the field's units
-    constants: np.ndarray      # (npatch,) float64, the interpolants' constant terms
+    weights: np.ndarray        # (npatch, 16) float64, in units of the field range
+    constants: np.ndarray      # (npatch,) float64, the interpolants' constant terms, alike
     grid: GridField
     flat_patches: np.ndarray   # (k, 2) int, the patches (i, j) skipped as flat
     seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i, j) -> PatchInterpolant:
-        """The interpolant of patch (i, j), 1-based, in the patch frame: at
-        the nodes ``_OFFS``, in grid-index units.  Given integer arrays i, j
-        of one shape (R,), one stacked interpolant of those R patches:
-        weights (R,16) and constant (R,)."""
+        """The interpolant of patch (i, j), 1-based, in the patch frame (the
+        nodes ``_OFFS``, grid-index units, values in units of the field
+        range).  Given integer arrays i, j of one shape (R,), one stacked
+        interpolant of those R patches: weights (R,16) and constant (R,)."""
         i, j = np.asarray(i), np.asarray(j)
         outside = (i < 1) | (i > self.grid.ny - 3) | (j < 1) | (j > self.grid.nx - 3)
         if outside.any():
@@ -615,9 +615,9 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     """All raw stationary points of the grid, ordered by (i, j, seed), with
     the per-patch interpolation data.  The kernel's shape parameter is per
     grid-index unit (``run_pipeline`` converts a physical one); the raw
-    points are on the grid, in its physical units.  Raises ValueError when
-    the weights or constant of an active patch are not finite: the float64
-    solve overflowed."""
+    points are on the grid, in its physical units.  The weights are solved
+    for h over the field range R, |h| / R <= 2^53, so only the matrix can
+    overflow them (FactorizationError); a constant field solves nothing."""
     npi, npj = g.ny - 3, g.nx - 3
     npatch = npi * npj
     field_range = g.field_range
@@ -625,15 +625,13 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     matrix = PatchMatrix(kernel)
     windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
     h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
-    weights, constants = np.empty((npatch, 16)), np.empty(npatch)
-    finite = np.empty(npatch, dtype=bool)
+    weights, constants = np.zeros((npatch, 16)), np.zeros(npatch)
 
     ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
     patches = np.column_stack([ii + 1, jj + 1])
     code = _domain_code(g, patches[:, 0], patches[:, 1])
 
-    patch_range = h.max(axis=1) - h.min(axis=1)
-    active = (field_range > 0) & (patch_range > _FLAT_PATCH * field_range)
+    active = h.max(axis=1) - h.min(axis=1) > _FLAT_PATCH * field_range
     flat = patches.compress(~active, axis=0)
 
     act = np.flatnonzero(active)
@@ -641,15 +639,13 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     def solve(b0: int):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
-        weights[blk], constants[blk] = matrix.solve(h[blk])
-        finite[blk] = np.isfinite(weights[blk]).all(axis=1) & np.isfinite(constants[blk])
+        weights[blk], constants[blk] = matrix.solve(h[blk] / field_range)
 
     def certify(block: np.ndarray, tables):
-        return _certify(code[block], weights[block] / field_range, matrix.entries, tables,
-                        kernel)
+        return _certify(code[block], weights[block], matrix.entries, tables, kernel)
 
     def search(block: np.ndarray):
-        (k, slot, xi), counts = _search(code[block], weights[block] / field_range, kernel)
+        (k, slot, xi), counts = _search(code[block], weights[block], kernel)
         return block.take(k), slot, xi, counts
 
     def blocks(idx: np.ndarray):
@@ -662,12 +658,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     nthreads = max(1, int(threads))
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         each = map if nthreads == 1 else pool.map
-        list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
-        overflow = np.flatnonzero(active & ~finite)
-        if overflow.size:
-            i, j = patches[overflow[0]]
-            raise ValueError(f"the interpolation weights of {overflow.size} patches, the "
-                             f"first ({i},{j}), overflow float64; scale the field down")
+        if field_range > 0:
+            list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
         # the level tables live through this pass only: the search, whose
         # Newton temporaries set the sweep's peak memory, does not hold them
         root_free = np.concatenate([np.zeros(0, dtype=bool), *each(
@@ -698,12 +690,12 @@ _BY_CODE = (Classification.SADDLE, Classification.MINIMUM, Classification.MAXIMU
             Classification.DEGENERATE)
 
 
-def classify(lam: np.ndarray, scale: float) -> list[Classification]:
-    """Classify points by the signs of their Hessian eigenvalues lam (n, 2);
-    a point with an eigenvalue below 1e-9 * scale in magnitude is
-    degenerate."""
+def classify(lam: np.ndarray) -> list[Classification]:
+    """Classify points by the signs of their Hessian eigenvalues lam (n, 2),
+    in units of the field range; a point with an eigenvalue below 1e-9 in
+    magnitude is degenerate."""
     lam = np.asarray(lam, float)
-    degenerate = (np.abs(lam) < 1e-9 * scale).any(axis=1)
+    degenerate = (np.abs(lam) < 1e-9).any(axis=1)
     code = np.where(degenerate, 3, np.where((lam > 0).all(axis=1), 1,
                                             np.where((lam < 0).all(axis=1), 2, 0)))
     return [_BY_CODE[c] for c in code.tolist()]
@@ -720,11 +712,11 @@ def reduce_points(raw: np.ndarray, patch: np.ndarray,
     Value and classification come from the interpolant of each cluster's
     first member's patch, stacked over the anchors' patches, at the
     centroid's position in that patch's frame, xi = S^-1 (x - origin) - n,
-    S = diag(dx, dy) and n the patch's first node.  The class comes from
-    the eigenvalues of D^-1 H_xi D^-1 with D = S / d: the physical Hessian
-    S^-1 H_xi S^-1 times d^2, which has the same signs (Sylvester's law of
-    inertia) but cannot overflow.  A point with an eigenvalue below 1e-9 *
-    the field range in magnitude is degenerate.
+    S = diag(dx, dy) and n the patch's first node; the value is that
+    interpolant's, in units of the field range, times the range.  The class
+    comes from the eigenvalues of D^-1 H_xi D^-1 with D = S / d: the
+    physical Hessian S^-1 H_xi S^-1 times d^2, which has the same signs
+    (Sylvester's law of inertia) but cannot overflow (``classify``).
     """
     g = sweep.grid
     d = diag_step(g)
@@ -744,9 +736,9 @@ def reduce_points(raw: np.ndarray, patch: np.ndarray,
     spacing = np.array([g.dx, g.dy])
     xi = (np.array(centroids) - g.origin) / spacing - (anchors[:, ::-1] - 1)
     interp = sweep.interpolant(anchors[:, 0], anchors[:, 1])
-    values = interp(xi).tolist()
+    values = (interp(xi) * g.field_range).tolist()
     dinv = d / spacing
     lam = np.linalg.eigvalsh(interp.gradient_jacobian(xi) * np.outer(dinv, dinv))
-    classes = classify(lam, g.field_range)
+    classes = classify(lam)
     return [StationaryPoint(position=p, value=v, classification=k, members_merged=len(c))
             for p, v, k, c in zip(centroids, values, classes, clusters)]

@@ -238,7 +238,7 @@ def test_c10_single_factorization_equals_per_patch():
     worst = 0.0
     for i in range(len(h_all)):
         fresh = PatchMatrix(kernel)
-        w = np.asarray(fresh.solve(h_all[i])[0], float)
+        w = np.asarray(fresh.solve(h_all[i] / g.field_range)[0], float)
         worst = max(worst, float(np.max(np.abs(w - sr.weights[i]))))
     assert worst <= 1e-12 * scale
 

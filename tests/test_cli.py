@@ -276,15 +276,19 @@ def write_scaled_f2(path, e):
 
 @pytest.mark.parametrize("e, kernel, want", [
     (304, "gaussian", 24),
-    # Wendland's weights of f2 are finite where the Gaussian's overflow
+    # the weights are solved in units of the field range, so they stay
+    # finite as long as the range does
+    (306, "gaussian", 24),
+    (307, "gaussian", 24),
+    (307, "iq", 24),
     (307, "wendland", 24),
-    (306, "gaussian", "error: the interpolation weights of "),
     (308, "gaussian", "error: field range max - min overflows float64"),
-], ids=["1e304-gaussian", "1e307-wendland", "1e306-gaussian", "1e308-gaussian"])
+], ids=["1e304-gaussian", "1e306-gaussian", "1e307-gaussian", "1e307-iq", "1e307-wendland",
+        "1e308-gaussian"])
 def test_find_rejects_a_field_too_large_for_float64(e, kernel, want, tmp_path, capsys):
-    # a field whose weights or range do not fit in float64 exits 2 with one
-    # error line and no numpy warning, rather than reporting too few points;
-    # want is the isolated point count or the error's start
+    # a field whose range does not fit in float64 exits 2 with one error
+    # line and no numpy warning, rather than reporting too few points; want
+    # is the isolated point count or the error's start
     csv, rep = tmp_path / "g.csv", tmp_path / "r.json"
     write_scaled_f2(csv, e)
     code = run(["find", "--in", csv, "--kernel", kernel, "--threads", "1", "--json", rep])
@@ -422,6 +426,16 @@ def test_plot_malformed_report_exits_2(malform, tmp_path, capsys):
     assert run(["plot", "--report", rep, "-o", svg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()
+
+
+def test_plot_deeply_nested_report_exits_2(tmp_path, capsys):
+    # json's decoder recurses once per bracket, past the interpreter's limit
+    rep, svg = tmp_path / "r.json", tmp_path / "out.svg"
+    rep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["plot", "--report", rep, "-o", svg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {rep} nests too deeply to be a report\n"
     assert not svg.exists()
 
 

@@ -1,6 +1,7 @@
 """Patch matrix construction, weight solves, and interpolant derivatives."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_solve_rejects_nonfinite():
     h[5] = np.inf
     with pytest.raises(ValueError):
         m.solve(h)[0]
+
+
+def test_solve_raises_where_the_weights_overflow():
+    # finite samples near 1e305, whose Gaussian weights overflow float64:
+    # the numeric failure names the kernel, with no numpy warning
+    m = PatchMatrix(default_kernel(KernelKind.GAUSSIAN))
+    h = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 16)) * 1e305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FactorizationError, match=r"^interpolation weights overflow "
+                           r"float64 for kernel gaussian with alpha=\S+ per grid-index unit$"):
+            m.solve(h)
 
 
 @pytest.mark.parametrize("shape", [(15,), (17,), (3, 15), (3, 17), (16, 15)])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -42,6 +43,16 @@ def test_every_suffix_of_a_thread_pair_is_compared():
            "f1-wendland-120-alpha28.05-t1.svg": "e", "f1-wendland-120-alpha28.05-t2.svg": "e"}
     assert report_digests.thread_mismatches(got) == ["f1-wendland-120-alpha28.05-t1",
                                                      "f2-gaussian-120-t1.sweep"]
+
+
+def test_report_counts_reads_the_summary_and_the_points(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"summary": {"isolated": 2, "curves": 1, "curve_details": []},
+                                "stationary_points": [{"x": 0.0}] * 5}))
+    assert report_digests.report_counts(str(path)) == "2/1/5"
+    # a thread pair whose counts differ is named like any other digest
+    got = {"f13-iq-120-t1.counts": "0/1/96", "f13-iq-120-t2.counts": "0/1/95"}
+    assert report_digests.thread_mismatches(got) == ["f13-iq-120-t1.counts"]
 
 
 def test_sweep_digest_covers_iterations_and_every_raw_point():

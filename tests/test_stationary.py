@@ -137,8 +137,9 @@ def to_patch_frame(g, position, i, j):
 def test_roots_respect_gradient_tolerance_and_domain(grid):
     g = sample(TestFunction.F2, 20, 20) if grid == "f2-20x20" else skewed_grid()
     sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
-    # in the patch frame, up to the rounding of the map to the grid and back
-    tol_g = _GRAD_TOL_REL * g.field_range / DIAG * (1 + 1e-6)
+    # in the patch frame, in units of the field range, up to the rounding of
+    # the map to the grid and back
+    tol_g = _GRAD_TOL_REL / DIAG * (1 + 1e-6)
     assert len(sr.raw), "expected stationary points on the F2 sample"
     for x, (i, j) in zip(sr.raw, sr.raw_patch.tolist()):
         lo, hi = domain_bounds(g, i, j)
@@ -198,7 +199,8 @@ def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, monkeypatc
     finally:
         sys.setswitchinterval(interval)
     h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
-    weights, constants = (np.asarray(x, dtype=float) for x in sr.matrix.solve(h))
+    weights, constants = (np.asarray(x, dtype=float)
+                          for x in sr.matrix.solve(h / g.field_range))
     np.testing.assert_array_equal(sr.weights, weights)
     np.testing.assert_array_equal(sr.constants, constants)
 
@@ -752,9 +754,8 @@ def certifier_inputs(g, kernel):
     the patch frame."""
     sr = sweep_full(g, kernel)
     ii, jj = np.divmod(np.arange(sr.weights.shape[0]), g.nx - 3)
-    weights = np.asarray(sr.weights) / g.field_range
     tables = stationary._level_tables(kernel)
-    return (_domain_code(g, ii + 1, jj + 1), weights, sr.matrix.entries, tables, kernel), sr
+    return (_domain_code(g, ii + 1, jj + 1), sr.weights, sr.matrix.entries, tables, kernel), sr
 
 
 def random_patch(kind, scale, seed):
@@ -887,8 +888,8 @@ def test_a_nan_bound_certifies_nothing(monkeypatch):
 # SeedCounts of sweeps at 24x24, every field, iterations included; the
 # reports cannot show a changed certifier decision, these counts can
 PINNED_SEED_COUNTS = {
-    ("F1", KernelKind.WENDLAND31, 1.0): (630, 325, 0, 237, 68, 371, 5201),
-    ("F1", KernelKind.WENDLAND31, 3.0): (3663, 408, 0, 2929, 326, 34, 38198),
+    ("F1", KernelKind.WENDLAND31, 1.0): (630, 325, 0, 242, 63, 371, 5201),
+    ("F1", KernelKind.WENDLAND31, 3.0): (3663, 408, 0, 2934, 321, 34, 37993),
     ("F2", KernelKind.GAUSSIAN, 1.0): (1944, 1884, 0, 60, 0, 225, 9016),
 }
 
@@ -1331,11 +1332,11 @@ def reduce_points_reference(pos, patch, sweep):
         centroid = pos[cluster].mean(axis=0)
         interp = sweep.interpolant(i, j)
         xi = (centroid - g.origin) / spacing - [j - 1, i - 1]
-        value = float(interp(xi))
-        # the Hessian in the grid's units, times d^2
+        value = float(interp(xi)) * g.field_range
+        # the Hessian in the grid's units, times d^2, in units of the field range
         jac = interp.gradient_jacobian(xi) * np.outer(d / spacing, d / spacing)
         lam = np.linalg.eigvalsh(jac)
-        if np.any(np.abs(lam) < 1e-9 * g.field_range):
+        if np.any(np.abs(lam) < 1e-9):
             cls = Classification.DEGENERATE
         elif np.all(lam > 0):
             cls = Classification.MINIMUM
@@ -1351,8 +1352,8 @@ def reduce_points_reference(pos, patch, sweep):
 @pytest.mark.parametrize("kind", list(KernelKind))
 @pytest.mark.parametrize("grid", ["F11-24", "F13-40", "F14-32", "skewed", "skewed-tiny"])
 def test_reduce_matches_the_per_cluster_loop(grid, kind):
-    # skewed-tiny: values times 2^-40, so Hessian eigenvalues and the
-    # field range are far below 1
+    # skewed-tiny: values times 2^-40, so the field range, which scales the
+    # values back from the patch frame, is far below 1
     if grid.startswith("skewed"):
         g = skewed_grid()
         if grid == "skewed-tiny":
@@ -1374,8 +1375,11 @@ def test_reduce_matches_the_per_cluster_loop(grid, kind):
 
 def test_classify_by_eigenvalue_signs():
     lam = np.array([[1.0, 2.0], [-2.0, -1.0], [-1.0, 1.0], [1e-10, 1.0]])
-    got = classify(lam, 1.0)
+    got = classify(lam)
     assert got == [Classification.MINIMUM, Classification.MAXIMUM, Classification.SADDLE,
                    Classification.DEGENERATE]
-    assert classify(lam[3:], 1e-3) == [Classification.MINIMUM]
-    assert classify(lam[:1], 1e10) == [Classification.DEGENERATE]
+    # the threshold is 1e-9 in units of the field range, from either side and sign
+    below, above = np.nextafter(1e-9, 0.0), 1e-9
+    assert classify([[below, 1.0], [1.0, -below]]) == [Classification.DEGENERATE] * 2
+    assert classify([[above, 1.0], [-1.0, -above]]) == [Classification.MINIMUM,
+                                                        Classification.MAXIMUM]
