@@ -275,27 +275,21 @@ def load_csv(path) -> GridField:
     if len(lines) - 1 != ny:
         raise GridFormatError(f"expected {ny} value rows, got {len(lines) - 1} "
                               f"(expected {nx * ny} values)")
-    # every row is checked against the header before the grid is allocated
-    for r, line in enumerate(lines[1:], start=2):
-        if line.count(",") != nx - 1:
-            raise GridFormatError(f"line {r}: expected {nx} values, got {line.count(',') + 1} "
-                                  f"(grid needs {nx * ny} values)")
     try:
         values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        # the row loop names the line, and accepts what float() accepts but
-        # loadtxt does not (underscores, non-ASCII digits)
-        values = np.empty((ny, nx))
+        values = None
+    if values is None or values.shape != (ny, nx):
+        # name the first bad line; loadtxt skips blank lines and numbers its own rows
         for r, line in enumerate(lines[1:], start=2):
+            if line.count(",") != nx - 1:
+                raise GridFormatError(f"line {r}: expected {nx} values, got "
+                                      f"{line.count(',') + 1} (grid needs {nx * ny} values)")
             try:
-                row = np.array([float(s) for s in line.split(",")])
+                np.loadtxt([line], delimiter=",", comments=None)
             except ValueError as exc:
                 raise GridFormatError(f"line {r}: {exc}") from None
-            if not np.all(np.isfinite(row)):
-                raise GridFormatError(f"line {r}: non-finite value")
-            values[r - 2] = row
-    else:
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise GridFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise GridFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
     return GridField(nx=nx, ny=ny, dx=dx, dy=dy, origin=(x0, y0), values=values.ravel())

@@ -396,10 +396,9 @@ def _level_tables(kernel):
     codes, two (16 side^2, 16) matrices per level (1,344 sub-boxes in all,
     344 KB; code c and cell j in row
     c side^2 + j, the key ``_gathered`` gives it), and G^
-    (_CERTIFY_DEPTH, 2, 16).  A code's sub-boxes at a level are one exact
-    box with half-widths (hi - lo) / 2^(level + 1), so G^[level - 1, :, c]
-    is the modulus at its half-diagonal r and at the finest level's,
-    r 2^(level - _CERTIFY_DEPTH)."""
+    (_CERTIFY_DEPTH, 16).  A code's sub-boxes at a level are one exact
+    box with half-widths (hi - lo) / 2^(level + 1), so G^[level - 1, c]
+    is the modulus at its half-diagonal."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
         ncell = 4 ** level
@@ -409,8 +408,7 @@ def _level_tables(kernel):
     levels = np.arange(1, _CERTIFY_DEPTH + 1)[:, None]
     half = (_DOMAINS[:, 1] - _DOMAINS[:, 0]) / 2.0 ** (levels[..., None] + 1)  # (depth, 16, 2)
     r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + _MARGIN)
-    finest = 2.0 ** (levels - _CERTIFY_DEPTH)
-    return tables, _gradient_modulus(kernel, np.stack([r, r * finest], axis=1))
+    return tables, _gradient_modulus(kernel, r)
 
 
 def _table_gradients(code, weights, table):
@@ -442,7 +440,11 @@ def _gathered(k, cell, level, code, weights, kernel):
     gathered from the columns of its key: the bits of ``_grad_jac`` at the
     sub-box's center."""
     ncell = 4 ** level
-    key, inv = np.unique(code.take(k) * ncell + cell, return_inverse=True)
+    key = code.take(k) * ncell + cell
+    present = np.zeros(16 * ncell, dtype=bool)  # numbers the distinct keys, ascending
+    present.put(key, True)
+    inv = (np.cumsum(present) - 1).take(key)
+    key = np.flatnonzero(present)
     ox, oy, psi = _sub_box_terms(key // ncell, key % ncell, level, kernel)
     cpsi = np.multiply(weights.take(k, axis=0).T, psi.take(inv, axis=1), order="C")
     gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
@@ -495,9 +497,9 @@ def _certify(code, weights, entries, tables, kernel):
     > tol_g.  Only a test that holds certifies: a NaN bound or gradient
     fails it.  A sub-box that fails is cut into 2x2 again, down to
     _CERTIFY_DEPTH halvings; a patch is certified when all its sub-boxes
-    are.  A sub-box whose center fails the test even with the finest
-    level's half-diagonal ends its patch's certification at once: its
-    finest sub-boxes around that center would almost surely fail too, and
+    are.  A sub-box whose center fails the test even with the deepest
+    level's bound ends its patch's certification at once: its deepest
+    sub-boxes around that center would almost surely fail too, and
     refining costs up to 4^depth evaluations.  Every decision depends on
     its own patch only.
 
@@ -521,13 +523,13 @@ def _certify(code, weights, entries, tables, kernel):
     """
     dense, ghat = tables
     tol_g = _GRAD_TOL_REL / DIAG
-    bound = _native_norm(weights, entries, kernel.alpha) * ghat.take(code, axis=2)
+    bound = _native_norm(weights, entries, kernel.alpha) * ghat.take(code, axis=1)
     eps = _gradient_rounding(weights, kernel)
     delta = _screen_margin(eps)
 
     def slack(gx, gy, k, level):
         # |g| - eps - tol_g - eps of sub-boxes of patches k, in place of gx,
-        # and their bounds N G^ at this level's and the finest's r
+        # and their bounds N G^ at this level and the deepest
         e = eps.take(k)
         np.multiply(gx, gx, out=gx)
         gx += np.multiply(gy, gy, out=gy)
@@ -535,7 +537,7 @@ def _certify(code, weights, entries, tables, kernel):
         s -= e
         s -= tol_g
         s -= e
-        return s, bound[level - 1].take(k, axis=1)
+        return s, bound.take([level - 1, -1], axis=0).take(k, axis=1)
 
     failed = np.zeros(len(code), dtype=bool)
     live = np.argsort(code, kind="stable")
@@ -565,7 +567,7 @@ def _certify(code, weights, entries, tables, kernel):
             s, b = slack(*_gathered(k, cell, level, code, weights, kernel), k, level)
             split.put(pc, ~(s > b[0]))
             stop.put(pc, ~(s > b[1]))
-        # at the finest level every failed sub-box has failed its patch
+        # at the deepest level every failed sub-box has failed its patch
         dead = stop.any(axis=0)
         failed.put(live.compress(dead), True)
         keep = split.any(axis=0) & ~dead
@@ -617,7 +619,10 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     grid-index unit (``run_pipeline`` converts a physical one); the raw
     points are on the grid, in its physical units.  The weights are solved
     for h over the field range R, |h| / R <= 2^53, so only the matrix can
-    overflow them (FactorizationError); a constant field solves nothing."""
+    overflow them (FactorizationError); a constant field solves nothing.
+    threads, the size of the thread pool, is an int >= 1 (ValueError)."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     npi, npj = g.ny - 3, g.nx - 3
     npatch = npi * npj
     field_range = g.field_range
@@ -655,9 +660,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     # thread count; map keeps them in order, and the weight blocks
     # write disjoint rows.  The patches certified root-free are dropped and
     # the rest cut into blocks again.
-    nthreads = max(1, int(threads))
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        each = map if nthreads == 1 else pool.map
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        each = map if threads == 1 else pool.map
         if field_range > 0:
             list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
         # the level tables live through this pass only: the search, whose

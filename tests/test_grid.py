@@ -176,22 +176,37 @@ def test_load_csv_errors(tmp_path):
         load_csv(tmp_path / "missing.csv")
 
 
-def test_load_csv_reads_what_float_reads(tmp_path):
-    # underscores and non-ASCII digits, which float() reads and numpy's
-    # parser does not, and whitespace around a value
+def test_load_csv_names_the_line_of_an_unreadable_value(tmp_path):
+    # whitespace around a value is read; underscores, non-ASCII digits and
+    # words are not, and the error names the line and the token (numpy's
+    # wording around them differs between versions)
     p = tmp_path / "g.csv"
     rows = [",".join(["1.0"] * 4)] * 4
-    rows[1] = "1_0, 2.5 ,\u0663,-0.0"
+    rows[1] = " 1.0, 2.5 ,3,-0.0"
     p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    g = load_csv(p)
-    assert g.grid2d()[1].tolist() == [10.0, 2.5, 3.0, -0.0]
+    assert load_csv(p).grid2d()[1].tolist() == [1.0, 2.5, 3.0, -0.0]
+    for r, token in [(2, "1_0"), (4, "\u0663"), (5, "x")]:
+        bad = list(rows)
+        bad[r - 2] = f"1.0,{token},1.0,1.0"
+        p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(bad) + "\n", encoding="utf-8")
+        with pytest.raises(GridFormatError, match=f"^line {r}: .*'{token}'"):
+            load_csv(p)
     rows[3] = "1.0,1.0,1.0,inf"
     p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(GridFormatError, match="line 5: non-finite"):
         load_csv(p)
-    rows[2] = "1.0,1.0,x,1.0"
-    p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    with pytest.raises(GridFormatError, match="line 4: could not convert string to float: 'x'"):
+
+
+@pytest.mark.parametrize("body, r, got", [
+    # loadtxt skips a blank line
+    (["1.0,1.0,1.0,1.0"] * 2 + ["", "1.0,1.0,1.0,1.0"], 4, 1),
+    # and reads rows of one wrong width whole
+    (["1.0,1.0,1.0"] * 4, 2, 3),
+])
+def test_load_csv_names_a_line_of_the_wrong_width(body, r, got, tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(body) + "\n")
+    with pytest.raises(GridFormatError, match=f"^line {r}: expected 4 values, got {got} "):
         load_csv(p)
 
 

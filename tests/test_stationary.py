@@ -1123,16 +1123,18 @@ def test_table_slack_of_random_patches_lies_within_the_screen_margin(kind, scale
         assert np.all(gap <= delta)
 
 
-@pytest.mark.parametrize("scale", [1.0, 3.0])
+@pytest.mark.parametrize("scale", [0.25, 1.0, 3.0])
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_modulus_table_keeps_the_bits_of_every_sub_box(kind, scale):
     # every cell of every domain code at levels 1 to _CERTIFY_DEPTH: the
     # table's G^ for the code and level is the modulus at the cell's own
-    # half-diagonal, from its corners, and at the finest level's
+    # half-diagonal, from its corners, and the deepest level's row is the
+    # modulus at r 2^(level - depth) of every level's r, the bound the
+    # certifier stops a patch with
     k = default_kernel(kind, scale)
     _, ghat = stationary._level_tables(k)
     depth = stationary._CERTIFY_DEPTH
-    assert ghat.shape == (depth, 2, 16)
+    assert ghat.shape == (depth, 16)
     lo, hi = _DOMAINS[:, 0], _DOMAINS[:, 1]
     for level in range(1, depth + 1):
         side = 2 ** level
@@ -1142,11 +1144,11 @@ def test_modulus_table_keeps_the_bits_of_every_sub_box(kind, scale):
         b = lo + (hi - lo) * ((cells + 1) / side)
         x0 = (a + b) * 0.5
         half = np.maximum(x0 - a, b - x0)
-        r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + stationary._MARGIN)
-        finest = 2.0 ** (level - depth)
-        want = stationary._gradient_modulus(k, np.stack([r, r * finest]))  # (2, cells, 16)
-        got = np.broadcast_to(ghat[level - 1, :, None, :], want.shape)
-        assert got.tobytes() == want.tobytes()
+        r = np.hypot(half[..., 0], half[..., 1]) * (1.0 + stationary._MARGIN)  # (cells, 16)
+        for row, radius in [(level, r), (depth, r * 2.0 ** (level - depth))]:
+            want = stationary._gradient_modulus(k, radius)
+            got = np.broadcast_to(ghat[row - 1], want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
