@@ -179,7 +179,7 @@ def test_load_csv_errors(tmp_path):
 def test_load_csv_names_the_line_of_an_unreadable_value(tmp_path):
     # whitespace around a value is read; underscores, non-ASCII digits and
     # words are not, and the error names the line and the token (numpy's
-    # wording around them differs between versions)
+    # wording around them is not pinned across the versions it may be)
     p = tmp_path / "g.csv"
     rows = [",".join(["1.0"] * 4)] * 4
     rows[1] = " 1.0, 2.5 ,3,-0.0"
