@@ -6,13 +6,15 @@ package name of its own (`gridstat_parent`, `gridstat_change`), writes the
 workload's grids with `perfbench/surfaces.write_csv`, and runs whole passes
 of the workload's `find` calls (`--no-timings`, the workload's thread
 count, the calls in perfbench's order) through each copy's `cli.main`.
-Each side first runs one untimed pass; then round r runs the two sides in
-ABBA order (parent first in even rounds, change first in odd ones), so a
-slow or fast spell of the machine does not always fall on one side.  It
-prints, per side, the median and best pass time and the median CPU time
-of the process over a pass (above the wall time when BLAS or the sweep
-runs threads), the number of rounds the change won, and whether the
-reports of every pass of both trees are byte-identical.
+Each side first runs one untimed pass, then one more under tracemalloc;
+then round r runs the two sides in ABBA order (parent first in even
+rounds, change first in odd ones), so a slow or fast spell of the machine
+does not always fall on one side.  It prints, per side, the median and
+best pass time, the median CPU time of the process over a pass (above the
+wall time when BLAS or the sweep runs threads) and the traced pass's
+tracemalloc peak in MB (2^20 bytes; both trees run in one process, so its
+peak RSS cannot tell them apart), the number of rounds the change won, and
+whether the reports of every pass of both trees are byte-identical.
 
 Usage (from the root of a checkout):
   python3 scripts/ab_find.py --parent ../parent/src --change src \\
@@ -33,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
@@ -94,16 +97,23 @@ def main(argv=None) -> int:
 
         wall = {side: [] for side in SIDES}
         cpu = {side: [] for side in SIDES}
+        peak = {}
         want = None
         identical = True
-        for r in range(-1, args.rounds):
+        # round -2 is the untimed warm-up and round -1 the untimed traced pass
+        for r in range(-2, args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             for side in order:
+                if r == -1:
+                    tracemalloc.start()
                 w, c, reports = run_pass(cli[side], calls,
-                                         os.path.join(tmp, f"{side}-{r + 1}"))
+                                         os.path.join(tmp, f"{side}-{r + 2}"))
+                if r == -1:
+                    peak[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+                    tracemalloc.stop()
                 want = want or reports
                 identical = identical and reports == want
-                if r >= 0:  # round -1 is the untimed warm-up
+                if r >= 0:
                     wall[side].append(w)
                     cpu[side].append(c)
 
@@ -111,7 +121,8 @@ def main(argv=None) -> int:
     for side in SIDES:
         print(f"{side:7s} median {1e3 * statistics.median(wall[side]):8.1f} ms  "
               f"best {1e3 * min(wall[side]):8.1f} ms  "
-              f"cpu median {1e3 * statistics.median(cpu[side]):8.1f} ms")
+              f"cpu median {1e3 * statistics.median(cpu[side]):8.1f} ms  "
+              f"traced peak {peak[side]:6.1f} MB")
     won = sum(c < p for p, c in zip(wall["parent"], wall["change"]))
     print(f"change won {won} of {args.rounds} rounds")
     print(f"reports byte-identical: {'yes' if identical else 'NO'}")

@@ -287,8 +287,15 @@ def load_csv(path) -> GridField:
                                       f"{line.count(',') + 1} (grid needs {nx * ny} values)")
             try:
                 np.loadtxt([line], delimiter=",", comments=None)
-            except ValueError as exc:
-                raise GridFormatError(f"line {r}: {exc}") from None
+            except ValueError:
+                # name the first field loadtxt cannot read; its own message
+                # counts the rows of the one line it was handed
+                for c, token in enumerate(line.split(","), start=1):
+                    try:
+                        np.loadtxt([line], delimiter=",", comments=None, usecols=c - 1)
+                    except ValueError:
+                        raise GridFormatError(f"line {r}: column {c}: cannot read "
+                                              f"{token!r} as a number") from None
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise GridFormatError(f"line {int(np.argmin(finite)) + 2}: non-finite value")

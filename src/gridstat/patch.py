@@ -35,7 +35,11 @@ so every elementwise step runs over the points in one long inner loop
 pairwise order, written out.  ``_grad_jac`` evaluates its points in slices
 of ``_SLICE``, so its temporaries fit in a core's L2 cache and the
 allocator hands the same memory back slice after slice instead of mapping
-it and faulting it in again on every Newton iteration.
+it and faulting it in again on every Newton iteration.  It reads the
+weights of P patches node-major, (16, P), and each point's patch: a slice
+gathers its points' weights into one of those temporaries, so its callers
+hold no copy of the weights per point or per Newton seed, and their memory
+grows with the patches of a block, not with the points evaluated.
 ``PatchInterpolant`` lays its points and weights out the same way
 (``_node_major``, ``_grad_jac_rows``).
 """
@@ -148,19 +152,21 @@ def _gradient_sums(t, out=None):
     return out
 
 
-def _grad_jac(px, py, weights, kernel):
+def _grad_jac(px, py, weights, owner, kernel):
     """Gradient and symmetric Jacobian of the gradient field of RBF sums at
     the nodes ``_OFFS``: the one routine every gradient and Hessian of the
     program comes from.
 
     Point n at (px[n], py[n]), (N,) each, is evaluated against the weights
-    weights[:, n] (16, N); returns the arrays gx, gy, jxx, jxy, jyy, (N,)
-    each.  The points are evaluated in slices of _SLICE, so the (16, slice)
-    temporaries stay in cache; every step is elementwise or a
-    ``_gradient_sums``, so no result depends on the slice or on N.  psi and
-    eta come from one kernel evaluation, and the weighted terms overwrite
-    them; the Hessian's products overwrite the offsets once the gradient is
-    summed.
+    weights[:, owner[n]] of its patch, weights (16, P) node-major and
+    C-contiguous; returns the arrays gx, gy, jxx, jxy, jyy, (N,) each.  The
+    points are evaluated in slices of _SLICE, and each slice gathers its
+    points' weights with ``take``, so the (16, slice) temporaries stay in
+    cache and no (16, N) weights are ever held; every step is elementwise
+    or a ``_gradient_sums``, so no result depends on the slice or on N.
+    psi and eta come from one kernel evaluation, and the weighted terms
+    overwrite them; the Hessian's products overwrite the offsets once the
+    gradient is summed.
     """
     n = len(px)
     out = np.empty((5, n))
@@ -169,8 +175,9 @@ def _grad_jac(px, py, weights, kernel):
         gx, gy, jxx, jxy, jyy = out[:, s]
         ox, oy, r = _offsets(px[s], py[s])
         psi, eta = kernel.psi_eta(r)
-        cpsi = np.multiply(psi, weights[:, s], out=psi)
-        ceta = np.multiply(eta, weights[:, s], out=eta)
+        w = weights.take(owner[s], axis=1)
+        cpsi = np.multiply(psi, w, out=psi)
+        ceta = np.multiply(eta, w, out=eta)
         # r is free: its array takes every product that is summed
         _gradient_sums(np.multiply(cpsi, ox, out=r), out=gx)
         _gradient_sums(np.multiply(cpsi, oy, out=r), out=gy)
@@ -187,19 +194,23 @@ def _grad_jac(px, py, weights, kernel):
 def _node_major(x, weights):
     """Points x (..., 2) and weights (..., 16), broadcast against each
     other, in the layout of ``_grad_jac``: the broadcast shape (...), the
-    coordinates px, py (N,) and the weights (16, N)."""
+    coordinates px, py (N,), the W rows of weights node-major (16, W) and
+    each point's row owner (N,).  A row shared by many points is not
+    copied for each of them."""
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights)
     shape = np.broadcast_shapes(x.shape[:-1], weights.shape[:-1])
     px, py = (np.broadcast_to(x[..., k], shape).reshape(-1) for k in (0, 1))
-    return shape, px, py, np.broadcast_to(weights, shape + (16,)).reshape(-1, 16).T
+    rows = np.arange(weights.size // 16).reshape(weights.shape[:-1])
+    owner = np.broadcast_to(rows, shape).reshape(-1)
+    return shape, px, py, np.ascontiguousarray(weights.reshape(-1, 16).T), owner
 
 
 def _grad_jac_rows(x, weights, kernel):
     """``_grad_jac`` at points x (..., 2) against weights (..., 16),
     broadcast: gx, gy, jxx, jxy, jyy of the broadcast shape (...)."""
-    shape, px, py, w = _node_major(x, np.asarray(weights, dtype=float))
-    return [a.reshape(shape) for a in _grad_jac(px, py, w, kernel)]
+    shape, px, py, w, owner = _node_major(x, np.asarray(weights, dtype=float))
+    return [a.reshape(shape) for a in _grad_jac(px, py, w, owner, kernel)]
 
 
 @dataclass(frozen=True)
@@ -216,9 +227,10 @@ class PatchInterpolant:
         """Interpolant value; x is (2,) or (..., 2).  Summed by
         ``_gradient_sums``, so the value does not depend on the weights'
         layout."""
-        shape, px, py, w = _node_major(x, self.weights)
+        shape, px, py, w, owner = _node_major(x, self.weights)
         _, _, r = _offsets(px, py)
-        out = _gradient_sums(w * self.kernel.phi(r)).reshape(shape) + self.constant
+        terms = w.take(owner, axis=1) * self.kernel.phi(r)
+        out = _gradient_sums(terms).reshape(shape) + self.constant
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
     def gradient(self, x) -> np.ndarray:

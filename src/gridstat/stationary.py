@@ -20,9 +20,13 @@ several.  Every block size and thread count gives identical floating-point
 results because the engine only uses elementwise operations and
 fixed-order sums, and the certifier's BLAS products, whose bits can
 depend on the block, only take the decisions an exact evaluation takes
-alike; the blocks bound the working set at threads x one block.  The raw
-points leave it as arrays (``SweepResult``), one row each in (i, j, seed)
-order, and the reduction reads their positions and patches.
+alike.  Beyond the per-patch arrays it returns (the weights and constants,
+17 doubles a patch) and a few per-patch integers, the sweep's working set
+is threads x one block: each block gathers its samples from the grid, and
+the flat-patch test reads running extrema of the grid (``_window_range``),
+so no array of every window's samples is built.  The raw points leave it
+as arrays (``SweepResult``), one row each in (i, j, seed) order, and the
+reduction reads their positions and patches.
 
 Both work in the patch frame: positions in grid-index units relative to the
 patch's first node, so all patches of every grid share the nodes ``_OFFS``
@@ -51,14 +55,16 @@ fancy indexing and ``compress`` up to 10 times as fast as a boolean mask;
 fancy indexing and ``np.repeat`` also do not run in parallel on the pool's
 threads, where ``take`` does.  Both keep their terms in the node-major
 layout of ``_grad_jac``, 16 nodes by the points: the engine holds its live
-seeds as two coordinate vectors, weights (16, live) and a ring
+seeds as two coordinate vectors, their patches and a ring
 (_CYCLE, 2, live), and compresses them along the seeds only when seeds
-leave.  The certifier keeps each level's pending sub-boxes as one bool
-mask (cells, L) over its live patches in code order.  At its coarse levels
-each code's live patches are a range of columns of their weights, (16, P),
-which the code's (cells, 16) rows of the table multiply into the
-(cells, P) gradients the mask's tests read whole; the exact path gathers
-the columns of the distinct sub-boxes of the cells it evaluates.
+leave; their weights stay the block's one node-major (16, P) copy, from
+which ``_grad_jac`` gathers each slice's columns.  The certifier keeps
+each level's pending sub-boxes as one bool mask (cells, L) over its live
+patches in code order.  At its coarse levels each code's live patches are
+a range of columns of their weights, (16, P), which the code's (cells, 16)
+rows of the table multiply into the (cells, P) gradients the mask's tests
+read whole; the exact path gathers the columns of the distinct sub-boxes
+of the cells it evaluates.
 """
 
 from __future__ import annotations
@@ -187,15 +193,17 @@ def _newton_seeds(seeds, owner, weights, kernel):
       repeat that orbit up to the cap and never converge;
     - capped: still live after _MAX_ITERATIONS.
 
-    The live seeds' indices, coordinates, weights (16, live) and rings
+    The live seeds' indices, coordinates, patches and rings
     (_CYCLE, 2, live) are compact arrays, in the layout ``_grad_jac``
-    takes, that shrink only when seeds leave; ``counts.iterations`` is the
-    number of seed evaluations.
+    takes, that shrink only when seeds leave; the weights stay one
+    node-major (16, P) copy, which ``_grad_jac`` gathers from slice by
+    slice.  ``counts.iterations`` is the number of seed evaluations.
     """
     seeds = np.asarray(seeds, dtype=float)
     n = seeds.shape[0]
     px, py = seeds[:, 0].copy(), seeds[:, 1].copy()
-    wl = weights.T.take(owner, axis=1)  # the live seeds' weights
+    wt = np.ascontiguousarray(weights.T)
+    own = np.asarray(owner)  # the live seeds' patches
     # rx[s], ry[s] is seed s's root once it has converged
     rx, ry = np.empty(n), np.empty(n)
     converged = np.zeros(n, dtype=bool)
@@ -209,16 +217,16 @@ def _newton_seeds(seeds, owner, weights, kernel):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(px, py, wl, kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(px, py, wt, own, kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
         ok = (frob2 > 0) & np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET * frob2)
         if not ok.all():
             singular += live.size - int(np.count_nonzero(ok))
-            live, px, py, gx, gy, jxx, jxy, jyy, det = (
-                a.compress(ok) for a in (live, px, py, gx, gy, jxx, jxy, jyy, det))
-            wl, ring = wl.compress(ok, axis=1), ring.compress(ok, axis=2)
+            live, own, px, py, gx, gy, jxx, jxy, jyy, det = (
+                a.compress(ok) for a in (live, own, px, py, gx, gy, jxx, jxy, jyy, det))
+            ring = ring.compress(ok, axis=2)
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
         px = np.minimum(np.maximum(px - sx, 0.0), 3.0)
@@ -233,8 +241,8 @@ def _newton_seeds(seeds, owner, weights, kernel):
             rx[root], ry[root] = px.compress(done), py.compress(done)
             converged[root] = True
             stay = ~leave
-            live, px, py = (a.compress(stay) for a in (live, px, py))
-            wl, ring = wl.compress(stay, axis=1), ring.compress(stay, axis=2)
+            live, own, px, py = (a.compress(stay) for a in (live, own, px, py))
+            ring = ring.compress(stay, axis=2)
         ring[(it + 1) % _CYCLE, 0], ring[(it + 1) % _CYCLE, 1] = px, py
     idx = np.flatnonzero(converged)
     counts = SeedCounts(launched=n, converged=idx.size, singular=singular,
@@ -279,7 +287,7 @@ def _search(code, weights, kernel):
 
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
-    gx, gy, *_ = _grad_jac(pos[:, 0], pos[:, 1], weights.T.take(k, axis=1), kernel)
+    gx, gy, *_ = _grad_jac(pos[:, 0], pos[:, 1], np.ascontiguousarray(weights.T), k, kernel)
     kc = code.take(k)
     inside = np.all((pos >= lo.take(kc, axis=0)) & (pos <= hi.take(kc, axis=0)), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / DIAG)
@@ -584,6 +592,20 @@ def _certify(code, weights, entries, tables, kernel):
 # Full sweep
 # ---------------------------------------------------------------------------
 
+def _window_range(v):
+    """max - min of the 16 samples of every 4x4 window of the (ny, nx) grid
+    v, shape (ny - 3, nx - 3): running maxima and minima over 2, then 4
+    rows, then the same over columns.  Both are exact, so the range has the
+    bits of the window's own max - min."""
+    ext = []
+    for f in (np.maximum, np.minimum):
+        b = f(v[:-1], v[1:])
+        b = f(b[:-2], b[2:])
+        b = f(b[:, :-1], b[:, 1:])
+        ext.append(f(b[:, :-2], b[:, 2:]))
+    return ext[0] - ext[1]
+
+
 @dataclass
 class SweepResult:
     """Raw points as arrays, plus the per-patch interpolation data needed downstream."""
@@ -628,15 +650,14 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     field_range = g.field_range
 
     matrix = PatchMatrix(kernel)
-    windows = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4))
-    h = windows.reshape(npi, npj, 16).reshape(npatch, 16)
     weights, constants = np.zeros((npatch, 16)), np.zeros(npatch)
 
-    ii, jj = np.divmod(np.arange(npatch), npj)  # 0-based patch row/col
-    patches = np.column_stack([ii + 1, jj + 1])
+    patches = np.column_stack(np.divmod(np.arange(npatch), npj)) + 1  # (i, j), 1-based
     code = _domain_code(g, patches[:, 0], patches[:, 1])
+    # the offsets of a window's 16 samples in the flat grid, node m = 4 row + col
+    nodes = (np.arange(4)[:, None] * g.nx + np.arange(4)).ravel()
 
-    active = h.max(axis=1) - h.min(axis=1) > _FLAT_PATCH * field_range
+    active = _window_range(g.grid2d()).ravel() > _FLAT_PATCH * field_range
     flat = patches.compress(~active, axis=0)
 
     act = np.flatnonzero(active)
@@ -644,7 +665,9 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
 
     def solve(b0: int):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
-        weights[blk], constants[blk] = matrix.solve(h[blk] / field_range)
+        first = (patches[blk, 0] - 1) * g.nx + patches[blk, 1] - 1  # each window's first node
+        h = g.values.take(first[:, None] + nodes)
+        weights[blk], constants[blk] = matrix.solve(h / field_range)
 
     def certify(block: np.ndarray, tables):
         return _certify(code[block], weights[block], matrix.entries, tables, kernel)

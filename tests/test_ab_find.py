@@ -18,3 +18,11 @@ def test_one_round_against_itself_gives_identical_reports():
     assert lines[0] == "points-120: 1 rounds of 4 find calls, ABBA order"
     assert [ln.split()[0] for ln in lines[1:3]] == ["parent", "change"]
     assert lines[-1] == "reports byte-identical: yes"
+    # each side's tracemalloc peak over its traced pass, in MB; one tree
+    # run twice gives about the same peak
+    peaks = []
+    for ln in lines[1:3]:
+        value, unit = ln.split("traced peak")[1].split()
+        assert unit == "MB"
+        peaks.append(float(value))
+    assert 0 < min(peaks) and max(peaks) <= 1.1 * min(peaks)

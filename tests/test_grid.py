@@ -197,6 +197,21 @@ def test_load_csv_names_the_line_of_an_unreadable_value(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("row, column, token", [("1.0,1_0,1.0,1.0", 2, "1_0"),
+                                               ("1.0,,1.0,1.0", 2, ""),
+                                               ("1.0,1.0,1.0, x", 4, " x")])
+def test_load_csv_names_the_column_of_an_unreadable_value(row, column, token, tmp_path):
+    # the position is the file's: line 3, not loadtxt's row 0 of the one
+    # line it was handed
+    p = tmp_path / "g.csv"
+    rows = [",".join(["1.0"] * 4)] * 4
+    rows[1] = row
+    p.write_text("4,4,1.0,1.0,0.0,0.0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(GridFormatError) as err:
+        load_csv(p)
+    assert str(err.value) == f"line 3: column {column}: cannot read {token!r} as a number"
+
+
 @pytest.mark.parametrize("body, r, got", [
     # loadtxt skips a blank line
     (["1.0,1.0,1.0,1.0"] * 2 + ["", "1.0,1.0,1.0,1.0"], 4, 1),

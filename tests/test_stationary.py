@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -128,6 +129,36 @@ def test_flat_patch_skipped():
         assert sr.seed_counts == SeedCounts(), kind
 
 
+def window_range_grid(seed):
+    """A 23x19 grid of constant regions of 0.0 and -0.0 (mixed), of 1e300
+    and of -1e300, a region within a few ulps of 1e300, and random values
+    of all signs and sizes."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((19, 23)) * 10.0 ** rng.integers(-300, 300, (19, 23))
+    v[:8, :9] = rng.choice([0.0, -0.0], (8, 9))
+    v[10:, :7] = 1e300
+    v[:6, 12:] = -1e300
+    v[12:, 14:] = 1e300 * (1.0 + 2.0 ** -52 * rng.integers(-4, 5, (7, 9)))
+    v[rng.random(v.shape) < 0.05] *= -1.0
+    return GridField(nx=23, ny=19, dx=1.0, dy=1.0, origin=(0.0, 0.0), values=v.ravel())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_range_keeps_the_bits_of_each_windows_own(seed):
+    g = window_range_grid(seed)
+    h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
+    want = h.max(axis=1) - h.min(axis=1)
+    got = stationary._window_range(g.grid2d())
+    assert got.shape == (g.ny - 3, g.nx - 3)
+    assert got.ravel().tobytes() == want.tobytes()
+    # the flat windows are those the sweep skips
+    flat = want <= stationary._FLAT_PATCH * g.field_range
+    assert 0 < np.count_nonzero(flat) < flat.size
+    patches = np.argwhere(flat.reshape(g.ny - 3, g.nx - 3)) + 1
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
+    assert sr.flat_patches.tolist() == patches.tolist()
+
+
 def to_patch_frame(g, position, i, j):
     """A raw point's position mapped back into the frame of its patch (i, j)."""
     return (position - g.origin) / [g.dx, g.dy] - [j - 1, i - 1]
@@ -187,11 +218,13 @@ def test_sweep_patch_counts():
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, monkeypatch):
-    # blocks of 7 patches split 17x17 = 289 patches unevenly; the pool's
+@pytest.mark.parametrize("nx, ny", [(20, 20), (23, 17)])
+def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, nx, ny, monkeypatch):
+    # blocks of 7 patches split 17x17 = 289 and 20x14 = 280 patches
+    # unevenly; each block gathers its windows from the grid, and the pool's
     # threads write their blocks' rows of one array, switching often
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 7)
-    g = sample(TestFunction.F2, 20, 20)
+    g = sample(TestFunction.F2, nx, ny)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -409,6 +442,24 @@ def test_grad_jac_leaves_its_arguments_unchanged():
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("n", [1, patch._SLICE - 1, patch._SLICE + 1, 5000])
+def test_grad_jac_of_owners_keeps_the_bits_of_per_point_weights(kind, n):
+    # N points of 37 patches, read through their owners or from one
+    # column of weights per point
+    rng = np.random.default_rng(n)
+    k = default_kernel(kind)
+    weights = np.stack([random_patch(kind, 1.0, seed)[1] for seed in range(37)])
+    owner = rng.integers(0, len(weights), n)
+    x = rng.uniform(0, 3, (n, 2))
+    x[0] = _OFFS[5]  # r = 0: Wendland's eta takes its r = 0 branch
+    px, py = x[:, 0].copy(), x[:, 1].copy()
+    got = _grad_jac(px, py, np.ascontiguousarray(weights.T), owner, k)
+    columns = np.ascontiguousarray(weights.take(owner, axis=0).T)
+    assert_same_bits(got, _grad_jac(px, py, columns, np.arange(n), k))
+    assert_same_bits(got, grad_jac_reference(x, weights.take(owner, axis=0), k))
+
+
 def hard_rows(rng, n):
     """(n, 16) rows that are hard to sum: magnitudes from 1e-40 to 1e40,
     exact and near cancellation, zeros of both signs, infinities of both
@@ -587,6 +638,26 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     assert_same_roots((keep[rest_idx], rest_pos), (idx, pos))
     assert rest == SeedCounts(launched=10, converged=9, stuck=1)
     assert counts.iterations - rest.iterations == 4
+
+
+def test_sweep_memory_is_bounded_by_its_blocks():
+    # tracemalloc's peak over the sweep of f13 at 120x120 on one thread was
+    # 10.85 MB (2^20 bytes) on numpy 2.4.6, and 15.85 MB while the sweep
+    # held every window's samples and a weight column per Newton seed; the
+    # bound leaves 1.65 MB of headroom
+    g = sample(TestFunction.F13, 120, 120)
+    k = default_kernel(KernelKind.GAUSSIAN)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_full(g, k, threads=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 12.5 * 2 ** 20
 
 
 def test_seed_counts_add_up_and_do_not_depend_on_threads():
