@@ -244,6 +244,9 @@ def _newton_seeds(seeds, owner, weights, kernel):
             live, own, px, py = (a.compress(stay) for a in (live, own, px, py))
             ring = ring.compress(stay, axis=2)
         ring[(it + 1) % _CYCLE, 0], ring[(it + 1) % _CYCLE, 1] = px, py
+        # free this iteration's derivatives and steps before _grad_jac
+        # allocates the next: the sweep's traced peak falls inside that call
+        del gx, gy, jxx, jxy, jyy, det, frob2, sx, sy
     idx = np.flatnonzero(converged)
     counts = SeedCounts(launched=n, converged=idx.size, singular=singular,
                         stuck=stuck, capped=live.size, iterations=iterations)

@@ -642,9 +642,9 @@ def test_singular_seeds_leave_at_their_first_evaluation():
 
 def test_sweep_memory_is_bounded_by_its_blocks():
     # tracemalloc's peak over the sweep of f13 at 120x120 on one thread was
-    # 10.85 MB (2^20 bytes) on numpy 2.4.6, and 15.85 MB while the sweep
+    # 9.97 MB (2^20 bytes) on numpy 2.4.6, and 15.85 MB while the sweep
     # held every window's samples and a weight column per Newton seed; the
-    # bound leaves 1.65 MB of headroom
+    # bound leaves 1.53 MB of headroom
     g = sample(TestFunction.F13, 120, 120)
     k = default_kernel(KernelKind.GAUSSIAN)
     tracing = tracemalloc.is_tracing()
@@ -657,7 +657,7 @@ def test_sweep_memory_is_bounded_by_its_blocks():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 12.5 * 2 ** 20
+    assert peak < 11.5 * 2 ** 20
 
 
 def test_seed_counts_add_up_and_do_not_depend_on_threads():
