@@ -201,7 +201,9 @@ class TestFunction(Enum):
         return _FUNCS[self](np.asarray(x, float), np.asarray(y, float))
 
     def gradient(self, x, y):
-        """Analytic gradient, shape (..., 2)."""
+        """Analytic gradient, shape (..., 2).  The program never calls it:
+        it is the tests' analytic oracle, which checks the ground truth
+        (``oracle.py``) and reruns the multistart that found F1's points."""
         return _GRADS[self](np.asarray(x, float), np.asarray(y, float))
 
 

@@ -3,15 +3,15 @@
 Each test function's exact stationary set is delivered as isolated points
 plus parametric curve samplers, all clipped to the function's domain.  F1
 has no closed-form stationary points; its ground truth is a deterministic
-multistart Newton run on the analytic gradient (seeded, cached), which
-finds exactly five points in the unit square.
+multistart Newton run on the analytic gradient, which finds exactly five
+points in the unit square; they are kept as the constant ``F1_POINTS``,
+and the tests rerun the multistart to check them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -58,35 +58,16 @@ def _parabola(k: int, y0: float, y1: float) -> ParametricCurve:
         fn=lambda t: np.column_stack([c - t ** 2, t]), t0=y0, t1=y1)
 
 
-@lru_cache(maxsize=None)
-def _f1_points() -> np.ndarray:
-    """Multistart Newton on the analytic F1 gradient: 10,000 seeded random
-    starts, finite-difference Jacobian, dedup radius 1e-4."""
-    grad = TestFunction.F1.gradient
-    rng = np.random.default_rng(12345)
-    x = rng.uniform(0.0, 1.0, (10_000, 2))
-    h = 1e-7
-    for _ in range(80):
-        g = grad(x[:, 0], x[:, 1])
-        jxx = (grad(x[:, 0] + h, x[:, 1])[:, 0] - grad(x[:, 0] - h, x[:, 1])[:, 0]) / (2 * h)
-        jxy = (grad(x[:, 0], x[:, 1] + h)[:, 0] - grad(x[:, 0], x[:, 1] - h)[:, 0]) / (2 * h)
-        jyx = (grad(x[:, 0] + h, x[:, 1])[:, 1] - grad(x[:, 0] - h, x[:, 1])[:, 1]) / (2 * h)
-        jyy = (grad(x[:, 0], x[:, 1] + h)[:, 1] - grad(x[:, 0], x[:, 1] - h)[:, 1]) / (2 * h)
-        det = jxx * jyy - jxy * jyx
-        det = np.where(np.abs(det) < 1e-14, np.nan, det)
-        x = x - np.stack([(jyy * g[:, 0] - jxy * g[:, 1]) / det,
-                          (-jyx * g[:, 0] + jxx * g[:, 1]) / det], axis=-1)
-    ok = np.isfinite(x).all(axis=1)
-    x = x[ok]
-    gnorm = np.linalg.norm(grad(x[:, 0], x[:, 1]), axis=1)
-    inside = (x[:, 0] >= 0) & (x[:, 0] <= 1) & (x[:, 1] >= 0) & (x[:, 1] <= 1)
-    x = x[(gnorm < 1e-10) & inside]
-    kept: list[np.ndarray] = []
-    for p in x:
-        if all(np.hypot(*(p - q)) > 1e-4 for q in kept):
-            kept.append(p)
-    kept.sort(key=lambda p: (p[0], p[1]))
-    return np.array(kept)
+#: the five stationary points of F1 in the unit square, sorted by (x, y): a
+#: seeded 10,000-start Newton run on the analytic gradient converges to
+#: exactly these bits (tests/test_oracle.py reruns it)
+F1_POINTS = np.array([
+    [0.20599157038050767, 0.20805013834294173],
+    [0.45571037931856345, 0.7841906776136751],
+    [0.5560369042144191, 0.2773758720247615],
+    [0.6160307592684094, 0.8571405567407937],
+    [0.7547415545824386, 0.32633819470941006],
+])
 
 
 def _f2_points() -> np.ndarray:
@@ -101,7 +82,7 @@ def ground_truth(tf: TestFunction) -> GroundTruth:
     """Exact stationary set (points and curves) of a test function."""
     none = np.empty((0, 2))
     if tf is TestFunction.F1:
-        return GroundTruth(isolated=_f1_points(), curves=())
+        return GroundTruth(isolated=F1_POINTS, curves=())
     if tf is TestFunction.F2:
         return GroundTruth(isolated=_f2_points(), curves=())
     if tf is TestFunction.F11:

@@ -38,13 +38,13 @@ with first node n to the grid as origin + (n + xi) S, S = diag(dx, dy), and
 ``reduce_points`` maps each centroid back to evaluate and classify it and
 multiplies its value by R.  Where the grid lies, its spacing and how its
 values are scaled then do not change the search at all; merging stays in
-physical units.  Newton's steps, the acceptance test and ``reduce_points``
-(through ``PatchInterpolant``) take every gradient and Hessian from
-``_grad_jac``.  The certifier screens its three coarsest levels with
-gradients from one BLAS product per domain code of a table built once per
-sweep, and takes every decision the screen cannot, and every one at the
-deeper levels, from the terms ``_grad_jac`` sums, with the same routine,
-``_gradient_sums``; it reads its gradient modulus G^, one value per domain
+physical units.  Newton's steps, the acceptance test, the certifier's
+exact decisions and ``reduce_points`` (through ``PatchInterpolant``) take
+every gradient and Hessian from ``_grad_jac``.  The certifier screens its
+three coarsest levels with gradients from one BLAS product per domain code
+of a table built once per sweep, and takes every decision the screen
+cannot, and every one at the deeper levels, from ``_grad_jac`` at the
+sub-box's center; it reads its gradient modulus G^, one value per domain
 code and level, from a second table built with the first.
 
 The engine and the certifier gather with ``take`` and ``compress``, never
@@ -53,18 +53,19 @@ broadcast and a copy instead of ``np.repeat``.  At their shapes
 (thousands of points by 16 nodes) ``take`` is about 2.5 times as fast as
 fancy indexing and ``compress`` up to 10 times as fast as a boolean mask;
 fancy indexing and ``np.repeat`` also do not run in parallel on the pool's
-threads, where ``take`` does.  Both keep their terms in the node-major
-layout of ``_grad_jac``, 16 nodes by the points: the engine holds its live
-seeds as two coordinate vectors, their patches and a ring
-(_CYCLE, 2, live), and compresses them along the seeds only when seeds
-leave; their weights stay the block's one node-major (16, P) copy, from
-which ``_grad_jac`` gathers each slice's columns.  The certifier keeps
-each level's pending sub-boxes as one bool mask (cells, L) over its live
-patches in code order.  At its coarse levels each code's live patches are
-a range of columns of their weights, (16, P), which the code's (cells, 16)
-rows of the table multiply into the (cells, P) gradients the mask's tests
-read whole; the exact path gathers the columns of the distinct sub-boxes
-of the cells it evaluates.
+threads, where ``take`` does.  Both read one weight layout, node-major
+like ``_grad_jac``'s terms: ``sweep_full`` gathers each block's weights
+once into a C-contiguous (16, P) copy, which the certifier, the engine and
+the acceptance test read and from which ``_grad_jac`` gathers each
+slice's columns.  The engine holds its live seeds as two coordinate
+vectors, their patches and a ring (_CYCLE, 2, live), and compresses them
+along the seeds only when seeds leave.  The certifier keeps each level's
+pending sub-boxes as one bool mask (cells, L) over its live patches in
+code order.  At its coarse levels each code's live patches are a range of
+columns of their weights, which the code's (cells, 16) rows of the table
+multiply into the (cells, P) gradients the mask's tests read whole; the
+exact path hands ``_grad_jac`` the centers of the cells it evaluates and
+their patches.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ def _newton_seeds(seeds, owner, weights, kernel):
     seeds (ascending), their positions and the ``SeedCounts``.
 
     Seed s starts at seeds[s] in the patch frame, in patch owner[s] of
-    weights (P,16) at the shared nodes ``_OFFS``, and the iterates are
-    clamped to the box [0, 3]^2.
+    weights (16, P), node-major and C-contiguous, at the shared nodes
+    ``_OFFS``, and the iterates are clamped to the box [0, 3]^2.
     It leaves the live set in one of four ways, counted in ``SeedCounts``:
 
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * DIAG;
@@ -195,14 +196,13 @@ def _newton_seeds(seeds, owner, weights, kernel):
 
     The live seeds' indices, coordinates, patches and rings
     (_CYCLE, 2, live) are compact arrays, in the layout ``_grad_jac``
-    takes, that shrink only when seeds leave; the weights stay one
-    node-major (16, P) copy, which ``_grad_jac`` gathers from slice by
-    slice.  ``counts.iterations`` is the number of seed evaluations.
+    takes, that shrink only when seeds leave; the weights are read as
+    given, and ``_grad_jac`` gathers from them slice by slice.
+    ``counts.iterations`` is the number of seed evaluations.
     """
     seeds = np.asarray(seeds, dtype=float)
     n = seeds.shape[0]
     px, py = seeds[:, 0].copy(), seeds[:, 1].copy()
-    wt = np.ascontiguousarray(weights.T)
     own = np.asarray(owner)  # the live seeds' patches
     # rx[s], ry[s] is seed s's root once it has converged
     rx, ry = np.empty(n), np.empty(n)
@@ -217,7 +217,7 @@ def _newton_seeds(seeds, owner, weights, kernel):
         if live.size == 0:
             break
         iterations += live.size
-        gx, gy, jxx, jxy, jyy = _grad_jac(px, py, wt, own, kernel)
+        gx, gy, jxx, jxy, jyy = _grad_jac(px, py, weights, own, kernel)
         det = jxx * jyy - jxy * jxy
         frob2 = jxx * jxx + 2.0 * jxy * jxy + jyy * jyy
         # a zero Jacobian passes the relative test (0 >= 0) and would step 0/0
@@ -274,11 +274,11 @@ def _search(code, weights, kernel):
     their Newton runs.
 
     code (P,) holds the patches' search-domain codes (``_domain_code``) and
-    weights (P,16) the interpolants at the shared nodes ``_OFFS``, in units
-    of the field range.  Each patch starts from the seeds ``_SEEDS`` of its
-    code.  The kept roots are returned ordered by (patch, seed) as their
-    patches (entries of code), seed slots and positions xi in the patch
-    frame.
+    weights (16, P), node-major and C-contiguous, the interpolants at the
+    shared nodes ``_OFFS``, in units of the field range.  Each patch starts
+    from the seeds ``_SEEDS`` of its code.  The kept roots are returned
+    ordered by (patch, seed) as their patches (entries of code), seed slots
+    and positions xi in the patch frame.
     """
     seeds = _SEEDS.take(code, axis=0)
     nseed = seeds.shape[1]
@@ -290,7 +290,7 @@ def _search(code, weights, kernel):
 
     # accept converged roots inside their domain with a small gradient
     k = owner.take(idx)
-    gx, gy, *_ = _grad_jac(pos[:, 0], pos[:, 1], np.ascontiguousarray(weights.T), k, kernel)
+    gx, gy, *_ = _grad_jac(pos[:, 0], pos[:, 1], weights, k, kernel)
     kc = code.take(k)
     inside = np.all((pos >= lo.take(kc, axis=0)) & (pos <= hi.take(kc, axis=0)), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / DIAG)
@@ -336,7 +336,7 @@ def _gradient_modulus(kernel: Kernel, r):
 def _native_norm(weights, entries, alpha):
     """Upper bounds N >= ||s||_N of P patch interpolants, shape (P,).
 
-    s is the RBF sum the engine evaluates: the float64 weights w (P,16) at
+    s is the RBF sum the engine evaluates: the float64 weights w (16, P) at
     the shared nodes ``_OFFS``, the offsets ``entries`` is built from, and
     ||s||_N^2 = w^T A w with A the kernel matrix of those nodes.
 
@@ -358,12 +358,15 @@ def _native_norm(weights, entries, alpha):
     diameter, bounds the rounding of a distance (under 1.5 ulps).  A
     relative _MARGIN covers the square root and the rounding of the margin.
     """
-    # einsum without optimize calls no BLAS: each row's sums run in one
-    # fixed order whatever the number of rows, so a patch's bound does not
-    # depend on its block
-    q = (weights * np.einsum("pj,ij->pi", weights, entries)).sum(axis=-1)
+    # einsum without optimize calls no BLAS, and over rows of 16 contiguous
+    # weights each row's sums run in one fixed order whatever the number of
+    # rows, so a patch's bound does not depend on its block.  Hence one
+    # row-major copy: over the node-major columns, "jp,ij->ip", numpy sums
+    # a block of one patch in another kernel, and N's bits move with P
+    rows = np.ascontiguousarray(weights.T)
+    q = (rows * np.einsum("pj,ij->pi", rows, entries)).sum(axis=-1)
     delta = 2.0 ** -51 * _BOX_DIAMETER
-    l1 = np.abs(weights).sum(axis=-1)
+    l1 = np.abs(rows).sum(axis=-1)
     margin = l1 * l1 * (_MARGIN + 3.0 * alpha * delta)
     return np.sqrt(np.maximum(q, 0.0) + margin) * (1.0 + _MARGIN)
 
@@ -371,7 +374,7 @@ def _native_norm(weights, entries, alpha):
 def _gradient_rounding(weights, kernel):
     """eps (P,): a bound on the rounding of a gradient and of its norm
     computed by ``_grad_jac`` anywhere in the box [0, 3]^2 of the nodes
-    ``_OFFS``.
+    ``_OFFS``, for weights (16, P).
 
     The gradient is sum_m c_m psi(r_m) (x - x_m), and each term is at most
     |c_m| |psi(0)| times the box diameter: |psi| peaks at 0 for every
@@ -380,12 +383,11 @@ def _gradient_rounding(weights, kernel):
     products and the 16-term sums add a few ulps of the terms' sum, so
     _MARGIN (2^13 ulps) times that sum bounds the error.
     """
-    return _MARGIN * np.abs(weights).sum(axis=-1) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
+    return _MARGIN * _gradient_sums(np.abs(weights)) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
 
 
-def _sub_box_terms(code, cell, level, kernel):
-    """The offsets ox, oy of the centers x0 of sub-boxes to the nodes and
-    psi there, all (16, n).
+def _sub_box_centers(code, cell, level):
+    """The centers x0 of sub-boxes as their coordinates x, y (n,).
 
     Sub-box s is cell cell[s] = iy side + ix, the cell (ix, iy) of the
     side x side split of the search domain code[s], [lo, hi], side = 2^level,
@@ -393,28 +395,28 @@ def _sub_box_terms(code, cell, level, kernel):
     and width of a domain is a multiple of 1/2 and every side a power of two.
     """
     side = 2 ** level
-    cells = np.stack(np.divmod(cell, side)[::-1], axis=-1)  # (ix, iy)
-    box = _DOMAINS.take(code, axis=0)
-    x0 = box[:, 0] + (box[:, 1] - box[:, 0]) * ((cells + 0.5) / side)
-    ox, oy, dist = _offsets(x0[:, 0], x0[:, 1])
-    return ox, oy, kernel.psi(dist)
+    iy, ix = np.divmod(cell, side)
+    lo, width = _DOMAINS[:, 0], _DOMAINS[:, 1] - _DOMAINS[:, 0]
+    return [lo[:, a].take(code) + width[:, a].take(code) * ((i + 0.5) / side)
+            for a, i in enumerate((ix, iy))]
 
 
 def _level_tables(kernel):
     """The tables ``_certify`` reads, built once per sweep for the
     certifier's pass only: for levels 1 to _DENSE_LEVELS, the rows psi ox
-    and psi oy of the ``_sub_box_terms`` of every cell of the 16 domain
-    codes, two (16 side^2, 16) matrices per level (1,344 sub-boxes in all,
-    344 KB; code c and cell j in row
-    c side^2 + j, the key ``_gathered`` gives it), and G^
-    (_CERTIFY_DEPTH, 16).  A code's sub-boxes at a level are one exact
+    and psi oy of every cell of the 16 domain codes, the terms of the
+    gradient at the cell's center (``_sub_box_centers``) with ox, oy its
+    offsets to the nodes, two (16 side^2, 16) matrices per level (1,344
+    sub-boxes in all, 344 KB; code c and cell j in row c side^2 + j), and
+    G^ (_CERTIFY_DEPTH, 16).  A code's sub-boxes at a level are one exact
     box with half-widths (hi - lo) / 2^(level + 1), so G^[level - 1, c]
     is the modulus at its half-diagonal."""
     tables = []
     for level in range(1, _DENSE_LEVELS + 1):
         ncell = 4 ** level
         key = np.arange(16 * ncell)
-        ox, oy, psi = _sub_box_terms(key // ncell, key % ncell, level, kernel)
+        ox, oy, dist = _offsets(*_sub_box_centers(key // ncell, key % ncell, level))
+        psi = kernel.psi(dist)
         tables.append((np.ascontiguousarray((psi * ox).T), np.ascontiguousarray((psi * oy).T)))
     levels = np.arange(1, _CERTIFY_DEPTH + 1)[:, None]
     half = (_DOMAINS[:, 1] - _DOMAINS[:, 0]) / 2.0 ** (levels[..., None] + 1)  # (depth, 16, 2)
@@ -429,37 +431,18 @@ def _table_gradients(code, weights, table):
     The patches of one domain code share every sub-box of the level, so
     the gradients of all cells of a code's patches are one matrix product
     per axis: the code's (cells, 16) rows of psi ox or psi oy times the
-    patches' weights (16, P).  BLAS sums the 16 terms in an order of its
-    own, which can depend on P, so these gradients only screen
+    patches' columns of the weights (16, P).  BLAS sums the 16 terms in an
+    order of its own, which can depend on P, so these gradients only screen
     (``_screen_margin``).
     """
     ax, ay = table
     ncell = len(ax) // 16
     bounds = np.searchsorted(code, np.arange(17))
-    wt = weights.T
     gx, gy = np.empty((ncell, len(code))), np.empty((ncell, len(code)))
     for c in np.flatnonzero(bounds[1:] > bounds[:-1]):
         keys, p = slice(c * ncell, (c + 1) * ncell), slice(bounds[c], bounds[c + 1])
-        np.matmul(ax[keys], wt[:, p], out=gx[:, p])
-        np.matmul(ay[keys], wt[:, p], out=gy[:, p])
-    return gx, gy
-
-
-def _gathered(k, cell, level, code, weights, kernel):
-    """gx, gy (n,) of sub-boxes (patch k, cell cell) at a level, with one
-    kernel evaluation per distinct (code, cell) key and each sub-box's terms
-    gathered from the columns of its key: the bits of ``_grad_jac`` at the
-    sub-box's center."""
-    ncell = 4 ** level
-    key = code.take(k) * ncell + cell
-    present = np.zeros(16 * ncell, dtype=bool)  # numbers the distinct keys, ascending
-    present.put(key, True)
-    inv = (np.cumsum(present) - 1).take(key)
-    key = np.flatnonzero(present)
-    ox, oy, psi = _sub_box_terms(key // ncell, key % ncell, level, kernel)
-    cpsi = np.multiply(weights.take(k, axis=0).T, psi.take(inv, axis=1), order="C")
-    gx = _gradient_sums(cpsi * ox.take(inv, axis=1))
-    gy = _gradient_sums(np.multiply(cpsi, oy.take(inv, axis=1), out=cpsi))
+        np.matmul(ax[keys], weights[:, p], out=gx[:, p])
+        np.matmul(ay[keys], weights[:, p], out=gy[:, p])
     return gx, gy
 
 
@@ -526,11 +509,10 @@ def _certify(code, weights, entries, tables, kernel):
     sub-box whose finite slack lies farther than delta (``_screen_margin``)
     from both its bounds gets the decision ``_grad_jac``'s slack would
     give, and every other pending sub-box, like every pending one at the
-    deeper levels, is evaluated exactly: in chunks of 9 * _BLOCK_PATCHES,
-    a block's seed lattice, with one kernel evaluation per distinct
-    sub-box (``_gathered``), in ``_grad_jac``'s operations and order.
-    Every test uses the same N G^, so every decision is the one a
-    per-sub-box evaluation gives, whatever the BLAS.
+    deeper levels, is evaluated exactly: ``_grad_jac`` at its center
+    (``_sub_box_centers``), in chunks of _BLOCK_PATCHES sub-boxes.  Every
+    test uses the same N G^, so every decision is the one a per-sub-box
+    evaluation gives, whatever the BLAS.
     """
     dense, ghat = tables
     tol_g = _GRAD_TOL_REL / DIAG
@@ -553,10 +535,9 @@ def _certify(code, weights, entries, tables, kernel):
     failed = np.zeros(len(code), dtype=bool)
     live = np.argsort(code, kind="stable")
     pending = np.ones((4, live.size), dtype=bool)  # cell iy side + ix of each live patch
-    chunk = 9 * _BLOCK_PATCHES
     for level in range(1, _CERTIFY_DEPTH + 1):
         if level <= len(dense):
-            gx, gy = _table_gradients(code.take(live), weights.take(live, axis=0),
+            gx, gy = _table_gradients(code.take(live), weights.take(live, axis=1),
                                       dense[level - 1])
             s, b = slack(gx, gy, live, level)
             d = delta.take(live)
@@ -571,11 +552,13 @@ def _certify(code, weights, entries, tables, kernel):
         else:
             split, stop = np.zeros_like(pending), np.zeros_like(pending)
             exact = np.flatnonzero(pending)
-        for c0 in range(0, exact.size, chunk):
-            pc = exact[c0:c0 + chunk]
+        for c0 in range(0, exact.size, _BLOCK_PATCHES):
+            pc = exact[c0:c0 + _BLOCK_PATCHES]
             cell, col = np.divmod(pc, live.size)
             k = live.take(col)
-            s, b = slack(*_gathered(k, cell, level, code, weights, kernel), k, level)
+            x, y = _sub_box_centers(code.take(k), cell, level)
+            gx, gy, *_ = _grad_jac(x, y, weights, k, kernel)
+            s, b = slack(gx, gy, k, level)
             split.put(pc, ~(s > b[0]))
             stop.put(pc, ~(s > b[1]))
         # at the deepest level every failed sub-box has failed its patch
@@ -672,11 +655,15 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         h = g.values.take(first[:, None] + nodes)
         weights[blk], constants[blk] = matrix.solve(h / field_range)
 
+    def columns(block: np.ndarray):
+        # a block's codes and its one node-major copy of the weights, (16, P)
+        return code.take(block), np.ascontiguousarray(weights.take(block, axis=0).T)
+
     def certify(block: np.ndarray, tables):
-        return _certify(code[block], weights[block], matrix.entries, tables, kernel)
+        return _certify(*columns(block), matrix.entries, tables, kernel)
 
     def search(block: np.ndarray):
-        (k, slot, xi), counts = _search(code[block], weights[block], kernel)
+        (k, slot, xi), counts = _search(*columns(block), kernel)
         return block.take(k), slot, xi, counts
 
     def blocks(idx: np.ndarray):

@@ -12,19 +12,8 @@ import pytest
 
 from gridstat import (GridField, Kernel, KernelKind, PatchInterpolant, TestFunction,
                       run_pipeline, sample, shape_parameter, sweep_full)
+from gridstat.oracle import F1_POINTS as F1_FROZEN  # F1's five stationary points
 from gridstat.patch import DIAG
-
-
-# The five stationary points of the F1 surface inside the unit square,
-# frozen from a seeded 10,000-start Newton run on the analytic gradient
-# (see gridstat.oracle); positions are stable to ~1e-12.
-F1_FROZEN = np.array([
-    [0.20599157038050767, 0.20805013834294173],
-    [0.45571037931856345, 0.7841906776136751],
-    [0.5560369042144191, 0.2773758720247615],
-    [0.6160307592684094, 0.8571405567407937],
-    [0.7547415545824386, 0.32633819470941006],
-])
 
 
 @pytest.fixture(scope="session")

@@ -545,9 +545,9 @@ def newton_full_cap(seeds, weights, kernel, bbox_lo, bbox_hi, cap):
 
 def full_cap_roots(seeds, owner, weights, kernel, cap):
     """``newton_full_cap`` on the per-seed arrays made from the engine's
-    inputs: the converged seed indices and their positions."""
+    inputs, weights (16, P): the converged seed indices and their positions."""
     n = len(owner)
-    x, converged = newton_full_cap(seeds, weights[owner], kernel, np.zeros((n, 2)),
+    x, converged = newton_full_cap(seeds, weights.T[owner], kernel, np.zeros((n, 2)),
                                    np.full((n, 2), 3.0), cap)
     idx = np.flatnonzero(converged)
     return idx, x[idx]
@@ -591,7 +591,7 @@ def test_seed_clamped_to_bbox_corner_retires_at_once(monkeypatch):
     h = (_OFFS[:, 0] - 10.0) ** 2 + (_OFFS[:, 1] - 10.0) ** 2
     k = default_kernel(KernelKind.GAUSSIAN)
     weights = np.asarray(PatchMatrix(k).solve(h)[0], float)
-    args = (np.array([[3.0, 3.0]]), np.array([0]), weights[None], k)
+    args = (np.array([[3.0, 3.0]]), np.array([0]), weights[:, None], k)
     evaluations = []
 
     def counting(*a):
@@ -618,7 +618,8 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     unit[4] = 1.0
     bump = m.solve(-(_OFFS[:, 0] - 1.5) ** 2 - (_OFFS[:, 1] - 1.2) ** 2)[0]
     bowl = m.solve((_OFFS[:, 0] - 10.0) ** 2 + (_OFFS[:, 1] - 10.0) ** 2)[0]
-    weights = np.stack([np.zeros(16), unit, np.asarray(bump, float), np.asarray(bowl, float)])
+    weights = np.column_stack([np.zeros(16), unit, np.asarray(bump, float),
+                               np.asarray(bowl, float)])
     lattice = [[x, y] for y in (0.6, 1.4, 2.2) for x in (0.7, 1.6, 2.4)]
     inflection = _OFFS[4] + [1 / (k.alpha * math.sqrt(2)), 0.0]
     seeds = np.array([lattice[0], [1.0, 1.0], lattice[1], inflection, *lattice[2:5],
@@ -720,9 +721,9 @@ def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
 
 def search_reference(code, weights, kernel, ns):
     """``_search`` with its in-patch dedup as the per-root loop it was first
-    written as, with an ns x ns seed lattice laid in each patch's domain:
-    the kept roots as (patch, seed slot, position) and the number of
-    accepted roots."""
+    written as, with an ns x ns seed lattice laid in each patch's domain,
+    on weights (16, P): the kept roots as (patch, seed slot, position) and
+    the number of accepted roots."""
     lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
@@ -732,7 +733,7 @@ def search_reference(code, weights, kernel, ns):
     owner = np.repeat(np.arange(len(lo)), nseed)
     idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
     k = owner[idx]
-    gx, gy = gradient_reference(pos, weights[k], kernel)
+    gx, gy = gradient_reference(pos, weights.T[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / stationary.DIAG)
     min_sep = stationary._DEDUP_RADIUS * stationary.DIAG
@@ -812,7 +813,7 @@ def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
 
     monkeypatch.setattr(stationary, "_newton_seeds", engine)
     # domain code 0: [0.5, 2.5]^2
-    args = (np.zeros(2, dtype=int), np.zeros((2, 16)), default_kernel(KernelKind.GAUSSIAN))
+    args = (np.zeros(2, dtype=int), np.zeros((16, 2)), default_kernel(KernelKind.GAUSSIAN))
     got, _ = stationary._search(*args)
     assert list(zip(got[0].tolist(), got[1].tolist())) == [(0, 0), (0, 4), (0, 5), (1, 3)]
     assert_same_search(got, search_reference(*args, stationary._SEEDS_PER_AXIS)[0])
@@ -822,11 +823,12 @@ def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
 
 def certifier_inputs(g, kernel):
     """The inputs ``sweep_full`` gives ``_certify`` for every patch of g, in
-    the patch frame."""
+    the patch frame: the weights node-major, (16, P)."""
     sr = sweep_full(g, kernel)
     ii, jj = np.divmod(np.arange(sr.weights.shape[0]), g.nx - 3)
     tables = stationary._level_tables(kernel)
-    return (_domain_code(g, ii + 1, jj + 1), sr.weights, sr.matrix.entries, tables, kernel), sr
+    weights = np.ascontiguousarray(sr.weights.T)
+    return (_domain_code(g, ii + 1, jj + 1), weights, sr.matrix.entries, tables, kernel), sr
 
 
 def random_patch(kind, scale, seed):
@@ -876,8 +878,8 @@ def test_gradient_modulus_bounds_gradient_differences(kind, scale, seed):
     # |grad s(x) - grad s(y)| <= N G^(|x - y|) for computed gradients, up to
     # their rounding eps at each end, on pairs from 1e-9 d apart to across the box
     k, weights = random_patch(kind, scale, seed)
-    norm = stationary._native_norm(weights[None], PatchMatrix(k).entries, k.alpha)[0]
-    eps = stationary._gradient_rounding(weights[None], k)[0]
+    norm = stationary._native_norm(weights[:, None], PatchMatrix(k).entries, k.alpha)[0]
+    eps = stationary._gradient_rounding(weights[:, None], k)[0]
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 3, (200, 2))
     step = DIAG * 10.0 ** rng.uniform(-9, 0.5, 200)
@@ -911,14 +913,14 @@ def test_certificate_margins_cover_the_rounding(kind, scale, seed):
     # anywhere in the patch's box, and N bounds the native-space norm of the
     # RBF sum at the float64 nodes, summed in extended precision
     k, weights = random_patch(kind, scale, seed)
-    eps = stationary._gradient_rounding(weights[None], k)[0]
+    eps = stationary._gradient_rounding(weights[:, None], k)[0]
     x = np.random.default_rng(seed).uniform(0, 3, (300, 2))
     gx, gy, *_ = _grad_jac_rows(x, weights, k)
     ref = gradient_extended(x, weights, kind, k.alpha)
     assert np.all(np.abs(gx - ref[:, 0]) <= eps)
     assert np.all(np.abs(gy - ref[:, 1]) <= eps)
     assert np.all(np.abs(np.sqrt(gx * gx + gy * gy) - np.hypot(*ref.T)) <= eps)
-    norm = stationary._native_norm(weights[None], PatchMatrix(k).entries, k.alpha)[0]
+    norm = stationary._native_norm(weights[:, None], PatchMatrix(k).entries, k.alpha)[0]
     w = np.asarray(weights, np.longdouble)
     assert norm ** 2 >= w @ kernel_matrix_extended(kind, k.alpha) @ w
 
@@ -929,9 +931,42 @@ def test_native_norm_does_not_depend_on_the_block():
     (_, weights, entries, _, k), _ = certifier_inputs(g, default_kernel(KernelKind.GAUSSIAN))
     whole = stationary._native_norm(weights, entries, k.alpha)
     for step in (1, 7):
-        parts = [stationary._native_norm(weights[p0:p0 + step], entries, k.alpha)
-                 for p0 in range(0, len(weights), step)]
+        parts = [stationary._native_norm(weights[:, p0:p0 + step], entries, k.alpha)
+                 for p0 in range(0, weights.shape[1], step)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def native_norm_rows(rows, entries, alpha):
+    """``_native_norm`` as it was written for row-major weights (P, 16)."""
+    q = (rows * np.einsum("pj,ij->pi", rows, entries)).sum(axis=-1)
+    delta = 2.0 ** -51 * stationary._BOX_DIAMETER
+    l1 = np.abs(rows).sum(axis=-1)
+    margin = l1 * l1 * (stationary._MARGIN + 3.0 * alpha * delta)
+    return np.sqrt(np.maximum(q, 0.0) + margin) * (1.0 + stationary._MARGIN)
+
+
+def gradient_rounding_rows(rows, kernel):
+    """``_gradient_rounding`` as it was written for row-major weights (P, 16)."""
+    return (stationary._MARGIN * np.abs(rows).sum(axis=-1) * abs(kernel.psi(0.0))
+            * stationary._BOX_DIAMETER)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("npatch", [1, 7, 2049])
+def test_certificate_bounds_of_node_major_weights_keep_the_row_major_bits(kind, npatch):
+    # N and eps of a block's node-major weights (16, P) are the bits of the
+    # formulas on the same weights as C-contiguous rows (P, 16), the block
+    # the sweep once gathered, one patch included
+    k = default_kernel(kind)
+    rng = np.random.default_rng(npatch)
+    h = rng.uniform(-1, 1, (npatch, 16)) * 10.0 ** rng.uniform(-3, 3, (npatch, 1))
+    matrix = PatchMatrix(k)
+    rows = np.ascontiguousarray(matrix.solve(h)[0])
+    weights = np.ascontiguousarray(rows.T)
+    assert_same_bits([stationary._native_norm(weights, matrix.entries, k.alpha),
+                      stationary._gradient_rounding(weights, k)],
+                     [native_norm_rows(rows, matrix.entries, k.alpha),
+                      gradient_rounding_rows(rows, k)])
 
 
 def test_certificate_charges_its_rounding_margin(monkeypatch):
@@ -940,7 +975,7 @@ def test_certificate_charges_its_rounding_margin(monkeypatch):
     k = default_kernel(KernelKind.GAUSSIAN)
     assert sweep_full(g, k).seed_counts.excluded > 0
     monkeypatch.setattr(stationary, "_gradient_rounding",
-                        lambda weights, kernel: np.full(len(weights), np.inf))
+                        lambda weights, kernel: np.full(weights.shape[1], np.inf))
     assert sweep_full(g, k).seed_counts.excluded == 0
 
 
@@ -981,6 +1016,7 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     k = default_kernel(kind, scale)
     args, sr = certifier_inputs(g, k)
     code, weights, *_ = args
+    rows = weights.T
     lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
     tol_g = _GRAD_TOL_REL / DIAG
     root_free = np.flatnonzero(stationary._certify(*args))
@@ -991,13 +1027,13 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
     starts = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
     for p in np.array_split(root_free, -(-root_free.size // 64)):
         x = lo[p, None] + (hi[p] - lo[p])[:, None] * lattice
-        gx, gy, *_ = _grad_jac_rows(x, weights[p, None], k)
+        gx, gy, *_ = _grad_jac_rows(x, rows[p, None], k)
         assert np.all(np.sqrt(gx * gx + gy * gy) > tol_g)
         seeds = (lo[p, None] + (hi[p] - lo[p])[:, None] * starts).reshape(-1, 2)
         owner = np.repeat(np.arange(p.size), len(starts))
-        idx, pos, _ = stationary._newton_seeds(seeds, owner, weights[p], k)
+        idx, pos, _ = stationary._newton_seeds(seeds, owner, weights.take(p, axis=1), k)
         q = p[owner[idx]]
-        gx, gy, *_ = _grad_jac_rows(pos, weights[q], k)
+        gx, gy, *_ = _grad_jac_rows(pos, rows[q], k)
         inside = np.all((pos >= lo[q]) & (pos <= hi[q]), axis=-1)
         assert np.all(np.sqrt(gx * gx + gy * gy)[inside] > tol_g)
 
@@ -1005,7 +1041,7 @@ def test_certified_patches_have_no_small_gradient(fn, scale, kind):
 def certify_reference(code, weights, entries, tables, kernel):
     """``_certify`` as one kernel evaluation (``_grad_jac``) per pending
     sub-box, the way it was first written, with each patch's own bounds;
-    tables is not used."""
+    weights is (16, P) and tables is not used."""
     lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
     npatch = len(code)
     tol_g = _GRAD_TOL_REL / DIAG
@@ -1034,7 +1070,7 @@ def certify_reference(code, weights, entries, tables, kernel):
             x0 = (a + b) * 0.5
             half = np.maximum(x0 - a, b - x0)
             r = np.hypot(half[:, 0], half[:, 1]) * (1.0 + stationary._MARGIN)
-            gx, gy, *_ = _grad_jac_rows(x0, weights[kc], kernel)
+            gx, gy, *_ = _grad_jac_rows(x0, weights.T[kc], kernel)
             slack = np.sqrt(gx * gx + gy * gy) - eps[kc] - tol_g - eps[kc]
             split.append(np.flatnonzero(~(slack > norm[kc] * modulus(kernel, r))) + c0)
             failed[kc[~(slack > norm[kc] * modulus(kernel, r * finest))]] = True
@@ -1053,7 +1089,7 @@ REFERENCE_CASES = [
     *(("f2-4x4", kind, 1.0, None) for kind in KernelKind),
     # the finest-level exit ends most patches early
     ("F1", KernelKind.WENDLAND31, 3.0, None),
-    # chunks of 9 sub-boxes split the sub-boxes of one domain and cell
+    # chunks of one sub-box split the sub-boxes of one domain and cell
     ("F2", KernelKind.GAUSSIAN, 1.0, 1),
     # one block of 2,209 patches: code 0 is one product 2,209 patches wide
     ("F2@50", KernelKind.GAUSSIAN, 1.0, 10**6),
@@ -1101,14 +1137,20 @@ def test_sub_boxes_near_a_bound_take_the_exact_path(monkeypatch):
     # at their centers, and every decision is the reference's
     args, _ = certifier_inputs(sample(TestFunction.F2, 20, 20),
                                default_kernel(KernelKind.GAUSSIAN, 0.7))
-    levels = []
-    gathered = stationary._gathered
+    code = args[0]
+    levels = set()
+    grad_jac = stationary._grad_jac
 
-    def spy(k, cell, level, *rest):
-        levels.append(level)
-        return gathered(k, cell, level, *rest)
+    def spy(px, py, weights, owner, kernel):
+        # a center of a cell of level L lies at lo + (hi - lo) (2 ix + 1) / 2^(L + 1)
+        box = _DOMAINS[code.take(owner)]
+        t = (px - box[:, 0, 0]) / (box[:, 1, 0] - box[:, 0, 0])
+        for level in range(1, stationary._CERTIFY_DEPTH + 1):
+            if np.any(t * 2 ** (level + 1) % 2 == 1):
+                levels.add(level)
+        return grad_jac(px, py, weights, owner, kernel)
 
-    monkeypatch.setattr(stationary, "_gathered", spy)
+    monkeypatch.setattr(stationary, "_grad_jac", spy)
     got = stationary._certify(*args)
     assert 2 in levels
     np.testing.assert_array_equal(got, certify_reference(*args))
@@ -1135,8 +1177,8 @@ def test_non_finite_table_gradients_take_the_exact_path(monkeypatch):
 
 def screen_gaps(code, weights, k):
     """|table slack - _grad_jac slack| and delta at every cell of levels 1
-    to _DENSE_LEVELS of P patches, code (P,) sorted: lists of (cells, P)
-    and (P,)."""
+    to _DENSE_LEVELS of P patches, code (P,) sorted and weights (16, P):
+    lists of (cells, P) and (P,)."""
     tables, _ = stationary._level_tables(k)
     tol_g = _GRAD_TOL_REL / DIAG
     eps = stationary._gradient_rounding(weights, k)
@@ -1149,7 +1191,7 @@ def screen_gaps(code, weights, k):
         cells = np.stack([ix, iy], axis=-1)[:, None]
         lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
         x0 = lo + (hi - lo) * ((cells + 0.5) / side)
-        want_x, want_y, *_ = _grad_jac_rows(x0, weights, k)
+        want_x, want_y, *_ = _grad_jac_rows(x0, weights.T, k)
         table_slack = np.sqrt(gx * gx + gy * gy) - eps - tol_g - eps
         exact_slack = np.sqrt(want_x * want_x + want_y * want_y) - eps - tol_g - eps
         gaps.append(np.abs(table_slack - exact_slack))
@@ -1171,7 +1213,7 @@ def test_table_slack_lies_within_the_screen_margin(kind, scale):
         (code, weights, *_), _ = certifier_inputs(g, k)
         codes.update(code.tolist())
         order = np.argsort(code, kind="stable")
-        gaps, delta = screen_gaps(code[order], weights[order], k)
+        gaps, delta = screen_gaps(code[order], weights.take(order, axis=1), k)
         for gap in gaps:
             assert np.all(gap <= delta)
     assert codes == set(range(16))
@@ -1187,7 +1229,7 @@ def test_table_slack_of_random_patches_lies_within_the_screen_margin(kind, scale
     k = default_kernel(kind, scale)
     rng = np.random.default_rng(seed)
     h = rng.uniform(-1, 1, (width, 16)) * 10.0 ** rng.uniform(-3, 3, (width, 1))
-    weights = PatchMatrix(k).solve(h)[0]
+    weights = np.ascontiguousarray(PatchMatrix(k).solve(h)[0].T)
     code = np.sort(rng.integers(0, 16, width))
     gaps, delta = screen_gaps(code, weights, k)
     for gap in gaps:
@@ -1232,7 +1274,8 @@ def test_results_do_not_depend_on_the_slices(kind, monkeypatch):
     certifier_args, _ = certifier_inputs(g, k)
     rng = np.random.default_rng(22)
     x = rng.uniform(0, 3, (5000, 2))
-    weights = certifier_args[1][rng.integers(0, len(certifier_args[1]), 5000)]
+    rows = certifier_args[1].T
+    weights = rows[rng.integers(0, len(rows), 5000)]
 
     def run():
         idx, pos, counts = stationary._newton_seeds(*engine_args)
