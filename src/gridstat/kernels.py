@@ -181,3 +181,36 @@ class Kernel:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eta = np.where(r > 0, ceta * f * f / np.where(r > 0, r, 1.0), 0.0)
         return cpsi * f ** 3, eta
+
+    def psi_eta_nodes(self, ox2, oy2):
+        """psi and eta at the offsets of points to the nodes of a 4x4 grid,
+        from the squared offsets per axis: ox2 (4, ...) to the node columns
+        and oy2 (4, ...) to the node rows.  Returns psi and eta as
+        (4 rows, 4 cols, ...), r^2 = ox2[col] + oy2[row].
+
+          Gaussian         exp(-a^2 ox2) exp(-a^2 oy2): 8 exp for 16 nodes
+          inverse quadric  q = 1 + a^2 (ox2 + oy2), no square root
+          Wendland 3,1     ``psi_eta`` of r = sqrt(ox2 + oy2), eta(0) = 0
+
+        Every step is elementwise, so no value depends on the trailing shape.
+        """
+        ox2, oy2 = np.asarray(ox2, dtype=float), np.asarray(oy2, dtype=float)
+        cpsi, ceta = self._coefficients()
+        a2 = float(self.alpha) * float(self.alpha)
+        if self.kind is KernelKind.GAUSSIAN:
+            ex = np.exp(np.multiply(ox2, -a2))
+            ey = np.exp(np.multiply(oy2, -a2))
+            return (np.multiply(ey, cpsi)[:, None] * ex,
+                    np.multiply(ey, ceta, out=ey)[:, None] * ex)
+        if self.kind is KernelKind.INVERSE_QUADRIC:
+            qy = np.multiply(oy2, a2)
+            qy += 1.0
+            p = np.add(qy[:, None], np.multiply(ox2, a2))
+            np.divide(1.0, p, out=p)
+            psi = np.multiply(p, p)
+            eta = np.multiply(psi, p, out=p)
+            psi *= cpsi
+            eta *= ceta
+            return psi, eta
+        r = np.add(oy2[:, None], ox2)
+        return self.psi_eta(np.sqrt(r, out=r))

@@ -27,13 +27,19 @@ shape parameter has condition number ~6e9, and on random right-hand sides
 the normwise backward error of the weights is at most 0.35u, u = 2^-53
 the unit roundoff (``test_solve_residual_bound`` allows 2u).
 
-The per-node terms are laid out node-major: the offsets of N points to
-the 16 nodes are (16, N) arrays with the points on the contiguous axis,
-so every elementwise step runs over the points in one long inner loop
-(numpy runs an (N, 16) layout with an inner loop of 16), and
+The per-node terms are laid out node-major: the nodes are the leading
+axes and the points the contiguous last one, so every elementwise step
+runs over the points in one long inner loop (numpy runs an (N, 16)
+layout with an inner loop of 16).  ``_offsets`` gives the offsets of N
+points to the 16 nodes as (16, N) arrays; ``PatchMatrix``,
+``PatchInterpolant``'s value and the certifier's tables read them, and
 ``_gradient_sums``, the one 16-term sum, adds whole rows in numpy's
-pairwise order, written out.  ``_grad_jac`` evaluates its points in slices
-of ``_SLICE``, so its temporaries fit in a core's L2 cache and the
+pairwise order, written out.  ``_grad_jac`` instead uses that the nodes
+lie on a 4x4 integer grid: a point's offsets take four values per axis,
+(4, N) each, ``Kernel.psi_eta_nodes`` evaluates psi and eta from their
+squares as (4, 4, N), and every sum over the nodes factors into sums of
+4 over a node row or column (``_node_sum``).  It evaluates its points in
+slices of ``_SLICE``, so its temporaries fit in a core's L2 cache and the
 allocator hands the same memory back slice after slice instead of mapping
 it and faulting it in again on every Newton iteration.  It reads the
 weights of P patches node-major, (16, P), and each point's patch: a slice
@@ -62,6 +68,8 @@ class FactorizationError(RuntimeError):
 _OFFS = np.array([(j, i) for i in range(4) for j in range(4)], dtype=float)
 #: the diagonal of a grid cell in index units
 DIAG = math.sqrt(2.0)
+#: the coordinates of the node rows and columns, (4, 1)
+_NODES = np.arange(4.0)[:, None]
 
 
 class PatchMatrix:
@@ -112,13 +120,14 @@ class PatchMatrix:
         return x[:16].T.reshape(h.shape), x[16].reshape(h.shape[:-1])
 
 
-#: points per pass of ``_grad_jac``: each of its (16, _SLICE) temporaries
-#: is 256 KB and stays in a core's L2 cache
+#: points per pass of ``_grad_jac``: each of its (4, 4, _SLICE) temporaries
+#: is 256 KB and each (4, _SLICE) one 64 KB, and they stay in a core's L2 cache
 _SLICE = 2048
 
 
 def _offsets(px, py):
-    """The per-node terms every derivative of an RBF sum is built from.
+    """The offsets of points to the 16 nodes, the terms of the kernel
+    matrix, of the interpolant's value and of the certifier's tables.
 
     px, py (N,) are the coordinates of N points; returns the components
     ox, oy of the offsets x - x_m to the nodes ``_OFFS`` and their lengths
@@ -133,9 +142,9 @@ def _offsets(px, py):
 
 def _gradient_sums(t, out=None):
     """The sum over the 16 nodes of the terms t (16, ...), shape (...),
-    written into out if given: the one sum over the nodes, which every
-    gradient, Hessian and interpolant value goes through.  t is
-    overwritten.
+    written into out if given: the one 16-term sum, which the
+    interpolant's value and the certifier's rounding bound go through.  t
+    is overwritten.
 
     The order is written out, r_j = t_j + t_{j+8}, then
     ((r_0 + r_1) + (r_2 + r_3)) + ((r_4 + r_5) + (r_6 + r_7)), then + 0.0,
@@ -152,6 +161,14 @@ def _gradient_sums(t, out=None):
     return out
 
 
+def _node_sum(t, out=None):
+    """t[0] + t[1] + t[2] + t[3] of t (4, ...), shape (...), in the order
+    (t[0] + t[1]) + (t[2] + t[3]), written into out if given: two
+    elementwise adds, so no sum depends on how many points are summed."""
+    h = np.add(t[0::2], t[1::2])
+    return np.add(h[0], h[1], out=out)
+
+
 def _grad_jac(px, py, weights, owner, kernel):
     """Gradient and symmetric Jacobian of the gradient field of RBF sums at
     the nodes ``_OFFS``: the one routine every gradient and Hessian of the
@@ -159,33 +176,50 @@ def _grad_jac(px, py, weights, owner, kernel):
 
     Point n at (px[n], py[n]), (N,) each, is evaluated against the weights
     weights[:, owner[n]] of its patch, weights (16, P) node-major and
-    C-contiguous; returns the arrays gx, gy, jxx, jxy, jyy, (N,) each.  The
-    points are evaluated in slices of _SLICE, and each slice gathers its
-    points' weights with ``take``, so the (16, slice) temporaries stay in
-    cache and no (16, N) weights are ever held; every step is elementwise
-    or a ``_gradient_sums``, so no result depends on the slice or on N.
-    psi and eta come from one kernel evaluation, and the weighted terms
-    overwrite them; the Hessian's products overwrite the offsets once the
-    gradient is summed.
+    C-contiguous; returns the arrays gx, gy, jxx, jxy, jyy, (N,) each.
+
+    The nodes lie on the 4x4 integer grid, so a point's offsets take four
+    values per axis: ox (4, m) = px - col and oy (4, m) = py - row.
+    ``Kernel.psi_eta_nodes`` makes psi and eta (4 rows, 4 cols, m) from
+    their squares, and with c psi = psi w and c eta = eta w the sums over
+    the 16 nodes factor into sums over a node row or column:
+    A_j = sum_i c psi, B_i = sum_j c psi, C_j = sum_i c eta,
+    D_i = sum_j c eta, E_j = sum_i c eta oy_i, tr = sum_j A_j, and
+
+        gx = sum_j A_j ox_j            gy = sum_i B_i oy_i
+        jxx = sum_j C_j ox_j^2 + tr    jyy = sum_i D_i oy_i^2 + tr
+        jxy = sum_j E_j ox_j
+
+    Each sum of 4 is ``_node_sum``.  The points are evaluated in slices of
+    _SLICE, and each slice gathers its points' weights with ``take``, so
+    the temporaries stay in cache and no (16, N) weights are ever held;
+    every step is elementwise, so no result depends on the slice or on N.
     """
     n = len(px)
     out = np.empty((5, n))
     for s0 in range(0, n, _SLICE):
         s = slice(s0, s0 + _SLICE)
         gx, gy, jxx, jxy, jyy = out[:, s]
-        ox, oy, r = _offsets(px[s], py[s])
-        psi, eta = kernel.psi_eta(r)
-        w = weights.take(owner[s], axis=1)
+        ox = px[s] - _NODES
+        oy = py[s] - _NODES
+        ox2, oy2 = ox * ox, oy * oy
+        psi, eta = kernel.psi_eta_nodes(ox2, oy2)
+        w = weights.take(owner[s], axis=1).reshape(psi.shape)
+        # the weighted terms overwrite psi and eta, and E's products c eta
+        # once C and D are summed
         cpsi = np.multiply(psi, w, out=psi)
         ceta = np.multiply(eta, w, out=eta)
-        # r is free: its array takes every product that is summed
-        _gradient_sums(np.multiply(cpsi, ox, out=r), out=gx)
-        _gradient_sums(np.multiply(cpsi, oy, out=r), out=gy)
-        _gradient_sums(np.multiply(np.multiply(ceta, ox, out=r), oy, out=r), out=jxy)
-        tr = _gradient_sums(cpsi)
-        # ceta (x - x_m)^2 rounds the square first, then the product
-        _gradient_sums(np.multiply(np.multiply(ox, ox, out=ox), ceta, out=ox), out=jxx)
-        _gradient_sums(np.multiply(np.multiply(oy, oy, out=oy), ceta, out=oy), out=jyy)
+        a = _node_sum(cpsi)
+        b = _node_sum(cpsi.transpose(1, 0, 2))
+        c = _node_sum(ceta)
+        d = _node_sum(ceta.transpose(1, 0, 2))
+        e = _node_sum(np.multiply(ceta, oy[:, None], out=ceta))
+        tr = _node_sum(a)
+        _node_sum(np.multiply(a, ox, out=a), out=gx)
+        _node_sum(np.multiply(b, oy, out=b), out=gy)
+        _node_sum(np.multiply(e, ox, out=e), out=jxy)
+        _node_sum(np.multiply(c, ox2, out=c), out=jxx)
+        _node_sum(np.multiply(d, oy2, out=d), out=jyy)
         jxx += tr
         jyy += tr
     return tuple(out)

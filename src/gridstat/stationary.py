@@ -378,10 +378,18 @@ def _gradient_rounding(weights, kernel):
 
     The gradient is sum_m c_m psi(r_m) (x - x_m), and each term is at most
     |c_m| |psi(0)| times the box diameter: |psi| peaks at 0 for every
-    kernel.  psi's absolute error is a few ulps of |psi(0)| even where its
-    argument's relative error is amplified (|t exp(-t)| <= 1/e), and the
-    products and the 16-term sums add a few ulps of the terms' sum, so
-    _MARGIN (2^13 ulps) times that sum bounds the error.
+    kernel, so S = sum |c| |psi(0)| (box diameter) bounds the sum of the
+    terms' moduli.  ``_grad_jac`` computes gx = sum_j A_j ox_j with
+    A_j = sum_i c_ij psi_ij, summing in pairs: each term c psi ox carries
+    the rounding of ox (1), of c psi (1), two additions in A_j, the product
+    A_j ox_j (1) and two additions over j, seven roundings of u = 2^-53;
+    likewise gy.  psi's absolute error is a few ulps of |psi(0)| (at most
+    19, the inverse quadric's 1 / q^2, counted in ``psi_eta_nodes``'
+    steps), even where its argument's relative error is amplified:
+    |t exp(-t)| <= 1/e.  So each component lies within about 27u S of the
+    exact one, and the norm, three roundings more, within 32u S:
+    _MARGIN (2^13 ulps) times that sum bounds the error with room for any
+    order of the sums.
     """
     return _MARGIN * _gradient_sums(np.abs(weights)) * abs(kernel.psi(0.0)) * _BOX_DIAMETER
 
@@ -452,12 +460,18 @@ def _screen_margin(eps):
     it computes from ``_grad_jac``'s at the same center, given the
     patches' rounding bounds eps (``_gradient_rounding``).
 
-    Both gradients sum the 16 terms c_m psi(r_m) (x0 - x_m), with two
-    roundings each, of the same psi and offsets; BLAS in its own order,
-    perhaps with fused multiply-adds.  eps counts 2^13 ulps of
-    S = sum |c| |psi(0)| (box diameter) against a few dozen that any order
-    of the products and sums takes, so both computed norms n lie within
-    eps of |grad s(x0)|, and within 2 eps of each other.  The slack
+    Both gradients sum the 16 terms c_m psi(r_m) (x0 - x_m) of the same
+    offsets: BLAS in its own order, perhaps with fused multiply-adds, with
+    psi from ``Kernel.psi`` at the computed r_m, three roundings per term
+    (the offset, psi ox in the table, the product) and at most 15
+    additions; ``_grad_jac`` in its factored order, with psi
+    from ``Kernel.psi_eta_nodes``, seven roundings per term (see
+    ``_gradient_rounding``).  The two psi differ from the exact one by a
+    few ulps of |psi(0)| each, at most 23 (the inverse quadric's
+    cpsi / (1 + (a r)^2)^2, counted step by step) and 19.  eps counts 2^13 ulps of
+    S = sum |c| |psi(0)| (box diameter) against the few dozen that either
+    gradient takes, so both computed norms n lie within eps of
+    |grad s(x0)|, and within 2 eps of each other.  The slack
     ((n - eps) - tol_g) - eps rounds three times, each time by at most
     u = 2^-53 of a result below S + 3 eps + tol_g, since n <= S + eps.  So
     the two slacks differ by at most

@@ -298,3 +298,46 @@ def test_psi_eta_leaves_its_argument_unchanged():
         before = r.copy()
         Kernel(kind, 1.1).psi_eta(r)
         assert_same_bits(r, before)
+
+
+# --- psi and eta at the nodes of a patch ----------------------------------------
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("alpha", [0.3175132598449121, 1.0, 7.0121])
+def test_psi_eta_nodes_agree_with_psi_eta_of_the_radius(kind, alpha):
+    # psi and eta from the squared offsets per axis against psi_eta of
+    # r = sqrt(ox^2 + oy^2), with r = 0, the box corner r = 3 sqrt(2) and
+    # Wendland's support edge among the inputs.  Wendland takes psi_eta of
+    # that r itself, so it keeps its bits.  From the same squares, counted
+    # step by step in units of u = 2^-53 against the exact values, with t =
+    # (a r)^2 and each exp within an ulp (2u): the Gaussian's psi and eta
+    # err by (2t + 7)u and (2t + 9)u times e^-t, psi_eta's by (6t + 4)u and
+    # (6t + 6)u, so the two differ by 16u of psi(0) and eta(0) at most; the
+    # inverse quadric's by 13u and 21u, psi_eta's by 17u and 27u (its
+    # q = 1 + (a r)^2 takes 7u against 4u here, then a square, a cube and
+    # the divisions), so by 30u of psi(0) and 48u of eta(0)
+    k = Kernel(kind, alpha)
+    rng = np.random.default_rng(7)
+    ox, oy = rng.uniform(-3.0, 3.0, (2, 4, 5000))
+    ox[:, 0], oy[:, 0] = 0.0, 0.0                                  # r = 0
+    ox[:, 1], oy[:, 1] = 3.0, -3.0                                 # the box corner
+    ox[:, 2], oy[:, 2] = 1.0 / alpha, 0.0                          # the support edge
+    ox[:, 3], oy[:, 3] = np.nextafter(1.0 / alpha, 0.0), 0.0       # just inside it
+    ox2, oy2 = ox * ox, oy * oy
+    psi, eta = k.psi_eta_nodes(ox2, oy2)
+    assert psi.shape == eta.shape == (4, 4, 5000)
+    want_psi, want_eta = k.psi_eta(np.sqrt(oy2[:, None] + ox2))
+    if kind is KernelKind.WENDLAND31:
+        assert_same_bits(psi, want_psi)
+        assert_same_bits(eta, want_eta)
+        assert eta[0, 0, 0] == 0.0
+    else:
+        ulps = (16.0, 16.0) if kind is KernelKind.GAUSSIAN else (30.0, 48.0)
+        psi0, eta0 = k.psi_eta(0.0)
+        assert np.all(np.abs(psi - want_psi) <= ulps[0] * 2.0 ** -53 * abs(psi0))
+        assert np.all(np.abs(eta - want_eta) <= ulps[1] * 2.0 ** -53 * abs(eta0))
+    # one point gives the bits it gives among 5000
+    for n in (0, 1, 4999):
+        one = k.psi_eta_nodes(ox2[:, n:n + 1], oy2[:, n:n + 1])
+        assert_same_bits(one[0], psi[..., n:n + 1])
+        assert_same_bits(one[1], eta[..., n:n + 1])
