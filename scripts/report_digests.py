@@ -19,10 +19,15 @@ the bits moved, the counts held.
 Usage (from the root of a checkout):
   python3 scripts/report_digests.py > digests.txt
   python3 scripts/report_digests.py --compare digests.txt
+  python3 scripts/report_digests.py --compare digests.txt --counts
   python3 scripts/report_digests.py --src ../other-checkout/src > other.txt
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
-any case is missing from either side.  With or without it, the script
+any case is missing from either side.  With --counts as well it compares
+the `.counts` lines only (``count_mismatches``): it exits 1 if a case is
+missing or its isolated or curve count differs, and prints without
+failing a points count that moved, as rounding alone moves the points of
+a curve.  With or without it, the script
 exits 1 if a case's `-t1` and `-t2` reports, plots or sweeps differ: the
 thread count must not change a byte.  Uses the standard library and numpy
 only; the 57 cases take about 20 s on two cores (a 2-vCPU Xeon guest).
@@ -149,13 +154,38 @@ def read_digests(path: str) -> dict[str, str]:
         return {name: digest for digest, name in (line.split() for line in fh if line.strip())}
 
 
+def count_mismatches(want: dict[str, str], got: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The `.counts` lines of two digest sets compared: messages for the
+    cases that fail, missing from either side or with another isolated or
+    curve count, and for those whose points alone moved, which do not."""
+    failed, moved = [], []
+    for name in sorted(n for n in want.keys() | got.keys() if n.endswith(".counts")):
+        a, b = want.get(name), got.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            failed.append(f"MISMATCH {name}: expected {a or 'no entry'}, got {b or 'no entry'}")
+            continue
+        (ai, ac, ap), (bi, bc, bp) = a.split("/"), b.split("/")
+        if (ai, ac) != (bi, bc):
+            failed.append(f"MISMATCH {name}: expected {a}, got {b}")
+        else:
+            moved.append(f"MOVED {name}: points {ap} -> {bp}, isolated {ai} and curves {ac} held")
+    return failed, moved
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
                     help="directory holding the gridstat package (default: this checkout's src)")
     ap.add_argument("--compare", metavar="FILE",
                     help="compare with digests written earlier; exit 1 on any mismatch")
+    ap.add_argument("--counts", action="store_true",
+                    help="with --compare, compare the .counts lines only: exit 1 when an "
+                         "isolated or curve count differs")
     args = ap.parse_args(argv)
+    if args.counts and not args.compare:
+        ap.error("--counts needs --compare")
 
     got = digests(os.path.abspath(args.src))
     threads = thread_mismatches(got)
@@ -166,6 +196,14 @@ def main(argv=None) -> int:
         return 1 if threads else 0
 
     want = read_digests(args.compare)
+    if args.counts:
+        failed, moved = count_mismatches(want, got)
+        for line in failed + moved:
+            print(line, file=sys.stderr)
+        total = sum(n.endswith(".counts") for n in want.keys() | got.keys())
+        print(f"{total - len(failed)} of {total} counts hold their isolated and curve counts; "
+              f"{len(moved)} moved only their points", file=sys.stderr)
+        return 1 if failed or threads else 0
     bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     for name in bad:
         print(f"MISMATCH {name}: expected {want.get(name, 'no entry')}, "

@@ -461,14 +461,14 @@ def _screen_margin(eps):
     patches' rounding bounds eps (``_gradient_rounding``).
 
     Both gradients sum the 16 terms c_m psi(r_m) (x0 - x_m) of the same
-    offsets: BLAS in its own order, perhaps with fused multiply-adds, with
-    psi from ``Kernel.psi`` at the computed r_m, three roundings per term
-    (the offset, psi ox in the table, the product) and at most 15
-    additions; ``_grad_jac`` in its factored order, with psi
-    from ``Kernel.psi_eta_nodes``, seven roundings per term (see
-    ``_gradient_rounding``).  The two psi differ from the exact one by a
-    few ulps of |psi(0)| each, at most 23 (the inverse quadric's
-    cpsi / (1 + (a r)^2)^2, counted step by step) and 19.  eps counts 2^13 ulps of
+    offsets.  The table's has psi from ``Kernel.psi`` at the computed r_m,
+    three roundings per term (the offset, psi ox in the table, the
+    product) and at most 15 additions, in BLAS's own order, perhaps with
+    fused multiply-adds; ``_grad_jac``'s has psi from
+    ``Kernel.psi_eta_nodes`` and seven roundings per term in its factored
+    order (see ``_gradient_rounding``).  Each psi lies within a few ulps
+    of |psi(0)| of the exact one: at most 23 and 19, the inverse
+    quadric's, counted step by step.  eps counts 2^13 ulps of
     S = sum |c| |psi(0)| (box diameter) against the few dozen that either
     gradient takes, so both computed norms n lie within eps of
     |grad s(x0)|, and within 2 eps of each other.  The slack

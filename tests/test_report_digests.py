@@ -76,3 +76,16 @@ def test_sweep_digest_covers_iterations_and_every_raw_point():
         with_first_row("raw_seed", 99),
     ]
     assert all(report_digests.sweep_digest(c) != digest for c in changed)
+
+
+def test_counts_fail_on_isolated_or_curves_and_note_moved_points():
+    want = {"a-t1.counts": "1/7/739", "b-t1.counts": "24/0/24", "c-t1.counts": "0/1/96",
+            "d-t1.counts": "1/7/740", "e-t1.counts": "2/0/2", "a-t1": "x"}
+    got = {"a-t1.counts": "1/7/740", "b-t1.counts": "24/0/24", "c-t1.counts": "1/1/97",
+           "d-t1.counts": "1/6/740", "f-t1.counts": "3/0/3", "a-t1": "y"}
+    failed, moved = report_digests.count_mismatches(want, got)
+    # the report digest of a-t1 differs, but only .counts lines are read
+    assert [line.split(":")[0] for line in failed] == [
+        "MISMATCH c-t1.counts", "MISMATCH d-t1.counts", "MISMATCH e-t1.counts",
+        "MISMATCH f-t1.counts"]
+    assert moved == ["MOVED a-t1.counts: points 739 -> 740, isolated 1 and curves 7 held"]
