@@ -27,9 +27,9 @@ any case is missing from either side.  With --counts as well it compares
 the `.counts` lines only (``count_mismatches``): it exits 1 if a case is
 missing or its isolated or curve count differs, and prints without
 failing a points count that moved, as rounding alone moves the points of
-a curve.  With or without it, the script
-exits 1 if a case's `-t1` and `-t2` reports, plots or sweeps differ: the
-thread count must not change a byte.  Uses the standard library and numpy
+a curve.  With or without --compare, the script exits 1 if a case's `-t1`
+and `-t2` reports, plots or sweeps differ: the thread count must not
+change a byte.  Uses the standard library and numpy
 only; the 57 cases take about 20 s on two cores (a 2-vCPU Xeon guest).
 """
 

@@ -349,18 +349,10 @@ def test_sweep_matches_dense_multistart_oracle():
 
 # --- gradient and Jacobian of RBF sums -------------------------------------------
 
-def gradient_reference(x, weights, kernel):
-    """The gradient as it was first written: offsets to the nodes ``_OFFS``
-    as one (..., 16, 2) array."""
-    diff = x[..., None, :] - _OFFS
-    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    cpsi = weights * kernel.psi(r)
-    return (cpsi * diff[..., 0]).sum(axis=-1), (cpsi * diff[..., 1]).sum(axis=-1)
-
-
 def grad_jac_reference(x, weights, kernel):
     """``_grad_jac`` as it was first written: offsets to the nodes ``_OFFS``
-    as one (..., 16, 2) array, and psi and eta from two kernel evaluations."""
+    as one (..., 16, 2) array, psi and eta from two kernel evaluations, and
+    numpy's 16-term sums (see ``grad_jac_bound``)."""
     diff = x[..., None, :] - _OFFS
     r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
     cpsi = weights * kernel.psi(r)
@@ -479,15 +471,12 @@ def assert_interpolant_keeps_the_bits(interp, x):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grad_jac_keeps_its_bits_in_every_layout_and_lies_near_the_reference(kind, seed):
     # every layout gives the bits of per-point columns, and lies within the
-    # rounding bound of the reference's summation order
+    # rounding bound of the reference's 16-term sums
     k, layouts = gradient_shapes(kind, seed)
     for x, weights in layouts:
         got = _grad_jac_rows(x, weights, k)
         assert_same_bits(got, grad_jac_per_point(x, weights, k))
         assert_within_the_bound(got, x, weights, k)
-        bound = grad_jac_bound(x, weights, k)
-        for a, b, e in zip(got, gradient_reference(x, weights, k), bound):
-            assert np.all(np.abs(a - b) <= e)
         assert_interpolant_keeps_the_bits(PatchInterpolant(weights=weights, kernel=k), x)
 
 
@@ -501,8 +490,7 @@ def test_interpolant_derivatives_keep_the_bits_of_grad_jac(kind):
     for interp, x in ((one, rng.uniform(0, 1.5, 2)), (one, rng.uniform(0, 1.5, (9, 2))),
                       (many, rng.uniform(0, 1.5, 2)), (many, rng.uniform(0, 1.5, (4, 2)))):
         assert_interpolant_keeps_the_bits(interp, x)
-        gx, gy, jxx, jxy, jyy = _grad_jac_rows(x, interp.weights, k)
-        assert_within_the_bound([gx, gy, jxx, jxy, jyy], x, interp.weights, k)
+        assert_within_the_bound(_grad_jac_rows(x, interp.weights, k), x, interp.weights, k)
 
 
 def test_grad_jac_leaves_its_arguments_unchanged():
@@ -796,7 +784,9 @@ def search_reference(code, weights, kernel, ns):
     """``_search`` with its in-patch dedup as the per-root loop it was first
     written as, with an ns x ns seed lattice laid in each patch's domain,
     on weights (16, P): the kept roots as (patch, seed slot, position) and
-    the number of accepted roots."""
+    the number of accepted roots.  Its acceptance test reads the gradient
+    of ``_grad_jac``, as ``_search``'s does, so that a root within rounding
+    of the tolerance is accepted alike."""
     lo, hi = _DOMAINS[code, 0], _DOMAINS[code, 1]
     nseed = ns * ns
     t = np.arange(1, ns + 1) / (ns + 1)
@@ -806,7 +796,7 @@ def search_reference(code, weights, kernel, ns):
     owner = np.repeat(np.arange(len(lo)), nseed)
     idx, pos, _ = stationary._newton_seeds(seeds.reshape(-1, 2), owner, weights, kernel)
     k = owner[idx]
-    gx, gy = gradient_reference(pos, weights.T[k], kernel)
+    gx, gy, *_ = _grad_jac_rows(pos, weights.T[k], kernel)
     inside = np.all((pos >= lo[k]) & (pos <= hi[k]), axis=-1)
     acc = inside & (np.sqrt(gx * gx + gy * gy) <= _GRAD_TOL_REL / stationary.DIAG)
     min_sep = stationary._DEDUP_RADIUS * stationary.DIAG
