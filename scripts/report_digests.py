@@ -7,14 +7,16 @@ kernel and 200x40 with the Gaussian and inverse quadric kernels, each with
 both thread counts; on f2 on a stretched 200x40 grid with the Gaussian
 kernel; and on f1 with the Wendland kernel at four times its default shape
 parameter (57 reports).  It renders each report with `plot`, digests the
-sweep under each report (``sweep_digest``) and prints one line per report,
-per SVG, per sweep and per report's counts: the digest and the case
-(`<case>` for the report, `<case>.svg` for its plot, `<case>.sweep` for
-its sweep, `<case>.counts` for ``report_counts`` of its report in place of
-a digest).  A change that must leave the reports, plots and Newton work
-unchanged is checked by writing the digests before it and comparing after
-it; one that may move the bits of the weights reads the `.counts` lines:
-the bits moved, the counts held.
+sweep under each report twice, its raw points (``raw_digest``) and its
+seed counts (``seeds_digest``), and prints one line per report, per SVG,
+per digest of the sweep and per report's counts: the digest and the case
+(`<case>` for the report, `<case>.svg` for its plot, `<case>.raw` and
+`<case>.seeds` for its sweep, `<case>.counts` for ``report_counts`` of its
+report in place of a digest).  A change that must leave the reports,
+plots and Newton work unchanged is checked by writing the digests before
+it and comparing after it; one that moves the Newton work but not its
+outcome differs in the `.seeds` lines only; one that may move the bits of
+the weights reads the `.counts` lines: the bits moved, the counts held.
 
 Usage (from the root of a checkout):
   python3 scripts/report_digests.py > digests.txt
@@ -28,8 +30,8 @@ the `.counts` lines only (``count_mismatches``): it exits 1 if a case is
 missing or its isolated or curve count differs, and prints without
 failing a points count that moved, as rounding alone moves the points of
 a curve.  With or without --compare, the script exits 1 if a case's `-t1`
-and `-t2` reports, plots or sweeps differ: the thread count must not
-change a byte.  Uses the standard library and numpy
+and `-t2` reports, plots, raw points or seed counts differ: the thread
+count must not change a byte.  Uses the standard library and numpy
 only; the 57 cases take about 20 s on two cores (a 2-vCPU Xeon guest).
 """
 
@@ -85,23 +87,29 @@ def report_counts(path: str) -> str:
     return f"{summary['isolated']}/{summary['curves']}/{len(report['stationary_points'])}"
 
 
-def sweep_digest(sr) -> str:
-    """sha256 of a `SweepResult`'s seed counts, `iterations` included, and
-    of every raw point in order: its row of `raw` as bytes, then
-    repr(((i, j), seed)) of its patch and seed slot as Python ints.  This
-    is the Newton work, which the report does not show."""
-    h = hashlib.sha256(repr(dataclasses.astuple(sr.seed_counts)).encode())
+def raw_digest(sr) -> str:
+    """sha256 of every raw point of a `SweepResult` in order: its row of
+    `raw` as bytes, then repr(((i, j), seed)) of its patch and seed slot as
+    Python ints.  This is the outcome of the Newton search before the
+    reduction, which the report does not show."""
+    h = hashlib.sha256()
     for x, (i, j), seed in zip(sr.raw, sr.raw_patch.tolist(), sr.raw_seed.tolist()):
         h.update(x.tobytes())
         h.update(repr(((i, j), seed)).encode())
     return h.hexdigest()
 
 
+def seeds_digest(sr) -> str:
+    """sha256 of a `SweepResult`'s seed counts, `iterations` included: how
+    the Newton seeds ended and how many evaluations they took."""
+    return hashlib.sha256(repr(dataclasses.astuple(sr.seed_counts)).encode()).hexdigest()
+
+
 def digests(src: str) -> dict[str, str]:
     """case name -> sha256 of its report, case name + ".svg" -> sha256 of
-    its plot, case name + ".sweep" -> ``sweep_digest`` of its sweep and
-    case name + ".counts" -> ``report_counts`` of its report, from the
-    package under `src`."""
+    its plot, case name + ".raw" -> ``raw_digest`` and case name + ".seeds"
+    -> ``seeds_digest`` of its sweep, and case name + ".counts" ->
+    ``report_counts`` of its report, from the package under `src`."""
     sys.path.insert(0, src)
     from gridstat import cli
 
@@ -110,7 +118,7 @@ def digests(src: str) -> dict[str, str]:
 
     def sweep_full(*args, **kwargs):
         sr = run_sweep(*args, **kwargs)
-        sweeps.append(sweep_digest(sr))
+        sweeps.append((raw_digest(sr), seeds_digest(sr)))
         return sr
 
     out = {}
@@ -130,7 +138,7 @@ def digests(src: str) -> dict[str, str]:
                     raise SystemExit(f"{len(sweeps)} sweeps on {name}, expected 1")
                 out[name] = sha256(path)
                 out[name + ".svg"] = sha256(svg)
-                out[name + ".sweep"] = sweeps[0]
+                out[name + ".raw"], out[name + ".seeds"] = sweeps[0]
                 out[name + ".counts"] = report_counts(path)
     finally:
         cli.sweep_full = run_sweep
@@ -138,9 +146,9 @@ def digests(src: str) -> dict[str, str]:
 
 
 def thread_mismatches(got: dict[str, str]) -> list[str]:
-    """The `-t1` names (reports, plots and sweeps: every suffix) whose
-    `-t2` twin has another digest; a case run at one thread count only is
-    not compared."""
+    """The `-t1` names (reports, plots, raw points, seed counts and report
+    counts: every suffix) whose `-t2` twin has another digest; a case run
+    at one thread count only is not compared."""
     bad = []
     for name, digest in got.items():
         stem, tag, suffix = name.rpartition("-t1")

@@ -108,13 +108,17 @@ class Kernel:
 
     @_radial
     def phi_prime(self, r):
-        """d(phi)/dr; every kind carries a factor r, so phi'(0) = 0."""
+        """d(phi)/dr; every kind carries a factor r, so phi'(0) = 0.  Only
+        tests call it, as a finite-difference oracle (``test_kernels.py``,
+        and c7 of ``test_acceptance.py``); ``perfbench/spans.py`` wraps it."""
         return self.psi(r) * r
 
     @_radial
     def phi_second(self, r):
         """d2(phi)/dr2 = psi(r) + eta(r) r^2, by the definition of eta; at
-        r = 0 Wendland's eta is taken as 0, and phi''(0) = psi(0)."""
+        r = 0 Wendland's eta is taken as 0, and phi''(0) = psi(0).  Only
+        ``test_kernels.py``'s finite-difference and inflection-radius tests
+        call it; ``perfbench/spans.py`` wraps it by name."""
         psi, eta = self.psi_eta(r)
         # Wendland's eta overflows where r < 60 a^3 / 1.8e308; eta r^2 <= 60 a^3 r
         # is far below an ulp of psi there

@@ -268,7 +268,9 @@ class PatchInterpolant:
         return float(out) if np.ndim(out) == 0 else np.asarray(out, float)
 
     def gradient(self, x) -> np.ndarray:
-        """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2)."""
+        """Gradient sum_m c_m psi(|x - x_m|) (x - x_m); shape (..., 2).  Only
+        the finite-difference tests of ``test_patch.py`` and c8 of
+        ``test_acceptance.py`` call it; ``perfbench/spans.py`` wraps it."""
         gx, gy, *_ = _grad_jac_rows(x, self.weights, self.kernel)
         return np.stack([gx, gy], axis=-1)
 

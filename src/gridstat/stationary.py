@@ -58,14 +58,13 @@ like ``_grad_jac``'s terms: ``sweep_full`` gathers each block's weights
 once into a C-contiguous (16, P) copy, which the certifier, the engine and
 the acceptance test read and from which ``_grad_jac`` gathers each
 slice's columns.  The engine holds its live seeds as two coordinate
-vectors, their patches and a ring (_CYCLE, 2, live), and compresses them
-along the seeds only when seeds leave.  The certifier keeps each level's
-pending sub-boxes as one bool mask (cells, L) over its live patches in
-code order.  At its coarse levels each code's live patches are a range of
-columns of their weights, which the code's (cells, 16) rows of the table
-multiply into the (cells, P) gradients the mask's tests read whole; the
-exact path hands ``_grad_jac`` the centers of the cells it evaluates and
-their patches.
+vectors and their patches, and compresses them only when seeds leave.
+The certifier keeps each level's pending sub-boxes as one bool mask
+(cells, L) over its live patches in code order.  At its coarse levels each code's live patches
+are a range of columns of their weights, which the code's (cells, 16) rows
+of the table multiply into the (cells, P) gradients the mask's tests read
+whole; the exact path hands ``_grad_jac`` the centers of the cells it
+evaluates and their patches.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ _DEDUP_RADIUS = 1e-3   # roots of one patch within this * DIAG are one root
 _FLAT_PATCH = 1e-13    # patches with sample range <= this * field range are skipped
 _SEEDS_PER_AXIS = 3    # _search lays an n x n lattice of Newton seeds in each search domain
 _MAX_ITERATIONS = 30   # Newton's iteration cap
-_CYCLE = 8             # a seed that returns to one of its last this many positions is stuck
 _BLOCK_PATCHES = 2048  # sweep_full hands _search the active patches in blocks of this many
 _CERTIFY_DEPTH = 5     # _certify halves a search domain at most this many times per axis
 _DENSE_LEVELS = 3      # _certify screens levels 1 to this with _level_tables' products
@@ -108,11 +106,11 @@ _MODULUS_PEAK = {KernelKind.GAUSSIAN: math.sqrt(2.0),
 
 @dataclass(frozen=True)
 class SeedCounts:
-    """How the Newton seeds of a search ended (see ``_newton_seeds``);
-    converged + singular + stuck + capped == launched.  ``excluded`` counts
-    the patches certified root-free (see ``_certify``), which launch no
-    seeds.  ``iterations`` counts seed evaluations, the Newton work; it is
-    not an outcome and is left out of ``==``."""
+    """How the Newton seeds of a search ended (see ``_newton_seeds``):
+    converged + singular + stuck (at a fixed point) + capped == launched.
+    ``excluded`` counts the patches certified root-free (see ``_certify``),
+    which launch no seeds.  ``iterations`` counts seed evaluations, the
+    Newton work; it is not an outcome and is left out of ``==``."""
 
     launched: int = 0
     converged: int = 0
@@ -186,19 +184,18 @@ def _newton_seeds(seeds, owner, weights, kernel):
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * DIAG;
     - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position, or
       J is zero or its determinant is not finite;
-    - stuck: its clamped update gave back, bit for bit and without
-      converging, one of its last _CYCLE positions: an exact orbit of
-      period 1 to _CYCLE (period 1 is a fixed point, typically a seed
-      pushed against a box edge or corner).  ``_grad_jac`` is
+    - stuck: its clamped update gave back its own position, bit for bit
+      and without converging: a fixed point of the clamped map, typically
+      a seed pushed against a box edge or corner.  ``_grad_jac`` is
       batch-invariant and the clamped map deterministic, so the seed would
-      repeat that orbit up to the cap and never converge;
-    - capped: still live after _MAX_ITERATIONS.
+      stay there up to the cap and never converge;
+    - capped: still live after _MAX_ITERATIONS, longer orbits included.
 
-    The live seeds' indices, coordinates, patches and rings
-    (_CYCLE, 2, live) are compact arrays, in the layout ``_grad_jac``
-    takes, that shrink only when seeds leave; the weights are read as
-    given, and ``_grad_jac`` gathers from them slice by slice.
-    ``counts.iterations`` is the number of seed evaluations.
+    The live seeds' indices, coordinates and patches are compact arrays,
+    in the layout ``_grad_jac`` takes, that shrink only when seeds leave;
+    the weights are read as given, and ``_grad_jac`` gathers from them
+    slice by slice.  ``counts.iterations`` is the number of seed
+    evaluations.
     """
     seeds = np.asarray(seeds, dtype=float)
     n = seeds.shape[0]
@@ -208,12 +205,9 @@ def _newton_seeds(seeds, owner, weights, kernel):
     rx, ry = np.empty(n), np.empty(n)
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
-    # ring[k % _CYCLE] holds iterate k; unwritten slots are NaN and match nothing
-    ring = np.full((_CYCLE, 2, n), np.nan)
-    ring[0, 0], ring[0, 1] = px, py
     step_tol = _STEP_TOL * DIAG
     singular = stuck = iterations = 0
-    for it in range(_MAX_ITERATIONS):
+    for _ in range(_MAX_ITERATIONS):
         if live.size == 0:
             break
         iterations += live.size
@@ -226,27 +220,24 @@ def _newton_seeds(seeds, owner, weights, kernel):
             singular += live.size - int(np.count_nonzero(ok))
             live, own, px, py, gx, gy, jxx, jxy, jyy, det = (
                 a.compress(ok) for a in (live, own, px, py, gx, gy, jxx, jxy, jyy, det))
-            ring = ring.compress(ok, axis=2)
         sx = (jyy * gx - jxy * gy) / det
         sy = (jxx * gy - jxy * gx) / det
-        px = np.minimum(np.maximum(px - sx, 0.0), 3.0)
-        py = np.minimum(np.maximum(py - sy, 0.0), 3.0)
+        qx = np.minimum(np.maximum(px - sx, 0.0), 3.0)
+        qy = np.minimum(np.maximum(py - sy, 0.0), 3.0)
         done = np.sqrt(sx * sx + sy * sy) <= step_tol
-        seen = (ring[:, 0] == px) & (ring[:, 1] == py)
-        cyc = ~done & seen.any(axis=0)
-        leave = done | cyc
+        fixed = ~done & (qx == px) & (qy == py)
+        px, py = qx, qy
+        leave = done | fixed
         if leave.any():
-            stuck += int(np.count_nonzero(cyc))
+            stuck += int(np.count_nonzero(fixed))
             root = live.compress(done)
             rx[root], ry[root] = px.compress(done), py.compress(done)
             converged[root] = True
             stay = ~leave
             live, own, px, py = (a.compress(stay) for a in (live, own, px, py))
-            ring = ring.compress(stay, axis=2)
-        ring[(it + 1) % _CYCLE, 0], ring[(it + 1) % _CYCLE, 1] = px, py
         # free this iteration's derivatives and steps before _grad_jac
         # allocates the next: the sweep's traced peak falls inside that call
-        del gx, gy, jxx, jxy, jyy, det, frob2, sx, sy
+        del gx, gy, jxx, jxy, jyy, det, frob2, sx, sy, qx, qy
     idx = np.flatnonzero(converged)
     counts = SeedCounts(launched=n, converged=idx.size, singular=singular,
                         stuck=stuck, capped=live.size, iterations=iterations)

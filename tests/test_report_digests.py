@@ -1,4 +1,4 @@
-"""The thread-count check and the sweep digest of scripts/report_digests.py."""
+"""The thread-count check and the sweep digests of scripts/report_digests.py."""
 
 import dataclasses
 import importlib.util
@@ -38,11 +38,12 @@ def test_case_without_a_two_thread_run_is_not_compared():
 
 def test_every_suffix_of_a_thread_pair_is_compared():
     # the sweep digests too, and names with a dot before the thread tag
-    got = {"f2-gaussian-120-t1.sweep": "a", "f2-gaussian-120-t2.sweep": "b",
+    got = {"f2-gaussian-120-t1.raw": "a", "f2-gaussian-120-t2.raw": "a",
+           "f2-gaussian-120-t1.seeds": "a", "f2-gaussian-120-t2.seeds": "b",
            "f1-wendland-120-alpha28.05-t1": "c", "f1-wendland-120-alpha28.05-t2": "d",
            "f1-wendland-120-alpha28.05-t1.svg": "e", "f1-wendland-120-alpha28.05-t2.svg": "e"}
     assert report_digests.thread_mismatches(got) == ["f1-wendland-120-alpha28.05-t1",
-                                                     "f2-gaussian-120-t1.sweep"]
+                                                     "f2-gaussian-120-t1.seeds"]
 
 
 def test_report_counts_reads_the_summary_and_the_points(tmp_path):
@@ -56,9 +57,14 @@ def test_report_counts_reads_the_summary_and_the_points(tmp_path):
 
 
 def test_sweep_digest_covers_iterations_and_every_raw_point():
+    # the raw points and the seed counts each move their own digest only
     sr = sweep_full(sample(TestFunction.F2, 12, 12), default_kernel(KernelKind.GAUSSIAN))
-    digest = report_digests.sweep_digest(sr)
-    assert len(sr.raw) and digest == report_digests.sweep_digest(dataclasses.replace(sr))
+
+    def both(s):
+        return report_digests.raw_digest(s), report_digests.seeds_digest(s)
+
+    raw, seeds = both(sr)
+    assert len(sr.raw) and (raw, seeds) == both(dataclasses.replace(sr))
     counts = sr.seed_counts
 
     def with_first_row(name, value):
@@ -66,16 +72,19 @@ def test_sweep_digest_covers_iterations_and_every_raw_point():
         a[0] = value
         return dataclasses.replace(sr, **{name: a})
 
-    changed = [
-        dataclasses.replace(sr, seed_counts=dataclasses.replace(
-            counts, iterations=counts.iterations + 1)),
+    more = dataclasses.replace(counts, iterations=counts.iterations + 1)
+    got = both(dataclasses.replace(sr, seed_counts=more))
+    assert got[0] == raw and got[1] != seeds
+    moved = [
         dataclasses.replace(sr, raw=sr.raw[:-1], raw_patch=sr.raw_patch[:-1],
                             raw_seed=sr.raw_seed[:-1]),
         with_first_row("raw", np.nextafter(sr.raw[0], np.inf)),
         with_first_row("raw_patch", (0, 0)),
         with_first_row("raw_seed", 99),
     ]
-    assert all(report_digests.sweep_digest(c) != digest for c in changed)
+    for c in moved:
+        got = both(c)
+        assert got[0] != raw and got[1] == seeds
 
 
 def test_counts_fail_on_isolated_or_curves_and_note_moved_points():
