@@ -11,22 +11,25 @@ per-patch work for any number of patches at once: it gathers each patch's
 seed lattice from the constant table ``_SEEDS``, runs Newton
 (``_newton_seeds``) clamped to the patch's bounding box, accepts converged
 roots inside the domain with a small gradient and drops duplicates within
-a patch.  Its one caller, ``sweep_full``, first hands the active patches
-of the grid in fixed blocks of ``_BLOCK_PATCHES`` to ``_certify``, which
-proves most of them root-free with a native-space bound on the gradient
-(no seed in them could be accepted), and then hands the engine the rest,
-again in fixed blocks, in order on one thread or through a thread pool on
-several.  Every block size and thread count gives identical floating-point
-results because the engine only uses elementwise operations and
-fixed-order sums, and the certifier's BLAS products, whose bits can
-depend on the block, only take the decisions an exact evaluation takes
-alike.  Beyond the per-patch arrays it returns (the weights and constants,
-17 doubles a patch) and a few per-patch integers, the sweep's working set
-is threads x one block: each block gathers its samples from the grid, and
-the flat-patch test reads running extrema of the grid (``_window_range``),
-so no array of every window's samples is built.  The raw points leave it
-as arrays (``SweepResult``), one row each in (i, j, seed) order, and the
-reduction reads their positions and patches.
+a patch.  Its one caller, ``sweep_full``, cuts the active patches of the
+grid into fixed blocks of ``_BLOCK_PATCHES`` and in one pass per block
+solves their weights and hands them to ``_certify``, which proves most of
+them root-free with a native-space bound on the gradient (no seed in them
+could be accepted); only the rest, the band, keep their weights.  It then
+hands the engine the band, again in fixed blocks, in order on one thread
+or through a thread pool on several.  Every block size and thread count
+gives identical floating-point results because the weight solve gives a
+patch the same bits in any batch, the engine only uses elementwise
+operations and fixed-order sums, and the certifier's BLAS products, whose
+bits can depend on the block, only take the decisions an exact
+evaluation takes alike.  Beyond the band's weights and constants (17
+doubles a band patch) and a few integers per active patch, the sweep's
+working set is threads x one block: each block gathers its samples from
+the grid, and the flat-patch test reads running extrema of the grid
+(``_window_range``), so no array of every window's samples or weights is
+built.  The raw points leave it as arrays (``SweepResult``), one row each
+in (i, j, seed) order, and the reduction reads their positions and
+patches.
 
 Both work in the patch frame: positions in grid-index units relative to the
 patch's first node, so all patches of every grid share the nodes ``_OFFS``
@@ -54,10 +57,10 @@ broadcast and a copy instead of ``np.repeat``.  At their shapes
 fancy indexing and ``compress`` up to 10 times as fast as a boolean mask;
 fancy indexing and ``np.repeat`` also do not run in parallel on the pool's
 threads, where ``take`` does.  Both read one weight layout, node-major
-like ``_grad_jac``'s terms: ``sweep_full`` gathers each block's weights
-once into a C-contiguous (16, P) copy, which the certifier, the engine and
-the acceptance test read and from which ``_grad_jac`` gathers each
-slice's columns.  The engine holds its live seeds as two coordinate
+like ``_grad_jac``'s terms: ``sweep_full`` transposes each block's
+solved weights into a C-contiguous (16, P) copy for the certifier, and
+each search block's rows of the band into another for the engine and the
+acceptance test; ``_grad_jac`` gathers each slice's columns from them.  The engine holds its live seeds as two coordinate
 vectors and their patches, and compresses them only when seeds leave.
 The certifier keeps each level's pending sub-boxes as one bool mask
 (cells, L) over its live patches in code order.  At its coarse levels each code's live patches
@@ -597,38 +600,70 @@ def _window_range(v):
     return ext[0] - ext[1]
 
 
+def _windows(g: GridField, idx, field_range):
+    """The samples of patches idx (P,), 0-based row-major patch indices,
+    over the field range: (P, 16), node m = 4 row + col.  ``take`` gathers
+    them from the grid by flat node indices, so no array of every window's
+    samples is built."""
+    i, j = np.divmod(idx, g.nx - 3)
+    first = i * g.nx + j  # each window's first node
+    nodes = (np.arange(4)[:, None] * g.nx + np.arange(4)).ravel()
+    return g.values.take(first[:, None] + nodes) / field_range
+
+
 @dataclass
 class SweepResult:
-    """Raw points as arrays, plus the per-patch interpolation data needed downstream."""
+    """Raw points as arrays, and the interpolants of the band: the patches
+    the search ran in, active and not certified root-free.  Every other
+    patch's interpolant is solved from its window when asked for."""
 
     raw: np.ndarray            # (n, 2) float64, the raw points on the grid
     raw_patch: np.ndarray      # (n, 2) int, their patches (i, j), 1-based
     raw_seed: np.ndarray       # (n,) int, their seed slots
     matrix: PatchMatrix
-    weights: np.ndarray        # (npatch, 16) float64, in units of the field range
-    constants: np.ndarray      # (npatch,) float64, the interpolants' constant terms, alike
     grid: GridField
     flat_patches: np.ndarray   # (k, 2) int, the patches (i, j) skipped as flat
+    band_patches: np.ndarray   # (m, 2) int, the patches (i, j) searched, row-major
+    band_weights: np.ndarray   # (m, 16) float64, their weights, in units of the field range
+    band_constants: np.ndarray  # (m,) float64, their constant terms, alike
     seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i, j) -> PatchInterpolant:
         """The interpolant of patch (i, j), 1-based, in the patch frame (the
         nodes ``_OFFS``, grid-index units, values in units of the field
         range).  Given integer arrays i, j of one shape (R,), one stacked
-        interpolant of those R patches: weights (R,16) and constant (R,)."""
+        interpolant of those R patches: weights (R,16) and constant (R,).
+        A band patch's comes from its row of the band; any other patch's
+        window is solved by ``matrix``, which gives a column the bits it
+        has in any batch, and on a constant field its weights are zero."""
+        g = self.grid
         i, j = np.asarray(i), np.asarray(j)
-        outside = (i < 1) | (i > self.grid.ny - 3) | (j < 1) | (j > self.grid.nx - 3)
+        outside = (i < 1) | (i > g.ny - 3) | (j < 1) | (j > g.nx - 3)
         if outside.any():
             k = np.argmax(outside)
             raise IndexError(f"patch ({i.flat[k]},{j.flat[k]}) outside valid range")
-        pidx = (i - 1) * (self.grid.nx - 3) + (j - 1)
-        return PatchInterpolant(weights=self.weights[pidx], kernel=self.matrix.kernel,
-                                constant=self.constants[pidx])
+        npj = g.nx - 3
+        pidx = (i - 1) * npj + (j - 1)
+        shape, pidx = pidx.shape, pidx.reshape(-1)
+        # the band's patch indices, ascending, and a sentinel no patch matches
+        band = np.append((self.band_patches[:, 0] - 1) * npj + self.band_patches[:, 1] - 1, -1)
+        row = np.searchsorted(band[:-1], pidx)
+        hit = band.take(row) == pidx
+        weights, constant = np.zeros((pidx.size, 16)), np.zeros(pidx.size)
+        weights[hit] = self.band_weights.take(row.compress(hit), axis=0)
+        constant[hit] = self.band_constants.take(row.compress(hit))
+        miss = np.flatnonzero(~hit)
+        field_range = g.field_range
+        if miss.size and field_range > 0:
+            weights[miss], constant[miss] = self.matrix.solve(
+                _windows(g, pidx.take(miss), field_range))
+        return PatchInterpolant(weights=weights.reshape(*shape, 16), kernel=self.matrix.kernel,
+                                constant=constant.reshape(shape)[()])
 
 
 def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult:
     """All raw stationary points of the grid, ordered by (i, j, seed), with
-    the per-patch interpolation data.  The kernel's shape parameter is per
+    the interpolants of the band.  The kernel's shape parameter is per
     grid-index unit (``run_pipeline`` converts a physical one); the raw
     points are on the grid, in its physical units.  The weights are solved
     for h over the field range R, |h| / R <= 2^53, so only the matrix can
@@ -636,71 +671,62 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
     threads, the size of the thread pool, is an int >= 1 (ValueError)."""
     if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"threads must be an int >= 1, got {threads!r}")
-    npi, npj = g.ny - 3, g.nx - 3
-    npatch = npi * npj
+    npj = g.nx - 3
     field_range = g.field_range
-
     matrix = PatchMatrix(kernel)
-    weights, constants = np.zeros((npatch, 16)), np.zeros(npatch)
 
-    patches = np.column_stack(np.divmod(np.arange(npatch), npj)) + 1  # (i, j), 1-based
-    code = _domain_code(g, patches[:, 0], patches[:, 1])
-    # the offsets of a window's 16 samples in the flat grid, node m = 4 row + col
-    nodes = (np.arange(4)[:, None] * g.nx + np.arange(4)).ravel()
-
-    active = _window_range(g.grid2d()).ravel() > _FLAT_PATCH * field_range
-    flat = patches.compress(~active, axis=0)
-
+    active = _window_range(g.grid2d()) > _FLAT_PATCH * field_range
+    flat = np.argwhere(~active) + 1  # (i, j), 1-based, row-major
     act = np.flatnonzero(active)
     origin, spacing = np.array(g.origin), np.array([g.dx, g.dy])
 
-    def solve(b0: int):
-        blk = slice(b0, b0 + _BLOCK_PATCHES)
-        first = (patches[blk, 0] - 1) * g.nx + patches[blk, 1] - 1  # each window's first node
-        h = g.values.take(first[:, None] + nodes)
-        weights[blk], constants[blk] = matrix.solve(h / field_range)
-
-    def columns(block: np.ndarray):
-        # a block's codes and its one node-major copy of the weights, (16, P)
-        return code.take(block), np.ascontiguousarray(weights.take(block, axis=0).T)
+    def code(idx: np.ndarray):
+        i, j = np.divmod(idx, npj)
+        return _domain_code(g, i + 1, j + 1)
 
     def certify(block: np.ndarray, tables):
-        return _certify(*columns(block), matrix.entries, tables, kernel)
+        # solve the block's windows, certify the block from its one
+        # node-major copy of the weights, (16, P), and keep the band's rows
+        weights, constants = matrix.solve(_windows(g, block, field_range))
+        columns = np.ascontiguousarray(weights.T)
+        band = ~_certify(code(block), columns, matrix.entries, tables, kernel)
+        return block.compress(band), weights.compress(band, axis=0), constants.compress(band)
 
-    def search(block: np.ndarray):
-        (k, slot, xi), counts = _search(*columns(block), kernel)
-        return block.take(k), slot, xi, counts
-
-    def blocks(idx: np.ndarray):
-        return [idx[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, idx.size, _BLOCK_PATCHES)]
+    def search(b0: int):
+        blk = slice(b0, b0 + _BLOCK_PATCHES)
+        (k, slot, xi), counts = _search(code(band[blk]),
+                                        np.ascontiguousarray(band_weights[blk].T), kernel)
+        return b0 + k, slot, xi, counts
 
     # fixed-size blocks bound the working set and do not depend on the
-    # thread count; map keeps them in order, and the weight blocks
-    # write disjoint rows.  The patches certified root-free are dropped and
-    # the rest cut into blocks again.
+    # thread count, and map keeps them in order.  The band, the patches
+    # not certified root-free, is cut into blocks again.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         each = map if threads == 1 else pool.map
-        if field_range > 0:
-            list(each(solve, range(0, npatch, _BLOCK_PATCHES)))
         # the level tables live through this pass only: the search, whose
         # Newton temporaries set the sweep's peak memory, does not hold them
-        root_free = np.concatenate([np.zeros(0, dtype=bool), *each(
-            certify, blocks(act), repeat(_level_tables(kernel)))])
-        parts = list(each(search, blocks(act[~root_free])))
+        blocks = (act[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, act.size, _BLOCK_PATCHES))
+        # an empty first part shapes the band of a sweep without one
+        band, band_weights, band_constants = (np.concatenate(a) for a in zip(
+            (np.zeros(0, int), np.zeros((0, 16)), np.zeros(0)),
+            *each(certify, blocks, repeat(_level_tables(kernel)))))
+        parts = list(each(search, range(0, band.size, _BLOCK_PATCHES)))
+    band_patches = np.column_stack(np.divmod(band, npj)) + 1
     # a first part without roots counts the certified patches and shapes an empty sweep
     k, slot, xi, counts = zip((np.zeros(0, int), np.zeros(0, int), np.zeros((0, 2)),
-                               SeedCounts(excluded=int(np.count_nonzero(root_free)))), *parts)
-    ij = patches.take(np.concatenate(k), axis=0)
+                               SeedCounts(excluded=act.size - band.size)), *parts)
+    ij = band_patches.take(np.concatenate(k), axis=0)
     # the one map from the patch frame to the grid; (j - 1, i - 1) is the first node
     raw = origin + (ij[:, ::-1] - 1 + np.concatenate(xi)) * spacing
     counts = sum(counts, SeedCounts())
-    log.debug("%d flat patches skipped, %d certified root-free; Newton seeds: %d launched, "
-              "%d converged, %d singular, %d stuck, %d capped; %d seed evaluations",
-              len(flat), counts.excluded, counts.launched, counts.converged,
-              counts.singular, counts.stuck, counts.capped, counts.iterations)
+    log.debug("%d flat patches skipped, %d certified root-free, %d in the band; Newton seeds: "
+              "%d launched, %d converged, %d singular, %d stuck, %d capped; "
+              "%d seed evaluations", len(flat), counts.excluded, band.size, counts.launched,
+              counts.converged, counts.singular, counts.stuck, counts.capped, counts.iterations)
 
     return SweepResult(raw=raw, raw_patch=ij, raw_seed=np.concatenate(slot), matrix=matrix,
-                       weights=weights, constants=constants, grid=g, flat_patches=flat,
+                       grid=g, flat_patches=flat, band_patches=band_patches,
+                       band_weights=band_weights, band_constants=band_constants,
                        seed_counts=counts)
 
 

@@ -72,3 +72,17 @@ def patch_sweep(f=lambda x, y: x * x + y * y, dx=1.0, dy=1.0, origin=(0.0, 0.0),
     g = GridField(nx=4, ny=4, dx=dx, dy=dy, origin=origin,
                   values=np.broadcast_to(f(xx, yy), xx.shape).ravel())
     return sweep_full(g, default_kernel(kind))
+
+
+def every_patch(g):
+    """i, j (patches,) of every patch of g, 1-based, in row-major order."""
+    i, j = np.divmod(np.arange((g.ny - 3) * (g.nx - 3)), g.nx - 3)
+    return i + 1, j + 1
+
+
+def whole_grid_solve(g, matrix):
+    """The weights (patches, 16) and constants (patches,) of every patch of
+    g in row-major order, from one ``matrix.solve`` of all its windows over
+    the field range."""
+    h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
+    return tuple(np.asarray(x, dtype=float) for x in matrix.solve(h / g.field_range))

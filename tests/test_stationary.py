@@ -1,5 +1,7 @@
 """Per-patch Newton search, the full sweep, and duplicate reduction."""
 
+import dataclasses
+import logging
 import math
 import sys
 import tracemalloc
@@ -13,13 +15,13 @@ from hypothesis import strategies as st
 
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
                       PatchMatrix, StationaryPoint, TestFunction, diag_step, reduce_points,
-                      sample, sweep_full)
+                      run_pipeline, sample, sweep_full)
 from gridstat import patch, stationary
 from gridstat.patch import _OFFS, DIAG, _grad_jac, _grad_jac_rows, _gradient_sums, _node_major
 from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
                                  SeedCounts, _domain_code, classify)
 
-from conftest import default_kernel, patch_sweep
+from conftest import default_kernel, every_patch, patch_sweep, whole_grid_solve
 
 
 def unit_grid(nx=6, ny=6):
@@ -211,10 +213,17 @@ def test_stacked_interpolant_equals_each_patch():
 def test_sweep_patch_counts():
     g4 = sample(TestFunction.F2, 4, 4)
     sr = sweep_full(g4, default_kernel(KernelKind.GAUSSIAN))
-    assert sr.weights.shape == (1, 16)
+    assert sr.interpolant(*every_patch(g4)).weights.shape == (1, 16)
     g20 = sample(TestFunction.F2, 20, 20)
     sr = sweep_full(g20, default_kernel(KernelKind.GAUSSIAN))
-    assert sr.weights.shape == (17 * 17, 16)
+    assert sr.interpolant(*every_patch(g20)).weights.shape == (17 * 17, 16)
+    # every patch is flat, certified root-free or in the band
+    assert len(sr.flat_patches) + sr.seed_counts.excluded + len(sr.band_patches) == 17 * 17
+
+
+def flat_index(g, patches):
+    """The 0-based row-major indices of patches (i, j) (n, 2), 1-based."""
+    return (patches[:, 0] - 1) * (g.nx - 3) + patches[:, 1] - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -222,7 +231,7 @@ def test_sweep_patch_counts():
 def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, nx, ny, monkeypatch):
     # blocks of 7 patches split 17x17 = 289 and 20x14 = 280 patches
     # unevenly; each block gathers its windows from the grid, and the pool's
-    # threads write their blocks' rows of one array, switching often
+    # threads solve and certify their blocks, switching often
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 7)
     g = sample(TestFunction.F2, nx, ny)
     interval = sys.getswitchinterval()
@@ -231,11 +240,82 @@ def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, nx, ny, mo
         sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN), threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    h = np.lib.stride_tricks.sliding_window_view(g.grid2d(), (4, 4)).reshape(-1, 16)
-    weights, constants = (np.asarray(x, dtype=float)
-                          for x in sr.matrix.solve(h / g.field_range))
-    np.testing.assert_array_equal(sr.weights, weights)
-    np.testing.assert_array_equal(sr.constants, constants)
+    weights, constants = whole_grid_solve(g, sr.matrix)
+    band = flat_index(g, sr.band_patches)
+    assert 0 < band.size < len(weights)
+    np.testing.assert_array_equal(sr.band_weights, weights[band])
+    np.testing.assert_array_equal(sr.band_constants, constants[band])
+    # the other patches' interpolants are solved on demand, to the same bits
+    interp = sr.interpolant(*every_patch(g))
+    np.testing.assert_array_equal(interp.weights, weights)
+    np.testing.assert_array_equal(interp.constant, constants)
+
+
+def flat_corner_grid():
+    """f2 at 20x20 with its first 7x7 nodes set to one value: 16 flat
+    patches, patches certified root-free and a band."""
+    g = sample(TestFunction.F2, 20, 20)
+    v = g.grid2d().copy()
+    v[:7, :7] = v[0, 0]
+    return dataclasses.replace(g, values=v.ravel())
+
+
+def test_interpolant_of_any_patch_keeps_the_bits_of_the_whole_grid_solve():
+    g = flat_corner_grid()
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
+    weights, constants = whole_grid_solve(g, sr.matrix)
+    i, j = every_patch(g)
+    kind = np.full(len(i), "certified")
+    kind[flat_index(g, sr.flat_patches)] = "flat"
+    kind[flat_index(g, sr.band_patches)] = "band"
+    assert len(sr.flat_patches) == 16 and 0 < len(sr.band_patches) < len(i) - 16
+    assert np.count_nonzero(kind == "certified") == sr.seed_counts.excluded > 0
+
+    def assert_served(p):
+        interp = sr.interpolant(i[p], j[p])
+        np.testing.assert_array_equal(interp.weights, weights[p])
+        np.testing.assert_array_equal(interp.constant, constants[p])
+
+    for name in ("band", "certified", "flat"):
+        p = np.flatnonzero(kind == name)
+        assert_served(p)
+        one = sr.interpolant(int(i[p[-1]]), int(j[p[-1]]))
+        assert one.weights.shape == (16,) and np.ndim(one.constant) == 0
+        np.testing.assert_array_equal(one.weights, weights[p[-1]])
+        assert one.constant == constants[p[-1]]
+    # a stack mixing all three, out of order and with repeats
+    rng = np.random.default_rng(7)
+    assert_served(rng.integers(0, len(i), 200))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("grid", ["f2-flat-corner", "f13-40"])
+def test_the_pipeline_solves_each_active_patch_once(grid, threads, monkeypatch):
+    # the reduction reads the band's interpolants only: no window is solved
+    # on demand, and none twice
+    g = flat_corner_grid() if grid == "f2-flat-corner" else sample(TestFunction.F13, 40, 40)
+    rhs = []
+    solve = PatchMatrix.solve
+
+    def counting(self, h):
+        rhs.append(int(np.prod(np.shape(h)[:-1])))
+        return solve(self, h)
+
+    monkeypatch.setattr(PatchMatrix, "solve", counting)
+    report = run_pipeline(g, KernelKind.GAUSSIAN, threads=threads, timings=False)
+    active = np.count_nonzero(stationary._window_range(g.grid2d())
+                              > stationary._FLAT_PATCH * g.field_range)
+    assert report["stationary_points"]
+    assert sum(rhs) == active == (g.nx - 3) * (g.ny - 3) - (16 if grid == "f2-flat-corner" else 0)
+
+
+def test_sweep_log_line_counts_the_band(caplog):
+    g = flat_corner_grid()
+    with caplog.at_level(logging.DEBUG, logger="gridstat.stationary"):
+        sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
+    c = sr.seed_counts
+    assert (f"16 flat patches skipped, {c.excluded} certified root-free, "
+            f"{len(sr.band_patches)} in the band;") in caplog.text
 
 
 def skewed_grid():
@@ -723,25 +803,33 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     assert counts.iterations - rest.iterations == 4
 
 
-def test_sweep_memory_is_bounded_by_its_blocks():
-    # tracemalloc's peak over the sweep of f13 at 120x120 on one thread was
-    # 6.61 MB (2^20 bytes) on numpy 2.4.6, 9.73 MB while the Newton engine
-    # kept a ring of each live seed's last 8 positions, and 15.85 MB while
-    # the sweep held every window's samples and a weight column per Newton
-    # seed; the bound leaves 1.49 MB of headroom
-    g = sample(TestFunction.F13, 120, 120)
+@pytest.mark.parametrize("n, threads, bound_mb", [(120, 1, 6.3), (240, 2, 11.3)])
+def test_sweep_memory_is_bounded_by_its_blocks(n, threads, bound_mb):
+    # tracemalloc's peak over the sweep of f13 on numpy 2.4.6, in MB (2^20
+    # bytes), was 4.76 at 120x120 on one thread and 9.6-9.8 at 240x240 on
+    # two; 6.61 and 17.7 while the sweep kept every patch's weights, 9.73
+    # at 120x120 while the Newton engine kept a ring of each live seed's
+    # last 8 positions, and 15.85 while the sweep held every window's
+    # samples and a weight column per Newton seed.  Each bound leaves
+    # 1.5 MB of headroom
+    g = sample(TestFunction.F13, n, n)
     k = default_kernel(KernelKind.GAUSSIAN)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        sweep_full(g, k, threads=1)
+        sr = sweep_full(g, k, threads=threads)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 8.1 * 2 ** 20
+    assert peak < bound_mb * 2 ** 20
+    # the sweep keeps weights for the searched patches only, one row each
+    searched = sr.seed_counts.launched // 9
+    assert 0 < searched < (n - 3) ** 2 // 5
+    assert sr.band_patches.shape == (searched, 2)
+    assert sr.band_weights.shape == (searched, 16) and sr.band_constants.shape == (searched,)
 
 
 def test_seed_counts_add_up_and_do_not_depend_on_threads():
@@ -892,13 +980,13 @@ def test_roots_exactly_the_dedup_radius_apart_are_one_root(monkeypatch):
 # --- certified exclusion of root-free patches ---------------------------------
 
 def certifier_inputs(g, kernel):
-    """The inputs ``sweep_full`` gives ``_certify`` for every patch of g, in
-    the patch frame: the weights node-major, (16, P)."""
+    """The inputs ``sweep_full`` gives ``_certify`` for an active patch, for
+    every patch of g, in the patch frame: the weights of a whole-grid solve
+    node-major, (16, P)."""
     sr = sweep_full(g, kernel)
-    ii, jj = np.divmod(np.arange(sr.weights.shape[0]), g.nx - 3)
     tables = stationary._level_tables(kernel)
-    weights = np.ascontiguousarray(sr.weights.T)
-    return (_domain_code(g, ii + 1, jj + 1), weights, sr.matrix.entries, tables, kernel), sr
+    weights = np.ascontiguousarray(whole_grid_solve(g, sr.matrix)[0].T)
+    return (_domain_code(g, *every_patch(g)), weights, sr.matrix.entries, tables, kernel), sr
 
 
 def random_patch(kind, scale, seed):
