@@ -110,7 +110,7 @@ _MODULUS_PEAK = {KernelKind.GAUSSIAN: math.sqrt(2.0),
 @dataclass(frozen=True)
 class SeedCounts:
     """How the Newton seeds of a search ended (see ``_newton_seeds``):
-    converged + singular + stuck (at a fixed point) + capped == launched.
+    converged + singular + stuck (pinned by the box) + capped == launched.
     ``excluded`` counts the patches certified root-free (see ``_certify``),
     which launch no seeds.  ``iterations`` counts seed evaluations, the
     Newton work; it is not an outcome and is left out of ``==``."""
@@ -187,11 +187,12 @@ def _newton_seeds(seeds, owner, weights, kernel):
     - converged: a pre-clamp Newton step of norm <= _STEP_TOL * DIAG;
     - singular: |det J| < _SINGULAR_DET * ||J||_F^2 at its position, or
       J is zero or its determinant is not finite;
-    - stuck: its clamped update gave back its own position, bit for bit
-      and without converging: a fixed point of the clamped map, typically
-      a seed pushed against a box edge or corner.  ``_grad_jac`` is
-      batch-invariant and the clamped map deterministic, so the seed would
-      stay there up to the cap and never converge;
+    - stuck: its clamped update moved it by |dx| + |dy| <= _STEP_TOL * DIAG
+      without converging.  An unclamped move is the Newton step itself,
+      which would have converged, so only a seed the clamp holds against
+      a box edge or corner while its step points out of the box is stuck:
+      a fixed point of the clamped map, or a seed that would creep along
+      the edge by about 1e-11 an iteration up to the cap;
     - capped: still live after _MAX_ITERATIONS, longer orbits included.
 
     The live seeds' indices, coordinates and patches are compact arrays,
@@ -228,11 +229,11 @@ def _newton_seeds(seeds, owner, weights, kernel):
         qx = np.minimum(np.maximum(px - sx, 0.0), 3.0)
         qy = np.minimum(np.maximum(py - sy, 0.0), 3.0)
         done = np.sqrt(sx * sx + sy * sy) <= step_tol
-        fixed = ~done & (qx == px) & (qy == py)
+        pinned = ~done & (np.abs(qx - px) + np.abs(qy - py) <= step_tol)
         px, py = qx, qy
-        leave = done | fixed
+        leave = done | pinned
         if leave.any():
-            stuck += int(np.count_nonzero(fixed))
+            stuck += int(np.count_nonzero(pinned))
             root = live.compress(done)
             rx[root], ry[root] = px.compress(done), py.compress(done)
             converged[root] = True
