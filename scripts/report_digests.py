@@ -25,7 +25,10 @@ Usage (from the root of a checkout):
   python3 scripts/report_digests.py --src ../other-checkout/src > other.txt
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
-any case is missing from either side.  With --counts as well it compares
+any case is missing from either side, and its last line counts the
+mismatched lines of each kind (``suffix_counts``), as in `242 of 285
+digests match; mismatched: report 0, .svg 0, .raw 0, .seeds 43,
+.counts 0`.  With --counts as well it compares
 the `.counts` lines only (``count_mismatches``): it exits 1 if a case is
 missing or its isolated or curve count differs, and prints without
 failing a points count that moved, as rounding alone moves the points of
@@ -47,6 +50,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FUNCTIONS = ("f1", "f2", "f11", "f12", "f13", "f14")
+#: the kinds of digest line: a report (no suffix), then the suffixed ones
+SUFFIXES = ("report", ".svg", ".raw", ".seeds", ".counts")
 KERNELS = ("gaussian", "iq", "wendland")
 
 
@@ -157,6 +162,15 @@ def thread_mismatches(got: dict[str, str]) -> list[str]:
     return sorted(bad)
 
 
+def suffix_counts(names) -> dict[str, int]:
+    """How many of the digest line names are of each kind in SUFFIXES:
+    reports, plots, raw points, seed counts and report counts."""
+    out = dict.fromkeys(SUFFIXES, 0)
+    for name in names:
+        out[next((s for s in SUFFIXES[1:] if name.endswith(s)), "report")] += 1
+    return out
+
+
 def read_digests(path: str) -> dict[str, str]:
     with open(path, encoding="utf-8") as fh:
         return {name: digest for digest, name in (line.split() for line in fh if line.strip())}
@@ -212,11 +226,13 @@ def main(argv=None) -> int:
         print(f"{total - len(failed)} of {total} counts hold their isolated and curve counts; "
               f"{len(moved)} moved only their points", file=sys.stderr)
         return 1 if failed or threads else 0
-    bad = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    names = want.keys() | got.keys()
+    bad = sorted(name for name in names if want.get(name) != got.get(name))
     for name in bad:
         print(f"MISMATCH {name}: expected {want.get(name, 'no entry')}, "
               f"got {got.get(name, 'no entry')}", file=sys.stderr)
-    print(f"{len(got) - len(bad)} of {len(want.keys() | got.keys())} digests match",
+    kinds = ", ".join(f"{k} {n}" for k, n in suffix_counts(bad).items())
+    print(f"{len(names) - len(bad)} of {len(names)} digests match; mismatched: {kinds}",
           file=sys.stderr)
     return 1 if bad or threads else 0
 

@@ -98,3 +98,32 @@ def test_counts_fail_on_isolated_or_curves_and_note_moved_points():
         "MISMATCH c-t1.counts", "MISMATCH d-t1.counts", "MISMATCH e-t1.counts",
         "MISMATCH f-t1.counts"]
     assert moved == ["MOVED a-t1.counts: points 739 -> 740, isolated 1 and curves 7 held"]
+
+
+def test_suffix_counts_name_each_kind_of_line():
+    names = ["f2-gaussian-120-t1", "f2-gaussian-120-t1.svg", "f2-gaussian-120-t2.seeds",
+             "f1-wendland-120-alpha28.05-t1", "f1-wendland-120-alpha28.05-t1.seeds",
+             "f13-iq-240-t2.raw", "f13-iq-240-t2.counts"]
+    assert report_digests.suffix_counts(names) == {
+        "report": 2, ".svg": 1, ".raw": 1, ".seeds": 2, ".counts": 1}
+    assert report_digests.suffix_counts([]) == dict.fromkeys(report_digests.SUFFIXES, 0)
+
+
+def test_compare_counts_the_mismatches_of_each_kind(tmp_path, monkeypatch, capsys):
+    # the digests of a run replaced by a fixed set: two .seeds lines and a
+    # report differ, and one plot is missing from the new run
+    want = {"a-t1": "1", "a-t1.svg": "2", "a-t1.raw": "3", "a-t1.seeds": "4",
+            "a-t1.counts": "1/0/1", "b-t1": "5", "b-t1.svg": "6", "b-t1.seeds": "7"}
+    got = {**want, "a-t1.seeds": "x", "b-t1.seeds": "y", "b-t1": "z"}
+    del got["b-t1.svg"]
+    path = tmp_path / "digests.txt"
+    path.write_text("".join(f"{d}  {name}\n" for name, d in want.items()))
+    monkeypatch.setattr(report_digests, "digests", lambda src: got)
+    assert report_digests.main(["--compare", str(path)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    # a line missing from one side counts as a mismatch, not in the matches
+    assert last == ("4 of 8 digests match; mismatched: report 1, .svg 1, .raw 0, "
+                    ".seeds 2, .counts 0")
+    monkeypatch.setattr(report_digests, "digests", lambda src: want)
+    assert report_digests.main(["--compare", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1].startswith("8 of 8 digests match;")
