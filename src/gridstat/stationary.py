@@ -60,8 +60,9 @@ threads, where ``take`` does.  Both read one weight layout, node-major
 like ``_grad_jac``'s terms: ``sweep_full`` transposes each block's
 solved weights into a C-contiguous (16, P) copy for the certifier, and
 each search block's rows of the band into another for the engine and the
-acceptance test; ``_grad_jac`` gathers each slice's columns from them.  The engine holds its live seeds as two coordinate
-vectors and their patches, and compresses them only when seeds leave.
+acceptance test; ``_grad_jac`` gathers each slice's columns from them.
+The engine holds its live seeds as two coordinate vectors and their
+patches, and compresses them only when seeds leave.
 The certifier keeps each level's pending sub-boxes as one bool mask
 (cells, L) over its live patches in code order.  At its coarse levels each code's live patches
 are a range of columns of their weights, which the code's (cells, 16) rows
@@ -690,8 +691,8 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
         # node-major copy of the weights, (16, P), and keep the band's rows
         weights, constants = matrix.solve(_windows(g, block, field_range))
         columns = np.ascontiguousarray(weights.T)
-        band = ~_certify(code(block), columns, matrix.entries, tables, kernel)
-        return block.compress(band), weights.compress(band, axis=0), constants.compress(band)
+        keep = ~_certify(code(block), columns, matrix.entries, tables, kernel)
+        return block.compress(keep), weights.compress(keep, axis=0), constants.compress(keep)
 
     def search(b0: int):
         blk = slice(b0, b0 + _BLOCK_PATCHES)
