@@ -129,6 +129,9 @@ def test_flat_patch_skipped():
         assert sr.flat_patches.dtype.kind == "i", kind
         assert sr.flat_patches.tolist() == [[1, 1]], kind
         assert sr.seed_counts == SeedCounts(), kind
+        # a constant field has no range to solve in: its interpolant is zero
+        one = sr.interpolant(1, 1)
+        assert not one.weights.any() and one.constant == 0, kind
 
 
 def window_range_grid(seed):
@@ -808,7 +811,7 @@ def test_singular_seeds_leave_at_their_first_evaluation():
 @pytest.mark.parametrize("n, threads, bound_mb", [(120, 1, 6.3), (240, 2, 11.3)])
 def test_sweep_memory_is_bounded_by_its_blocks(n, threads, bound_mb):
     # tracemalloc's peak over the sweep of f13 on numpy 2.4.6, in MB (2^20
-    # bytes), was 4.76 at 120x120 on one thread and 9.6-9.8 at 240x240 on
+    # bytes), was 4.76 at 120x120 on one thread and 9.5-9.8 at 240x240 on
     # two; 6.61 and 17.7 while the sweep kept every patch's weights, 9.73
     # at 120x120 while the Newton engine kept a ring of each live seed's
     # last 8 positions, and 15.85 while the sweep held every window's
