@@ -4,14 +4,15 @@ in one process.
 Copies each tree's `gridstat` package into a temporary directory under a
 package name of its own (`gridstat_parent`, `gridstat_change`), writes the
 workload's grids with `perfbench/surfaces.write_csv`, and runs whole passes
-of the workload's `find` calls (`--no-timings`, the workload's thread
-count, the calls in perfbench's order) through each copy's `cli.main`.
+of the workload's `find` calls (`--no-timings`, the workload's
+`--threads`, which only trees older than the one-thread sweep read, the
+calls in perfbench's order) through each copy's `cli.main`.
 Each side first runs one untimed pass, then one more under tracemalloc;
 then round r runs the two sides in ABBA order (parent first in even
 rounds, change first in odd ones), so a slow or fast spell of the machine
 does not always fall on one side.  It prints, per side, the median and
 best pass time, the median CPU time of the process over a pass (above the
-wall time when BLAS or the sweep runs threads) and the traced pass's
+wall time when BLAS runs threads) and the traced pass's
 tracemalloc peak in MB (2^20 bytes; both trees run in one process, so its
 peak RSS cannot tell them apart), the number of rounds the change won, and
 whether the reports of every pass of both trees are byte-identical.

@@ -1,12 +1,11 @@
 """SHA-256 digests of `gridstat find --no-timings` reports and their plots.
 
-Runs `find` on every built-in function with every kernel at 120x120, with
---threads 1 and --threads 2; on f13 at 240x240 with every kernel and
---threads 2; on f13 on non-square grids: 120x60 and 240x120 with every
-kernel and 200x40 with the Gaussian and inverse quadric kernels, each with
-both thread counts; on f2 on a stretched 200x40 grid with the Gaussian
+Runs `find` on every built-in function with every kernel at 120x120; on
+f13 at 240x240 with every kernel; on f13 on non-square grids: 120x60 and
+240x120 with every kernel and 200x40 with the Gaussian and inverse
+quadric kernels; on f2 on a stretched 200x40 grid with the Gaussian
 kernel; and on f1 with the Wendland kernel at four times its default shape
-parameter (57 reports).  It renders each report with `plot`, digests the
+parameter (31 reports).  It renders each report with `plot`, digests the
 sweep under each report twice, its raw points (``raw_digest``) and its
 seed counts (``seeds_digest``), and prints one line per report, per SVG,
 per digest of the sweep and per report's counts: the digest and the case
@@ -26,16 +25,14 @@ Usage (from the root of a checkout):
 
 With --compare FILE the script exits 1 if any digest differs from FILE or
 any case is missing from either side, and its last line counts the
-mismatched lines of each kind (``suffix_counts``), as in `242 of 285
-digests match; mismatched: report 0, .svg 0, .raw 0, .seeds 43,
-.counts 0`.  With --counts as well it compares
-the `.counts` lines only (``count_mismatches``): it exits 1 if a case is
-missing or its isolated or curve count differs, and prints without
-failing a points count that moved, as rounding alone moves the points of
-a curve.  With or without --compare, the script exits 1 if a case's `-t1`
-and `-t2` reports, plots, raw points or seed counts differ: the thread
-count must not change a byte.  Uses the standard library and numpy
-only; the 57 cases take about 20 s on two cores (a 2-vCPU Xeon guest).
+mismatched lines of each kind (``suffix_counts``), as in `124 of 155
+digests match; mismatched: report 0, .svg 0, .raw 0, .seeds 31,
+.counts 0`.  With --counts as well it compares the `.counts` lines only
+(``count_mismatches``): it exits 1 if a case is missing or its isolated
+or curve count differs, and prints without failing a points count that
+moved, as rounding alone moves the points of a curve.  Uses the standard
+library and numpy only; the 31 cases take about 6 s on a 2-vCPU Xeon
+guest.
 """
 
 from __future__ import annotations
@@ -57,24 +54,23 @@ KERNELS = ("gaussian", "iq", "wendland")
 
 def cases() -> list[tuple[str, list[str]]]:
     """(name, `find` arguments) of every report."""
-    def case(fn, kernel, nx, ny, threads, alpha=None):
+    def case(fn, kernel, nx, ny, alpha=None):
         size = str(nx) if nx == ny else f"{nx}x{ny}"
-        name = f"{fn}-{kernel}-{size}" + (f"-alpha{alpha}" if alpha else "") + f"-t{threads}"
-        argv = ["--fn", fn, "--kernel", kernel, "--nx", str(nx), "--ny", str(ny),
-                "--threads", str(threads)] + (["--alpha", alpha] if alpha else [])
-        return name, argv
+        name = f"{fn}-{kernel}-{size}" + (f"-alpha{alpha}" if alpha else "")
+        argv = ["--fn", fn, "--kernel", kernel, "--nx", str(nx), "--ny", str(ny)]
+        return name, argv + (["--alpha", alpha] if alpha else [])
 
-    out = [case(fn, k, 120, 120, t) for fn in FUNCTIONS for k in KERNELS for t in (1, 2)]
-    out.extend(case("f13", k, 240, 240, 2) for k in KERNELS)
+    out = [case(fn, k, 120, 120) for fn in FUNCTIONS for k in KERNELS]
+    out.extend(case("f13", k, 240, 240) for k in KERNELS)
     # non-square grids, where a kernel isotropic in physical units gave
     # Gaussian and inverse quadric counts of f13 other than 1/7
-    out.extend(case("f13", k, 120, 60, t) for k in KERNELS for t in (1, 2))
-    out.extend(case("f13", k, 240, 120, t) for k in KERNELS for t in (1, 2))
-    out.extend(case("f13", k, 200, 40, t) for k in ("gaussian", "iq") for t in (1, 2))
+    out.extend(case("f13", k, 120, 60) for k in KERNELS)
+    out.extend(case("f13", k, 240, 120) for k in KERNELS)
+    out.extend(case("f13", k, 200, 40) for k in ("gaussian", "iq"))
     # a stretched grid, dy about 5 dx
-    out.append(case("f2", "gaussian", 200, 40, 1))
+    out.append(case("f2", "gaussian", 200, 40))
     # four times the default alpha of Wendland at 120x120 (7.0121)
-    out.append(case("f1", "wendland", 120, 120, 1, alpha="28.05"))
+    out.append(case("f1", "wendland", 120, 120, alpha="28.05"))
     return out
 
 
@@ -150,18 +146,6 @@ def digests(src: str) -> dict[str, str]:
     return out
 
 
-def thread_mismatches(got: dict[str, str]) -> list[str]:
-    """The `-t1` names (reports, plots, raw points, seed counts and report
-    counts: every suffix) whose `-t2` twin has another digest; a case run
-    at one thread count only is not compared."""
-    bad = []
-    for name, digest in got.items():
-        stem, tag, suffix = name.rpartition("-t1")
-        if tag and suffix[:1] in ("", ".") and got.get(stem + "-t2" + suffix, digest) != digest:
-            bad.append(name)
-    return sorted(bad)
-
-
 def suffix_counts(names) -> dict[str, int]:
     """How many of the digest line names are of each kind in SUFFIXES:
     reports, plots, raw points, seed counts and report counts."""
@@ -210,12 +194,9 @@ def main(argv=None) -> int:
         ap.error("--counts needs --compare")
 
     got = digests(os.path.abspath(args.src))
-    threads = thread_mismatches(got)
-    for name in threads:
-        print(f"THREADS {name}: -t1 and -t2 differ", file=sys.stderr)
     if not args.compare:
         sys.stdout.write("".join(f"{digest}  {name}\n" for name, digest in got.items()))
-        return 1 if threads else 0
+        return 0
 
     want = read_digests(args.compare)
     if args.counts:
@@ -225,7 +206,7 @@ def main(argv=None) -> int:
         total = sum(n.endswith(".counts") for n in want.keys() | got.keys())
         print(f"{total - len(failed)} of {total} counts hold their isolated and curve counts; "
               f"{len(moved)} moved only their points", file=sys.stderr)
-        return 1 if failed or threads else 0
+        return 1 if failed else 0
     names = want.keys() | got.keys()
     bad = sorted(name for name in names if want.get(name) != got.get(name))
     for name in bad:
@@ -234,7 +215,7 @@ def main(argv=None) -> int:
     kinds = ", ".join(f"{k} {n}" for k, n in suffix_counts(bad).items())
     print(f"{len(names) - len(bad)} of {len(names)} digests match; mismatched: {kinds}",
           file=sys.stderr)
-    return 1 if bad or threads else 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -39,8 +39,7 @@ class InputError(ValueError):
 
 
 def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
-                 threads: int = 1, input_desc: dict | None = None,
-                 timings: bool = True) -> dict:
+                 input_desc: dict | None = None, timings: bool = True) -> dict:
     """Sweep -> reduce -> cluster -> summarize; returns the JSON report.
 
     alpha is the physical shape parameter (1/length).  The sweep takes it
@@ -62,7 +61,7 @@ def run_pipeline(g: GridField, kind: KernelKind, alpha: float | None = None,
     dmax = bindings_mod.delta_max(d)
 
     t0 = time.perf_counter()
-    sr = sweep_full(g, kernel, threads=threads)
+    sr = sweep_full(g, kernel)
     t1 = time.perf_counter()
     points = reduce_points(sr.raw, sr.raw_patch, sr)
     positions = np.array([p.position for p in points]).reshape(-1, 2)
@@ -146,14 +145,12 @@ def _check_output(path: str | None) -> None:
 
 def cmd_find(args) -> int:
     if args.threads < 0:
-        raise InputError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
+        raise InputError(f"--threads must be 0 or positive, got {args.threads}")
     _check_alpha(args.alpha)
     _check_output(args.json)
     g, source = _load_field(args)
     kind = _KERNELS[args.kernel]
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    report = run_pipeline(g, kind, alpha=args.alpha, threads=threads,
-                          input_desc=_input_desc(g, source),
+    report = run_pipeline(g, kind, alpha=args.alpha, input_desc=_input_desc(g, source),
                           timings=not args.no_timings)
     _write_json(report, args.json)
     return 0
@@ -240,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shape parameter in 1/length, overriding the default; the "
                     "patches use alpha*d/sqrt(2) per grid-index unit (d the cell "
                     "diagonal), which is alpha*dx on a square grid")
-    pf.add_argument("--threads", type=int, default=0, help="0 = all cores")
+    pf.add_argument("--threads", type=int, default=0,
+                    help="ignored: the sweep runs on one thread (kept for old command lines)")
     pf.add_argument("--json", default=None, help="report path (default stdout)")
     pf.add_argument("--no-timings", action="store_true",
                     help="omit wall-clock timings for byte-reproducible output")

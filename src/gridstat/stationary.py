@@ -16,15 +16,14 @@ grid into fixed blocks of ``_BLOCK_PATCHES`` and in one pass per block
 solves their weights and hands them to ``_certify``, which proves most of
 them root-free with a native-space bound on the gradient (no seed in them
 could be accepted); only the rest, the band, keep their weights.  It then
-hands the engine the band, again in fixed blocks, in order on one thread
-or through a thread pool on several.  Every block size and thread count
-gives identical floating-point results because the weight solve gives a
-patch the same bits in any batch, the engine only uses elementwise
-operations and fixed-order sums, and the certifier's BLAS products, whose
-bits can depend on the block, only take the decisions an exact
-evaluation takes alike.  Beyond the band's weights and constants (17
-doubles a band patch) and a few integers per active patch, the sweep's
-working set is threads x one block: each block gathers its samples from
+hands the engine the band, again in fixed blocks, in order.  Every block
+size gives identical floating-point results because the weight solve
+gives a patch the same bits in any batch, the engine only uses
+elementwise operations and fixed-order sums, and the certifier's BLAS
+products, whose bits can depend on the block, only take the decisions an
+exact evaluation takes alike.  Beyond the band's weights and constants
+(17 doubles a band patch) and a few integers per active patch, the
+sweep's working set is one block: each block gathers its samples from
 the grid, and the flat-patch test reads running extrema of the grid
 (``_window_range``), so no array of every window's samples or weights is
 built.  The raw points leave it as arrays (``SweepResult``), one row each
@@ -54,13 +53,12 @@ The engine and the certifier gather with ``take`` and ``compress``, never
 with fancy or boolean indexing, and repeat with an integer division or a
 broadcast and a copy instead of ``np.repeat``.  At their shapes
 (thousands of points by 16 nodes) ``take`` is about 2.5 times as fast as
-fancy indexing and ``compress`` up to 10 times as fast as a boolean mask;
-fancy indexing and ``np.repeat`` also do not run in parallel on the pool's
-threads, where ``take`` does.  Both read one weight layout, node-major
-like ``_grad_jac``'s terms: ``sweep_full`` transposes each block's
-solved weights into a C-contiguous (16, P) copy for the certifier, and
-each search block's rows of the band into another for the engine and the
-acceptance test; ``_grad_jac`` gathers each slice's columns from them.
+fancy indexing and ``compress`` up to 10 times as fast as a boolean mask.
+Both read one weight layout, node-major like ``_grad_jac``'s terms:
+``sweep_full`` transposes each block's solved weights into a C-contiguous
+(16, P) copy for the certifier, and each search block's rows of the band
+into another for the engine and the acceptance test; ``_grad_jac``
+gathers each slice's columns from them.
 The engine holds its live seeds as two coordinate vectors and their
 patches, and compresses them only when seeds leave.
 The certifier keeps each level's pending sub-boxes as one bool mask
@@ -75,7 +73,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -663,16 +660,13 @@ class SweepResult:
                                 constant=constant.reshape(shape)[()])
 
 
-def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult:
+def sweep_full(g: GridField, kernel: Kernel) -> SweepResult:
     """All raw stationary points of the grid, ordered by (i, j, seed), with
     the interpolants of the band.  The kernel's shape parameter is per
     grid-index unit (``run_pipeline`` converts a physical one); the raw
     points are on the grid, in its physical units.  The weights are solved
     for h over the field range R, |h| / R <= 2^53, so only the matrix can
-    overflow them (FactorizationError); a constant field solves nothing.
-    threads, the size of the thread pool, is an int >= 1 (ValueError)."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    overflow them (FactorizationError); a constant field solves nothing."""
     npj = g.nx - 3
     field_range = g.field_range
     matrix = PatchMatrix(kernel)
@@ -700,19 +694,16 @@ def sweep_full(g: GridField, kernel: Kernel, *, threads: int = 1) -> SweepResult
                                         np.ascontiguousarray(band_weights[blk].T), kernel)
         return b0 + k, slot, xi, counts
 
-    # fixed-size blocks bound the working set and do not depend on the
-    # thread count, and map keeps them in order.  The band, the patches
-    # not certified root-free, is cut into blocks again.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        each = map if threads == 1 else pool.map
-        # the level tables live through this pass only: the search, whose
-        # Newton temporaries set the sweep's peak memory, does not hold them
-        blocks = (act[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, act.size, _BLOCK_PATCHES))
-        # an empty first part shapes the band of a sweep without one
-        band, band_weights, band_constants = (np.concatenate(a) for a in zip(
-            (np.zeros(0, int), np.zeros((0, 16)), np.zeros(0)),
-            *each(certify, blocks, repeat(_level_tables(kernel)))))
-        parts = list(each(search, range(0, band.size, _BLOCK_PATCHES)))
+    # fixed-size blocks bound the working set.  The level tables live
+    # through the first pass only: the search, whose Newton temporaries set
+    # the sweep's peak memory, does not hold them
+    blocks = (act[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, act.size, _BLOCK_PATCHES))
+    # an empty first part shapes the band of a sweep without one
+    band, band_weights, band_constants = (np.concatenate(a) for a in zip(
+        (np.zeros(0, int), np.zeros((0, 16)), np.zeros(0)),
+        *map(certify, blocks, repeat(_level_tables(kernel)))))
+    # the band, the patches not certified root-free, is cut into blocks again
+    parts = [search(b0) for b0 in range(0, band.size, _BLOCK_PATCHES)]
     band_patches = np.column_stack(np.divmod(band, npj)) + 1
     # a first part without roots counts the certified patches and shapes an empty sweep
     k, slot, xi, counts = zip((np.zeros(0, int), np.zeros(0, int), np.zeros((0, 2)),

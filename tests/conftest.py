@@ -21,12 +21,12 @@ def pipeline():
     """pipeline(fn, kernel) -> (report, grid, elapsed_seconds), cached."""
     cache = {}
 
-    def run(fn: TestFunction, kernel: KernelKind, threads: int = 1):
-        key = (fn, kernel, threads)
+    def run(fn: TestFunction, kernel: KernelKind):
+        key = (fn, kernel)
         if key not in cache:
             g = sample(fn, 120, 120)
             t0 = time.perf_counter()
-            rep = run_pipeline(g, kernel, threads=threads, timings=False)
+            rep = run_pipeline(g, kernel, timings=False)
             cache[key] = (rep, g, time.perf_counter() - t0)
         return cache[key]
 

@@ -2,8 +2,8 @@
 
 Criteria 1-6 pin the stationary-point counts and locations on the six
 benchmark surfaces, and f13's and f2's also on non-square grids; 7-10 the kernel and interpolation contracts; 11-12 the
-reduction and clustering semantics; 13 byte-level determinism under
-threading.
+reduction and clustering semantics; 13 byte-level determinism whatever
+`--threads` says.
 
 Criterion 1's Wendland case and criterion 6 need the constant term of the
 patch interpolant: a polynomial-free interpolant undulates at the grid
@@ -302,10 +302,11 @@ def test_c12_cluster_equals_brute_force():
         assert got == expect
 
 
-# --- criterion 13: determinism under parallelism ---------------------------------
+# --- criterion 13: determinism whatever --threads says ----------------------------
 
 @pytest.mark.parametrize("tf", list(TestFunction), ids=[t.value for t in TestFunction])
 def test_c13_byte_identical_json_across_threads(tf, tmp_path):
+    # the sweep runs on one thread; find still takes --threads and ignores it
     out1 = tmp_path / "t1.json"
     out4 = tmp_path / "t4.json"
     base = ["find", "--fn", tf.value, "--no-timings"]

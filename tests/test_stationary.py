@@ -3,7 +3,6 @@
 import dataclasses
 import logging
 import math
-import sys
 import tracemalloc
 import warnings
 from dataclasses import astuple
@@ -229,20 +228,13 @@ def flat_index(g, patches):
     return (patches[:, 0] - 1) * (g.nx - 3) + patches[:, 1] - 1
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("nx, ny", [(20, 20), (23, 17)])
-def test_weights_solved_in_blocks_equal_the_whole_grid_solve(threads, nx, ny, monkeypatch):
+def test_weights_solved_in_blocks_equal_the_whole_grid_solve(nx, ny, monkeypatch):
     # blocks of 7 patches split 17x17 = 289 and 20x14 = 280 patches
-    # unevenly; each block gathers its windows from the grid, and the pool's
-    # threads solve and certify their blocks, switching often
+    # unevenly; each block gathers its windows from the grid
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 7)
     g = sample(TestFunction.F2, nx, ny)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN), threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
     weights, constants = whole_grid_solve(g, sr.matrix)
     band = flat_index(g, sr.band_patches)
     assert 0 < band.size < len(weights)
@@ -291,9 +283,8 @@ def test_interpolant_of_any_patch_keeps_the_bits_of_the_whole_grid_solve():
     assert_served(rng.integers(0, len(i), 200))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("grid", ["f2-flat-corner", "f13-40"])
-def test_the_pipeline_solves_each_active_patch_once(grid, threads, monkeypatch):
+def test_the_pipeline_solves_each_active_patch_once(grid, monkeypatch):
     # the reduction reads the band's interpolants only: no window is solved
     # on demand, and none twice
     g = flat_corner_grid() if grid == "f2-flat-corner" else sample(TestFunction.F13, 40, 40)
@@ -305,7 +296,7 @@ def test_the_pipeline_solves_each_active_patch_once(grid, threads, monkeypatch):
         return solve(self, h)
 
     monkeypatch.setattr(PatchMatrix, "solve", counting)
-    report = run_pipeline(g, KernelKind.GAUSSIAN, threads=threads, timings=False)
+    report = run_pipeline(g, KernelKind.GAUSSIAN, timings=False)
     active = np.count_nonzero(stationary._window_range(g.grid2d())
                               > stationary._FLAT_PATCH * g.field_range)
     assert report["stationary_points"]
@@ -354,14 +345,14 @@ def assert_same_raw(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
-def check_block_invariance(g, block, threads, monkeypatch):
-    """sweep_full in blocks of `block` patches on `threads` threads gives the
-    raw points, bit for bit, and the seed counts of one block on one thread."""
+def check_block_invariance(g, block, monkeypatch):
+    """sweep_full in blocks of `block` patches gives the raw points, bit for
+    bit, and the seed counts of one block."""
     k = default_kernel(KernelKind.GAUSSIAN)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
-    ref = sweep_full(g, k, threads=1)
+    ref = sweep_full(g, k)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
-    got = sweep_full(g, k, threads=threads)
+    got = sweep_full(g, k)
     assert len(ref.raw)
     assert_same_raw(got, ref)
     assert got.seed_counts == ref.seed_counts
@@ -369,26 +360,21 @@ def check_block_invariance(g, block, threads, monkeypatch):
     return ref
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("seeds", [3, 2, 4])
 @pytest.mark.parametrize("grid", ["f2-12x12", "skewed"])
-def test_sweep_equals_per_patch_search(grid, seeds, threads, monkeypatch):
+def test_sweep_equals_per_patch_search(grid, seeds, monkeypatch):
     # blocks of one patch are the per-patch search
     g = sample(TestFunction.F2, 12, 12) if grid == "f2-12x12" else skewed_grid()
     monkeypatch.setattr(stationary, "_SEEDS", stationary._seed_lattice(seeds))
-    sr = check_block_invariance(g, 1, threads, monkeypatch)
+    sr = check_block_invariance(g, 1, monkeypatch)
     searched = (g.nx - 3) * (g.ny - 3) - len(sr.flat_patches) - sr.seed_counts.excluded
     assert sr.seed_counts.launched == searched * seeds * seeds
 
 
-def test_sweep_ordered_and_thread_invariant():
-    g = sample(TestFunction.F2, 20, 20)
-    k = default_kernel(KernelKind.GAUSSIAN)
-    sr1 = sweep_full(g, k, threads=1)
-    sr4 = sweep_full(g, k, threads=4)
-    keys = list(zip(map(tuple, sr1.raw_patch.tolist()), sr1.raw_seed.tolist()))
+def test_sweep_is_ordered():
+    sr = sweep_full(sample(TestFunction.F2, 20, 20), default_kernel(KernelKind.GAUSSIAN))
+    keys = list(zip(map(tuple, sr.raw_patch.tolist()), sr.raw_seed.tolist()))
     assert keys == sorted(keys)
-    assert_same_raw(sr4, sr1)
 
 
 def test_sweep_matches_dense_multistart_oracle():
@@ -808,15 +794,16 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     assert counts.iterations - rest.iterations == 4
 
 
-@pytest.mark.parametrize("n, threads, bound_mb", [(120, 1, 6.3), (240, 2, 11.3)])
-def test_sweep_memory_is_bounded_by_its_blocks(n, threads, bound_mb):
+@pytest.mark.parametrize("n, bound_mb", [(120, 6.3), (240, 7.0)])
+def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
     # tracemalloc's peak over the sweep of f13 on numpy 2.4.6, in MB (2^20
-    # bytes), was 4.76 at 120x120 on one thread and 9.5-9.8 at 240x240 on
-    # two; 6.61 and 17.7 while the sweep kept every patch's weights, 9.73
-    # at 120x120 while the Newton engine kept a ring of each live seed's
-    # last 8 positions, and 15.85 while the sweep held every window's
-    # samples and a weight column per Newton seed.  Each bound leaves
-    # 1.5 MB of headroom
+    # bytes), is 4.76 at 120x120 and 5.48 at 240x240.  It was 9.5-9.8 at
+    # 240x240 while the sweep ran blocks on a pool of two threads; 6.61 at
+    # 120x120 and 17.7 at 240x240 (two threads) while the sweep kept every
+    # patch's weights, 9.73 at 120x120 while the Newton engine kept a ring
+    # of each live seed's last 8 positions, and 15.85 while the sweep held
+    # every window's samples and a weight column per Newton seed.  Each
+    # bound leaves 1.5 MB of headroom
     g = sample(TestFunction.F13, n, n)
     k = default_kernel(KernelKind.GAUSSIAN)
     tracing = tracemalloc.is_tracing()
@@ -824,7 +811,7 @@ def test_sweep_memory_is_bounded_by_its_blocks(n, threads, bound_mb):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        sr = sweep_full(g, k, threads=threads)
+        sr = sweep_full(g, k)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -837,15 +824,12 @@ def test_sweep_memory_is_bounded_by_its_blocks(n, threads, bound_mb):
     assert sr.band_weights.shape == (searched, 16) and sr.band_constants.shape == (searched,)
 
 
-def test_seed_counts_add_up_and_do_not_depend_on_threads():
+def test_seed_counts_add_up():
     # f12, not f2 or f14: every seed launched on f2 at 30x30 converges, and
     # none on f14 at 30x30 is stuck
     g = sample(TestFunction.F12, 30, 30)
-    k = default_kernel(KernelKind.GAUSSIAN)
-    sr = sweep_full(g, k, threads=1)
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
     one = sr.seed_counts
-    two = sweep_full(g, k, threads=2).seed_counts
-    assert one == two
     assert 0 < one.excluded < (g.nx - 3) * (g.ny - 3)
     assert one.launched == ((g.nx - 3) * (g.ny - 3) - len(sr.flat_patches) - one.excluded) * 9
     assert one.converged + one.singular + one.stuck + one.capped == one.launched
@@ -870,13 +854,12 @@ def test_retiring_stuck_seeds_keeps_the_roots_at_every_cap(cap, monkeypatch):
     assert stationary._newton_seeds(*args)[2].iterations == counts.iterations + counts.capped
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block", [1, 7, 10**6])
 @pytest.mark.parametrize("grid", ["f2-20x20", "skewed", "f2-4x30"])
-def test_sweep_does_not_depend_on_block_size(grid, block, threads, monkeypatch):
+def test_sweep_does_not_depend_on_block_size(grid, block, monkeypatch):
     g = {"f2-20x20": lambda: sample(TestFunction.F2, 20, 20), "skewed": skewed_grid,
          "f2-4x30": lambda: narrow_grid(4, 30)}[grid]()
-    check_block_invariance(g, block, threads, monkeypatch)
+    check_block_invariance(g, block, monkeypatch)
 
 
 # --- in-patch duplicates ---------------------------------------------------------
