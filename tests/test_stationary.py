@@ -228,11 +228,13 @@ def flat_index(g, patches):
     return (patches[:, 0] - 1) * (g.nx - 3) + patches[:, 1] - 1
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("nx, ny", [(20, 20), (23, 17)])
-def test_weights_solved_in_blocks_equal_the_whole_grid_solve(nx, ny, monkeypatch):
-    # blocks of 7 patches split 17x17 = 289 and 20x14 = 280 patches
-    # unevenly; each block gathers its windows from the grid
-    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 7)
+def test_weights_solved_in_blocks_equal_the_whole_grid_solve(nx, ny, block, monkeypatch):
+    # blocks of 7 or 64 patches split 17x17 = 289 and 20x14 = 280 patches
+    # unevenly, and blocks of one patch solve each window alone; each block
+    # gathers its windows from the grid
+    monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
     g = sample(TestFunction.F2, nx, ny)
     sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
     weights, constants = whole_grid_solve(g, sr.matrix)
@@ -283,10 +285,13 @@ def test_interpolant_of_any_patch_keeps_the_bits_of_the_whole_grid_solve():
     assert_served(rng.integers(0, len(i), 200))
 
 
+@pytest.mark.parametrize("block", [7, None])
 @pytest.mark.parametrize("grid", ["f2-flat-corner", "f13-40"])
-def test_the_pipeline_solves_each_active_patch_once(grid, monkeypatch):
+def test_the_pipeline_solves_each_active_patch_once(grid, block, monkeypatch):
     # the reduction reads the band's interpolants only: no window is solved
-    # on demand, and none twice
+    # on demand, and none twice, in blocks of 7 patches or the default size
+    if block is not None:
+        monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
     g = flat_corner_grid() if grid == "f2-flat-corner" else sample(TestFunction.F13, 40, 40)
     rhs = []
     solve = PatchMatrix.solve
@@ -345,10 +350,11 @@ def assert_same_raw(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
-def check_block_invariance(g, block, monkeypatch):
-    """sweep_full in blocks of `block` patches gives the raw points, bit for
-    bit, and the seed counts of one block."""
-    k = default_kernel(KernelKind.GAUSSIAN)
+def check_block_invariance(g, block, kind, monkeypatch):
+    """sweep_full with the default kernel of `kind` in blocks of `block`
+    patches gives the raw points, bit for bit, and the seed counts of one
+    block."""
+    k = default_kernel(kind)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", 10**6)
     ref = sweep_full(g, k)
     monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
@@ -360,13 +366,14 @@ def check_block_invariance(g, block, monkeypatch):
     return ref
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
 @pytest.mark.parametrize("seeds", [3, 2, 4])
 @pytest.mark.parametrize("grid", ["f2-12x12", "skewed"])
-def test_sweep_equals_per_patch_search(grid, seeds, monkeypatch):
+def test_sweep_equals_per_patch_search(grid, seeds, kind, monkeypatch):
     # blocks of one patch are the per-patch search
     g = sample(TestFunction.F2, 12, 12) if grid == "f2-12x12" else skewed_grid()
     monkeypatch.setattr(stationary, "_SEEDS", stationary._seed_lattice(seeds))
-    sr = check_block_invariance(g, 1, monkeypatch)
+    sr = check_block_invariance(g, 1, kind, monkeypatch)
     searched = (g.nx - 3) * (g.ny - 3) - len(sr.flat_patches) - sr.seed_counts.excluded
     assert sr.seed_counts.launched == searched * seeds * seeds
 
@@ -854,12 +861,13 @@ def test_retiring_stuck_seeds_keeps_the_roots_at_every_cap(cap, monkeypatch):
     assert stationary._newton_seeds(*args)[2].iterations == counts.iterations + counts.capped
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
 @pytest.mark.parametrize("block", [1, 7, 10**6])
 @pytest.mark.parametrize("grid", ["f2-20x20", "skewed", "f2-4x30"])
-def test_sweep_does_not_depend_on_block_size(grid, block, monkeypatch):
+def test_sweep_does_not_depend_on_block_size(grid, block, kind, monkeypatch):
     g = {"f2-20x20": lambda: sample(TestFunction.F2, 20, 20), "skewed": skewed_grid,
          "f2-4x30": lambda: narrow_grid(4, 30)}[grid]()
-    check_block_invariance(g, block, monkeypatch)
+    check_block_invariance(g, block, kind, monkeypatch)
 
 
 # --- in-patch duplicates ---------------------------------------------------------
