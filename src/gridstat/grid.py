@@ -39,7 +39,8 @@ class GridField:
                 raise ValueError(f"grid origin {name} must be finite, got {v}")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.nx * self.ny,):
-            raise ValueError(f"expected {self.nx * self.ny} values, got {v.size}")
+            raise ValueError(f"expected values of flat shape ({self.nx * self.ny},) "
+                             f"(nx*ny, row-major), got shape {v.shape}")
         for name, o, d, n in (("x", self.origin[0], self.dx, self.nx),
                               ("y", self.origin[1], self.dy, self.ny)):
             with np.errstate(over="ignore", invalid="ignore"):

@@ -12,23 +12,22 @@ seed lattice from the constant table ``_SEEDS``, runs Newton
 (``_newton_seeds``) clamped to the patch's bounding box, accepts converged
 roots inside the domain with a small gradient and drops duplicates within
 a patch.  Its one caller, ``sweep_full``, cuts the active patches of the
-grid into fixed blocks of ``_BLOCK_PATCHES`` and in one pass per block
-solves their weights and hands them to ``_certify``, which proves most of
-them root-free with a native-space bound on the gradient (no seed in them
-could be accepted); only the rest, the band, keep their weights.  It then
-hands the engine the band, again in fixed blocks, in order.  Every block
-size gives identical floating-point results because the weight solve
-gives a patch the same bits in any batch, the engine only uses
-elementwise operations and fixed-order sums, and the certifier's BLAS
-products, whose bits can depend on the block, only take the decisions an
-exact evaluation takes alike.  Beyond the band's weights and constants
-(17 doubles a band patch) and a few integers per active patch, the
-sweep's working set is one block: each block gathers its samples from
-the grid, and the flat-patch test reads running extrema of the grid
-(``_window_range``), so no array of every window's samples or weights is
-built.  The raw points leave it as arrays (``SweepResult``), one row each
-in (i, j, seed) order, and the reduction reads their positions and
-patches.
+grid into fixed blocks of ``_BLOCK_PATCHES``, solves each block's weights
+and hands them to ``_certify``, which proves most of them root-free with a
+native-space bound on the gradient (no seed in them could be accepted);
+only the indices of the rest, the band, are kept.  It then cuts the band
+into fixed blocks again, solves their weights again and hands them to the
+engine, in order.  Every block size gives identical floating-point
+results because the weight solve gives a patch the same bits in any batch,
+the engine only uses elementwise operations and fixed-order sums, and the
+certifier's BLAS products, whose bits can depend on the block, only take
+the decisions an exact evaluation takes alike.  Beyond a few integers per
+active patch, the sweep's working set is one block: each block gathers its
+samples from the grid, and the flat-patch test reads running extrema of
+the grid (``_window_range``), so no array of every window's samples or
+weights is built.  The raw points leave it as arrays (``SweepResult``),
+one row each in (i, j, seed) order, and the reduction reads their
+positions and patches.
 
 Both work in the patch frame: positions in grid-index units relative to the
 patch's first node, so all patches of every grid share the nodes ``_OFFS``
@@ -55,10 +54,8 @@ broadcast and a copy instead of ``np.repeat``.  At their shapes
 (thousands of points by 16 nodes) ``take`` is about 2.5 times as fast as
 fancy indexing and ``compress`` up to 10 times as fast as a boolean mask.
 Both read one weight layout, node-major like ``_grad_jac``'s terms:
-``sweep_full`` transposes each block's solved weights into a C-contiguous
-(16, P) copy for the certifier, and each search block's rows of the band
-into another for the engine and the acceptance test; ``_grad_jac``
-gathers each slice's columns from them.
+``sweep_full`` solves each block into C-contiguous (16, P) columns, and
+``_grad_jac`` gathers each slice's columns from them.
 The engine holds its live seeds as two coordinate vectors and their
 patches, and compresses them only when seeds leave.
 The certifier keeps each level's pending sub-boxes as one bool mask
@@ -612,9 +609,9 @@ def _windows(g: GridField, idx, field_range):
 
 @dataclass
 class SweepResult:
-    """Raw points as arrays, and the interpolants of the band: the patches
-    the search ran in, active and not certified root-free.  Every other
-    patch's interpolant is solved from its window when asked for."""
+    """Raw points as arrays, the patches skipped as flat and the band: the
+    patches the search ran in, active and not certified root-free.  No
+    weights are kept: ``interpolant`` solves a patch's window when asked."""
 
     raw: np.ndarray            # (n, 2) float64, the raw points on the grid
     raw_patch: np.ndarray      # (n, 2) int, their patches (i, j), 1-based
@@ -623,8 +620,6 @@ class SweepResult:
     grid: GridField
     flat_patches: np.ndarray   # (k, 2) int, the patches (i, j) skipped as flat
     band_patches: np.ndarray   # (m, 2) int, the patches (i, j) searched, row-major
-    band_weights: np.ndarray   # (m, 16) float64, their weights, in units of the field range
-    band_constants: np.ndarray  # (m,) float64, their constant terms, alike
     seed_counts: SeedCounts    # summed over the patch blocks
 
     def interpolant(self, i, j) -> PatchInterpolant:
@@ -632,41 +627,40 @@ class SweepResult:
         nodes ``_OFFS``, grid-index units, values in units of the field
         range).  Given integer arrays i, j of one shape (R,), one stacked
         interpolant of those R patches: weights (R,16) and constant (R,).
-        A band patch's comes from its row of the band; any other patch's
-        window is solved by ``matrix``, which gives a column the bits it
-        has in any batch, and on a constant field its weights are zero."""
+        Every call solves the windows with ``matrix``, which gives a window
+        the bits the sweep's solve gave it, in any batch; on a constant
+        field the weights are zero.  Indices that are not integers raise
+        TypeError."""
         g = self.grid
         i, j = np.asarray(i), np.asarray(j)
+        for a in (i, j):
+            if a.dtype.kind not in "iu":
+                raise TypeError(f"patch indices must be integers, got dtype {a.dtype}")
         outside = (i < 1) | (i > g.ny - 3) | (j < 1) | (j > g.nx - 3)
         if outside.any():
             k = np.argmax(outside)
             raise IndexError(f"patch ({i.flat[k]},{j.flat[k]}) outside valid range")
-        npj = g.nx - 3
-        pidx = (i - 1) * npj + (j - 1)
+        pidx = (i.astype(np.intp) - 1) * (g.nx - 3) + (j.astype(np.intp) - 1)
         shape, pidx = pidx.shape, pidx.reshape(-1)
-        # the band's patch indices, ascending, and a sentinel no patch matches
-        band = np.append((self.band_patches[:, 0] - 1) * npj + self.band_patches[:, 1] - 1, -1)
-        row = np.searchsorted(band[:-1], pidx)
-        hit = band.take(row) == pidx
-        weights, constant = np.zeros((pidx.size, 16)), np.zeros(pidx.size)
-        weights[hit] = self.band_weights.take(row.compress(hit), axis=0)
-        constant[hit] = self.band_constants.take(row.compress(hit))
-        miss = np.flatnonzero(~hit)
         field_range = g.field_range
-        if miss.size and field_range > 0:
-            weights[miss], constant[miss] = self.matrix.solve(
-                _windows(g, pidx.take(miss), field_range))
+        if field_range > 0:
+            weights, constant = self.matrix.solve(_windows(g, pidx, field_range))
+        else:
+            weights, constant = np.zeros((pidx.size, 16)), np.zeros(pidx.size)
         return PatchInterpolant(weights=weights.reshape(*shape, 16), kernel=self.matrix.kernel,
                                 constant=constant.reshape(shape)[()])
 
 
 def sweep_full(g: GridField, kernel: Kernel) -> SweepResult:
-    """All raw stationary points of the grid, ordered by (i, j, seed), with
-    the interpolants of the band.  The kernel's shape parameter is per
-    grid-index unit (``run_pipeline`` converts a physical one); the raw
-    points are on the grid, in its physical units.  The weights are solved
+    """All raw stationary points of the grid, ordered by (i, j, seed), and
+    the band's patches.  The kernel's shape parameter is per grid-index
+    unit (``run_pipeline`` converts a physical one); the raw points are on
+    the grid, in its physical units.  One helper solves a block's windows
     for h over the field range R, |h| / R <= 2^53, so only the matrix can
-    overflow them (FactorizationError); a constant field solves nothing."""
+    overflow the weights (FactorizationError): the certify pass solves
+    every active patch and keeps only the band's indices, and the search
+    pass solves the band's windows again, to the same bits.  A constant
+    field solves nothing."""
     npj = g.nx - 3
     field_range = g.field_range
     matrix = PatchMatrix(kernel)
@@ -680,29 +674,28 @@ def sweep_full(g: GridField, kernel: Kernel) -> SweepResult:
         i, j = np.divmod(idx, npj)
         return _domain_code(g, i + 1, j + 1)
 
+    def solve(block: np.ndarray):
+        # the block's windows solved into the node-major (16, P) columns
+        # _certify and _search read
+        return np.ascontiguousarray(matrix.solve(_windows(g, block, field_range))[0].T)
+
     def certify(block: np.ndarray, tables):
-        # solve the block's windows, certify the block from its one
-        # node-major copy of the weights, (16, P), and keep the band's rows
-        weights, constants = matrix.solve(_windows(g, block, field_range))
-        columns = np.ascontiguousarray(weights.T)
-        keep = ~_certify(code(block), columns, matrix.entries, tables, kernel)
-        return block.compress(keep), weights.compress(keep, axis=0), constants.compress(keep)
+        # the block's patches not certified root-free: its part of the band
+        keep = ~_certify(code(block), solve(block), matrix.entries, tables, kernel)
+        return block.compress(keep)
 
     def search(b0: int):
-        blk = slice(b0, b0 + _BLOCK_PATCHES)
-        (k, slot, xi), counts = _search(code(band[blk]),
-                                        np.ascontiguousarray(band_weights[blk].T), kernel)
+        blk = band[b0:b0 + _BLOCK_PATCHES]
+        (k, slot, xi), counts = _search(code(blk), solve(blk), kernel)
         return b0 + k, slot, xi, counts
 
     # fixed-size blocks bound the working set.  The level tables live
     # through the first pass only: the search, whose Newton temporaries set
     # the sweep's peak memory, does not hold them
     blocks = (act[b0:b0 + _BLOCK_PATCHES] for b0 in range(0, act.size, _BLOCK_PATCHES))
-    # an empty first part shapes the band of a sweep without one
-    band, band_weights, band_constants = (np.concatenate(a) for a in zip(
-        (np.zeros(0, int), np.zeros((0, 16)), np.zeros(0)),
-        *map(certify, blocks, repeat(_level_tables(kernel)))))
-    # the band, the patches not certified root-free, is cut into blocks again
+    # an empty first part types the band of a sweep without one
+    band = np.concatenate([np.zeros(0, int), *map(certify, blocks, repeat(_level_tables(kernel)))])
+    # the band is cut into blocks again, and each block's windows solved again
     parts = [search(b0) for b0 in range(0, band.size, _BLOCK_PATCHES)]
     band_patches = np.column_stack(np.divmod(band, npj)) + 1
     # a first part without roots counts the certified patches and shapes an empty sweep
@@ -718,9 +711,7 @@ def sweep_full(g: GridField, kernel: Kernel) -> SweepResult:
               counts.converged, counts.singular, counts.stuck, counts.capped, counts.iterations)
 
     return SweepResult(raw=raw, raw_patch=ij, raw_seed=np.concatenate(slot), matrix=matrix,
-                       grid=g, flat_patches=flat, band_patches=band_patches,
-                       band_weights=band_weights, band_constants=band_constants,
-                       seed_counts=counts)
+                       grid=g, flat_patches=flat, band_patches=band_patches, seed_counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_c10_single_factorization_equals_per_patch():
     g = sample(TestFunction.F2, 120, 120)
     kernel = default_kernel(KernelKind.GAUSSIAN)
     sr = sweep_full(g, kernel)
-    # the band's weights from the sweep, every other patch's solved on demand
+    # every patch's weights, solved by the sweep's shared matrix
     weights = sr.interpolant(*every_patch(g)).weights
     assert weights.shape == (117 * 117, 16)  # 13,689 patches
 

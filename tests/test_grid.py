@@ -1,6 +1,7 @@
 """Grid fields, built-in samplers, and CSV round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_gridfield_validation():
     with pytest.raises(ValueError):
         GridField(nx=4, ny=4, dx=1, dy=1, origin=(0, 0),
                   values=np.full(16, np.nan))
+
+
+@pytest.mark.parametrize("values, shape", [(np.zeros((4, 4)), "(4, 4)"),
+                                           (np.zeros(15), "(15,)"), (np.zeros(17), "(17,)")])
+def test_gridfield_names_the_shape_of_wrong_values(values, shape):
+    # a (ny, nx) array holds nx*ny values, but not in the flat shape asked for
+    with pytest.raises(ValueError, match=rf"^expected values of flat shape \(16,\) "
+                                         rf"\(nx\*ny, row-major\), got shape {re.escape(shape)}$"):
+        GridField(nx=4, ny=4, dx=1.0, dy=1.0, origin=(0.0, 0.0), values=values)
 
 
 @pytest.mark.parametrize("field, change", [("dx", {"dx": math.inf}), ("dy", {"dy": math.nan}),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterpolant,
                       PatchMatrix, StationaryPoint, TestFunction, diag_step, reduce_points,
                       run_pipeline, sample, sweep_full)
-from gridstat import patch, stationary
+from gridstat import cli, patch, stationary
 from gridstat.patch import _OFFS, DIAG, _grad_jac, _grad_jac_rows, _gradient_sums, _node_major
 from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
                                  SeedCounts, _domain_code, classify)
@@ -196,6 +196,23 @@ def test_interpolant_range_check():
     sr.interpolant(g.ny - 3, g.nx - 3)  # the last valid patch
 
 
+@pytest.mark.parametrize("i, j, dtype", [
+    (1.0, 3.0, "float64"),                  # a band patch, given as floats
+    (2.0, 2.0, "float64"),                  # a patch outside the band
+    (2.5, 2.0, "float64"),
+    (np.array([True, False]), np.array([1, 2]), "bool"),  # True is not patch 1
+], ids=["band-patch-as-floats", "other-patch-as-floats", "fractional", "bool-array"])
+def test_interpolant_rejects_indices_that_are_not_integers(i, j, dtype):
+    g = sample(TestFunction.F2, 20, 20)
+    sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
+    assert [1, 3] in sr.band_patches.tolist()
+    with pytest.raises(TypeError, match=rf"^patch indices must be integers, got dtype {dtype}$"):
+        sr.interpolant(i, j)
+    # integer scalars and arrays of any integer dtype are served
+    assert sr.interpolant(np.uint8(1), 3).weights.shape == (16,)
+    assert sr.interpolant(np.array([1, 2], np.int32), np.array([3, 2])).weights.shape == (2, 16)
+
+
 def test_stacked_interpolant_equals_each_patch():
     g = skewed_grid()
     sr = sweep_full(g, default_kernel(KernelKind.GAUSSIAN))
@@ -240,9 +257,10 @@ def test_weights_solved_in_blocks_equal_the_whole_grid_solve(nx, ny, block, monk
     weights, constants = whole_grid_solve(g, sr.matrix)
     band = flat_index(g, sr.band_patches)
     assert 0 < band.size < len(weights)
-    np.testing.assert_array_equal(sr.band_weights, weights[band])
-    np.testing.assert_array_equal(sr.band_constants, constants[band])
-    # the other patches' interpolants are solved on demand, to the same bits
+    interp = sr.interpolant(*sr.band_patches.T)
+    np.testing.assert_array_equal(interp.weights, weights[band])
+    np.testing.assert_array_equal(interp.constant, constants[band])
+    # every patch's interpolant is solved on demand, to the same bits
     interp = sr.interpolant(*every_patch(g))
     np.testing.assert_array_equal(interp.weights, weights)
     np.testing.assert_array_equal(interp.constant, constants)
@@ -287,25 +305,41 @@ def test_interpolant_of_any_patch_keeps_the_bits_of_the_whole_grid_solve():
 
 @pytest.mark.parametrize("block", [7, None])
 @pytest.mark.parametrize("grid", ["f2-flat-corner", "f13-40"])
-def test_the_pipeline_solves_each_active_patch_once(grid, block, monkeypatch):
-    # the reduction reads the band's interpolants only: no window is solved
-    # on demand, and none twice, in blocks of 7 patches or the default size
+def test_the_pipeline_solves_the_active_patches_the_band_and_each_point(grid, block,
+                                                                         monkeypatch):
+    # the sweep solves every active patch for the certifier and the band's
+    # patches again for the search, the reduction one window per reported
+    # point, and nothing else solves, in blocks of 7 patches or the default size
     if block is not None:
         monkeypatch.setattr(stationary, "_BLOCK_PATCHES", block)
     g = flat_corner_grid() if grid == "f2-flat-corner" else sample(TestFunction.F13, 40, 40)
-    rhs = []
+    rhs = {"sweep": 0, "reduce": 0, "other": 0}
+    stage, out = ["other"], {}
     solve = PatchMatrix.solve
 
     def counting(self, h):
-        rhs.append(int(np.prod(np.shape(h)[:-1])))
+        rhs[stage[0]] += int(np.prod(np.shape(h)[:-1]))
         return solve(self, h)
 
+    def staged(name, f):
+        def run(*args):
+            stage[0] = name
+            out[name] = f(*args)
+            stage[0] = "other"
+            return out[name]
+        return run
+
     monkeypatch.setattr(PatchMatrix, "solve", counting)
+    monkeypatch.setattr(cli, "sweep_full", staged("sweep", cli.sweep_full))
+    monkeypatch.setattr(cli, "reduce_points", staged("reduce", cli.reduce_points))
     report = run_pipeline(g, KernelKind.GAUSSIAN, timings=False)
     active = np.count_nonzero(stationary._window_range(g.grid2d())
                               > stationary._FLAT_PATCH * g.field_range)
-    assert report["stationary_points"]
-    assert sum(rhs) == active == (g.nx - 3) * (g.ny - 3) - (16 if grid == "f2-flat-corner" else 0)
+    assert active == (g.nx - 3) * (g.ny - 3) - (16 if grid == "f2-flat-corner" else 0)
+    band = len(out["sweep"].band_patches)
+    assert report["stationary_points"] and 0 < band < active
+    assert rhs == {"sweep": active + band,
+                   "reduce": len(report["stationary_points"]), "other": 0}
 
 
 def test_sweep_log_line_counts_the_band(caplog):
@@ -801,16 +835,17 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     assert counts.iterations - rest.iterations == 4
 
 
-@pytest.mark.parametrize("n, bound_mb", [(120, 6.3), (240, 7.0)])
+@pytest.mark.parametrize("n, bound_mb", [(120, 6.1), (240, 6.5)])
 def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
     # tracemalloc's peak over the sweep of f13 on numpy 2.4.6, in MB (2^20
-    # bytes), is 4.76 at 120x120 and 5.48 at 240x240.  It was 9.5-9.8 at
+    # bytes), is 4.51 at 120x120 and 4.94 at 240x240.  It was 4.76 and 5.47
+    # while the sweep kept the band's weights and constants, 9.5-9.8 at
     # 240x240 while the sweep ran blocks on a pool of two threads; 6.61 at
     # 120x120 and 17.7 at 240x240 (two threads) while the sweep kept every
     # patch's weights, 9.73 at 120x120 while the Newton engine kept a ring
     # of each live seed's last 8 positions, and 15.85 while the sweep held
     # every window's samples and a weight column per Newton seed.  Each
-    # bound leaves 1.5 MB of headroom
+    # bound leaves 1.5 MB of headroom, rounded up to 0.1 MB
     g = sample(TestFunction.F13, n, n)
     k = default_kernel(KernelKind.GAUSSIAN)
     tracing = tracemalloc.is_tracing()
@@ -824,11 +859,10 @@ def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
         if not tracing:
             tracemalloc.stop()
     assert peak < bound_mb * 2 ** 20
-    # the sweep keeps weights for the searched patches only, one row each
+    # the sweep keeps the indices of the searched patches only, one row each
     searched = sr.seed_counts.launched // 9
     assert 0 < searched < (n - 3) ** 2 // 5
     assert sr.band_patches.shape == (searched, 2)
-    assert sr.band_weights.shape == (searched, 16) and sr.band_constants.shape == (searched,)
 
 
 def test_seed_counts_add_up():
