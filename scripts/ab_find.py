@@ -1,28 +1,34 @@
-"""Interleaved A/B timing of whole `gridstat find` passes of two source trees
-in one process.
+"""Interleaved A/B timing of whole `gridstat find` and `gridstat plot` passes
+of two source trees in one process.
 
 Copies each tree's `gridstat` package into a temporary directory under a
 package name of its own (`gridstat_parent`, `gridstat_change`), writes the
 workload's grids with `perfbench/surfaces.write_csv`, and runs whole passes
 of the workload's `find` calls (`--no-timings`, the workload's
 `--threads`, which only trees older than the one-thread sweep read, the
-calls in perfbench's order) through each copy's `cli.main`.
+calls in perfbench's order) through each copy's `cli.main`.  After a
+pass's find calls it plots every report 4 times, in 4 rounds of one plot
+per report, as perfbench's worker does; a pass's plot time is, as
+perfbench's `plot_s`, the sum over reports of the slowest of its 4 plots.
 Each side first runs one untimed pass, then one more under tracemalloc;
 then round r runs the two sides in ABBA order (parent first in even
 rounds, change first in odd ones), so a slow or fast spell of the machine
 does not always fall on one side.  It prints, per side, the median and
-best pass time, the median CPU time of the process over a pass (above the
-wall time when BLAS runs threads) and the traced pass's
-tracemalloc peak in MB (2^20 bytes; both trees run in one process, so its
-peak RSS cannot tell them apart), the number of rounds the change won, and
-whether the reports of every pass of both trees are byte-identical.
+best time of a pass's find calls, the median CPU time of the process over
+them (above the wall time when BLAS runs threads), the median plot time
+and the traced pass's tracemalloc peak in MB (2^20 bytes, find and plot
+calls alike; both trees run in one process, so its peak RSS cannot tell
+them apart, nor its page faults), the number of rounds the change won on
+each, and whether the SVGs and the reports of every pass of both trees are
+byte-identical.
 
 Usage (from the root of a checkout):
   python3 scripts/ab_find.py --parent ../parent/src --change src \\
       --workload points-120 --rounds 16
 
-Exits 1 if a `find` call fails or a report differs between the trees.
-Reads perfbench/ (the workloads and surfaces) and changes nothing there.
+Exits 1 if a call fails or a report or SVG differs between the trees.
+Reads perfbench/ (the workloads, the plot count and the surfaces) and changes
+nothing there.
 """
 
 from __future__ import annotations
@@ -53,10 +59,16 @@ def load_copy(src: str, name: str, into: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, calls: list[dict], out: str) -> tuple[float, float, dict[str, bytes]]:
-    """Wall and CPU seconds of one pass of the find calls, and their reports."""
+def read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def run_pass(cli, calls: list[dict], out: str, repeats: int) -> dict:
+    """Wall and CPU seconds of one pass's find calls, the plot time of their
+    reports (the sum over reports of the slowest of each one's `repeats`
+    plots), and the reports and the SVGs by call name."""
     os.makedirs(out)
-    reports = {}
     wall0, cpu0 = time.perf_counter(), time.process_time()
     for c in calls:
         path = os.path.join(out, c["name"] + ".json")
@@ -65,10 +77,20 @@ def run_pass(cli, calls: list[dict], out: str) -> tuple[float, float, dict[str, 
         if rc != 0:
             raise SystemExit(f"find {c['name']} exited {rc} in {out}")
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    for c in calls:
-        with open(os.path.join(out, c["name"] + ".json"), "rb") as fh:
-            reports[c["name"]] = fh.read()
-    return wall, cpu, reports
+    plot_s = {c["name"]: [] for c in calls}
+    for r in range(repeats):
+        for c in calls:
+            svg = os.path.join(out, f"{c['name']}.{r}.svg")
+            t0 = time.perf_counter()
+            rc = cli.main(["plot", "--report", os.path.join(out, c["name"] + ".json"),
+                           "--in", c["csv"], "-o", svg])
+            plot_s[c["name"]].append(time.perf_counter() - t0)
+            if rc != 0:
+                raise SystemExit(f"plot {c['name']} exited {rc} in {out}")
+    return {"find_s": wall, "cpu_s": cpu, "plot_s": sum(max(t) for t in plot_s.values()),
+            "reports": {c["name"]: read(os.path.join(out, c["name"] + ".json")) for c in calls},
+            "svgs": {f"{c['name']}.{r}": read(os.path.join(out, f"{c['name']}.{r}.svg"))
+                     for c in calls for r in range(repeats)}}
 
 
 def main(argv=None) -> int:
@@ -81,7 +103,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, PERFBENCH)
     import surfaces
-    from run import WORKLOADS
+    from run import PLOT_REPEATS, WORKLOADS
 
     if args.workload not in WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}")
@@ -96,38 +118,45 @@ def main(argv=None) -> int:
                   "csv": os.path.join(tmp, f"{fn}.csv")} for fn, kernel in pairs]
         random.Random(1).shuffle(calls)  # perfbench's order at its default --seed
 
-        wall = {side: [] for side in SIDES}
-        cpu = {side: [] for side in SIDES}
+        timed = {side: [] for side in SIDES}
         peak = {}
         want = None
-        identical = True
+        identical = {"reports": True, "svgs": True}
         # round -2 is the untimed warm-up and round -1 the untimed traced pass
         for r in range(-2, args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             for side in order:
                 if r == -1:
                     tracemalloc.start()
-                w, c, reports = run_pass(cli[side], calls,
-                                         os.path.join(tmp, f"{side}-{r + 2}"))
+                got = run_pass(cli[side], calls, os.path.join(tmp, f"{side}-{r + 2}"),
+                               PLOT_REPEATS)
                 if r == -1:
                     peak[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
                     tracemalloc.stop()
-                want = want or reports
-                identical = identical and reports == want
+                want = want or got
+                for k in identical:
+                    identical[k] = identical[k] and got[k] == want[k]
                 if r >= 0:
-                    wall[side].append(w)
-                    cpu[side].append(c)
+                    timed[side].append(got)
+
+    def median_ms(side, key):
+        return 1e3 * statistics.median(p[key] for p in timed[side])
+
+    def won(key):
+        return sum(c[key] < p[key] for p, c in zip(timed["parent"], timed["change"]))
 
     print(f"{args.workload}: {args.rounds} rounds of {len(calls)} find calls, ABBA order")
     for side in SIDES:
-        print(f"{side:7s} median {1e3 * statistics.median(wall[side]):8.1f} ms  "
-              f"best {1e3 * min(wall[side]):8.1f} ms  "
-              f"cpu median {1e3 * statistics.median(cpu[side]):8.1f} ms  "
+        print(f"{side:7s} median {median_ms(side, 'find_s'):8.1f} ms  "
+              f"best {1e3 * min(p['find_s'] for p in timed[side]):8.1f} ms  "
+              f"cpu median {median_ms(side, 'cpu_s'):8.1f} ms  "
+              f"plot median {median_ms(side, 'plot_s'):7.1f} ms  "
               f"traced peak {peak[side]:6.1f} MB")
-    won = sum(c < p for p, c in zip(wall["parent"], wall["change"]))
-    print(f"change won {won} of {args.rounds} rounds")
-    print(f"reports byte-identical: {'yes' if identical else 'NO'}")
-    return 0 if identical else 1
+    print(f"change won {won('find_s')} of {args.rounds} rounds, "
+          f"{won('plot_s')} on plot time")
+    print(f"SVGs byte-identical: {'yes' if identical['svgs'] else 'NO'}")
+    print(f"reports byte-identical: {'yes' if identical['reports'] else 'NO'}")
+    return 0 if all(identical.values()) else 1
 
 
 if __name__ == "__main__":

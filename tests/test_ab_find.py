@@ -17,7 +17,12 @@ def test_one_round_against_itself_gives_identical_reports():
     lines = r.stdout.splitlines()
     assert lines[0] == "points-120: 1 rounds of 4 find calls, ABBA order"
     assert [ln.split()[0] for ln in lines[1:3]] == ["parent", "change"]
-    assert lines[-1] == "reports byte-identical: yes"
+    assert lines[-2:] == ["SVGs byte-identical: yes", "reports byte-identical: yes"]
+    # each side's plot time: the sum over the 4 reports of the slowest of
+    # each one's 4 plots
+    for ln in lines[1:3]:
+        value, unit = ln.split("plot median")[1].split()[:2]
+        assert unit == "ms" and float(value) > 0
     # each side's tracemalloc peak over its traced pass, in MB; one tree
     # run twice gives about the same peak
     peaks = []

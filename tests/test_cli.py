@@ -311,6 +311,21 @@ def test_plot_rejects_a_field_whose_range_overflows(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_plot_of_a_grid_with_subnormal_extent(tmp_path, capsys):
+    # 600 px over an extent of 5e-310 is a scale above the largest double
+    csv, rep, svg = tmp_path / "g.csv", tmp_path / "r.json", tmp_path / "out.svg"
+    values = sample(TestFunction.F13, 6, 6).grid2d()
+    csv.write_text("6,6,1e-310,1e-310,0.0,0.0\n"
+                   + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    assert run(["find", "--in", csv, "--json", rep]) == 0
+    assert run(["plot", "--report", rep, "--in", csv, "-o", svg]) == 0
+    assert capsys.readouterr().err == ""
+    root = ET.fromstring(svg.read_text())
+    assert (root.get("width"), root.get("height")) == ("640", "640")
+    assert [el.get("id") for el in root] == ["contours", "detected", "ground-truth"]
+    assert len(list(root[0])) > 0
+
+
 @pytest.mark.parametrize("header", ["6,6,0.1,0.1,inf,0.0", "6,6,0.1,0.1,1e400,0.0",
                                     "6,6,inf,0.1,0.0,0.0"])
 def test_find_non_finite_geometry_exits_2(header, tmp_path, capsys):

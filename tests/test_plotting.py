@@ -1,5 +1,6 @@
 """Marching squares, polyline chaining, and SVG rendering."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import GridField, KernelKind, TestFunction, sample
+from gridstat import GridField, KernelKind, TestFunction, run_pipeline, sample
 from gridstat.plotting import chain_polyline, marching_squares, render_svg
 
 
@@ -20,7 +21,7 @@ def linear_field(nx=10, ny=8):
 
 def test_marching_squares_linear_field():
     g = linear_field()
-    segs = marching_squares(g, level=4.5)
+    segs = marching_squares(g, [4.5])
     assert len(segs) == g.ny - 1  # one vertical crossing per cell row
     for p0, p1 in segs:
         assert p0[0] == pytest.approx(4.5)
@@ -29,7 +30,7 @@ def test_marching_squares_linear_field():
 
 def test_marching_squares_no_crossings():
     g = linear_field()
-    segs = marching_squares(g, level=99.0)
+    segs = marching_squares(g, [99.0])
     assert segs.size == 0
     assert segs.shape == (0, 2, 2)
 
@@ -41,7 +42,7 @@ def test_marching_squares_closed_loop():
     X, Y = np.meshgrid(xs, xs)
     g = GridField(nx=n, ny=n, dx=xs[1] - xs[0], dy=xs[1] - xs[0],
                   origin=(-1.0, -1.0), values=(X ** 2 + Y ** 2).ravel())
-    segs = marching_squares(g, level=0.25)
+    segs = marching_squares(g, [0.25])
     assert segs.size
     for p0, p1 in segs:
         for p in (p0, p1):
@@ -124,9 +125,10 @@ def chain_polyline_reference(points):
 
 # few distinct values, so cells tie, levels hit samples, and saddles split
 # both ways: corners 2, 0, 1, 0 around level 0.5 average above it, on corner
-# 0's side; corners 1, 0, 1, 0 average on the level, off corner 0's side
+# 0's side; corners 1, 0, 1, 0 average on the level, off corner 0's side.
+# -3 and 5 lie outside every grid's [min, max]
 VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0)
-LEVELS = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+LEVELS = (-3.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 5.0)
 
 
 @st.composite
@@ -147,11 +149,16 @@ SADDLES = GridField(nx=4, ny=4, dx=0.3, dy=0.7, origin=(-1.5, -2.0),
 
 
 @settings(max_examples=300, deadline=None)
-@given(g=small_grids(), level=st.sampled_from(LEVELS))
-@example(g=SADDLES, level=0.5)
-def test_marching_squares_equals_cell_loop(g, level):
-    got = marching_squares(g, level)
-    want = marching_squares_reference(g, level)
+@given(g=small_grids(), levels=st.lists(st.sampled_from(LEVELS), max_size=6))
+@example(g=SADDLES, levels=[0.5])
+@example(g=SADDLES, levels=[])
+@example(g=SADDLES, levels=[2.0, 0.5, 0.0, 0.5, 1.0])
+@example(g=SADDLES, levels=[-3.0, 5.0])
+def test_marching_squares_equals_cell_loop(g, levels):
+    # levels empty, single, unsorted, repeated, outside [min, max] or equal
+    # to samples: the segments of each level in turn, as the loop gives them
+    got = marching_squares(g, levels)
+    want = [s for level in levels for s in marching_squares_reference(g, level)]
     assert got.tolist() == [[list(p0), list(p1)] for p0, p1 in want]
     # bit for bit, the sign of zero included
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
@@ -163,7 +170,7 @@ def test_pinned_grid_has_saddles_split_both_ways():
     cells = [(v[i, j], v[i, j + 1], v[i + 1, j + 1], v[i + 1, j])
              for i in range(3) for j in range(3)]
     assert {(sum(c) / 4.0 > 0.5) == (c[0] > 0.5) for c in cells} == {True, False}
-    assert len(marching_squares(SADDLES, 0.5)) == 2 * len(cells)
+    assert len(marching_squares(SADDLES, [0.5])) == 2 * len(cells)
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,6 +181,27 @@ def test_chain_polyline_equals_masked_loop(points):
     # lattice points: duplicates and equidistant candidates are common
     pts = np.array(points, dtype=float).reshape(-1, 2)
     assert chain_polyline(pts) == chain_polyline_reference(pts)
+
+
+PARABOLA = [(t, t * t) for t in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+                          st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))), max_size=14),
+       st.integers(-1072, 1021))
+@example(PARABOLA, 600)
+@example(PARABOLA, -600)
+@example(PARABOLA, -1000)
+def test_chain_polyline_does_not_see_the_length_unit(points, k):
+    # a power-of-two unit scales these points exactly; at 2^600 their
+    # squared distances would overflow and at 2^-600 underflow
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    assert chain_polyline(np.ldexp(pts, k)) == chain_polyline(pts)
+
+
+def test_chain_polyline_chains_a_parabola_from_its_far_end():
+    assert chain_polyline(np.array(PARABOLA)) == [5, 4, 3, 2, 1, 0]
 
 
 def fake_report(positions, curve_members=(), isolated_members=()):
@@ -293,7 +321,7 @@ def overlays(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(g=small_grids(), levels=st.sampled_from((0, 1, 10)), with_overlays=st.booleans())
+@given(g=small_grids(), levels=st.sampled_from((0, 1, 2, 10, 37)), with_overlays=st.booleans())
 @example(g=SADDLES, levels=10, with_overlays=True)
 @example(g=SADDLES, levels=10, with_overlays=False)
 def test_render_svg_equals_the_builder(g, levels, with_overlays):
@@ -328,3 +356,20 @@ def test_render_svg_f2_has_24_circles(pipeline):
     svg = render_svg(g, report=report)
     assert svg.count("<circle") == 24
     ET.fromstring(svg)  # well-formed
+
+
+@pytest.fixture(scope="module")
+def f13_60():
+    g = sample(TestFunction.F13, 60, 60)
+    return g, render_svg(g, run_pipeline(g, KernelKind.GAUSSIAN, timings=False))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600])
+def test_render_svg_does_not_see_the_length_unit(k, f13_60):
+    # `find` scales every length of the report by the power of two exactly,
+    # and so the pixel map and the curves' chaining see the same numbers
+    g, want = f13_60
+    f = 2.0 ** k
+    h = dataclasses.replace(g, dx=g.dx * f, dy=g.dy * f,
+                            origin=(g.origin[0] * f, g.origin[1] * f))
+    assert render_svg(h, run_pipeline(h, KernelKind.GAUSSIAN, timings=False)) == want

@@ -16,7 +16,9 @@ from gridstat import (Classification, GridField, Kernel, KernelKind, PatchInterp
                       PatchMatrix, StationaryPoint, TestFunction, diag_step, reduce_points,
                       run_pipeline, sample, sweep_full)
 from gridstat import cli, patch, stationary
+from gridstat.oracle import ground_truth_json
 from gridstat.patch import _OFFS, DIAG, _grad_jac, _grad_jac_rows, _gradient_sums, _node_major
+from gridstat.plotting import render_svg
 from gridstat.stationary import (_DOMAINS, _GRAD_TOL_REL, _SINGULAR_DET, _STEP_TOL,
                                  SeedCounts, _domain_code, classify)
 
@@ -863,6 +865,32 @@ def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
     searched = sr.seed_counts.launched // 9
     assert 0 < searched < (n - 3) ** 2 // 5
     assert sr.band_patches.shape == (searched, 2)
+
+
+@pytest.mark.parametrize("n, bound_mb", [(120, 4.9), (240, 8.3)])
+def test_render_svg_memory_is_bounded(n, bound_mb):
+    # tracemalloc's peak over render_svg of f13's report and ground truth on
+    # numpy 2.4.6, in MB (2^20 bytes), is 3.34 at 120x120 and 6.70 at
+    # 240x240.  It was 3.69 and 7.32 while each level was contoured over
+    # every cell and each segment formatted on its own.  Each whole-grid
+    # temporary of the contouring is a byte per cell; one float per cell
+    # and level would add 1.1 MB at 120x120 and 4.4 MB at 240x240.  Each
+    # bound leaves 1.5 MB of headroom, rounded up to 0.1 MB
+    g = sample(TestFunction.F13, n, n)
+    report = run_pipeline(g, KernelKind.GAUSSIAN, timings=False)
+    gt = ground_truth_json(TestFunction.F13)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        svg = render_svg(g, report, gt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
+    assert svg.count('stroke="#9ab"') > 1000
 
 
 def test_seed_counts_add_up():
