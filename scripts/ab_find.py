@@ -34,6 +34,7 @@ nothing there.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import os
 import random
@@ -59,15 +60,10 @@ def load_copy(src: str, name: str, into: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def run_pass(cli, calls: list[dict], out: str, repeats: int) -> dict:
-    """Wall and CPU seconds of one pass's find calls, the plot time of their
-    reports (the sum over reports of the slowest of each one's `repeats`
-    plots), and the reports and the SVGs by call name."""
+    """Wall and CPU seconds of one pass's find calls, and the plot time of
+    their reports: the sum over reports of the slowest of each one's
+    `repeats` plots."""
     os.makedirs(out)
     wall0, cpu0 = time.perf_counter(), time.process_time()
     for c in calls:
@@ -87,10 +83,18 @@ def run_pass(cli, calls: list[dict], out: str, repeats: int) -> dict:
             plot_s[c["name"]].append(time.perf_counter() - t0)
             if rc != 0:
                 raise SystemExit(f"plot {c['name']} exited {rc} in {out}")
-    return {"find_s": wall, "cpu_s": cpu, "plot_s": sum(max(t) for t in plot_s.values()),
-            "reports": {c["name"]: read(os.path.join(out, c["name"] + ".json")) for c in calls},
-            "svgs": {f"{c['name']}.{r}": read(os.path.join(out, f"{c['name']}.{r}.svg"))
-                     for c in calls for r in range(repeats)}}
+    return {"find_s": wall, "cpu_s": cpu, "plot_s": sum(max(t) for t in plot_s.values())}
+
+
+def digests(calls: list[dict], out: str, repeats: int) -> dict[str, bytes]:
+    """SHA-256 of each report and SVG a pass wrote, by file name."""
+    names = ([c["name"] + ".json" for c in calls]
+             + [f"{c['name']}.{r}.svg" for c in calls for r in range(repeats)])
+    found = {}
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            found[name] = hashlib.sha256(fh.read()).digest()
+    return found
 
 
 def main(argv=None) -> int:
@@ -128,14 +132,17 @@ def main(argv=None) -> int:
             for side in order:
                 if r == -1:
                     tracemalloc.start()
-                got = run_pass(cli[side], calls, os.path.join(tmp, f"{side}-{r + 2}"),
-                               PLOT_REPEATS)
+                out = os.path.join(tmp, f"{side}-{r + 2}")
+                got = run_pass(cli[side], calls, out, PLOT_REPEATS)
                 if r == -1:
                     peak[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
                     tracemalloc.stop()
-                want = want or got
-                for k in identical:
-                    identical[k] = identical[k] and got[k] == want[k]
+                found = digests(calls, out, PLOT_REPEATS)
+                shutil.rmtree(out)
+                want = want or found
+                for name, digest in found.items():
+                    kind = "svgs" if name.endswith(".svg") else "reports"
+                    identical[kind] = identical[kind] and digest == want[name]
                 if r >= 0:
                     timed[side].append(got)
 
