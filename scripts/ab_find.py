@@ -15,12 +15,13 @@ then round r runs the two sides in ABBA order (parent first in even
 rounds, change first in odd ones), so a slow or fast spell of the machine
 does not always fall on one side.  It prints, per side, the median and
 best time of a pass's find calls, the median CPU time of the process over
-them (above the wall time when BLAS runs threads), the median plot time
-and the traced pass's tracemalloc peak in MB (2^20 bytes, find and plot
-calls alike; both trees run in one process, so its peak RSS cannot tell
-them apart, nor its page faults), the number of rounds the change won on
-each, and whether the SVGs and the reports of every pass of both trees are
-byte-identical.
+them (above the wall time when BLAS runs threads), the median plot time,
+the traced pass's tracemalloc peaks in MB (2^20 bytes), the largest over
+one find call and the largest over one plot call, each above what was
+traced when the call started (both trees run in one process, so its peak
+RSS cannot tell them apart, nor its page faults), the number of rounds
+the change won on each, and whether the SVGs and the reports of every
+pass of both trees are byte-identical.
 
 Usage (from the root of a checkout):
   python3 scripts/ab_find.py --parent ../parent/src --change src \\
@@ -61,15 +62,26 @@ def load_copy(src: str, name: str, into: str):
 
 
 def run_pass(cli, calls: list[dict], out: str, repeats: int) -> dict:
-    """Wall and CPU seconds of one pass's find calls, and the plot time of
-    their reports: the sum over reports of the slowest of each one's
-    `repeats` plots."""
+    """Wall and CPU seconds of one pass's find calls, the plot time of
+    their reports (the sum over reports of the slowest of each one's
+    `repeats` plots), and, when tracemalloc is tracing, the largest peak of
+    one find call and of one plot call in MB above what was traced when the
+    call started (0 when it is not tracing)."""
     os.makedirs(out)
+    peak = {"find": 0.0, "plot": 0.0}
+
+    def traced(kind, argv):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rc = cli.main(argv)
+        peak[kind] = max(peak[kind], (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
+        return rc
+
     wall0, cpu0 = time.perf_counter(), time.process_time()
     for c in calls:
         path = os.path.join(out, c["name"] + ".json")
-        rc = cli.main(["find", "--in", c["csv"], "--kernel", c["kernel"],
-                       "--threads", str(c["threads"]), "--no-timings", "--json", path])
+        rc = traced("find", ["find", "--in", c["csv"], "--kernel", c["kernel"],
+                             "--threads", str(c["threads"]), "--no-timings", "--json", path])
         if rc != 0:
             raise SystemExit(f"find {c['name']} exited {rc} in {out}")
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
@@ -78,12 +90,13 @@ def run_pass(cli, calls: list[dict], out: str, repeats: int) -> dict:
         for c in calls:
             svg = os.path.join(out, f"{c['name']}.{r}.svg")
             t0 = time.perf_counter()
-            rc = cli.main(["plot", "--report", os.path.join(out, c["name"] + ".json"),
-                           "--in", c["csv"], "-o", svg])
+            rc = traced("plot", ["plot", "--report", os.path.join(out, c["name"] + ".json"),
+                                 "--in", c["csv"], "-o", svg])
             plot_s[c["name"]].append(time.perf_counter() - t0)
             if rc != 0:
                 raise SystemExit(f"plot {c['name']} exited {rc} in {out}")
-    return {"find_s": wall, "cpu_s": cpu, "plot_s": sum(max(t) for t in plot_s.values())}
+    return {"find_s": wall, "cpu_s": cpu, "plot_s": sum(max(t) for t in plot_s.values()),
+            "peak_mb": peak}
 
 
 def digests(calls: list[dict], out: str, repeats: int) -> dict[str, bytes]:
@@ -135,7 +148,7 @@ def main(argv=None) -> int:
                 out = os.path.join(tmp, f"{side}-{r + 2}")
                 got = run_pass(cli[side], calls, out, PLOT_REPEATS)
                 if r == -1:
-                    peak[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+                    peak[side] = got["peak_mb"]
                     tracemalloc.stop()
                 found = digests(calls, out, PLOT_REPEATS)
                 shutil.rmtree(out)
@@ -158,7 +171,8 @@ def main(argv=None) -> int:
               f"best {1e3 * min(p['find_s'] for p in timed[side]):8.1f} ms  "
               f"cpu median {median_ms(side, 'cpu_s'):8.1f} ms  "
               f"plot median {median_ms(side, 'plot_s'):7.1f} ms  "
-              f"traced peak {peak[side]:6.1f} MB")
+              f"traced peak find {peak[side]['find']:6.2f} MB "
+              f"plot {peak[side]['plot']:6.2f} MB")
     print(f"change won {won('find_s')} of {args.rounds} rounds, "
           f"{won('plot_s')} on plot time")
     print(f"SVGs byte-identical: {'yes' if identical['svgs'] else 'NO'}")

@@ -31,6 +31,7 @@ from .plotting import render_svg
 from .stationary import reduce_points, sweep_full
 
 _FN_IDS = [tf.value for tf in TestFunction]
+_SLICE = 1 << 16  # characters of the SVG encoded and written at a time
 _KERNELS = {k.value: k for k in KernelKind}
 
 
@@ -201,7 +202,8 @@ def cmd_plot(args) -> int:
     gt = ground_truth_json(fn) if fn is not None else None
     svg = render_svg(g, report=report, ground_truth=gt, levels=args.levels)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        for k in range(0, len(svg), _SLICE):
+            fh.write(svg[k:k + _SLICE])
     return 0
 
 

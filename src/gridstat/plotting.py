@@ -11,9 +11,11 @@ order and the SVG bytes are those of the loop; the tests keep the loop as
 the reference.  Output is standalone SVG with one group per layer:
 contours, detected points/curves, and optionally the analytic ground truth
 in a dashed style.  The contour segments of all levels are mapped to
-pixels as one array and formatted straight from it with one ``%``; the
-tests keep the element-by-element builder this replaced and compare the
-text byte for byte.  Lengths are rescaled by exact powers of two before
+pixels as one array and formatted straight from it, one ``%`` per chunk
+of ``_CHUNK`` segments, so the text, its template and the Python floats
+of a whole layer are never held at once; the tests keep the
+element-by-element builder this replaced and compare the text byte for
+byte.  Lengths are rescaled by exact powers of two before
 distances and pixel scales are taken, so the picture does not depend on
 the length unit.
 """
@@ -25,6 +27,7 @@ import numpy as np
 from .grid import GridField
 
 _SIZE = 640  # px, the longer side of a plot
+_CHUNK = 1024  # contour segments formatted by one template
 
 
 def marching_squares(g: GridField, levels) -> np.ndarray:
@@ -147,15 +150,21 @@ def render_svg(g: GridField, report: dict | None = None, ground_truth: dict | No
         d = np.ldexp(np.asarray(xy, float) - (xmin, ymin), e) * scale
         return np.stack([margin + d[..., 0], height - margin - d[..., 1]], axis=-1)
 
-    parts = ['<g id="contours">']
+    w, h = round(width), round(height)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+             f'viewBox="0 0 {w} {h}">', '<g id="contours">']
     vmin, vmax = float(g.values.min()), float(g.values.max())
     if vmax > vmin:
-        segs = marching_squares(g, np.linspace(vmin, vmax, levels + 2)[1:-1])
-        if len(segs):
-            ends = to_px(segs)
-            line = ('<polyline points="%.3f,%.3f %.3f,%.3f" fill="none" '
-                    'stroke="#9ab" stroke-width="0.8"/>')
-            parts.append("\n".join([line] * len(segs)) % tuple(ends.ravel().tolist()))
+        ends = to_px(marching_squares(g, np.linspace(vmin, vmax, levels + 2)[1:-1]))
+        ends = ends.reshape(-1, 4)
+        line = ('<polyline points="%.3f,%.3f %.3f,%.3f" fill="none" '
+                'stroke="#9ab" stroke-width="0.8"/>')
+        template = "\n".join([line] * _CHUNK)
+        for k in range(0, len(ends), _CHUNK):
+            chunk = ends[k:k + _CHUNK]
+            if len(chunk) < _CHUNK:  # the last chunk
+                template = "\n".join([line] * len(chunk))
+            parts.append(template % tuple(chunk.ravel().tolist()))
 
     parts += ["</g>", '<g id="detected">']
     if report:
@@ -182,9 +191,5 @@ def render_svg(g: GridField, report: dict | None = None, ground_truth: dict | No
             parts.append(f'<path d="M {px - 4.0:.3f} {py - 4.0:.3f} L {px + 4.0:.3f} '
                          f'{py + 4.0:.3f} M {px - 4.0:.3f} {py + 4.0:.3f} L {px + 4.0:.3f} '
                          f'{py - 4.0:.3f}" stroke="#d22" stroke-width="1.2"/>')
-    parts.append("</g>")
-
-    body = "\n".join(parts)
-    w, h = round(width), round(height)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-            f'viewBox="0 0 {w} {h}">\n{body}\n</svg>\n')
+    parts += ["</g>", "</svg>\n"]
+    return "\n".join(parts)

@@ -23,11 +23,14 @@ def test_one_round_against_itself_gives_identical_reports():
     for ln in lines[1:3]:
         value, unit = ln.split("plot median")[1].split()[:2]
         assert unit == "ms" and float(value) > 0
-    # each side's tracemalloc peak over its traced pass, in MB; one tree
-    # run twice gives about the same peak
-    peaks = []
+    # each side's largest tracemalloc peak over one find call and over one
+    # plot call of its traced pass, in MB; one tree run twice gives about
+    # the same peaks
+    peaks = {"find": [], "plot": []}
     for ln in lines[1:3]:
-        value, unit = ln.split("traced peak")[1].split()
-        assert unit == "MB"
-        peaks.append(float(value))
-    assert 0 < min(peaks) and max(peaks) <= 1.1 * min(peaks)
+        words = ln.split("traced peak")[1].split()
+        assert words[0::3] == ["find", "plot"] and words[2::3] == ["MB", "MB"]
+        peaks["find"].append(float(words[1]))
+        peaks["plot"].append(float(words[4]))
+    for kind in peaks.values():
+        assert 0 < min(kind) and max(kind) <= 1.1 * min(kind)

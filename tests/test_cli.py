@@ -371,6 +371,26 @@ def test_plot_from_report(tmp_path):
     assert groups == ["contours", "detected", "ground-truth"]
 
 
+def test_plot_writes_what_render_svg_returns_in_slices(tmp_path, monkeypatch):
+    # the benchmark's span wraps cli.render_svg and counts the bytes of the
+    # string it returns, so plot calls it through that name, once; the file
+    # is written a slice at a time, here 7 characters, the last one partial
+    rep = tmp_path / "r.json"
+    out = tmp_path / "out.svg"
+    assert run(["find", "--fn", "f13", "--nx", "12", "--ny", "12", "--json", rep]) == 0
+    render_svg, returned = cli.render_svg, []
+
+    def recorder(*args, **kwargs):
+        returned.append(render_svg(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "render_svg", recorder)
+    monkeypatch.setattr(cli, "_SLICE", 7)
+    assert run(["plot", "--report", rep, "-o", out]) == 0
+    assert len(returned) == 1 and len(returned[0]) % 7
+    assert out.read_bytes() == returned[0].encode("utf-8")
+
+
 def test_plot_dimension_mismatch_exits_2(tmp_path):
     rep = tmp_path / "r.json"
     csv = tmp_path / "other.csv"

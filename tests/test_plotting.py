@@ -2,13 +2,14 @@
 
 import dataclasses
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstat import GridField, KernelKind, TestFunction, run_pipeline, sample
+from gridstat import GridField, KernelKind, TestFunction, plotting, run_pipeline, sample
 from gridstat.plotting import chain_polyline, marching_squares, render_svg
 
 
@@ -320,13 +321,48 @@ def overlays(g):
     return report, gt
 
 
+CHUNKS = (1, 2, 3, 1024)
+
+
 @settings(max_examples=100, deadline=None)
-@given(g=small_grids(), levels=st.sampled_from((0, 1, 2, 10, 37)), with_overlays=st.booleans())
-@example(g=SADDLES, levels=10, with_overlays=True)
-@example(g=SADDLES, levels=10, with_overlays=False)
-def test_render_svg_equals_the_builder(g, levels, with_overlays):
+@given(g=small_grids(), levels=st.sampled_from((0, 1, 2, 10, 37)), with_overlays=st.booleans(),
+       chunk=st.sampled_from(CHUNKS))
+@example(g=SADDLES, levels=10, with_overlays=True, chunk=1024)
+@example(g=SADDLES, levels=10, with_overlays=False, chunk=1024)
+def test_render_svg_equals_the_builder(g, levels, with_overlays, chunk):
     report, gt = overlays(g) if with_overlays else (None, None)
-    assert render_svg(g, report, gt, levels) == render_svg_reference(g, report, gt, levels)
+    with mock.patch.object(plotting, "_CHUNK", chunk):
+        got = render_svg(g, report, gt, levels)
+    assert got == render_svg_reference(g, report, gt, levels)
+
+
+# (field, levels, with overlays): a linear field's levels each cross one
+# column of cells, ny - 1 segments a level, so 8 levels give 1024 segments
+# at ny = 129, 1032 at ny = 130 and one level 7 at ny = 8; the flat field
+# and no levels give none
+CHUNK_CASES = [
+    (linear_field(10, 129), 8, False),
+    (linear_field(), 1, False),
+    (linear_field(10, 130), 8, True),
+    (SADDLES, 10, True),
+    (SADDLES, 0, True),
+    (dataclasses.replace(SADDLES, values=np.ones(16)), 10, True),
+]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_render_svg_at_the_chunk_boundaries(chunk, monkeypatch):
+    monkeypatch.setattr(plotting, "_CHUNK", chunk)
+    counts = []
+    for g, levels, with_overlays in CHUNK_CASES:
+        report, gt = overlays(g) if with_overlays else (None, None)
+        svg = render_svg(g, report, gt, levels)
+        assert svg == render_svg_reference(g, report, gt, levels)
+        counts.append(svg.count('stroke="#9ab"'))
+    assert counts == [1024, 7, 1032, 100, 0, 0]
+    # some case fills whole chunks only, and some ends on a partial one
+    assert any(n and n % chunk == 0 for n in counts)
+    assert chunk == 1 or any(n % chunk for n in counts)
 
 
 def test_render_svg_well_formed_and_layered():

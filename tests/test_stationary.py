@@ -837,6 +837,21 @@ def test_singular_seeds_leave_at_their_first_evaluation():
     assert counts.iterations - rest.iterations == 4
 
 
+def traced_peak(call):
+    """call()'s result and tracemalloc's peak over it, in bytes above what
+    was traced when it started."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n, bound_mb", [(120, 6.1), (240, 6.5)])
 def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
     # tracemalloc's peak over the sweep of f13 on numpy 2.4.6, in MB (2^20
@@ -850,16 +865,7 @@ def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
     # bound leaves 1.5 MB of headroom, rounded up to 0.1 MB
     g = sample(TestFunction.F13, n, n)
     k = default_kernel(KernelKind.GAUSSIAN)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        sr = sweep_full(g, k)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    sr, peak = traced_peak(lambda: sweep_full(g, k))
     assert peak < bound_mb * 2 ** 20
     # the sweep keeps the indices of the searched patches only, one row each
     searched = sr.seed_counts.launched // 9
@@ -867,30 +873,39 @@ def test_sweep_memory_is_bounded_by_its_blocks(n, bound_mb):
     assert sr.band_patches.shape == (searched, 2)
 
 
-@pytest.mark.parametrize("n, bound_mb", [(120, 4.9), (240, 8.3)])
+@pytest.mark.parametrize("n, bound_mb", [(120, 3.8), (240, 6.0)])
 def test_render_svg_memory_is_bounded(n, bound_mb):
     # tracemalloc's peak over render_svg of f13's report and ground truth on
-    # numpy 2.4.6, in MB (2^20 bytes), is 3.34 at 120x120 and 6.70 at
-    # 240x240.  It was 3.69 and 7.32 while each level was contoured over
-    # every cell and each segment formatted on its own.  Each whole-grid
+    # numpy 2.4.6, in MB (2^20 bytes), is 2.20 at 120x120 and 4.43 at
+    # 240x240.  It was 3.34 and 6.70 while the contour layer was formatted
+    # with one `%` and the parts joined into a body before the header was
+    # added, and 3.69 and 7.32 while each level was contoured over every
+    # cell and each segment formatted on its own.  Each whole-grid
     # temporary of the contouring is a byte per cell; one float per cell
     # and level would add 1.1 MB at 120x120 and 4.4 MB at 240x240.  Each
     # bound leaves 1.5 MB of headroom, rounded up to 0.1 MB
     g = sample(TestFunction.F13, n, n)
     report = run_pipeline(g, KernelKind.GAUSSIAN, timings=False)
     gt = ground_truth_json(TestFunction.F13)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        svg = render_svg(g, report, gt)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    svg, peak = traced_peak(lambda: render_svg(g, report, gt))
     assert peak < bound_mb * 2 ** 20
     assert svg.count('stroke="#9ab"') > 1000
+
+
+@pytest.mark.parametrize("n, bound_mb", [(120, 4.2), (240, 6.9)])
+def test_plot_memory_is_bounded(n, bound_mb, tmp_path):
+    # tracemalloc's peak over a whole `plot` of f13's report made by `find
+    # --fn`, which adds the ground truth, on numpy 2.4.6, in MB (2^20
+    # bytes), is 2.66 at 120x120 and 5.34 at 240x240.  It was 3.80 and 7.62
+    # while the contour layer was formatted with one `%` and the SVG was
+    # encoded and written in one call.  Each bound leaves 1.5 MB of
+    # headroom, rounded up to 0.1 MB
+    rep, out = tmp_path / "r.json", tmp_path / "out.svg"
+    assert cli.main(["find", "--fn", "f13", "--nx", str(n), "--ny", str(n),
+                     "--no-timings", "--json", str(rep)]) == 0
+    rc, peak = traced_peak(lambda: cli.main(["plot", "--report", str(rep), "-o", str(out)]))
+    assert rc == 0 and peak < bound_mb * 2 ** 20
+    assert out.read_text().count('stroke="#9ab"') > 1000
 
 
 def test_seed_counts_add_up():
