@@ -31,8 +31,8 @@ from .plotting import render_svg
 from .stationary import reduce_points, sweep_full
 
 _FN_IDS = [tf.value for tf in TestFunction]
-_SLICE = 1 << 16  # characters of the SVG encoded and written at a time
 _KERNELS = {k.value: k for k in KernelKind}
+_SLICE = 1 << 16  # characters of the SVG encoded and written at a time
 
 
 class InputError(ValueError):

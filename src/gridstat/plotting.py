@@ -15,9 +15,9 @@ pixels as one array and formatted straight from it, one ``%`` per chunk
 of ``_CHUNK`` segments, so the text, its template and the Python floats
 of a whole layer are never held at once; the tests keep the
 element-by-element builder this replaced and compare the text byte for
-byte.  Lengths are rescaled by exact powers of two before
-distances and pixel scales are taken, so the picture does not depend on
-the length unit.
+byte.  Lengths are rescaled by exact powers of two before distances and
+pixel scales are taken, so the picture does not depend on the length
+unit.
 """
 
 from __future__ import annotations
